@@ -78,10 +78,10 @@ void PsDirectoryAblation() {
       // real I/O (a warm pool hides the chain scan entirely).
       db.SwapPool(64);
       XrTree reopened(db.pool(), tree.root(), options);
-      db.pool()->ResetStats();
+      IoStats before = db.pool()->stats();
       Position sd = elems[rng.Uniform(elems.size())].start + 1;
       reopened.FindAncestors(sd).value();
-      misses += db.pool()->stats().buffer_misses;
+      misses += (db.pool()->stats() - before).buffer_misses;
     }
     std::printf("%-12u %-18s %14.2f %14llu %12u\n", nesting,
                 disable ? "no directory" : "with directory",

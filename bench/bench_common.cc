@@ -99,9 +99,8 @@ std::vector<RunResult> RunJoins(const ElementList& ancestors,
   std::vector<RunResult> results;
   for (Algo algo : {Algo::kNoIndex, Algo::kBPlus, Algo::kXrStack}) {
     db.SwapPool(pool_pages);
-    // Snapshot subtraction, not ResetStats(): a reset races with any
-    // concurrent I/O and the two halves (pool vs disk counters) reset
-    // non-atomically. Saturating operator- keeps a torn interval sane.
+    // Snapshot subtraction: the counters are monotonic, and saturating
+    // operator- keeps an interval sane under concurrent I/O.
     IoStats before = db.pool()->stats();
     auto t0 = std::chrono::steady_clock::now();
     JoinOutput out;

@@ -26,9 +26,9 @@ uint64_t ColdMisses(BenchDb& db, Fn&& fn) {
     Page* p = db.pool()->NewPage().value();
     XR_CHECK_OK(db.pool()->UnpinPage(p->page_id(), false));
   }
-  db.pool()->ResetStats();
+  IoStats before = db.pool()->stats();
   fn();
-  return db.pool()->stats().buffer_misses;
+  return (db.pool()->stats() - before).buffer_misses;
 }
 
 void DescendantCostSweep(const Dataset& ds) {

@@ -62,11 +62,11 @@ void BPlusSpCheck(const Dataset& ds) {
     db.SwapPool(env.buffer_pages);
     SpTree a_run(db.pool(), a_tree.root());
     SpTree d_run(db.pool(), d_tree.root());
-    db.pool()->ResetStats();
+    IoStats before = db.pool()->stats();
     JoinOptions options;
     options.materialize = false;
     auto sp = BPlusSpJoin(a_run, d_run, options).value();
-    uint64_t sp_misses = db.pool()->stats().buffer_misses;
+    uint64_t sp_misses = (db.pool()->stats() - before).buffer_misses;
     std::printf("%7.0f%% | %10llu %10llu | %10llu %10llu\n", sel * 100,
                 (unsigned long long)base[1].scanned,
                 (unsigned long long)sp.stats.elements_scanned,
@@ -98,11 +98,11 @@ void RTreeRobustness(const Dataset& ds) {
     db.SwapPool(env.buffer_pages);
     RTree a_run(db.pool(), a_tree.root());
     RTree d_run(db.pool(), d_tree.root());
-    db.pool()->ResetStats();
+    IoStats before = db.pool()->stats();
     JoinOptions options;
     options.materialize = false;
     RTreeJoin(a_run, d_run, options).value();
-    uint64_t rt_misses = db.pool()->stats().buffer_misses;
+    uint64_t rt_misses = (db.pool()->stats() - before).buffer_misses;
     std::printf("%7.0f%% | %9llu %9llu %9llu %9llu\n", sel * 100,
                 (unsigned long long)base[0].page_misses,
                 (unsigned long long)base[1].page_misses,

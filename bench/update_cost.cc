@@ -33,24 +33,22 @@ template <typename Tree>
 Cost MeasureTree(const ElementList& elems, size_t pool_pages) {
   BenchDb db(pool_pages);
   Tree tree(db.pool());
-  db.pool()->ResetStats();
+  IoStats start = db.pool()->stats();
   for (const Element& e : elems) XR_CHECK_OK(tree.Insert(e));
   IoStats after_insert = db.pool()->stats();
+  IoStats ins = after_insert - start;
   Cost c;
   c.insert_io =
-      static_cast<double>(after_insert.disk_reads + after_insert.disk_writes) /
-      elems.size();
-  db.pool()->ResetStats();
+      static_cast<double>(ins.disk_reads + ins.disk_writes) / elems.size();
   // Delete a random-ish half (every other element).
   uint64_t deleted = 0;
   for (size_t i = 0; i < elems.size(); i += 2) {
     XR_CHECK_OK(tree.Delete(elems[i].start));
     ++deleted;
   }
-  IoStats after_delete = db.pool()->stats();
+  IoStats del = db.pool()->stats() - after_insert;
   c.delete_io =
-      static_cast<double>(after_delete.disk_reads + after_delete.disk_writes) /
-      deleted;
+      static_cast<double>(del.disk_reads + del.disk_writes) / deleted;
   return c;
 }
 
@@ -83,7 +81,7 @@ DurableCost MeasureDurableInserts(const ElementList& elems, size_t pool_pages,
     BufferPool pool(&disk, pool_pages);
     if (with_wal) pool.SetWal(&wal);
     XrTree tree(&pool);
-    pool.ResetStats();
+    IoStats before = pool.stats();
     auto start = std::chrono::steady_clock::now();
     for (const Element& e : elems) {
       XR_CHECK_OK(tree.Insert(e));
@@ -96,7 +94,8 @@ DurableCost MeasureDurableInserts(const ElementList& elems, size_t pool_pages,
     }
     auto end = std::chrono::steady_clock::now();
     const double n = static_cast<double>(elems.size());
-    c.data_writes_per_op = static_cast<double>(pool.stats().disk_writes) / n;
+    c.data_writes_per_op =
+        static_cast<double>((pool.stats() - before).disk_writes) / n;
     if (with_wal) {
       WalStats ws = wal.stats();
       c.images_per_op = static_cast<double>(ws.images_logged) / n;

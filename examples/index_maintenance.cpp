@@ -32,9 +32,9 @@ int main() {
   XrTree tree(&pool);
 
   // Insert everything element by element (Algorithm 1).
-  pool.ResetStats();
+  IoStats before = pool.stats();
   for (const Element& e : elements) XR_CHECK_OK(tree.Insert(e));
-  IoStats ins = pool.stats();
+  IoStats ins = pool.stats() - before;
   std::printf("inserted %llu elements: %.2f physical I/Os per insert\n",
               (unsigned long long)tree.size(),
               static_cast<double>(ins.disk_reads + ins.disk_writes) /
@@ -60,13 +60,13 @@ int main() {
 
   // Delete half the elements (Algorithm 2) — redistribution, merges and
   // stab-list displacement all run here.
-  pool.ResetStats();
+  before = pool.stats();
   uint64_t deleted = 0;
   for (size_t i = 0; i < elements.size(); i += 2) {
     XR_CHECK_OK(tree.Delete(elements[i].start));
     ++deleted;
   }
-  IoStats del = pool.stats();
+  IoStats del = pool.stats() - before;
   std::printf("\ndeleted %llu elements: %.2f physical I/Os per delete\n",
               (unsigned long long)deleted,
               static_cast<double>(del.disk_reads + del.disk_writes) /

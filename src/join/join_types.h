@@ -51,8 +51,8 @@ struct JoinOptions {
 
   /// Leaf read-ahead depth for the descendant range scan (XR-stack and its
   /// parallel variant): each time the descendant cursor lands on a new
-  /// leaf, the next `prefetch_depth` sibling leaves are prefetched in the
-  /// background (BufferPool::PrefetchChainAsync). 0 = off.
+  /// leaf, the next `prefetch_depth` sibling leaves are submitted for
+  /// read-ahead without waiting (BufferPool::PrefetchBatchAsync). 0 = off.
   uint32_t prefetch_depth = 0;
 
   /// Scale read-ahead depth from observed run lengths instead of issuing a

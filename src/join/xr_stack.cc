@@ -135,7 +135,7 @@ Result<JoinOutput> XrStackJoinRange(const XrTree& ancestors,
         auto run = ancestors.LeafRunAfter(cur_a, pf_depth, &resume, hi);
         if (run.ok() && !run->empty()) {
           bool full = run->size() == pf_depth;
-          ancestors.pool()->PrefetchBatchAsync(std::move(*run));
+          ancestors.pool()->PrefetchBatchAsync(*run);
           if (options.adaptive_prefetch) {
             pf_depth = full ? std::min(pf_depth * 2, pf_cap)
                             : std::max<uint32_t>(2, pf_depth / 2);

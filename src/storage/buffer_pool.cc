@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <cstring>
-#include <thread>
 
 #include "storage/checksum.h"
 
@@ -58,48 +56,32 @@ BufferPool::BufferPool(DiskInterface* disk, const BufferPoolOptions& options)
       shard->frames.push_back(std::make_unique<Page>());
       shard->free_frames.push_back(n - 1 - f);  // pop_back yields frame 0
     }
-    shard->base_frames = n;
-    shard->owned_frames = n;
     shards_.push_back(std::move(shard));
   }
-  if (options_.async_workers > 0) {
-    AsyncDiskOptions aopts;
-    aopts.workers = options_.async_workers;
-    aopts.queue_depth =
-        options_.async_queue_depth > 0 ? options_.async_queue_depth : 1;
-    async_ = std::make_unique<AsyncDisk>(disk_, aopts);
-  }
+  AsyncDiskOptions aopts;
+  aopts.workers = options_.async_workers;  // AsyncDisk runs at least one
+  aopts.queue_depth = std::max<size_t>(1, options_.async_queue_depth);
+  async_ = std::make_unique<AsyncDisk>(disk_, aopts);
 }
 
 BufferPool::~BufferPool() {
-  // Stop the prefetcher before teardown so no background read can land in a
-  // frame while the pool is being destroyed.
-  {
-    std::lock_guard<std::mutex> lock(prefetch_mu_);
-    prefetch_stop_ = true;
-  }
-  prefetch_cv_.notify_all();
-  if (prefetch_thread_.joinable()) prefetch_thread_.join();
-  // With the prefetch thread gone there are no submitters left; draining
-  // and joining the async workers here guarantees no completion can touch
-  // shard state once teardown proceeds to the flush.
+  // No caller may still be submitting; draining and joining the async
+  // workers here guarantees no completion can touch shard state once
+  // teardown proceeds to the flush.
   async_.reset();
   FlushAll().ok();
 }
 
 bool BufferPool::FindVictim(Shard& s, FrameId* out, bool clean_only) {
   const size_t n = s.frames.size();
-  if (n == 0) return false;
   s.clock_sweeps.fetch_add(1, std::memory_order_relaxed);
   // Up to two revolutions: the first pass may spend every set reference
-  // bit, the second then lands on a victim — unless every slot is empty
-  // (stolen), free/reserved, pinned, or (for clean_only) dirty.
+  // bit, the second then lands on a victim — unless every frame is
+  // free/reserved, pinned, or (for clean_only) dirty.
   for (size_t scanned = 0; scanned < 2 * n; ++scanned) {
-    if (s.clock_hand >= n) s.clock_hand = 0;
     const FrameId f = s.clock_hand;
     s.clock_hand = (s.clock_hand + 1) % n;
     Page* page = s.frames[f].get();
-    if (page == nullptr) continue;                   // stolen slot
     if (page->page_id_ == kInvalidPageId) continue;  // free or reserved
     if (page->pin_count_ != 0) continue;
     if (clean_only && page->is_dirty_) continue;
@@ -170,71 +152,18 @@ std::string BufferPool::ExhaustedMessage(size_t shard_index,
                                          const Shard& s) const {
   size_t pinned = 0;
   size_t reserved = 0;
-  size_t owned = 0;
   {
     std::lock_guard<std::mutex> lock(s.mu);
     for (const auto& f : s.frames) {
-      if (f != nullptr && f->pin_count_ > 0) ++pinned;
+      if (f->pin_count_ > 0) ++pinned;
     }
     reserved = s.reserved_frames;
-    owned = s.owned_frames;
   }
   return "buffer pool exhausted: every frame of shard " +
          std::to_string(shard_index) + " unavailable (" +
          std::to_string(pinned) + " pinned, " + std::to_string(reserved) +
-         " reserved by in-flight reads, " + std::to_string(owned) +
-         " frames owned)";
-}
-
-bool BufferPool::TryStealFrame(size_t thief_index) {
-  const size_t shard_count = shards_.size();
-  if (shard_count < 2) return false;
-  Shard& thief = *shards_[thief_index];
-  {
-    // Advisory cap: a shard that already doubled its allotment stops
-    // stealing (checked unlatched-to-latched in two steps elsewhere too, so
-    // a slight overshoot under a race is possible and benign — the cap
-    // bounds drift, it is not an invariant).
-    std::lock_guard<std::mutex> lock(thief.mu);
-    if (thief.owned_frames >= 2 * thief.base_frames) return false;
-  }
-  for (size_t d = 1; d < shard_count; ++d) {
-    Shard& donor = *shards_[(thief_index + d) % shard_count];
-    std::unique_ptr<Page> stolen;
-    {
-      // Never hold two shard latches at once: take from the donor under its
-      // latch alone, hand to the thief under its latch alone. The donor's
-      // frame *slot* stays behind as nullptr so existing FrameId indices
-      // (page_table, clock hand) remain valid.
-      std::lock_guard<std::mutex> lock(donor.mu);
-      const size_t floor =
-          std::max<size_t>(1, donor.base_frames / 2);
-      if (donor.owned_frames <= floor) continue;  // donor keeps a working set
-      FrameId f;
-      if (!donor.free_frames.empty()) {
-        f = donor.free_frames.back();
-        donor.free_frames.pop_back();
-      } else if (FindVictim(donor, &f, /*clean_only=*/true)) {
-        // Clean victims only: stealing must never do a write-back (it runs
-        // on fetch paths that may already be inside retry loops).
-        if (!EvictFrame(donor, f).ok()) continue;
-      } else {
-        continue;
-      }
-      stolen = std::move(donor.frames[f]);
-      --donor.owned_frames;
-    }
-    {
-      std::lock_guard<std::mutex> lock(thief.mu);
-      thief.frames.push_back(std::move(stolen));
-      thief.free_frames.push_back(
-          static_cast<FrameId>(thief.frames.size() - 1));
-      ++thief.owned_frames;
-      thief.frames_stolen.fetch_add(1, std::memory_order_relaxed);
-    }
-    return true;
-  }
-  return false;
+         " reserved by in-flight reads, " + std::to_string(s.frames.size()) +
+         " frames)";
 }
 
 RetryState BufferPool::MakeRetryState(const RetryPolicy& policy,
@@ -365,10 +294,7 @@ Result<Page*> BufferPool::FetchPage(PageId page_id) {
           }
           // Reserve the frame (it is in neither page_table nor
           // free_frames, so no other thread can touch it) and publish the
-          // in-flight entry, then drop the latch for the read. The Page
-          // pointer is captured under the latch: the frames *vector* can
-          // be reallocated by a concurrent steal, but the heap-allocated
-          // Page objects never move.
+          // in-flight entry, then drop the latch for the read.
           page = s.frames[frame].get();
           entry = std::make_shared<InFlight>();
           s.in_flight.emplace(page_id, entry);
@@ -388,16 +314,12 @@ Result<Page*> BufferPool::FetchPage(PageId page_id) {
       }
     }
     if (all_pinned) {
-      // Every frame of this shard is unavailable. Before burning wait
-      // budget, try to take an unused frame from a neighbouring shard
-      // (bounded; pressure is usually skewed, not uniform).
-      if (TryStealFrame(shard_index)) continue;
-      // Transient under concurrency: back off and retry until the bound,
-      // then surface pool pressure. When part of the unavailability is
-      // frames reserved by in-flight reads, park on a completion instead —
-      // those frames return in bounded time, so burning pin-retry budget
-      // against them would make small shards fail spuriously under read
-      // bursts.
+      // Every frame of this shard is unavailable — transient under
+      // concurrency: back off and retry until the bound, then surface pool
+      // pressure. When part of the unavailability is frames reserved by
+      // in-flight reads, park on a completion instead — those frames
+      // return in bounded time, so burning pin-retry budget against them
+      // would make small shards fail spuriously under read bursts.
       s.exhausted_waits.fetch_add(1, std::memory_order_relaxed);
       if (reserved_wait && ++reserved_waits <= kMaxReservedWaitsPerFetch) {
         std::unique_lock<std::mutex> wait_lock(reserved_wait->mu);
@@ -449,8 +371,8 @@ Result<Page*> BufferPool::FetchPage(PageId page_id) {
     // completion worker runs CompleteDemandRead — the leader parks on its
     // own entry exactly like any other waiter, so K distinct misses can be
     // outstanding at once even from one submitting thread's shard. A full
-    // queue (retryable ResourceExhausted) or a disabled async layer
-    // degrades to the PR 7-style inline read on this thread.
+    // queue (retryable ResourceExhausted) degrades to an inline read on
+    // this thread.
     bool from_log = false;
     Status read;
     Wal* wal = wal_.load(std::memory_order_acquire);
@@ -463,7 +385,7 @@ Result<Page*> BufferPool::FetchPage(PageId page_id) {
       }
     }
     bool submitted = false;
-    if (read.ok() && !from_log && async_ != nullptr) {
+    if (read.ok() && !from_log) {
       entry->slot.page_id = page_id;
       entry->slot.out = page->data_;
       entry->slot.status = Status::Ok();
@@ -631,7 +553,7 @@ Result<Page*> BufferPool::NewPage() {
       // Re-validate residency inside the install critical section. Between
       // id selection above (which drops the latch; fresh ids are never
       // checked at all) and this latch hold, a racing read of the same id
-      // can have installed a frame: speculative chain prefetch legitimately
+      // can have installed a frame: prefetch of a stale id legitimately
       // touches freed and just-allocated ids, and the all-zero image of a
       // never-written page passes the trailer check. Installing blindly on
       // top would overwrite the page-table mapping and orphan that frame
@@ -678,7 +600,6 @@ Result<Page*> BufferPool::NewPage() {
         return page;
       }
     }
-    if (TryStealFrame(shard_index)) continue;
     s.exhausted_waits.fetch_add(1, std::memory_order_relaxed);
     uint64_t delay;
     if (!pin_retry.Next(&delay)) break;
@@ -709,7 +630,7 @@ bool BufferPool::AcquireCleanFrame(Shard& s, FrameId* out) {
   FrameId victim;
   if (FindVictim(s, &victim, /*clean_only=*/true)) {
     // Clean victim: EvictFrame will not write back (and therefore cannot
-    // touch the WAL from this background thread).
+    // touch the WAL from a read-ahead path).
     if (!EvictFrame(s, victim).ok()) return false;
     *out = victim;
     return true;
@@ -717,8 +638,7 @@ bool BufferPool::AcquireCleanFrame(Shard& s, FrameId* out) {
   return false;
 }
 
-size_t BufferPool::PrefetchBatch(const PageId* ids, size_t n,
-                                 size_t known_prefix, bool detached) {
+void BufferPool::PrefetchBatch(const PageId* ids, size_t n, bool detached) {
   // One registered page of the batch: its in-flight entry (so demand
   // fetchers park instead of duplicating the read), its slice of the read
   // buffer, and which source served it.
@@ -727,8 +647,7 @@ size_t BufferPool::PrefetchBatch(const PageId* ids, size_t n,
     std::shared_ptr<InFlight> entry;
     char* buf = nullptr;
     bool from_log = false;
-    bool known = false;
-    bool to_disk = false;  // routed to the disk (async: installed on completion)
+    bool to_disk = false;  // submitted to the disk, installed by its run
     Status read;
   };
   // Everything the completions touch. Heap-allocated and shared so a
@@ -739,8 +658,7 @@ size_t BufferPool::PrefetchBatch(const PageId* ids, size_t n,
     std::vector<char> bufs;
     std::vector<PageReadRequest> requests;
     std::vector<size_t> request_slot;
-    std::atomic<size_t> installed_known{0};
-    // Synchronous-mode rendezvous (unused when detached).
+    // Rendezvous for a caller that waits (unused when detached).
     std::mutex mu;
     std::condition_variable cv;
     size_t pending = 0;
@@ -749,38 +667,29 @@ size_t BufferPool::PrefetchBatch(const PageId* ids, size_t n,
   auto st = std::make_shared<BatchState>();
   std::vector<Slot>& slots = st->slots;
   slots.reserve(n);
-  size_t resident_known = 0;
   // Phase 1 (one short latch acquisition per page): skip pages that are
   // resident or already being read, register an in-flight entry for the
   // rest. Registration also dedupes repeated ids within the batch.
   for (size_t i = 0; i < n; ++i) {
     const PageId id = ids[i];
-    const bool known = i < known_prefix;
     if (id == kInvalidPageId || id >= num_pages) continue;
     Shard& s = *shards_[ShardIndex(id)];
     std::lock_guard<std::mutex> lock(s.mu);
-    if (s.page_table.find(id) != s.page_table.end()) {
-      if (known) ++resident_known;
-      continue;
-    }
-    if (s.in_flight.find(id) != s.in_flight.end()) continue;
+    if (s.page_table.count(id) != 0 || s.in_flight.count(id) != 0) continue;
     Slot slot;
     slot.page_id = id;
-    slot.known = known;
     slot.entry = std::make_shared<InFlight>();
     s.in_flight.emplace(id, slot.entry);
     slots.push_back(std::move(slot));
   }
-  if (slots.empty()) return resident_known;
+  if (slots.empty()) return;
 
   // Phase 2, no latches held: WAL-overlay pages are served from the log
   // individually (the overlay is an in-memory/log-offset lookup, not a
   // seek); everything else is split into consecutive-id runs and each run
   // is one async submission — runs of the same batch overlap on the
-  // completion workers instead of queueing behind one blocking ReadBatch,
-  // and each run's pages install the moment *it* completes (out of order
-  // relative to other runs). Without an async layer the whole set goes to
-  // the disk in one blocking ReadBatch as before.
+  // completion workers, and each run's pages install the moment *it*
+  // completes (out of order relative to other runs).
   std::vector<char>& bufs = st->bufs;
   bufs.resize(slots.size() * kPageSize);
   Wal* wal = wal_.load(std::memory_order_acquire);
@@ -809,13 +718,13 @@ size_t BufferPool::PrefetchBatch(const PageId* ids, size_t n,
     request_slot.push_back(i);
   }
 
-  // Phase 3 (per slot, possibly on a completion worker): install the image
+  // Phase 3 (per slot, usually on a completion worker): install the image
   // unpinned under its shard latch, with the same re-validation as the
   // demand path (the id can have been recycled by NewPage, the overlay
   // flipped by FreePage/LogPageImage, mid-read). Best-effort contract: any
   // failure installs nothing — the demand fetch pays the miss and surfaces
   // (or retries/repairs) the real error.
-  auto install_slot = [this, st](Slot& slot) {
+  auto install_slot = [this](Slot& slot) {
     Status read = slot.read;
     if (read.ok()) read = VerifyPageTrailer(slot.buf, slot.page_id);
     bool resident = false;
@@ -847,216 +756,72 @@ size_t BufferPool::PrefetchBatch(const PageId* ids, size_t n,
       }
     }
     CompleteInFlight(slot.entry);
-    if (resident) {
-      if (slot.known) {
-        st->installed_known.fetch_add(1, std::memory_order_relaxed);
-      }
-    } else if (!read.ok() && !stale && slot.known) {
-      // Real chain pages whose read/verify failed; speculative slots stay
-      // silent (guessing past the end of a chain is not an error).
+    if (!resident && !stale && !read.ok()) {
       prefetch_errors_.fetch_add(1, std::memory_order_relaxed);
     }
   };
 
-  if (!requests.empty()) {
-    if (async_ == nullptr) {
-      disk_->ReadBatch(requests.data(), requests.size());
-      for (size_t j = 0; j < requests.size(); ++j) {
-        slots[request_slot[j]].read = requests[j].status;
+  // The shared BatchState keeps everything the completions touch alive:
+  // a waiting caller holds it until the last completion has run; detached,
+  // the last completion closure drops the final reference.
+  size_t j = 0;
+  while (j < requests.size()) {
+    size_t run = 1;
+    while (j + run < requests.size() &&
+           requests[j + run].page_id == requests[j].page_id + run) {
+      ++run;
+    }
+    auto completion = [st, install_slot, j, run] {
+      for (size_t k = j; k < j + run; ++k) {
+        Slot& slot = st->slots[st->request_slot[k]];
+        slot.read = st->requests[k].status;
+        install_slot(slot);
       }
-    } else {
-      // The shared BatchState keeps everything the completions touch alive:
-      // synchronously the wait below holds it until the last completion has
-      // run; detached, the last completion closure drops the final
-      // reference — this call never blocks on the device.
-      size_t j = 0;
-      while (j < requests.size()) {
-        size_t run = 1;
-        while (j + run < requests.size() &&
-               requests[j + run].page_id == requests[j].page_id + run) {
-          ++run;
-        }
-        auto completion = [st, install_slot, j, run] {
-          for (size_t k = j; k < j + run; ++k) {
-            Slot& slot = st->slots[st->request_slot[k]];
-            slot.read = st->requests[k].status;
-            install_slot(slot);
-          }
-          {
-            std::lock_guard<std::mutex> lk(st->mu);
-            --st->pending;
-          }
-          st->cv.notify_all();
-        };
-        {
-          std::lock_guard<std::mutex> lk(st->mu);
-          ++st->pending;
-        }
-        if (!async_->Submit(&requests[j], run, completion).ok()) {
-          // Queue full (or shut down): serve this run inline right here —
-          // backpressure degrades to the blocking path, never to a stall.
-          {
-            std::lock_guard<std::mutex> lk(st->mu);
-            --st->pending;
-          }
-          disk_->ReadBatch(&requests[j], run);
-          for (size_t k = j; k < j + run; ++k) {
-            Slot& slot = slots[request_slot[k]];
-            slot.read = requests[k].status;
-            install_slot(slot);
-          }
-        }
-        j += run;
+      {
+        std::lock_guard<std::mutex> lk(st->mu);
+        --st->pending;
       }
-      if (!detached) {
-        std::unique_lock<std::mutex> lk(st->mu);
-        st->cv.wait(lk, [&] { return st->pending == 0; });
+      st->cv.notify_all();
+    };
+    {
+      std::lock_guard<std::mutex> lk(st->mu);
+      ++st->pending;
+    }
+    if (!async_->Submit(&requests[j], run, completion).ok()) {
+      // Queue full (or shut down): serve this run inline right here —
+      // backpressure degrades to the blocking path, never to a stall.
+      {
+        std::lock_guard<std::mutex> lk(st->mu);
+        --st->pending;
+      }
+      disk_->ReadBatch(&requests[j], run);
+      for (size_t k = j; k < j + run; ++k) {
+        Slot& slot = slots[request_slot[k]];
+        slot.read = requests[k].status;
+        install_slot(slot);
       }
     }
+    j += run;
   }
   for (auto& slot : slots) {
-    if (slot.to_disk && async_ != nullptr) continue;  // installed on completion
-    install_slot(slot);  // WAL-served, early-error, or sync-path disk slot
+    if (!slot.to_disk) install_slot(slot);  // WAL-served or early error
   }
-  return resident_known +
-         st->installed_known.load(std::memory_order_relaxed);
+  if (!detached) {
+    std::unique_lock<std::mutex> lk(st->mu);
+    st->cv.wait(lk, [&] { return st->pending == 0; });
+  }
 }
 
 Status BufferPool::PrefetchPages(const PageId* ids, size_t n) {
-  PrefetchBatch(ids, n, n);
+  PrefetchBatch(ids, n, /*detached=*/false);
   return Status::Ok();
 }
 
-bool BufferPool::ResidentLink(PageId page_id, uint32_t next_offset,
-                              PageId* link) const {
-  Shard& s = *shards_[ShardIndex(page_id)];
-  std::lock_guard<std::mutex> lock(s.mu);
-  auto it = s.page_table.find(page_id);
-  if (it == s.page_table.end()) return false;
-  Page* page = s.frames[it->second].get();
-  // A writer may hold this page's W-latch while blocking on a shard latch
-  // (crabbing acquires the child after the parent), so a *blocking* R-latch
-  // here — shard latch already held — would invert the order and deadlock.
-  // Try once: a write-latched page simply ends this best-effort walk early.
-  if (!page->TryRLatch()) return false;
-  std::memcpy(link, page->data_ + next_offset, sizeof(*link));
-  page->RUnlatch();
-  return true;
+void BufferPool::PrefetchBatchAsync(const std::vector<PageId>& ids) {
+  PrefetchBatch(ids.data(), ids.size(), /*detached=*/true);
 }
 
-void BufferPool::ProcessChainJob(const PrefetchJob& job) {
-  PageId cur = job.start;
-  // Bulk-loaded leaf chains are laid out on consecutive page ids, so at a
-  // non-resident frontier we read a speculative sequential run {cur,
-  // cur+1, ...} in one submission instead of chasing pointers one latched
-  // read at a time. A wrong guess costs at most one run (the width drops
-  // to 1 for the rest of the job) and its pages resolve through the
-  // honest prefetch_wasted accounting.
-  size_t width = kChainBatchWidth;
-  for (uint32_t i = 0; i < job.depth && cur != kInvalidPageId;) {
-    PageId link;
-    if (ResidentLink(cur, job.next_offset, &link)) {
-      // Resident (this walk's earlier batch, or anyone else's work):
-      // following the pointer costs one latched lookup, no I/O.
-      ++i;
-      cur = link;
-      continue;
-    }
-    size_t want = std::min<size_t>(width, job.depth - i);
-    std::vector<PageId> run(want);
-    for (size_t j = 0; j < want; ++j) {
-      run[j] = cur + static_cast<PageId>(j);
-    }
-    PrefetchBatch(run.data(), want, /*known_prefix=*/1);
-    if (!ResidentLink(cur, job.next_offset, &link)) {
-      // Could not install the frontier page (failed read, no clean frame,
-      // or evicted already on a tiny pool): the walk ends.
-      return;
-    }
-    ++i;
-    if (want > 1 && link != cur + 1) width = 1;  // mis-speculated: narrow
-    cur = link;
-  }
-}
-
-void BufferPool::PrefetchWorker() {
-  for (;;) {
-    PrefetchJob job;
-    {
-      std::unique_lock<std::mutex> lock(prefetch_mu_);
-      prefetch_cv_.wait(lock, [&] {
-        return prefetch_stop_ || !prefetch_queue_.empty();
-      });
-      if (prefetch_queue_.empty()) return;  // stop requested, queue drained
-      job = std::move(prefetch_queue_.front());
-      prefetch_queue_.pop_front();
-      prefetch_busy_ = true;
-    }
-    if (!job.batch.empty()) {
-      // Detached: the runs go to the async layer and this thread moves
-      // straight on to the next job — one slow batch must not delay the
-      // read-ahead everyone else queued behind it.
-      PrefetchBatch(job.batch.data(), job.batch.size(), job.batch.size(),
-                    /*detached=*/true);
-    } else {
-      ProcessChainJob(job);
-    }
-    {
-      std::lock_guard<std::mutex> lock(prefetch_mu_);
-      prefetch_busy_ = false;
-    }
-    prefetch_idle_cv_.notify_all();
-  }
-}
-
-void BufferPool::PrefetchChainAsync(PageId start, uint32_t depth,
-                                    uint32_t next_offset) {
-  if (start == kInvalidPageId || depth == 0 ||
-      next_offset + sizeof(PageId) > kPageDataSize) {
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(prefetch_mu_);
-    if (prefetch_stop_) return;
-    if (!prefetch_thread_.joinable()) {
-      prefetch_thread_ = std::thread([this] { PrefetchWorker(); });
-    }
-    PrefetchJob job;
-    job.start = start;
-    job.depth = depth;
-    job.next_offset = next_offset;
-    prefetch_queue_.push_back(std::move(job));
-  }
-  prefetch_cv_.notify_one();
-}
-
-void BufferPool::PrefetchBatchAsync(std::vector<PageId> ids) {
-  if (ids.empty()) return;
-  {
-    std::lock_guard<std::mutex> lock(prefetch_mu_);
-    if (prefetch_stop_) return;
-    if (!prefetch_thread_.joinable()) {
-      prefetch_thread_ = std::thread([this] { PrefetchWorker(); });
-    }
-    PrefetchJob job;
-    job.batch = std::move(ids);
-    prefetch_queue_.push_back(std::move(job));
-  }
-  prefetch_cv_.notify_one();
-}
-
-void BufferPool::WaitForPrefetchIdle() {
-  {
-    std::unique_lock<std::mutex> lock(prefetch_mu_);
-    prefetch_idle_cv_.wait(lock, [&] {
-      return prefetch_queue_.empty() && !prefetch_busy_;
-    });
-  }
-  // Detached batch jobs return before their installs land; the async queue
-  // drain below settles them (plus any in-flight demand reads, which
-  // complete on their own).
-  if (async_ != nullptr) async_->Drain();
-}
+void BufferPool::WaitForPrefetchIdle() { async_->Drain(); }
 
 Status BufferPool::UnpinPage(PageId page_id, bool dirty) {
   Shard& s = *shards_[ShardIndex(page_id)];
@@ -1238,8 +1003,6 @@ IoStats BufferPool::stats() const {
     merged.prefetch_wasted +=
         shard->prefetch_wasted.load(std::memory_order_relaxed);
     merged.clock_sweeps += shard->clock_sweeps.load(std::memory_order_relaxed);
-    merged.frames_stolen +=
-        shard->frames_stolen.load(std::memory_order_relaxed);
   }
   merged.failed_unpins += failed_unpins_.load(std::memory_order_relaxed);
   merged.prefetch_errors += prefetch_errors_.load(std::memory_order_relaxed);
@@ -1253,26 +1016,6 @@ IoStats BufferPool::stats() const {
   return merged;
 }
 
-void BufferPool::ResetStats() {
-  for (auto& shard : shards_) {
-    shard->hits.store(0, std::memory_order_relaxed);
-    shard->misses.store(0, std::memory_order_relaxed);
-    shard->exhausted_waits.store(0, std::memory_order_relaxed);
-    shard->prefetch_issued.store(0, std::memory_order_relaxed);
-    shard->prefetch_hits.store(0, std::memory_order_relaxed);
-    shard->prefetch_wasted.store(0, std::memory_order_relaxed);
-    shard->clock_sweeps.store(0, std::memory_order_relaxed);
-    shard->frames_stolen.store(0, std::memory_order_relaxed);
-  }
-  failed_unpins_.store(0, std::memory_order_relaxed);
-  prefetch_errors_.store(0, std::memory_order_relaxed);
-  io_retries_.store(0, std::memory_order_relaxed);
-  repairs_attempted_.store(0, std::memory_order_relaxed);
-  repairs_succeeded_.store(0, std::memory_order_relaxed);
-  pages_quarantined_.store(0, std::memory_order_relaxed);
-  disk_->ResetStats();
-}
-
 IoStats BufferPool::shard_stats(size_t shard) const {
   IoStats s;
   const Shard& sh = *shards_[shard];
@@ -1283,7 +1026,6 @@ IoStats BufferPool::shard_stats(size_t shard) const {
   s.prefetch_hits = sh.prefetch_hits.load(std::memory_order_relaxed);
   s.prefetch_wasted = sh.prefetch_wasted.load(std::memory_order_relaxed);
   s.clock_sweeps = sh.clock_sweeps.load(std::memory_order_relaxed);
-  s.frames_stolen = sh.frames_stolen.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -1298,7 +1040,7 @@ size_t BufferPool::pinned_frames() const {
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
     for (const auto& f : shard->frames) {
-      if (f != nullptr && f->pin_count_ > 0) ++n;
+      if (f->pin_count_ > 0) ++n;
     }
   }
   return n;

@@ -4,11 +4,9 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
-#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -57,9 +55,8 @@ struct BufferPoolOptions {
   uint64_t retry_seed = 0;
   /// Asynchronous read layer (DESIGN.md §13): demand misses and prefetch
   /// runs are handed to a bounded submission queue drained by this many
-  /// completion workers, so distinct outstanding reads overlap on a device
-  /// that serves independent requests concurrently. 0 disables the layer —
-  /// every read runs inline on the thread that issued it.
+  /// completion workers (at least one), so distinct outstanding reads
+  /// overlap on a device that serves independent requests concurrently.
   size_t async_workers = 8;
   /// Bounded submission-queue depth. A full queue rejects the submission
   /// with retryable ResourceExhausted and the pool falls back to an inline
@@ -79,14 +76,12 @@ struct BufferPoolOptions {
 /// (the index code never pins more than a handful of pages at once).
 ///
 /// Concurrency: the pool is sharded into K latch-protected sub-pools, page
-/// ids hashed to shards. Each shard owns its frames, page table, CLOCK hand
-/// and free-frame list under one small mutex, so readers touching different
-/// shards never contend; a shard under pressure may steal an unused frame
-/// from a neighbour (bounded, see DESIGN.md §13) before giving up. Hit/miss
-/// counters are relaxed atomics outside any
-/// lock. Any number of threads may Fetch/Unpin concurrently. Structural
-/// mutation (NewPage/FreePage id allocation) serializes only on a small
-/// allocator lock. Page *contents* are guarded by per-page latches
+/// ids hashed to shards. Each shard owns a fixed set of frames, its page
+/// table, CLOCK hand and free-frame list under one small mutex, so readers
+/// touching different shards never contend. Hit/miss counters are relaxed
+/// atomics outside any lock. Any number of threads may Fetch/Unpin
+/// concurrently. Structural mutation (NewPage/FreePage id allocation)
+/// serializes only on a small allocator lock. Page *contents* are guarded by per-page latches
 /// (Page::RLatch/WLatch): any number of tree writers may run concurrently
 /// with each other and with readers, crabbing W-latches down their
 /// descents (DESIGN.md §14). Commit/Checkpoint/FlushAll/FlushPage take the
@@ -127,42 +122,34 @@ class BufferPool {
   Result<Page*> FetchPage(PageId page_id);
 
   /// Best-effort batch read-ahead: installs each non-resident page of `ids`
-  /// unpinned so a later FetchPage hits instead of paying a blocking miss.
-  /// Strictly weaker than FetchPage: a page whose shard has no free or
-  /// clean-evictable frame is skipped (prefetch never writes back a dirty
-  /// victim, so it cannot race the single writer's WAL), and a page whose
-  /// read or integrity check fails is skipped (the eventual real fetch
-  /// surfaces the error). The read itself happens outside the shard latch —
-  /// a slow simulated-latency device stalls only the prefetching thread,
-  /// never concurrent hits on the same shard. Counted in prefetch_issued /
-  /// prefetch_hits / prefetch_wasted (see IoStats). Read-path only: callers
-  /// must not prefetch pages a concurrent writer may be mutating.
+  /// unpinned so a later FetchPage hits instead of paying a blocking miss,
+  /// and returns once every install has settled. Strictly weaker than
+  /// FetchPage: invalid, unallocated, resident and already-in-flight ids
+  /// are skipped; a page whose shard has no free or clean-evictable frame
+  /// is skipped (prefetch never writes back a dirty victim, so it never
+  /// touches the WAL); and a page whose read or integrity check fails is
+  /// skipped (the eventual real fetch surfaces the error). Each contiguous
+  /// id run is one AsyncDisk submission, so the runs of one call overlap on
+  /// the completion workers. Counted in prefetch_issued / prefetch_hits /
+  /// prefetch_wasted / prefetch_errors (see IoStats). Read-path only:
+  /// callers must not prefetch pages a concurrent writer may be mutating.
   Status PrefetchPages(const PageId* ids, size_t n);
   Status PrefetchPages(const std::vector<PageId>& ids) {
     return PrefetchPages(ids.data(), ids.size());
   }
 
-  /// Asynchronous linked read-ahead: a background thread walks up to
-  /// `depth` pages starting at `start`, following the PageId link stored at
-  /// byte offset `next_offset` inside each page image (e.g. the leaf-chain
-  /// `next` pointer of a B+/XR-tree leaf), prefetching each page it visits.
-  /// The walk stops early at kInvalidPageId, at an unallocated id, or when
-  /// a page could not be installed. Jobs are deduplicated against resident
-  /// pages cheaply (a resident chain link costs one latched lookup, no I/O).
-  /// The worker thread is started lazily and joined by the destructor.
-  void PrefetchChainAsync(PageId start, uint32_t depth, uint32_t next_offset);
+  /// Fire-and-forget PrefetchPages: registers the pages in-flight and
+  /// submits their runs to AsyncDisk on the caller's thread, then returns
+  /// without waiting on the device — the completion workers install the
+  /// images. Because registration happens before the call returns, a
+  /// FetchPage of any submitted id that follows parks on the read instead
+  /// of issuing a duplicate. The caller must hold no page latch or pin
+  /// (a rejected submission is served inline, on the caller's thread).
+  void PrefetchBatchAsync(const std::vector<PageId>& ids);
 
-  /// Asynchronous batch read-ahead: the background thread prefetches the
-  /// given page ids (same contract as PrefetchPages) through one vectorized
-  /// ReadBatch submission per contiguous run. Preferred over
-  /// PrefetchChainAsync when the caller already knows the exact ids (e.g.
-  /// the XR-tree iterator's leaf-run lookahead, which reads the sibling
-  /// leaf ids off the parent internal node) — no chain pointers need to be
-  /// chased, so the whole run is one submission.
-  void PrefetchBatchAsync(std::vector<PageId> ids);
-
-  /// Blocks until the background prefetcher has no queued or in-flight job.
-  /// Determinism hook for tests and benches; production readers never wait.
+  /// Blocks until every submitted read has completed and installed —
+  /// read-ahead and demand misses alike (AsyncDisk::Drain). Determinism
+  /// hook for tests and benches; production readers never wait.
   void WaitForPrefetchIdle();
 
   /// Allocates a fresh page and returns it pinned and zeroed.
@@ -235,12 +222,8 @@ class BufferPool {
   /// Coherent snapshot of the merged counters: pool-level hit/miss/wait
   /// counters plus the disk's read/write/alloc counters. Every counter is a
   /// monotonic relaxed atomic; measure intervals by snapshot subtraction
-  /// (IoStats::operator- saturates), not ResetStats().
+  /// (IoStats::operator- saturates).
   IoStats stats() const;
-
-  /// Resets pool and disk counters. NOT atomic against concurrent I/O;
-  /// kept for single-threaded tools. Prefer snapshot subtraction.
-  void ResetStats();
 
   /// Hit/miss/wait counters of one shard (per-shard balance reporting in
   /// the concurrent benches). `shard` < shard_count().
@@ -283,9 +266,6 @@ class BufferPool {
   static constexpr size_t kMinFramesPerShard = 32;
   /// Auto-sharding cap (beyond ~16 latches contention is elsewhere).
   static constexpr size_t kMaxAutoShards = 16;
-  /// Widest speculative sequential batch the chain prefetcher issues at a
-  /// non-resident frontier page (see ProcessChainJob).
-  static constexpr size_t kChainBatchWidth = 8;
 
  private:
   using FrameId = size_t;
@@ -320,19 +300,12 @@ class BufferPool {
   /// never takes a latch.
   struct Shard {
     mutable std::mutex mu;
-    /// Frame slots. A slot emptied by cross-shard stealing holds nullptr
-    /// (indices must stay stable — the page table maps to them); a thief
-    /// appends the stolen frame, so `frames.size()` only grows. The Page
-    /// objects themselves are heap-allocated and never move.
+    /// The shard's frames, fixed at construction (heap-allocated Pages, so
+    /// a Page pointer captured under the latch stays valid after it).
     std::vector<std::unique_ptr<Page>> frames;
     std::unordered_map<PageId, FrameId> page_table;
     /// Second-chance sweep position (CLOCK replacement, DESIGN.md §13).
     FrameId clock_hand = 0;
-    /// Frames this shard was built with / currently owns: stealing is
-    /// bounded by a donor floor (base_frames/2) and a thief cap
-    /// (2*base_frames) so no shard can be bled dry or hoard the pool.
-    size_t base_frames = 0;
-    size_t owned_frames = 0;
     std::vector<FrameId> free_frames;
     /// Reads currently in flight for pages of this shard, demand misses and
     /// prefetches alike. Holders keep shared_ptr copies so an entry stays
@@ -351,17 +324,6 @@ class BufferPool {
     std::atomic<uint64_t> prefetch_hits{0};
     std::atomic<uint64_t> prefetch_wasted{0};
     std::atomic<uint64_t> clock_sweeps{0};
-    std::atomic<uint64_t> frames_stolen{0};
-  };
-
-  /// One queued asynchronous prefetch request: either a chain walk
-  /// (PrefetchChainAsync: follow `next_offset` links from `start`) or an
-  /// explicit id batch (PrefetchBatchAsync: `batch` non-empty).
-  struct PrefetchJob {
-    PageId start = kInvalidPageId;
-    uint32_t depth = 0;
-    uint32_t next_offset = 0;
-    std::vector<PageId> batch;
   };
 
   static size_t AutoShardCount(size_t pool_size);
@@ -371,7 +333,7 @@ class BufferPool {
   // reserved and pinned slots, clears set reference bits, and picks the
   // first unpinned resident frame whose bit is already clear (at most two
   // revolutions). `clean_only` additionally skips dirty frames (the
-  // prefetch and steal paths must never write back). Shard latch held.
+  // prefetch path must never write back). Shard latch held.
   bool FindVictim(Shard& s, FrameId* out, bool clean_only = false);
   // Evicts the current occupant of `frame` (flushing if dirty). Latch held.
   Status EvictFrame(Shard& s, FrameId frame);
@@ -411,58 +373,31 @@ class BufferPool {
   // installs the image pinned once for the parked leader — or returns the
   // reserved frame to the free list — then records the outcome in the entry
   // and wakes everyone parked on it. Runs on the async completion worker,
-  // or inline on the leader when the queue rejected the submission (or the
-  // async layer is disabled). `read` is the read+verify outcome so far.
+  // or inline on the leader when the queue rejected the submission.
+  // `read` is the read+verify outcome so far.
   void CompleteDemandRead(Shard& s, const std::shared_ptr<InFlight>& entry,
                           Page* page, FrameId frame, PageId page_id,
                           Status read, bool from_log);
 
-  // Bounded cross-shard frame stealing: a shard whose every frame is
-  // pinned/reserved takes one empty (free-listed) or clean unpinned frame
-  // from a neighbour before reporting ResourceExhausted. Donor and thief
-  // latches are never held together. Returns true after appending the
-  // stolen frame to the thief's free list.
-  bool TryStealFrame(size_t thief_index);
-
-  // Batch read-ahead backing PrefetchPages and the async worker: registers
-  // an in-flight entry per page it will read (resident, already-in-flight,
-  // invalid and unallocated ids are skipped), reads WAL-overlay pages
-  // individually and everything else through one disk ReadBatch submission,
-  // then installs each image unpinned under its shard latch (clean frames
-  // only, residency and overlay parity re-validated). Slots at index >=
-  // `known_prefix` are speculative guesses: their failures are silent
-  // (no prefetch_errors), and a mis-guess that installs an unwanted page
-  // resolves honestly through prefetch_wasted. Returns how many of the
-  // first `known_prefix` ids are resident afterwards.
-  //
-  // `detached` (effective only with the async layer): submissions are
-  // fire-and-forget — the batch state moves to the heap, each run's
-  // completion worker installs its pages, and the call returns without
-  // waiting, so one slow run never serializes the prefetch thread behind
-  // it. The return value then counts only the already-resident prefix.
-  // WaitForPrefetchIdle drains the async queue, so detached installs are
-  // settled once it returns.
-  size_t PrefetchBatch(const PageId* ids, size_t n, size_t known_prefix,
-                       bool detached = false);
+  // The one read-ahead path, backing PrefetchPages and PrefetchBatchAsync:
+  // registers an in-flight entry per page it will read (resident,
+  // already-in-flight, invalid and unallocated ids are skipped), reads
+  // WAL-overlay pages individually and submits everything else to the
+  // AsyncDisk, one submission per consecutive-id run. Each run's completion
+  // installs its images unpinned under their shard latches (clean frames
+  // only, residency and overlay parity re-validated). A run the full queue
+  // rejects is read and installed inline. `detached`: return as soon as
+  // every run is submitted (the batch state lives on the heap until the
+  // last completion drops it); otherwise wait for every install.
+  void PrefetchBatch(const PageId* ids, size_t n, bool detached);
   // Like AcquireFrame but refuses dirty victims (prefetch must never write
-  // back — that would race the single writer's WAL appends). Latch held.
+  // back, so it never touches the WAL). Latch held.
   bool AcquireCleanFrame(Shard& s, FrameId* out);
-  // Reads the PageId link at `next_offset` of a *resident* page into
-  // `*link`. Returns false (leaving *link untouched) when the page is not
-  // resident — distinct from a resident page whose link is kInvalidPageId.
-  bool ResidentLink(PageId page_id, uint32_t next_offset, PageId* link) const;
-  // Background worker: drains prefetch_queue_ until told to stop.
-  void PrefetchWorker();
-  // One chain-walk job: follows resident links for free, and at each
-  // non-resident frontier page issues a speculative sequential batch
-  // (bulk-loaded chains are laid out consecutively; a mis-speculation
-  // drops the batch width to 1 for the rest of the job).
-  void ProcessChainJob(const PrefetchJob& job);
 
   DiskInterface* const disk_;
-  /// Submission/completion queue over disk_; null when async_workers == 0.
-  /// Reset (drained and joined) by the destructor after the prefetch thread
-  /// but before FlushAll, so no completion can touch a dying shard.
+  /// Submission/completion queue over disk_. Reset (drained and joined) by
+  /// the destructor before FlushAll, so no completion can touch a dying
+  /// shard.
   std::unique_ptr<AsyncDisk> async_;
   std::atomic<Wal*> wal_{nullptr};
   std::vector<std::unique_ptr<Shard>> shards_;
@@ -496,16 +431,6 @@ class BufferPool {
   std::atomic<uint64_t> free_epoch_{0};
 
   std::atomic<uint64_t> failed_unpins_{0};
-
-  // Background chain-prefetcher state. The thread is spawned on the first
-  // PrefetchChainAsync call and joined (after draining) in the destructor.
-  std::mutex prefetch_mu_;
-  std::condition_variable prefetch_cv_;       // wakes the worker
-  std::condition_variable prefetch_idle_cv_;  // wakes WaitForPrefetchIdle
-  std::deque<PrefetchJob> prefetch_queue_;
-  std::thread prefetch_thread_;
-  bool prefetch_stop_ = false;
-  bool prefetch_busy_ = false;  // a job is between pop and completion
 };
 
 /// RAII pin holder. Unpins (with the recorded dirty flag) on destruction.

@@ -7,108 +7,97 @@
 
 namespace xrtree {
 
-/// Counters describing the I/O work done by a storage stack. The paper's
-/// evaluation reports elapsed time dominated by buffer-pool page misses
-/// (§6.2); these counters are the primitive measurements behind every table
-/// and figure we reproduce.
+/// Every counter of a storage stack, in one list: the IoStats and
+/// AtomicIoStats members and their arithmetic (operator-, operator+=,
+/// Snapshot, Reset) are all generated from it, so adding a counter is one
+/// line here (plus a clause in IoStats::ToString if it should print).
+///
+///   disk_reads, disk_writes
+///       physical page reads / writes issued to the file.
+///   read_batches
+///       vectorized submissions (DiskInterface::ReadBatch): one per
+///       contiguous run of page ids handed to the device in a single
+///       positional vector read. `disk_reads` still counts every page, so
+///       disk_reads / read_batches is the achieved batching factor. Every
+///       pool read -- demand misses included, as single-page runs -- goes
+///       through ReadBatch, so the factor covers all read traffic.
+///   buffer_hits, buffer_misses
+///       FetchPage satisfied from the pool / requiring a disk read.
+///   pages_allocated
+///   failed_unpins
+///       PageGuard releases whose unpin errored.
+///   pool_exhausted_waits
+///       times a Fetch/NewPage found every frame of its shard pinned and had
+///       to back off and retry (pool-pressure signal for concurrent benches).
+///   prefetch_issued, prefetch_hits, prefetch_wasted
+///       read-ahead accounting (BufferPool::PrefetchPages and
+///       PrefetchBatchAsync). A prefetched page is `issued` once when its
+///       image is installed unpinned, then resolves to exactly one of `hits`
+///       (a later FetchPage found it still resident) or `wasted`
+///       (evicted/discarded before any fetch touched it). Pages still
+///       resident and untouched are counted by neither, so while a pool
+///       lives: prefetch_issued == prefetch_hits + prefetch_wasted +
+///       resident-unused.
+///   prefetch_errors
+///       prefetch reads that failed (I/O error or integrity check) -- the
+///       page was skipped and no frame installed; the eventual demand fetch
+///       pays and surfaces the real error.
+///   io_retries, repairs_attempted, repairs_succeeded, pages_quarantined
+///       fault-tolerance accounting (DESIGN.md §11). `io_retries` counts
+///       retryable-error retries of the demand-fetch path (successful or
+///       not). A checksum-failed fetch increments `repairs_attempted` and,
+///       while the repair is pending, `pages_quarantined` (once per
+///       distinct page); a repair that re-verifies increments
+///       `repairs_succeeded`.
+///   clock_sweeps
+///       second-chance victim searches (DESIGN.md §13); each may advance the
+///       shard's hand up to two full revolutions.
+#define XR_IO_STATS_FIELDS(X) \
+  X(disk_reads)               \
+  X(disk_writes)              \
+  X(read_batches)             \
+  X(buffer_hits)              \
+  X(buffer_misses)            \
+  X(pages_allocated)          \
+  X(failed_unpins)            \
+  X(pool_exhausted_waits)     \
+  X(prefetch_issued)          \
+  X(prefetch_hits)            \
+  X(prefetch_wasted)          \
+  X(prefetch_errors)          \
+  X(io_retries)               \
+  X(repairs_attempted)        \
+  X(repairs_succeeded)        \
+  X(pages_quarantined)        \
+  X(clock_sweeps)
+
+/// Counters describing the I/O work done by a storage stack (fields: see
+/// XR_IO_STATS_FIELDS). The paper's evaluation reports elapsed time
+/// dominated by buffer-pool page misses (§6.2); these counters are the
+/// primitive measurements behind every table and figure we reproduce.
 ///
 /// Measurement convention: counters are monotonic while a component lives.
-/// Callers that need a per-interval view should take a snapshot before and
-/// after and subtract (`after - before`) rather than calling ResetStats() —
-/// a reset races with concurrent I/O and can make a later snapshot appear
-/// to go backwards. `operator-` saturates at zero so a delta taken across
-/// a reset degrades to an undercount instead of a ~2^64 garbage value.
+/// Callers that need a per-interval view take a snapshot before and after
+/// and subtract (`after - before`). `operator-` saturates at zero so a delta
+/// taken across a DiskInterface::ResetStats degrades to an undercount
+/// instead of a ~2^64 garbage value.
 struct IoStats {
-  uint64_t disk_reads = 0;     ///< physical page reads issued to the file
-  uint64_t disk_writes = 0;    ///< physical page writes issued to the file
-  /// Vectorized submissions (DiskInterface::ReadBatch): one per contiguous
-  /// run of page ids handed to the device in a single positional vector
-  /// read. `disk_reads` still counts every page, so
-  /// disk_reads / read_batches is the achieved batching factor. With the
-  /// async read path every pool read — demand misses included, as
-  /// single-page runs — travels through ReadBatch, so the factor covers
-  /// all read traffic, not just prefetch.
-  uint64_t read_batches = 0;
-  uint64_t buffer_hits = 0;    ///< FetchPage satisfied from the pool
-  uint64_t buffer_misses = 0;  ///< FetchPage requiring a disk read
-  uint64_t pages_allocated = 0;
-  uint64_t failed_unpins = 0;  ///< PageGuard releases whose unpin errored
-  /// Times a Fetch/NewPage found every frame of its shard pinned and had to
-  /// back off and retry (pool-pressure signal for the concurrent benches).
-  uint64_t pool_exhausted_waits = 0;
-  /// Read-ahead accounting (BufferPool::PrefetchPages). A prefetched page is
-  /// `issued` once when its image is installed unpinned, then resolves to
-  /// exactly one of `hits` (a later FetchPage found it still resident) or
-  /// `wasted` (evicted/discarded before any fetch touched it). Pages still
-  /// resident and untouched are counted by neither, so while a pool lives:
-  ///   prefetch_issued == prefetch_hits + prefetch_wasted + resident-unused.
-  uint64_t prefetch_issued = 0;
-  uint64_t prefetch_hits = 0;
-  uint64_t prefetch_wasted = 0;
-  /// Prefetch reads that failed (I/O error or integrity check) — the page
-  /// was skipped and no frame installed; the eventual demand fetch pays
-  /// and surfaces the real error.
-  uint64_t prefetch_errors = 0;
-  /// Fault-tolerance accounting (see DESIGN.md §11). `io_retries` counts
-  /// retryable-error retries the demand-fetch path performed (successful
-  /// or not). A checksum-failed fetch increments `repairs_attempted` and,
-  /// while the repair is pending, `pages_quarantined` (once per distinct
-  /// page); a repair that re-verifies increments `repairs_succeeded`.
-  uint64_t io_retries = 0;
-  uint64_t repairs_attempted = 0;
-  uint64_t repairs_succeeded = 0;
-  uint64_t pages_quarantined = 0;
-  /// Replacement-policy accounting (DESIGN.md §13). `clock_sweeps` counts
-  /// second-chance victim searches (each may advance the shard's hand up to
-  /// two full revolutions); `frames_stolen` counts frames a pressured shard
-  /// took from a neighbour's free/clean set before reporting exhaustion.
-  uint64_t clock_sweeps = 0;
-  uint64_t frames_stolen = 0;
+#define XR_IO_STATS_DECLARE(name) uint64_t name = 0;
+  XR_IO_STATS_FIELDS(XR_IO_STATS_DECLARE)
+#undef XR_IO_STATS_DECLARE
 
   IoStats operator-(const IoStats& rhs) const {
-    auto sat = [](uint64_t a, uint64_t b) { return a > b ? a - b : 0; };
     IoStats d;
-    d.disk_reads = sat(disk_reads, rhs.disk_reads);
-    d.disk_writes = sat(disk_writes, rhs.disk_writes);
-    d.read_batches = sat(read_batches, rhs.read_batches);
-    d.buffer_hits = sat(buffer_hits, rhs.buffer_hits);
-    d.buffer_misses = sat(buffer_misses, rhs.buffer_misses);
-    d.pages_allocated = sat(pages_allocated, rhs.pages_allocated);
-    d.failed_unpins = sat(failed_unpins, rhs.failed_unpins);
-    d.pool_exhausted_waits =
-        sat(pool_exhausted_waits, rhs.pool_exhausted_waits);
-    d.prefetch_issued = sat(prefetch_issued, rhs.prefetch_issued);
-    d.prefetch_hits = sat(prefetch_hits, rhs.prefetch_hits);
-    d.prefetch_wasted = sat(prefetch_wasted, rhs.prefetch_wasted);
-    d.prefetch_errors = sat(prefetch_errors, rhs.prefetch_errors);
-    d.io_retries = sat(io_retries, rhs.io_retries);
-    d.repairs_attempted = sat(repairs_attempted, rhs.repairs_attempted);
-    d.repairs_succeeded = sat(repairs_succeeded, rhs.repairs_succeeded);
-    d.pages_quarantined = sat(pages_quarantined, rhs.pages_quarantined);
-    d.clock_sweeps = sat(clock_sweeps, rhs.clock_sweeps);
-    d.frames_stolen = sat(frames_stolen, rhs.frames_stolen);
+#define XR_IO_STATS_SUB(name) d.name = name > rhs.name ? name - rhs.name : 0;
+    XR_IO_STATS_FIELDS(XR_IO_STATS_SUB)
+#undef XR_IO_STATS_SUB
     return d;
   }
 
   IoStats& operator+=(const IoStats& rhs) {
-    disk_reads += rhs.disk_reads;
-    disk_writes += rhs.disk_writes;
-    read_batches += rhs.read_batches;
-    buffer_hits += rhs.buffer_hits;
-    buffer_misses += rhs.buffer_misses;
-    pages_allocated += rhs.pages_allocated;
-    failed_unpins += rhs.failed_unpins;
-    pool_exhausted_waits += rhs.pool_exhausted_waits;
-    prefetch_issued += rhs.prefetch_issued;
-    prefetch_hits += rhs.prefetch_hits;
-    prefetch_wasted += rhs.prefetch_wasted;
-    prefetch_errors += rhs.prefetch_errors;
-    io_retries += rhs.io_retries;
-    repairs_attempted += rhs.repairs_attempted;
-    repairs_succeeded += rhs.repairs_succeeded;
-    pages_quarantined += rhs.pages_quarantined;
-    clock_sweeps += rhs.clock_sweeps;
-    frames_stolen += rhs.frames_stolen;
+#define XR_IO_STATS_ADD(name) name += rhs.name;
+    XR_IO_STATS_FIELDS(XR_IO_STATS_ADD)
+#undef XR_IO_STATS_ADD
     return *this;
   }
 
@@ -140,9 +129,6 @@ struct IoStats {
     if (clock_sweeps > 0) {
       s += " clock_sweeps=" + std::to_string(clock_sweeps);
     }
-    if (frames_stolen > 0) {
-      s += " frames_stolen=" + std::to_string(frames_stolen);
-    }
     if (repairs_attempted > 0) {
       s += " repairs=" + std::to_string(repairs_succeeded) + "/" +
            std::to_string(repairs_attempted) +
@@ -160,68 +146,22 @@ struct IoStats {
 /// cross-counter atomic cut (none is needed — every counter is monotonic,
 /// and interval measurement is snapshot subtraction with saturation).
 struct AtomicIoStats {
-  std::atomic<uint64_t> disk_reads{0};
-  std::atomic<uint64_t> disk_writes{0};
-  std::atomic<uint64_t> read_batches{0};
-  std::atomic<uint64_t> buffer_hits{0};
-  std::atomic<uint64_t> buffer_misses{0};
-  std::atomic<uint64_t> pages_allocated{0};
-  std::atomic<uint64_t> failed_unpins{0};
-  std::atomic<uint64_t> pool_exhausted_waits{0};
-  std::atomic<uint64_t> prefetch_issued{0};
-  std::atomic<uint64_t> prefetch_hits{0};
-  std::atomic<uint64_t> prefetch_wasted{0};
-  std::atomic<uint64_t> prefetch_errors{0};
-  std::atomic<uint64_t> io_retries{0};
-  std::atomic<uint64_t> repairs_attempted{0};
-  std::atomic<uint64_t> repairs_succeeded{0};
-  std::atomic<uint64_t> pages_quarantined{0};
-  std::atomic<uint64_t> clock_sweeps{0};
-  std::atomic<uint64_t> frames_stolen{0};
+#define XR_IO_STATS_DECLARE(name) std::atomic<uint64_t> name{0};
+  XR_IO_STATS_FIELDS(XR_IO_STATS_DECLARE)
+#undef XR_IO_STATS_DECLARE
 
   IoStats Snapshot() const {
     IoStats s;
-    s.disk_reads = disk_reads.load(std::memory_order_relaxed);
-    s.disk_writes = disk_writes.load(std::memory_order_relaxed);
-    s.read_batches = read_batches.load(std::memory_order_relaxed);
-    s.buffer_hits = buffer_hits.load(std::memory_order_relaxed);
-    s.buffer_misses = buffer_misses.load(std::memory_order_relaxed);
-    s.pages_allocated = pages_allocated.load(std::memory_order_relaxed);
-    s.failed_unpins = failed_unpins.load(std::memory_order_relaxed);
-    s.pool_exhausted_waits =
-        pool_exhausted_waits.load(std::memory_order_relaxed);
-    s.prefetch_issued = prefetch_issued.load(std::memory_order_relaxed);
-    s.prefetch_hits = prefetch_hits.load(std::memory_order_relaxed);
-    s.prefetch_wasted = prefetch_wasted.load(std::memory_order_relaxed);
-    s.prefetch_errors = prefetch_errors.load(std::memory_order_relaxed);
-    s.io_retries = io_retries.load(std::memory_order_relaxed);
-    s.repairs_attempted = repairs_attempted.load(std::memory_order_relaxed);
-    s.repairs_succeeded = repairs_succeeded.load(std::memory_order_relaxed);
-    s.pages_quarantined = pages_quarantined.load(std::memory_order_relaxed);
-    s.clock_sweeps = clock_sweeps.load(std::memory_order_relaxed);
-    s.frames_stolen = frames_stolen.load(std::memory_order_relaxed);
+#define XR_IO_STATS_LOAD(name) s.name = name.load(std::memory_order_relaxed);
+    XR_IO_STATS_FIELDS(XR_IO_STATS_LOAD)
+#undef XR_IO_STATS_LOAD
     return s;
   }
 
   void Reset() {
-    disk_reads.store(0, std::memory_order_relaxed);
-    disk_writes.store(0, std::memory_order_relaxed);
-    read_batches.store(0, std::memory_order_relaxed);
-    buffer_hits.store(0, std::memory_order_relaxed);
-    buffer_misses.store(0, std::memory_order_relaxed);
-    pages_allocated.store(0, std::memory_order_relaxed);
-    failed_unpins.store(0, std::memory_order_relaxed);
-    pool_exhausted_waits.store(0, std::memory_order_relaxed);
-    prefetch_issued.store(0, std::memory_order_relaxed);
-    prefetch_hits.store(0, std::memory_order_relaxed);
-    prefetch_wasted.store(0, std::memory_order_relaxed);
-    prefetch_errors.store(0, std::memory_order_relaxed);
-    io_retries.store(0, std::memory_order_relaxed);
-    repairs_attempted.store(0, std::memory_order_relaxed);
-    repairs_succeeded.store(0, std::memory_order_relaxed);
-    pages_quarantined.store(0, std::memory_order_relaxed);
-    clock_sweeps.store(0, std::memory_order_relaxed);
-    frames_stolen.store(0, std::memory_order_relaxed);
+#define XR_IO_STATS_ZERO(name) name.store(0, std::memory_order_relaxed);
+    XR_IO_STATS_FIELDS(XR_IO_STATS_ZERO)
+#undef XR_IO_STATS_ZERO
   }
 };
 

@@ -25,8 +25,8 @@ Status AppendStabPage(const Page* raw, std::vector<StabEntry>* out) {
 
 // Frees a stab-chain / ps-directory page, tolerating transient pins. With
 // concurrent readers the page being retired can be momentarily pinned by an
-// in-flight CollectStabbed/ReadPsl or the background prefetcher; FreePage
-// refuses pinned pages, so retry briefly (spinning first, then sleeping)
+// in-flight CollectStabbed/ReadPsl; FreePage refuses pinned pages, so
+// retry briefly (spinning first, then sleeping)
 // and, if the pin persists, leak the page rather than fail the mutation —
 // the entry data was already rewritten elsewhere, so correctness is
 // unaffected and the page is reclaimed at the next rebuild of the chain.

@@ -2094,9 +2094,10 @@ Result<uint32_t> XrTree::Height() const {
 
 Result<uint64_t> XrTree::CountEntries() {
   uint64_t n = 0;
-  // Guard against leaf-chain cycles; see BTree::CountEntries.
-  const uint64_t bound =
-      uint64_t{pool_->disk()->num_pages()} * kXrLeafMaxEntries;
+  // Guard against leaf-chain cycles; see BTree::CountEntries. A compressed
+  // leaf holds up to kXrcMaxPageEntries, more than a fixed-format one.
+  const uint64_t bound = uint64_t{pool_->disk()->num_pages()} *
+                         std::max(kXrLeafMaxEntries, kXrcMaxPageEntries);
   XR_ASSIGN_OR_RETURN(XrIterator it, Begin());
   while (it.Valid()) {
     if (++n > bound) {

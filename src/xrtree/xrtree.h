@@ -205,8 +205,8 @@ class XrTree {
   /// the sibling run is known exactly and can be handed to
   /// BufferPool::PrefetchBatchAsync as one vectorized submission instead
   /// of a pointer chase. Returns an empty run when the leaf is the last
-  /// child of its parent (the caller falls back to chain prefetch, which
-  /// crosses parent boundaries via the leaf `next` links). Const and
+  /// child of its parent (the iterator then prefetches its `next` link
+  /// alone and asks again from the next parent). Const and
   /// reader-concurrent like the other queries.
   ///
   /// `resume_key` (optional): set to the parent's separator key at which

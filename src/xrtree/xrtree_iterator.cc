@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstddef>
 #include <utility>
 
 #include "storage/page_latch.h"
@@ -159,19 +158,16 @@ void XrIterator::EnablePrefetch(uint32_t depth, bool adaptive) {
 
 void XrIterator::MaybePrefetch() {
   if (prefetch_depth_ == 0 || !Valid() || next_ == kInvalidPageId) return;
-  // Precise lookahead first: one descent through the (hot, resident) upper
-  // levels reads the sibling leaf ids off the parent internal node, so the
-  // whole run goes to the prefetcher as one vectorized batch instead of a
-  // page-at-a-time pointer chase. The descent key is this snapshot's
-  // largest start, which lands the probe back on the snapshot's leaf.
+  // One descent through the (hot, resident) upper levels reads the sibling
+  // leaf ids off the parent internal node, so the whole run goes to the
+  // pool as one vectorized batch instead of a page-at-a-time pointer chase.
+  // The descent key is this snapshot's largest start, which lands the probe
+  // back on the snapshot's leaf.
   Position last = snap_.back().start;
   auto run = tree_->LeafRunAfter(last, prefetch_depth_);
-  // The run must start at our chain successor; a mismatch (a concurrent
-  // split moved the chain, or this was the last child of its parent) falls
-  // through to chain prefetch.
   if (run.ok() && !run->empty() && run->front() == next_) {
     bool full = run->size() == prefetch_depth_;
-    tree_->pool()->PrefetchBatchAsync(std::move(*run));
+    tree_->pool()->PrefetchBatchAsync(*run);
     if (prefetch_cap_ != 0) {
       // Adaptive ramp: a full run means the scan is sweeping a long
       // sequential stretch — deepen the horizon. A short run means the
@@ -182,12 +178,14 @@ void XrIterator::MaybePrefetch() {
     }
     return;
   }
+  // The run does not start at our chain successor: this leaf is the last
+  // child of its parent (or a concurrent split moved the chain). Read ahead
+  // the one id we know; landing there calls LeafRunAfter again, inside the
+  // next parent.
   if (prefetch_cap_ != 0) {
     prefetch_depth_ = std::max<uint32_t>(2, prefetch_depth_ / 2);
   }
-  tree_->pool()->PrefetchChainAsync(
-      next_, prefetch_depth_,
-      static_cast<uint32_t>(offsetof(XrPageHeader, next)));
+  tree_->pool()->PrefetchBatchAsync({next_});
 }
 
 }  // namespace xrtree

@@ -52,10 +52,11 @@ class XrIterator {
   Status SeekToStart(Position pos);
 
   /// Turns on leaf read-ahead: every time the cursor lands on a new leaf,
-  /// the next `depth` sibling leaves are handed to the pool's background
-  /// prefetcher (BufferPool::PrefetchChainAsync), so the chain walk finds
-  /// them resident instead of paying one blocking miss per page. 0 = off.
-  /// Read-path only, like every const query.
+  /// the next `depth` sibling leaves (XrTree::LeafRunAfter) are submitted
+  /// with BufferPool::PrefetchBatchAsync — or, at the last child of a
+  /// parent, just the chain successor — so the cursor finds them resident
+  /// or in flight instead of paying one blocking miss per page.
+  /// 0 = off. Read-path only, like every const query.
   ///
   /// With `adaptive` set, `depth` is the starting depth: each full batch
   /// the cursor actually walks through doubles it (up to

@@ -529,6 +529,26 @@ TEST(CompressedTreeTest, CompactRecompressesGrownTree) {
   EXPECT_EQ(n, all.size());
 }
 
+TEST(CompressedTreeTest, CountEntriesAfterReopenByRoot) {
+  // A compressed leaf holds up to kXrcMaxPageEntries, far more than a
+  // fixed one: counting a compact compressed tree reattached by root must
+  // not trip the leaf-walk cycle guard, whose bound is per page.
+  ElementList all = RandomNestedElements(555, 20000, 6);
+  TempDb db(8192);
+  PageId root = kInvalidPageId;
+  {
+    XrTreeOptions opts;
+    opts.compressed_pages = true;
+    XrTree tree(db.pool(), kInvalidPageId, opts);
+    ASSERT_OK(tree.BulkLoad(all));
+    root = tree.root();
+  }
+  db.Reopen(8192);
+  XrTree reopened(db.pool(), root);
+  ASSERT_OK_AND_ASSIGN(uint64_t n, reopened.CountEntries());
+  EXPECT_EQ(n, all.size());
+}
+
 TEST(CompressedTreeTest, FullCapacityCompressedLeaves) {
   // Default (253-entry) leaf capacity with realistic data: compressed
   // leaves should carry well past the fixed cap, and everything must still

@@ -805,8 +805,8 @@ TEST(ConcurrencyTest, ConcurrentJoinsMatchSingleThreaded) {
   EXPECT_EQ(db.pool()->pinned_frames(), 0u);
 }
 
-// The intra-query parallel join — itself multi-threaded, with the leaf
-// prefetcher's background thread running — executed from several client
+// The intra-query parallel join — itself multi-threaded, with leaf
+// read-ahead completing on the async workers — executed from several client
 // threads at once over one shared pool. Every invocation must reproduce
 // the serial XR-stack output byte for byte.
 TEST(ConcurrencyTest, ParallelJoinsUnderConcurrencyMatchSerial) {
@@ -1049,6 +1049,49 @@ TEST(AsyncReadTest, CompletionsLandOutOfSubmissionOrder) {
     EXPECT_EQ((*page)->data()[0], 'A');
     ASSERT_OK(db.pool()->UnpinPage(a, false));
   }
+}
+
+TEST(AsyncReadTest, PrefetchBatchAsyncReturnsWhileItsReadIsParked) {
+  GatedDb db;
+  const std::vector<char> markers = {'A', 'B', 'C', 'D'};
+  std::vector<PageId> ids;
+  for (char m : markers) ids.push_back(ColdMarkerPage(db.pool(), m));
+
+  db.gate()->GatePage(ids[0]);
+  std::atomic<bool> returned{false};
+  std::thread caller([&] {
+    std::vector<PageId> batch = ids;
+    batch.push_back(kInvalidPageId);
+    batch.push_back(PageId(999999));  // never allocated
+    db.pool()->PrefetchBatchAsync(batch);
+    returned.store(true);
+  });
+  db.gate()->AwaitReader();
+  // The read of ids[0] is parked inside the device: a caller that waited on
+  // it could not return until Release().
+  for (int i = 0; i < 5000 && !returned.load(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(returned.load()) << "PrefetchBatchAsync waited on the device";
+  db.gate()->Release();
+  caller.join();
+  db.pool()->WaitForPrefetchIdle();
+
+  // Settled: every valid id installed exactly once, the invalid and
+  // unallocated ids ignored without an error.
+  IoStats before = db.pool()->stats();
+  EXPECT_EQ(before.prefetch_issued, ids.size());
+  EXPECT_EQ(before.prefetch_errors, 0u);
+  for (size_t i = 0; i < ids.size(); ++i) {
+    ASSERT_OK_AND_ASSIGN(Page * page, db.pool()->FetchPage(ids[i]));
+    EXPECT_EQ(page->data()[0], markers[i]);
+    ASSERT_OK(db.pool()->UnpinPage(ids[i], false));
+    EXPECT_EQ(db.gate()->reads_of(ids[i]), 1u);
+  }
+  IoStats delta = db.pool()->stats() - before;
+  EXPECT_EQ(delta.buffer_hits, ids.size());
+  EXPECT_EQ(delta.buffer_misses, 0u);
+  EXPECT_EQ(delta.prefetch_hits, ids.size());
 }
 
 TEST(ChaosTest, ConcurrentJoinsUnderSustainedFaults) {

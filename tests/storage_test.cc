@@ -10,6 +10,8 @@
 #include "storage/disk_manager.h"
 #include "storage/element_file.h"
 #include "tests/test_util.h"
+#include "xrtree/xrtree.h"
+#include "xrtree/xrtree_iterator.h"
 
 namespace xrtree {
 namespace {
@@ -461,51 +463,49 @@ TEST(BufferPoolTest, EvictedPrefetchesCountAsWastedNotHits) {
   ExpectPrefetchInvariant(s, 0);
 }
 
-TEST(BufferPoolTest, PrefetchChainFollowsNextLinks) {
-  TempDb db(16);
-  // A five-page chain with the successor's PageId stored at offset 0.
-  std::vector<Page*> pages;
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_OK_AND_ASSIGN(Page * p, db.pool()->NewPage());
-    pages.push_back(p);
+TEST(BufferPoolTest, PrefetchingScanHitsEveryLeafAfterTheFirst) {
+  // Fanout-4 internal nodes put a parent boundary every few leaves, so the
+  // scan takes both read-ahead paths many times: a LeafRunAfter sibling run
+  // inside a parent, and the lone chain successor at a parent's last child.
+  ElementList elems;
+  for (Position p = 1; p < 2 * 600; p += 2) {
+    elems.push_back(Element(p, p + 1, 1, p));
   }
-  for (size_t i = 0; i < pages.size(); ++i) {
-    PageId next =
-        i + 1 < pages.size() ? pages[i + 1]->page_id() : kInvalidPageId;
-    std::memcpy(pages[i]->data(), &next, sizeof(next));
+  TempDb db(4096);
+  XrTreeOptions options;
+  options.leaf_capacity = 4;
+  options.internal_capacity = 4;
+  PageId root = kInvalidPageId;
+  uint64_t leaves = 0;
+  {
+    XrTree tree(db.pool(), kInvalidPageId, options);
+    ASSERT_OK(tree.BulkLoad(elems));
+    ASSERT_OK_AND_ASSIGN(StabStats stats, tree.ComputeStabStats());
+    ASSERT_GE(tree.Height().value(), 4u);
+    leaves = stats.leaf_pages;
+    root = tree.root();
   }
-  std::vector<PageId> ids;
-  for (Page* p : pages) {
-    ids.push_back(p->page_id());
-    ASSERT_OK(db.pool()->UnpinPage(p->page_id(), true));
-  }
-  db.Reopen(16);
+  db.Reopen(4096);  // cold, and large enough to hold the whole tree
 
-  // Depth 4 reads the start page plus three link-followed successors.
-  db.pool()->PrefetchChainAsync(ids[0], 4, 0);
+  XrTree tree(db.pool(), root);
+  ASSERT_OK_AND_ASSIGN(XrIterator it, tree.Begin());
+  it.EnablePrefetch(2);
+  uint64_t seen = 0;
+  while (it.Valid()) {
+    ++seen;
+    ASSERT_OK(it.Next());
+  }
+  EXPECT_EQ(seen, elems.size());
   db.pool()->WaitForPrefetchIdle();
+
+  // Each read-ahead is registered before PrefetchBatchAsync returns, so the
+  // landing fetch always finds its leaf resident or in flight: only the
+  // first leaf is a demand miss, and nothing is read that the scan skips.
   IoStats s = db.pool()->stats();
-  EXPECT_EQ(s.prefetch_issued, 4u);
-  ExpectPrefetchInvariant(s, 4);
-
-  uint64_t misses = 0;
-  for (size_t i = 0; i < ids.size(); ++i) {
-    IoStats before = db.pool()->stats();
-    ASSERT_OK_AND_ASSIGN(Page * p, db.pool()->FetchPage(ids[i]));
-    ASSERT_OK(db.pool()->UnpinPage(ids[i], false));
-    misses += (db.pool()->stats() - before).buffer_misses;
-    (void)p;
-  }
-  s = db.pool()->stats();
-  EXPECT_EQ(s.prefetch_hits, 4u);
-  EXPECT_EQ(misses, 1u);  // only the page beyond the depth missed
-  ExpectPrefetchInvariant(s, 0);
-
-  // Invalid requests are ignored outright.
-  db.pool()->PrefetchChainAsync(kInvalidPageId, 4, 0);
-  ASSERT_OK(db.pool()->PrefetchPages({PageId(999999)}));
-  db.pool()->WaitForPrefetchIdle();
-  EXPECT_EQ(db.pool()->stats().prefetch_issued, 4u);
+  EXPECT_EQ(s.prefetch_issued, leaves - 1);
+  EXPECT_EQ(s.prefetch_hits, leaves - 1);
+  EXPECT_EQ(s.prefetch_wasted, 0u);
+  EXPECT_EQ(s.prefetch_errors, 0u);
 }
 
 // ---------------------------------------------------------------------------
