@@ -34,9 +34,9 @@ struct AsyncDiskOptions {
 /// invokes the caller's completion function on the worker thread.
 ///
 /// Ownership: the request slots and everything the completion closure
-/// touches must stay alive until the completion has run. The BufferPool
-/// keeps that contract by parking the submitter on its in-flight entry
-/// (demand miss) or on a per-batch pending count (prefetch).
+/// touches must stay alive until the completion has run. The BufferPool,
+/// whose only submissions are read-ahead runs, keeps that contract by
+/// sharing each batch's state with its completion closures.
 ///
 /// Thread-safe; Submit never blocks on the device. The destructor drains:
 /// every accepted submission completes (read + completion) before the

@@ -58,10 +58,8 @@ BufferPool::BufferPool(DiskInterface* disk, const BufferPoolOptions& options)
     }
     shards_.push_back(std::move(shard));
   }
-  AsyncDiskOptions aopts;
-  aopts.workers = options_.async_workers;  // AsyncDisk runs at least one
-  aopts.queue_depth = std::max<size_t>(1, options_.async_queue_depth);
-  async_ = std::make_unique<AsyncDisk>(disk_, aopts);
+  async_ = std::make_unique<AsyncDisk>(
+      disk_, AsyncDiskOptions{kAsyncWorkers, kAsyncQueueDepth});
 }
 
 BufferPool::~BufferPool() {
@@ -166,12 +164,15 @@ std::string BufferPool::ExhaustedMessage(size_t shard_index,
          " frames)";
 }
 
-RetryState BufferPool::MakeRetryState(const RetryPolicy& policy,
-                                      PageId page_id) {
-  uint64_t seq = retry_seq_.fetch_add(1, std::memory_order_relaxed);
-  return RetryState(policy,
-                    options_.retry_seed ^ (page_id * 0x9E3779B97F4A7C15ull) ^
-                        (seq << 17));
+bool BufferPool::NextRetry(std::optional<RetryState>* state,
+                           const RetryPolicy& policy, PageId page_id,
+                           uint64_t* delay) {
+  if (!state->has_value()) {
+    uint64_t seq = retry_seq_.fetch_add(1, std::memory_order_relaxed);
+    state->emplace(policy, options_.retry_seed ^
+                               (page_id * 0x9E3779B97F4A7C15ull) ^ (seq << 17));
+  }
+  return (*state)->Next(delay);
 }
 
 void BufferPool::CompleteInFlight(const std::shared_ptr<InFlight>& entry) {
@@ -182,17 +183,16 @@ void BufferPool::CompleteInFlight(const std::shared_ptr<InFlight>& entry) {
   entry->cv.notify_all();
 }
 
-void BufferPool::CompleteDemandRead(Shard& s,
+bool BufferPool::CompleteDemandRead(Shard& s,
                                     const std::shared_ptr<InFlight>& entry,
                                     Page* page, FrameId frame, PageId page_id,
-                                    Status read, bool from_log) {
+                                    const Status& read, bool from_log) {
   // The world may have changed during the unlatched read — NewPage can have
   // recycled the id into a resident frame, and FreePage/LogPageImage can
   // have flipped which source (log overlay vs data file) is current. A
-  // stale image is dropped; the woken leader re-runs its loop, consuming no
-  // retry budget (staleness means progress elsewhere, not an I/O fault).
+  // stale image is dropped; the leader re-runs its loop, consuming no retry
+  // budget (staleness means progress elsewhere, not an I/O fault).
   bool stale = false;
-  bool installed = false;
   {
     std::lock_guard<std::mutex> lock(s.mu);
     s.in_flight.erase(page_id);
@@ -203,26 +203,19 @@ void BufferPool::CompleteDemandRead(Shard& s,
             overlay_now != from_log;
     if (read.ok() && !stale) {
       page->page_id_ = page_id;
-      page->pin_count_ = 1;  // pinned on behalf of the parked leader
+      page->pin_count_ = 1;  // pinned on behalf of the leader
       page->is_dirty_ = false;
       page->ref_ = false;  // demand install: fetched once, not re-referenced
       s.page_table[page_id] = frame;
-      installed = true;
     } else {
       // Return the frame to the free list instead of leaking it; the
-      // leader's retry/repair decision happens after it wakes.
+      // leader's retry/repair decision follows.
       page->Reset();
       s.free_frames.push_back(frame);
     }
   }
-  {
-    std::lock_guard<std::mutex> elock(entry->mu);
-    entry->result = std::move(read);
-    entry->stale = stale;
-    entry->installed = installed;
-    entry->done = true;
-  }
-  entry->cv.notify_all();
+  CompleteInFlight(entry);
+  return stale;
 }
 
 Result<Page*> BufferPool::FetchPage(PageId page_id) {
@@ -231,8 +224,9 @@ Result<Page*> BufferPool::FetchPage(PageId page_id) {
   }
   const size_t shard_index = ShardIndex(page_id);
   Shard& s = *shards_[shard_index];
-  RetryState pin_retry = MakeRetryState(options_.pin_retry, page_id);
-  RetryState io_retry = MakeRetryState(options_.io_retry, page_id);
+  // Built on the first retry, so a hit touches no pool-global counter.
+  std::optional<RetryState> pin_retry;
+  std::optional<RetryState> io_retry;
   // Successful repairs per fetch before giving up. Under sustained
   // probabilistic corruption the refetch after a repair can itself come
   // back flipped; allowing a few rounds drives the failure odds to p^k
@@ -327,7 +321,7 @@ Result<Page*> BufferPool::FetchPage(PageId page_id) {
         continue;
       }
       uint64_t delay;
-      if (!pin_retry.Next(&delay)) {
+      if (!NextRetry(&pin_retry, options_.pin_retry, page_id, &delay)) {
         return Status::ResourceExhausted(ExhaustedMessage(shard_index, s));
       }
       BackoffSleep(delay);
@@ -364,15 +358,11 @@ Result<Page*> BufferPool::FetchPage(PageId page_id) {
                                 " is on the free list");
       }
     }
-    // Leader: the read happens outside the latch, directly into the
-    // reserved frame (private to this fetch until completion installs it).
-    // The WAL overlay is an in-memory/log-offset lookup and is consulted
-    // inline; data-file reads are submitted to the async layer, whose
-    // completion worker runs CompleteDemandRead — the leader parks on its
-    // own entry exactly like any other waiter, so K distinct misses can be
-    // outstanding at once even from one submitting thread's shard. A full
-    // queue (retryable ResourceExhausted) degrades to an inline read on
-    // this thread.
+    // Leader: the read happens outside the latch, on this thread, directly
+    // into the reserved frame (private to this fetch until completion
+    // installs it). The WAL overlay is an in-memory/log-offset lookup and is
+    // consulted first; a data-file read is a single-slot ReadBatch, so
+    // read_batches counts it like every other pool read.
     bool from_log = false;
     Status read;
     Wal* wal = wal_.load(std::memory_order_acquire);
@@ -384,40 +374,14 @@ Result<Page*> BufferPool::FetchPage(PageId page_id) {
         from_log = *served;
       }
     }
-    bool submitted = false;
     if (read.ok() && !from_log) {
-      entry->slot.page_id = page_id;
-      entry->slot.out = page->data_;
-      entry->slot.status = Status::Ok();
-      std::shared_ptr<InFlight> held = entry;
-      submitted = async_
-                      ->Submit(&entry->slot, 1,
-                               [this, &s, held, page, frame, page_id] {
-                                 Status r = held->slot.status;
-                                 if (r.ok()) {
-                                   r = VerifyPageTrailer(page->data_, page_id);
-                                 }
-                                 CompleteDemandRead(s, held, page, frame,
-                                                    page_id, std::move(r),
-                                                    /*from_log=*/false);
-                               })
-                      .ok();
+      PageReadRequest req{page_id, page->data_, Status::Ok()};
+      disk_->ReadBatch(&req, 1);
+      read = std::move(req.status);
     }
-    if (!submitted) {
-      if (read.ok() && !from_log) {
-        read = disk_->ReadPage(page_id, page->data_);
-      }
-      if (read.ok()) read = VerifyPageTrailer(page->data_, page_id);
-      CompleteDemandRead(s, entry, page, frame, page_id, std::move(read),
-                         from_log);
-    }
-    bool stale;
-    {
-      std::unique_lock<std::mutex> wait_lock(entry->mu);
-      entry->cv.wait(wait_lock, [&] { return entry->done; });
-      read = entry->result;
-      stale = entry->stale;
-    }
+    if (read.ok()) read = VerifyPageTrailer(page->data_, page_id);
+    const bool stale =
+        CompleteDemandRead(s, entry, page, frame, page_id, read, from_log);
     if (stale) {
       if (++stale_retries > kMaxStaleRetriesPerFetch) {
         return Status::Aborted(
@@ -430,7 +394,9 @@ Result<Page*> BufferPool::FetchPage(PageId page_id) {
     if (read.ok()) return page;
     if (read.IsRetryable()) {
       uint64_t delay;
-      if (!io_retry.Next(&delay)) return read;  // retry budget exhausted
+      if (!NextRetry(&io_retry, options_.io_retry, page_id, &delay)) {
+        return read;  // retry budget exhausted
+      }
       io_retries_.fetch_add(1, std::memory_order_relaxed);
       BackoffSleep(delay);
       continue;
@@ -543,7 +509,7 @@ Result<Page*> BufferPool::NewPage() {
 
   const size_t shard_index = ShardIndex(page_id);
   Shard& s = *shards_[shard_index];
-  RetryState pin_retry = MakeRetryState(options_.pin_retry, page_id);
+  std::optional<RetryState> pin_retry;  // built on the first retry
   for (;;) {
     {
       std::lock_guard<std::mutex> lock(s.mu);
@@ -602,7 +568,7 @@ Result<Page*> BufferPool::NewPage() {
     }
     s.exhausted_waits.fetch_add(1, std::memory_order_relaxed);
     uint64_t delay;
-    if (!pin_retry.Next(&delay)) break;
+    if (!NextRetry(&pin_retry, options_.pin_retry, page_id, &delay)) break;
     BackoffSleep(delay);
   }
   // Could not obtain a frame: return the id to the free list instead of
@@ -638,7 +604,7 @@ bool BufferPool::AcquireCleanFrame(Shard& s, FrameId* out) {
   return false;
 }
 
-void BufferPool::PrefetchBatch(const PageId* ids, size_t n, bool detached) {
+void BufferPool::PrefetchBatchAsync(const std::vector<PageId>& ids) {
   // One registered page of the batch: its in-flight entry (so demand
   // fetchers park instead of duplicating the read), its slice of the read
   // buffer, and which source served it.
@@ -650,28 +616,23 @@ void BufferPool::PrefetchBatch(const PageId* ids, size_t n, bool detached) {
     bool to_disk = false;  // submitted to the disk, installed by its run
     Status read;
   };
-  // Everything the completions touch. Heap-allocated and shared so a
-  // detached batch outlives this call: the last run's completion closure
-  // drops the final reference.
+  // Everything the completions touch. Heap-allocated and shared so the
+  // batch outlives this call: the last run's completion closure drops the
+  // final reference.
   struct BatchState {
     std::vector<Slot> slots;
     std::vector<char> bufs;
     std::vector<PageReadRequest> requests;
     std::vector<size_t> request_slot;
-    // Rendezvous for a caller that waits (unused when detached).
-    std::mutex mu;
-    std::condition_variable cv;
-    size_t pending = 0;
   };
   const PageId num_pages = disk_->num_pages();
   auto st = std::make_shared<BatchState>();
   std::vector<Slot>& slots = st->slots;
-  slots.reserve(n);
+  slots.reserve(ids.size());
   // Phase 1 (one short latch acquisition per page): skip pages that are
   // resident or already being read, register an in-flight entry for the
   // rest. Registration also dedupes repeated ids within the batch.
-  for (size_t i = 0; i < n; ++i) {
-    const PageId id = ids[i];
+  for (const PageId id : ids) {
     if (id == kInvalidPageId || id >= num_pages) continue;
     Shard& s = *shards_[ShardIndex(id)];
     std::lock_guard<std::mutex> lock(s.mu);
@@ -761,9 +722,6 @@ void BufferPool::PrefetchBatch(const PageId* ids, size_t n, bool detached) {
     }
   };
 
-  // The shared BatchState keeps everything the completions touch alive:
-  // a waiting caller holds it until the last completion has run; detached,
-  // the last completion closure drops the final reference.
   size_t j = 0;
   while (j < requests.size()) {
     size_t run = 1;
@@ -777,23 +735,10 @@ void BufferPool::PrefetchBatch(const PageId* ids, size_t n, bool detached) {
         slot.read = st->requests[k].status;
         install_slot(slot);
       }
-      {
-        std::lock_guard<std::mutex> lk(st->mu);
-        --st->pending;
-      }
-      st->cv.notify_all();
     };
-    {
-      std::lock_guard<std::mutex> lk(st->mu);
-      ++st->pending;
-    }
     if (!async_->Submit(&requests[j], run, completion).ok()) {
       // Queue full (or shut down): serve this run inline right here —
       // backpressure degrades to the blocking path, never to a stall.
-      {
-        std::lock_guard<std::mutex> lk(st->mu);
-        --st->pending;
-      }
       disk_->ReadBatch(&requests[j], run);
       for (size_t k = j; k < j + run; ++k) {
         Slot& slot = slots[request_slot[k]];
@@ -806,19 +751,6 @@ void BufferPool::PrefetchBatch(const PageId* ids, size_t n, bool detached) {
   for (auto& slot : slots) {
     if (!slot.to_disk) install_slot(slot);  // WAL-served or early error
   }
-  if (!detached) {
-    std::unique_lock<std::mutex> lk(st->mu);
-    st->cv.wait(lk, [&] { return st->pending == 0; });
-  }
-}
-
-Status BufferPool::PrefetchPages(const PageId* ids, size_t n) {
-  PrefetchBatch(ids, n, /*detached=*/false);
-  return Status::Ok();
-}
-
-void BufferPool::PrefetchBatchAsync(const std::vector<PageId>& ids) {
-  PrefetchBatch(ids.data(), ids.size(), /*detached=*/true);
 }
 
 void BufferPool::WaitForPrefetchIdle() { async_->Drain(); }

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <unordered_map>
 #include <unordered_set>
@@ -53,15 +54,6 @@ struct BufferPoolOptions {
   /// Base seed for retry jitter (mixed with the page id and a per-fetch
   /// sequence number).
   uint64_t retry_seed = 0;
-  /// Asynchronous read layer (DESIGN.md §13): demand misses and prefetch
-  /// runs are handed to a bounded submission queue drained by this many
-  /// completion workers (at least one), so distinct outstanding reads
-  /// overlap on a device that serves independent requests concurrently.
-  size_t async_workers = 8;
-  /// Bounded submission-queue depth. A full queue rejects the submission
-  /// with retryable ResourceExhausted and the pool falls back to an inline
-  /// read — backpressure degrades to the synchronous path, never deadlocks.
-  size_t async_queue_depth = 64;
 };
 
 /// Fixed-capacity page cache with second-chance (CLOCK) replacement and pin
@@ -121,35 +113,29 @@ class BufferPool {
   /// Returns the pinned page `page_id`, reading it from disk on a miss.
   Result<Page*> FetchPage(PageId page_id);
 
-  /// Best-effort batch read-ahead: installs each non-resident page of `ids`
-  /// unpinned so a later FetchPage hits instead of paying a blocking miss,
-  /// and returns once every install has settled. Strictly weaker than
-  /// FetchPage: invalid, unallocated, resident and already-in-flight ids
-  /// are skipped; a page whose shard has no free or clean-evictable frame
-  /// is skipped (prefetch never writes back a dirty victim, so it never
-  /// touches the WAL); and a page whose read or integrity check fails is
-  /// skipped (the eventual real fetch surfaces the error). Each contiguous
-  /// id run is one AsyncDisk submission, so the runs of one call overlap on
-  /// the completion workers. Counted in prefetch_issued / prefetch_hits /
-  /// prefetch_wasted / prefetch_errors (see IoStats). Read-path only:
-  /// callers must not prefetch pages a concurrent writer may be mutating.
-  Status PrefetchPages(const PageId* ids, size_t n);
-  Status PrefetchPages(const std::vector<PageId>& ids) {
-    return PrefetchPages(ids.data(), ids.size());
-  }
-
-  /// Fire-and-forget PrefetchPages: registers the pages in-flight and
-  /// submits their runs to AsyncDisk on the caller's thread, then returns
-  /// without waiting on the device — the completion workers install the
-  /// images. Because registration happens before the call returns, a
-  /// FetchPage of any submitted id that follows parks on the read instead
-  /// of issuing a duplicate. The caller must hold no page latch or pin
+  /// Best-effort, fire-and-forget batch read-ahead: installs each
+  /// non-resident page of `ids` unpinned so a later FetchPage hits instead
+  /// of paying a blocking miss. Strictly weaker than FetchPage: invalid,
+  /// unallocated, resident and already-in-flight ids are skipped; a page
+  /// whose shard has no free or clean-evictable frame is skipped (prefetch
+  /// never writes back a dirty victim, so it never touches the WAL); and a
+  /// page whose read or integrity check fails is skipped (the eventual real
+  /// fetch surfaces the error). The pages are registered in-flight and each
+  /// contiguous id run is submitted to AsyncDisk on the caller's thread;
+  /// the call then returns without waiting on the device, and the
+  /// completion workers install the images. Because registration happens
+  /// before the call returns, a FetchPage of any submitted id that follows
+  /// parks on the read instead of issuing a duplicate. Counted in
+  /// prefetch_issued / prefetch_hits / prefetch_wasted / prefetch_errors
+  /// (see IoStats). Read-path only: callers must not prefetch pages a
+  /// concurrent writer may be mutating, and must hold no page latch or pin
   /// (a rejected submission is served inline, on the caller's thread).
   void PrefetchBatchAsync(const std::vector<PageId>& ids);
 
-  /// Blocks until every submitted read has completed and installed —
-  /// read-ahead and demand misses alike (AsyncDisk::Drain). Determinism
-  /// hook for tests and benches; production readers never wait.
+  /// Blocks until every submitted read-ahead run has completed and
+  /// installed (AsyncDisk::Drain). Demand misses are read on the fetching
+  /// thread and never wait here. Determinism hook for tests and benches;
+  /// production readers never wait.
   void WaitForPrefetchIdle();
 
   /// Allocates a fresh page and returns it pinned and zeroed.
@@ -257,11 +243,6 @@ class BufferPool {
     free_epoch_.fetch_add(1, std::memory_order_acq_rel);
   }
 
-  /// Default attempts before Fetch/NewPage gives up on a fully pinned
-  /// shard (BufferPoolOptions::pin_retry.max_retries). Early attempts
-  /// yield; later ones sleep briefly, giving pin holders on any scheduling
-  /// of N threads time to release.
-  static constexpr int kPinnedRetries = 128;
   /// Auto-sharding keeps at least this many frames per shard.
   static constexpr size_t kMinFramesPerShard = 32;
   /// Auto-sharding cap (beyond ~16 latches contention is elsewhere).
@@ -282,17 +263,6 @@ class BufferPool {
     std::mutex mu;
     std::condition_variable cv;
     bool done = false;  // guarded by mu
-    // Demand-read completion record, written (under mu, before done=true)
-    // by whichever thread runs CompleteDemandRead — the async completion
-    // worker, or the leader itself on the inline path — and consumed by the
-    // leader after it wakes. Waiters other than the leader ignore these.
-    Status result;          // the read+verify outcome
-    bool stale = false;     // completion revalidation discarded the image
-    bool installed = false; // page installed, pinned once for the leader
-    // The single-slot submission a demand miss hands to the AsyncDisk. Kept
-    // inside the entry so the slot outlives the submitting stack frame for
-    // as long as the completion (which holds a shared_ptr) needs it.
-    PageReadRequest slot;
   };
 
   /// One latch-protected sub-pool. Everything inside is guarded by `mu`
@@ -350,10 +320,13 @@ class BufferPool {
   // shard latch; call without it held).
   std::string ExhaustedMessage(size_t shard_index, const Shard& s) const;
 
-  // Fresh RetryState for one fetch/new-page operation; the seed mixes the
-  // configured base, the page id and a per-operation sequence number so
-  // concurrent retriers never sleep in lockstep.
-  RetryState MakeRetryState(const RetryPolicy& policy, PageId page_id);
+  // Next delay of a retry schedule that is built on its first use: an
+  // operation that never retries (every pool hit) never touches the
+  // pool-global retry_seq_. The jitter seed mixes the configured base, the
+  // page id and a per-operation sequence number so concurrent retriers
+  // never sleep in lockstep. Returns false once the schedule is spent.
+  bool NextRetry(std::optional<RetryState>* state, const RetryPolicy& policy,
+                 PageId page_id, uint64_t* delay);
 
   // Quarantine + repair of a page whose image failed its integrity check.
   // Runs outside any shard latch (serialized by repair_mu_): bounded clean
@@ -368,36 +341,29 @@ class BufferPool {
   // shard's map, under that latch, by the same completion).
   static void CompleteInFlight(const std::shared_ptr<InFlight>& entry);
 
-  // Demand-read completion (DESIGN.md §13): retakes the shard latch, erases
+  // Demand-read completion (DESIGN.md §12): retakes the shard latch, erases
   // the in-flight entry, revalidates (residency + WAL-overlay parity) and
-  // installs the image pinned once for the parked leader — or returns the
-  // reserved frame to the free list — then records the outcome in the entry
-  // and wakes everyone parked on it. Runs on the async completion worker,
-  // or inline on the leader when the queue rejected the submission.
-  // `read` is the read+verify outcome so far.
-  void CompleteDemandRead(Shard& s, const std::shared_ptr<InFlight>& entry,
+  // installs the image pinned once for the leader — or returns the reserved
+  // frame to the free list — then wakes everyone parked on the entry. Runs
+  // on the fetching thread. `read` is the read+verify outcome. Returns true
+  // when revalidation discarded the image as stale.
+  bool CompleteDemandRead(Shard& s, const std::shared_ptr<InFlight>& entry,
                           Page* page, FrameId frame, PageId page_id,
-                          Status read, bool from_log);
+                          const Status& read, bool from_log);
 
-  // The one read-ahead path, backing PrefetchPages and PrefetchBatchAsync:
-  // registers an in-flight entry per page it will read (resident,
-  // already-in-flight, invalid and unallocated ids are skipped), reads
-  // WAL-overlay pages individually and submits everything else to the
-  // AsyncDisk, one submission per consecutive-id run. Each run's completion
-  // installs its images unpinned under their shard latches (clean frames
-  // only, residency and overlay parity re-validated). A run the full queue
-  // rejects is read and installed inline. `detached`: return as soon as
-  // every run is submitted (the batch state lives on the heap until the
-  // last completion drops it); otherwise wait for every install.
-  void PrefetchBatch(const PageId* ids, size_t n, bool detached);
   // Like AcquireFrame but refuses dirty victims (prefetch must never write
   // back, so it never touches the WAL). Latch held.
   bool AcquireCleanFrame(Shard& s, FrameId* out);
 
+  /// Read-ahead completion workers and submission-queue depth (DESIGN.md
+  /// §13). A full queue rejects a run and the submitter reads it inline.
+  static constexpr size_t kAsyncWorkers = 8;
+  static constexpr size_t kAsyncQueueDepth = 64;
+
   DiskInterface* const disk_;
-  /// Submission/completion queue over disk_. Reset (drained and joined) by
-  /// the destructor before FlushAll, so no completion can touch a dying
-  /// shard.
+  /// Read-ahead submission/completion queue over disk_. Reset (drained and
+  /// joined) by the destructor before FlushAll, so no completion can touch
+  /// a dying shard.
   std::unique_ptr<AsyncDisk> async_;
   std::atomic<Wal*> wal_{nullptr};
   std::vector<std::unique_ptr<Shard>> shards_;

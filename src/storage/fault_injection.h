@@ -65,7 +65,8 @@ struct FaultPlan {
 /// Sustained probabilistic fault mode: every read/write rolls seeded dice,
 /// alongside (and after) the one-shot schedule. This is the chaos-harness
 /// fault source — a flaky device that keeps being flaky for the whole run,
-/// shared safely by join workers and the async completion workers.
+/// shared safely by join workers (whose demand misses read on their own
+/// thread) and the read-ahead completion workers.
 ///
 /// A transient read/write returns Status::TransientIoError and performs no
 /// I/O; re-issuing the op rolls fresh dice. A corrupt read performs the

@@ -30,10 +30,10 @@ namespace xrtree {
 ///       times a Fetch/NewPage found every frame of its shard pinned and had
 ///       to back off and retry (pool-pressure signal for concurrent benches).
 ///   prefetch_issued, prefetch_hits, prefetch_wasted
-///       read-ahead accounting (BufferPool::PrefetchPages and
-///       PrefetchBatchAsync). A prefetched page is `issued` once when its
-///       image is installed unpinned, then resolves to exactly one of `hits`
-///       (a later FetchPage found it still resident) or `wasted`
+///       read-ahead accounting (BufferPool::PrefetchBatchAsync). A
+///       prefetched page is `issued` once when its image is installed
+///       unpinned, then resolves to exactly one of `hits` (a later
+///       FetchPage found it still resident) or `wasted`
 ///       (evicted/discarded before any fetch touched it). Pages still
 ///       resident and untouched are counted by neither, so while a pool
 ///       lives: prefetch_issued == prefetch_hits + prefetch_wasted +

@@ -126,7 +126,7 @@ class Page {
   PageId page_id_ = kInvalidPageId;
   int pin_count_ = 0;
   bool is_dirty_ = false;
-  /// Installed by PrefetchPages and not yet touched by any FetchPage. The
+  /// Installed by PrefetchBatchAsync and not yet touched by any FetchPage. The
   /// BufferPool resolves the flag into exactly one of prefetch_hits (first
   /// fetch) or prefetch_wasted (evicted/discarded first).
   bool prefetched_ = false;

@@ -6,6 +6,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
@@ -13,6 +14,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -65,26 +67,28 @@ std::vector<PageId> WritePatternPages(BufferPool* pool, size_t count) {
 // ---------------------------------------------------------------------------
 
 /// DiskInterface decorator that counts physical reads per page and can
-/// freeze the read of one target page until released — the probe for the
-/// single-flight tests: park a demand miss mid-I/O, then poke the pool
-/// from other threads while the read is provably in flight.
+/// freeze the reads of a set of target pages until released — the probe
+/// for the single-flight and async-read tests: park reads mid-I/O, then
+/// poke the pool from other threads while they are provably in flight.
 class GateDisk final : public DiskInterface {
  public:
   explicit GateDisk(DiskInterface* base) : base_(base) {}
 
-  /// Arms the gate: the next read of `id` blocks until Release().
-  void GatePage(PageId id) {
+  /// Arms the gate: every read of an id in `ids` blocks until Release().
+  void GatePages(const std::vector<PageId>& ids) {
     std::lock_guard<std::mutex> lock(mu_);
-    gated_ = id;
+    gated_.assign(ids.begin(), ids.end());
     gate_open_ = false;
-    reader_waiting_ = false;
+    parked_ = 0;
   }
+  void GatePage(PageId id) { GatePages({id}); }
 
-  /// Blocks until a reader is parked at the gate.
-  void AwaitReader() {
+  /// Blocks until `n` readers have parked at the gate since it was armed.
+  void AwaitReaders(size_t n) {
     std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] { return reader_waiting_; });
+    cv_.wait(lock, [&] { return parked_ >= n; });
   }
+  void AwaitReader() { AwaitReaders(1); }
 
   void Release() {
     {
@@ -101,19 +105,15 @@ class GateDisk final : public DiskInterface {
   }
 
   Status ReadPage(PageId page_id, char* out) override {
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      ++reads_[page_id];
-      if (page_id == gated_ && !gate_open_) {
-        reader_waiting_ = true;
-        cv_.notify_all();
-        cv_.wait(lock, [&] { return gate_open_; });
-      }
-    }
+    Admit(page_id);
     return base_->ReadPage(page_id, out);
   }
-  // The inherited ReadBatch loops over this->ReadPage, so gating and
-  // per-page counting apply to batched reads too.
+  // Counts and gates every slot, then hands the whole batch to the base
+  // device, so its read_batches accounting sees the submission.
+  void ReadBatch(PageReadRequest* requests, size_t n) override {
+    for (size_t i = 0; i < n; ++i) Admit(requests[i].page_id);
+    base_->ReadBatch(requests, n);
+  }
   Status WritePage(PageId page_id, const char* in) override {
     return base_->WritePage(page_id, in);
   }
@@ -124,13 +124,24 @@ class GateDisk final : public DiskInterface {
   void ResetStats() override { base_->ResetStats(); }
 
  private:
+  void Admit(PageId page_id) {
+    std::unique_lock<std::mutex> lock(mu_);
+    ++reads_[page_id];
+    if (!gate_open_ &&
+        std::find(gated_.begin(), gated_.end(), page_id) != gated_.end()) {
+      ++parked_;
+      cv_.notify_all();
+      cv_.wait(lock, [&] { return gate_open_; });
+    }
+  }
+
   DiskInterface* const base_;
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::unordered_map<PageId, uint64_t> reads_;
-  PageId gated_ = kInvalidPageId;
+  std::vector<PageId> gated_;
   bool gate_open_ = true;
-  bool reader_waiting_ = false;
+  size_t parked_ = 0;
 };
 
 /// Temp file + DiskManager + GateDisk + BufferPool.
@@ -397,9 +408,10 @@ TEST(SingleFlightTest, NewPageReclaimsRacingPrefetchInstall) {
     ASSERT_OK(pool.FreePage(x));
 
     // Park a speculative read of the freed id inside the disk (the
-    // prefetch registers its in-flight entry first, then blocks).
+    // prefetch registers its in-flight entry first, then its read blocks on
+    // a completion worker).
     gate.GatePage(x);
-    std::thread prefetcher([&] { XR_CHECK_OK(pool.PrefetchPages(&x, 1)); });
+    pool.PrefetchBatchAsync({x});
     gate.AwaitReader();
 
     // NewPage recycles x, passes the free-list residency check (x is not
@@ -420,7 +432,7 @@ TEST(SingleFlightTest, NewPageReclaimsRacingPrefetchInstall) {
     ASSERT_OK(pool.UnpinPage(held[2]->page_id(), false));
     ASSERT_OK(pool.UnpinPage(held[4]->page_id(), false));
     gate.Release();
-    prefetcher.join();
+    pool.WaitForPrefetchIdle();
     allocator.join();
 
     ASSERT_NE(np, nullptr);
@@ -990,7 +1002,8 @@ TEST(AsyncReadTest, ScatteredMissesOverlapToOneLatencyUnit) {
     constexpr auto kLatency = std::chrono::milliseconds(25);
     slow.SetReadLatency(kLatency);
     auto start = std::chrono::steady_clock::now();
-    ASSERT_OK(pool.PrefetchPages(scattered));
+    pool.PrefetchBatchAsync(scattered);
+    pool.WaitForPrefetchIdle();
     auto wall = std::chrono::duration_cast<std::chrono::milliseconds>(
         std::chrono::steady_clock::now() - start);
     slow.SetReadLatency(std::chrono::milliseconds(0));
@@ -1026,9 +1039,7 @@ TEST(AsyncReadTest, CompletionsLandOutOfSubmissionOrder) {
   // One prefetch call, two runs: a's run is submitted first and parks at
   // the gate; b's run, submitted after, must still complete and install.
   db.gate()->GatePage(a);
-  std::thread prefetcher([&] {
-    XR_CHECK_OK(db.pool()->PrefetchPages({a, b}));
-  });
+  db.pool()->PrefetchBatchAsync({a, b});
   db.gate()->AwaitReader();
 
   // a's read is provably in flight. Fetching b completes while a is stuck:
@@ -1042,7 +1053,7 @@ TEST(AsyncReadTest, CompletionsLandOutOfSubmissionOrder) {
   EXPECT_EQ(db.gate()->reads_of(a), 1u);  // still gated, still one read
 
   db.gate()->Release();
-  prefetcher.join();
+  db.pool()->WaitForPrefetchIdle();
   {
     auto page = db.pool()->FetchPage(a);
     ASSERT_OK(page.status());
@@ -1092,6 +1103,62 @@ TEST(AsyncReadTest, PrefetchBatchAsyncReturnsWhileItsReadIsParked) {
   EXPECT_EQ(delta.buffer_hits, ids.size());
   EXPECT_EQ(delta.buffer_misses, 0u);
   EXPECT_EQ(delta.prefetch_hits, ids.size());
+}
+
+// A demand miss is read on the fetching thread: with every read-ahead
+// worker parked inside the device, a cold fetch of another page still
+// completes, instead of waiting in the submission queue behind the
+// read-ahead runs.
+TEST(AsyncReadTest, DemandMissIsNotQueuedBehindReadAhead) {
+  constexpr size_t kReadAheadWorkers = 8;  // BufferPool's AsyncDisk workers
+  GatedDb db;
+  std::vector<PageId> gated;
+  for (size_t i = 0; i < kReadAheadWorkers; ++i) {
+    gated.push_back(ColdMarkerPage(db.pool(), static_cast<char>('a' + i)));
+    ColdMarkerPage(db.pool(), 'x');  // spacer: one run per gated page
+  }
+  const PageId target = ColdMarkerPage(db.pool(), 'T');
+
+  db.gate()->GatePages(gated);
+  db.pool()->PrefetchBatchAsync(gated);
+  db.gate()->AwaitReaders(kReadAheadWorkers);  // every worker is parked
+
+  const IoStats before = db.pool()->stats();
+  std::promise<char> fetched;
+  std::future<char> result = fetched.get_future();
+  std::thread fetcher([&] {
+    auto page = db.pool()->FetchPage(target);
+    XR_CHECK_OK(page.status());
+    char first = (*page)->data()[0];
+    XR_CHECK_OK(db.pool()->UnpinPage(target, false));
+    fetched.set_value(first);
+  });
+  const bool done =
+      result.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+  const IoStats delta = db.pool()->stats() - before;
+  db.gate()->Release();
+  fetcher.join();
+  EXPECT_TRUE(done) << "demand miss waited behind the parked read-ahead";
+  EXPECT_EQ(result.get(), 'T');
+  EXPECT_EQ(delta.buffer_misses, 1u);
+  EXPECT_EQ(delta.disk_reads, 1u);
+  EXPECT_EQ(delta.read_batches, 1u);
+
+  // Settled: every gated page was read once and installed once.
+  db.pool()->WaitForPrefetchIdle();
+  const IoStats settled = db.pool()->stats();
+  EXPECT_EQ(settled.prefetch_issued - before.prefetch_issued,
+            kReadAheadWorkers);
+  EXPECT_EQ(settled.prefetch_errors, 0u);
+  for (size_t i = 0; i < gated.size(); ++i) {
+    EXPECT_EQ(db.gate()->reads_of(gated[i]), 1u);
+    ASSERT_OK_AND_ASSIGN(Page * page, db.pool()->FetchPage(gated[i]));
+    EXPECT_EQ(page->data()[0], static_cast<char>('a' + i));
+    ASSERT_OK(db.pool()->UnpinPage(gated[i], false));
+  }
+  const IoStats hits = db.pool()->stats() - settled;
+  EXPECT_EQ(hits.buffer_hits, kReadAheadWorkers);
+  EXPECT_EQ(hits.prefetch_hits, kReadAheadWorkers);
 }
 
 TEST(ChaosTest, ConcurrentJoinsUnderSustainedFaults) {

@@ -408,7 +408,8 @@ TEST(FaultToleranceTest, FailedPrefetchInstallsNothingAndIsCounted) {
   db.faulty()->FailNthRead(db.faulty()->reads() + 1);
   // Prefetch is best-effort: the failed read is swallowed (counted, not
   // surfaced) and no frame may be installed from it.
-  ASSERT_OK(db.pool()->PrefetchPages(std::vector<PageId>{id}));
+  db.pool()->PrefetchBatchAsync({id});
+  db.pool()->WaitForPrefetchIdle();
   EXPECT_GE(db.pool()->stats().prefetch_errors, 1u);
   IoStats before = db.pool()->stats();
   ASSERT_OK_AND_ASSIGN(Page * p, db.pool()->FetchPage(id));
@@ -430,7 +431,8 @@ TEST(FaultToleranceTest, CorruptPrefetchIsSkippedNeverServed) {
   sustained.max_faults = 1;
   db.faulty()->EnableSustainedFaults(sustained);
   uint64_t errors_before = db.pool()->stats().prefetch_errors;
-  ASSERT_OK(db.pool()->PrefetchPages(std::vector<PageId>{id}));
+  db.pool()->PrefetchBatchAsync({id});
+  db.pool()->WaitForPrefetchIdle();
   EXPECT_EQ(db.pool()->stats().prefetch_errors, errors_before + 1);
   EXPECT_EQ(db.faulty()->sustained_corrupt_faults(), 1u);
   // The flipped image was dropped, not installed: the demand fetch re-reads
@@ -538,7 +540,8 @@ TEST(FaultToleranceTest, FailedDemandReadLeavesFrameCleanForPrefetch) {
   // the accounting resolves to exactly one prefetch_hit (the free-list pop
   // asserts the invariant in debug builds).
   IoStats before = db.pool()->stats();
-  ASSERT_OK(db.pool()->PrefetchPages(std::vector<PageId>{healthy}));
+  db.pool()->PrefetchBatchAsync({healthy});
+  db.pool()->WaitForPrefetchIdle();
   ASSERT_OK_AND_ASSIGN(Page * p, db.pool()->FetchPage(healthy));
   PageGuard g(db.pool(), p);
   EXPECT_EQ(p->data()[0], 0x45);

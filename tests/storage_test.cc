@@ -397,7 +397,7 @@ void ExpectPrefetchInvariant(const IoStats& s, uint64_t resident_unused) {
                                    resident_unused);
 }
 
-TEST(BufferPoolTest, PrefetchPagesInstallsUnpinnedAndCountsHits) {
+TEST(BufferPoolTest, PrefetchBatchAsyncInstallsUnpinnedAndCountsHits) {
   TempDb db(8);
   std::vector<PageId> ids;
   for (int i = 0; i < 4; ++i) {
@@ -408,14 +408,16 @@ TEST(BufferPoolTest, PrefetchPagesInstallsUnpinnedAndCountsHits) {
   }
   db.Reopen(8);  // cold pool over flushed, checksummed pages
 
-  ASSERT_OK(db.pool()->PrefetchPages(ids));
+  db.pool()->PrefetchBatchAsync(ids);
+  db.pool()->WaitForPrefetchIdle();
   IoStats s = db.pool()->stats();
   EXPECT_EQ(s.prefetch_issued, 4u);
   EXPECT_EQ(s.buffer_misses, 0u);  // prefetch reads are not demand misses
   ExpectPrefetchInvariant(s, 4);
 
   // Re-prefetching resident pages is a no-op, not a second issue.
-  ASSERT_OK(db.pool()->PrefetchPages(ids));
+  db.pool()->PrefetchBatchAsync(ids);
+  db.pool()->WaitForPrefetchIdle();
   EXPECT_EQ(db.pool()->stats().prefetch_issued, 4u);
 
   for (size_t i = 0; i < ids.size(); ++i) {
@@ -445,7 +447,8 @@ TEST(BufferPoolTest, EvictedPrefetchesCountAsWastedNotHits) {
     ASSERT_OK(db.pool()->UnpinPage(p->page_id(), true));
   }
   db.Reopen(4);
-  ASSERT_OK(db.pool()->PrefetchPages(ids));
+  db.pool()->PrefetchBatchAsync(ids);
+  db.pool()->WaitForPrefetchIdle();
   ASSERT_EQ(db.pool()->stats().prefetch_issued, 3u);
 
   // Consume one prefetched page, then push the other two out of the tiny
