@@ -105,6 +105,12 @@ struct JoinStats {
   /// True when ParallelXrStackJoin recovered a retryable worker failure by
   /// rerunning serially (JoinOptions::degrade_to_serial).
   bool degraded_to_serial = false;
+  /// XR-stack ancestor probes (summed over parallel workers): root-to-leaf
+  /// path re-copies made by the probe cursors, and probes answered by the
+  /// one-shot latch-coupled path because a concurrent writer raced the
+  /// re-copy (XrProbeCursor). A join over a static tree has no fallbacks.
+  uint64_t probe_refills = 0;
+  uint64_t probe_fallbacks = 0;
   IoStats io;               ///< filled in by the caller (pool stats delta)
   double elapsed_seconds = 0;  ///< filled in by the caller
 };

@@ -163,6 +163,8 @@ Result<JoinOutput> ParallelXrStackJoin(const XrTree& ancestors,
   for (auto& r : results) {
     out.stats.output_pairs += r->stats.output_pairs;
     out.stats.elements_scanned += r->stats.elements_scanned;
+    out.stats.probe_refills += r->stats.probe_refills;
+    out.stats.probe_fallbacks += r->stats.probe_fallbacks;
     MergeEmissionOrdered(&out.pairs, std::move(r->pairs));
   }
   return out;

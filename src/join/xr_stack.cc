@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "xrtree/probe_cursor.h"
 #include "xrtree/xrtree_iterator.h"
 
 namespace xrtree {
@@ -88,6 +89,11 @@ Result<JoinOutput> XrStackJoinRange(const XrTree& ancestors,
   // ancestors owned by ranges to the left.
   Position last_probe = lo;
 
+  // The probes ascend (the floor above), so a finger cursor answers most of
+  // them from its copy of the previous probe's root-to-leaf path.
+  XrProbeCursor probe(&ancestors);
+  ElementList ad;
+
   // Cancellation is cooperative: one relaxed load per flag per loop
   // iteration. A cancelled worker's partial output is discarded by the
   // caller, so the flags need no ordering beyond the thread join that
@@ -150,9 +156,8 @@ Result<JoinOutput> XrStackJoinRange(const XrTree& ancestors,
             (resume != kNilPosition && resume > cur_a) ? resume : cur_a + 1;
       }
       Position next_a = kNilPosition;
-      XR_ASSIGN_OR_RETURN(ElementList ad,
-                          ancestors.FindAncestorsAbove(
-                              d.start, min_start, &search_scanned, &next_a));
+      XR_RETURN_IF_ERROR(probe.FindAncestorsAbove(d.start, min_start, &ad,
+                                                  &search_scanned, &next_a));
       last_probe = d.start;
       cur_a = next_a;
       if (cur_a != kNilPosition && !in_range(cur_a)) cur_a = kNilPosition;
@@ -189,6 +194,8 @@ Result<JoinOutput> XrStackJoinRange(const XrTree& ancestors,
   }
 
   out.stats.elements_scanned = itd.scanned() + search_scanned;
+  out.stats.probe_refills = probe.refills();
+  out.stats.probe_fallbacks = probe.fallbacks();
   return out;
 }
 

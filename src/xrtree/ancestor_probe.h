@@ -1,0 +1,86 @@
+#ifndef XRTREE_XRTREE_ANCESTOR_PROBE_H_
+#define XRTREE_XRTREE_ANCESTOR_PROBE_H_
+
+// The steps of one FindAncestors probe (Algorithms 4-5 with the §5.2 stack
+// floor), written over in-memory spans so that the one-shot latch-coupled
+// XrTree::FindAncestorsAbove (spans point into latched pages) and
+// XrProbeCursor (spans point into its copies of the path) run the same
+// code. Internal to src/xrtree.
+
+#include <algorithm>
+#include <cstdint>
+
+#include "common/status.h"
+#include "xml/element.h"
+#include "xrtree/xrtree_page.h"
+
+namespace xrtree {
+
+/// Child slot for descending toward `key` over a node's `count` key slots:
+/// the first slot with slots[slot].key > key (keys >= k live under k's right
+/// child, matching the stab convention that separator k satisfies left
+/// starts < k <= right starts).
+inline uint32_t XrChildSlot(const XrInternalEntry* slots, uint32_t count,
+                            Position key) {
+  uint32_t lo = 0, hi = count;
+  while (lo < hi) {
+    uint32_t mid = (lo + hi) / 2;
+    if (slots[mid].key <= key) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
+/// S11 / Algorithm 5 over one internal node: for c = i+1 down to 0, calls
+/// `search(key_c)` only when key c's (ps, pe) summary proves that PSL(key_c)
+/// holds an element strictly containing `sd`. `search` returns a Status;
+/// the first error stops the walk.
+template <typename Search>
+Status ForEachStabbedPsl(const XrInternalEntry* slots, uint32_t count,
+                         Position sd, Search&& search) {
+  if (count == 0) return Status::Ok();
+  uint32_t upper = std::min(XrChildSlot(slots, count, sd), count - 1);
+  for (uint32_t c = upper + 1; c-- > 0;) {
+    if (slots[c].ps != kNilPosition && slots[c].ps < sd &&
+        sd < slots[c].pe) {
+      XR_RETURN_IF_ERROR(search(slots[c].key));
+    }
+  }
+  return Status::Ok();
+}
+
+/// S2 over one leaf's start-sorted elements: appends (flags cleared) every
+/// element with min_start < start < sd that is not in a stab list and
+/// strictly contains `sd`, counting each element examined in *scanned.
+/// Returns the index of the first element with start >= sd — the XR-stack's
+/// next CurA — or n when the leaf ends first.
+inline uint32_t ScanLeafForAncestors(const Element* slots, uint32_t n,
+                                     Position sd, Position min_start,
+                                     ElementList* out, uint64_t* scanned) {
+  // Elements at or below min_start are already on the caller's stack.
+  uint32_t i = 0;
+  if (min_start != 0) {
+    i = static_cast<uint32_t>(
+        std::lower_bound(slots, slots + n, min_start + 1,
+                         [](const Element& e, Position k) {
+                           return e.start < k;
+                         }) -
+        slots);
+  }
+  for (; i < n && slots[i].start < sd; ++i) {
+    ++*scanned;
+    if (!InStabList(slots[i]) && sd < slots[i].end) {
+      Element e = slots[i];
+      e.flags = 0;
+      out->push_back(e);
+    }
+  }
+  return i;
+}
+
+}  // namespace xrtree
+
+#endif  // XRTREE_XRTREE_ANCESTOR_PROBE_H_

@@ -1,0 +1,179 @@
+#include "xrtree/probe_cursor.h"
+
+#include <algorithm>
+#include <atomic>
+
+#include "storage/page_latch.h"
+#include "xrtree/ancestor_probe.h"
+#include "xrtree/page_codec.h"
+#include "xrtree/xrtree.h"
+#include "xrtree/xrtree_iterator.h"
+
+namespace xrtree {
+
+Status XrProbeCursor::FindAncestorsAbove(Position sd, Position min_start,
+                                         ElementList* out, uint64_t* scanned,
+                                         Position* next_start) {
+  out->clear();
+  const uint64_t seq = tree_->write_seq_.load(std::memory_order_acquire);
+  bool served = valid_ && seq == tag_;
+  if (served && !(leaf_lo_ <= sd && sd < leaf_hi_)) {
+    // Re-descend from the deepest cached level whose range covers sd (the
+    // root's range covers every position).
+    size_t depth = depth_;
+    while (depth > 1 && !(levels_[depth - 1].lo <= sd &&
+                          sd < levels_[depth - 1].hi)) {
+      --depth;
+    }
+    served = Refill(sd, seq, depth);
+  } else if (!served) {
+    served = Refill(sd, seq, 0);
+  }
+
+  uint64_t local_scanned = 0;
+  Position terminator = kNilPosition;
+  if (served) {
+    collected_.clear();
+    for (size_t d = 0; d < depth_; ++d) {
+      const Level& lv = levels_[d];
+      // The search cannot fail over an in-memory chain.
+      (void)ForEachStabbedPsl(
+          lv.slots.data(), static_cast<uint32_t>(lv.slots.size()), sd,
+          [&](Position key) {
+            CollectStabbedInSlice(lv.stab.data(),
+                                  static_cast<uint32_t>(lv.stab.size()), key,
+                                  sd, min_start, &collected_, &local_scanned);
+            return Status::Ok();
+          });
+    }
+    const uint32_t n = static_cast<uint32_t>(leaf_.size());
+    uint32_t i = ScanLeafForAncestors(leaf_.data(), n, sd, min_start, out,
+                                      &local_scanned);
+    if (next_start != nullptr) {
+      if (i < n) {
+        terminator = leaf_[i].start;
+      } else if (tail_known_) {
+        terminator = tail_start_;
+      } else {
+        // Same lookup as the one-shot path's tail probe; its answer holds
+        // for every later point past the leaf's last element while the
+        // copy stays valid, so it is fetched once per leaf.
+        XR_ASSIGN_OR_RETURN(XrIterator it, tree_->LowerBound(sd));
+        tail_start_ = it.Valid() ? it.Get().start : kNilPosition;
+        tail_known_ = true;
+        terminator = tail_start_;
+        served = tree_->write_seq_.load(std::memory_order_acquire) == tag_;
+      }
+    }
+  }
+  if (!served) {
+    ++fallbacks_;
+    valid_ = false;
+    XR_ASSIGN_OR_RETURN(*out, tree_->FindAncestorsAbove(sd, min_start,
+                                                        scanned, next_start));
+    return Status::Ok();
+  }
+  for (const StabEntry& se : collected_) out->push_back(ToElement(se));
+  std::sort(out->begin(), out->end());
+  if (scanned != nullptr) *scanned += local_scanned;
+  if (next_start != nullptr) *next_start = terminator;
+  return Status::Ok();
+}
+
+bool XrProbeCursor::Refill(Position sd, uint64_t seq, size_t depth) {
+  ++refills_;
+  valid_ = false;
+  // A writer that bumped the sequence before `seq` was loaded has
+  // registered itself here first, so it is seen and not copied mid-write.
+  if (tree_->writers_active_.load(std::memory_order_acquire) != 0) {
+    return false;
+  }
+  auto raced = [&] {
+    return tree_->write_seq_.load(std::memory_order_acquire) != seq;
+  };
+  BufferPool* pool = tree_->pool_;
+  Position lo = 0;
+  Position hi = kNilPosition;
+  ReadLatchedPage cur;
+  if (depth == 0) {
+    PageId root_id = tree_->root_.load(std::memory_order_acquire);
+    if (root_id == kInvalidPageId) {
+      depth_ = 0;
+      leaf_.clear();
+      leaf_lo_ = 0;
+      leaf_hi_ = kNilPosition;
+    } else {
+      auto fetched = pool->FetchPage(root_id);
+      if (!fetched.ok()) return false;
+      cur = ReadLatchedPage(pool, *fetched);
+      if (tree_->root_.load(std::memory_order_acquire) != root_id) {
+        return false;
+      }
+    }
+  } else {
+    // The parent's copy is current (seq == tag), so its child link names a
+    // live node — unless a writer started since, which the check after the
+    // latch catches before anything is read.
+    const Level& parent = levels_[depth - 1];
+    const uint32_t count = static_cast<uint32_t>(parent.slots.size());
+    uint32_t slot = XrChildSlot(parent.slots.data(), count, sd);
+    PageId child =
+        slot == 0 ? parent.leftmost : parent.slots[slot - 1].child;
+    lo = slot == 0 ? parent.lo : parent.slots[slot - 1].key;
+    hi = slot == count ? parent.hi : parent.slots[slot].key;
+    auto fetched = pool->FetchPage(child);
+    if (!fetched.ok()) return false;
+    cur = ReadLatchedPage(pool, *fetched);
+    if (raced()) return false;
+  }
+
+  // R-latch-coupled descent, copying each level under its latch (the stab
+  // chain too: the node's R latch keeps writers from rewriting it).
+  for (size_t d = depth; cur; ++d) {
+    if (d >= static_cast<size_t>(kMaxTreeDepth)) return false;
+    const Page* raw = cur.get();
+    const auto* hdr = XrHeader(raw);
+    if (hdr->magic == kXrLeafMagic) {
+      leaf_.clear();
+      if (XrLeafIsCompressed(raw)) {
+        if (!XrcDecodeLeaf(raw, &leaf_).ok()) return false;
+      } else {
+        if (hdr->count > kXrLeafMaxEntries) return false;
+        leaf_.assign(XrLeafSlots(raw), XrLeafSlots(raw) + hdr->count);
+      }
+      depth_ = d;
+      leaf_lo_ = lo;
+      leaf_hi_ = hi;
+      break;
+    }
+    if (hdr->magic != kXrInternalMagic || hdr->count == 0 ||
+        hdr->count > kXrInternalMaxEntries) {
+      return false;
+    }
+    if (levels_.size() <= d) levels_.emplace_back();
+    Level& lv = levels_[d];
+    lv.lo = lo;
+    lv.hi = hi;
+    lv.leftmost = hdr->leftmost;
+    lv.slots.assign(XrInternalSlots(raw), XrInternalSlots(raw) + hdr->count);
+    auto stab = tree_->ReadNodeStab(raw);
+    if (!stab.ok()) return false;
+    lv.stab = std::move(*stab);
+    uint32_t slot = XrChildSlot(lv.slots.data(), hdr->count, sd);
+    PageId child = slot == 0 ? lv.leftmost : lv.slots[slot - 1].child;
+    if (slot > 0) lo = lv.slots[slot - 1].key;
+    if (slot < hdr->count) hi = lv.slots[slot].key;
+    auto fetched = pool->FetchPage(child);
+    if (!fetched.ok()) return false;
+    ReadLatchedPage next(pool, *fetched);
+    cur = std::move(next);
+  }
+  cur.Release();
+  if (raced()) return false;
+  tag_ = seq;
+  valid_ = true;
+  tail_known_ = false;
+  return true;
+}
+
+}  // namespace xrtree

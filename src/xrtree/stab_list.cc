@@ -256,6 +256,62 @@ Result<std::vector<StabEntry>> StabList::ReadPsl(Position key) const {
   return out;
 }
 
+bool CollectStabbedInSlice(const StabEntry* slots, uint32_t n, Position key,
+                           Position sd, Position min_start,
+                           std::vector<StabEntry>* out,
+                           uint64_t* entries_scanned) {
+  // Locate the slice's part of the PSL run: entries are sorted by (key, s),
+  // so both run bounds are binary-searchable.
+  uint32_t lo = 0, hi = n;
+  {
+    uint32_t l = 0, h = n;
+    while (l < h) {  // first slot with slot.key >= key
+      uint32_t m = (l + h) / 2;
+      if (slots[m].key < key) l = m + 1; else h = m;
+    }
+    lo = l;
+    h = n;
+    while (l < h) {  // first slot with slot.key > key
+      uint32_t m = (l + h) / 2;
+      if (slots[m].key <= key) l = m + 1; else h = m;
+    }
+    hi = l;
+  }
+  // No run entry here: the run starts in a later slice when every entry
+  // precedes `key` (a head-first scan without the ps directory), and is
+  // over or empty otherwise.
+  if (lo == hi) return lo == n;
+  // The PSL is a strictly nested chain, outermost (smallest s, largest e)
+  // first, so the entries stabbed by sd form a prefix of the run and its
+  // boundary is binary-searchable — the terminating non-stabbed entry is
+  // located, not scanned (Alg. 5's early stop, sharpened).
+  uint32_t stab_end;
+  {
+    uint32_t l = lo, h = hi;
+    while (l < h) {  // first slot NOT strictly stabbed by sd
+      uint32_t m = (l + h) / 2;
+      if (slots[m].s < sd && sd < slots[m].e) l = m + 1; else h = m;
+    }
+    stab_end = l;
+  }
+  // Entries at or below min_start are already on the caller's stack
+  // (§5.2 variation); land past them with another binary search.
+  uint32_t emit_begin;
+  {
+    uint32_t l = lo, h = stab_end;
+    while (l < h) {  // first slot with s > min_start
+      uint32_t m = (l + h) / 2;
+      if (slots[m].s <= min_start) l = m + 1; else h = m;
+    }
+    emit_begin = l;
+  }
+  for (uint32_t i = emit_begin; i < stab_end; ++i) {
+    ++*entries_scanned;
+    out->push_back(slots[i]);
+  }
+  return stab_end == hi;  // prefix ended inside the slice otherwise
+}
+
 Status StabList::CollectStabbed(Position key, Position sd, Position min_start,
                                 std::vector<StabEntry>* out,
                                 uint64_t* entries_scanned) const {
@@ -281,57 +337,14 @@ Status StabList::CollectStabbed(Position key, Position sd, Position min_start,
       slots = StabSlots(raw);
       n = hdr->count;
     }
-    // Locate this page's slice of the PSL run: entries are sorted by
-    // (key, s), so both run bounds are binary-searchable.
-    uint32_t lo = 0, hi = n;
-    {
-      uint32_t l = 0, h = n;
-      while (l < h) {  // first slot with slot.key >= key
-        uint32_t m = (l + h) / 2;
-        if (slots[m].key < key) l = m + 1; else h = m;
-      }
-      lo = l;
-      h = n;
-      while (l < h) {  // first slot with slot.key > key
-        uint32_t m = (l + h) / 2;
-        if (slots[m].key <= key) l = m + 1; else h = m;
-      }
-      hi = l;
+    if (!CollectStabbedInSlice(slots, n, key, sd, min_start, out,
+                               entries_scanned)) {
+      return Status::Ok();
     }
-    if (lo == hi) return Status::Ok();  // run ended on an earlier page
-    // The PSL is a strictly nested chain, outermost (smallest s, largest e)
-    // first, so the entries stabbed by sd form a prefix of the run and its
-    // boundary is binary-searchable — the terminating non-stabbed entry is
-    // located, not scanned (Alg. 5's early stop, sharpened).
-    uint32_t stab_end;
-    {
-      uint32_t l = lo, h = hi;
-      while (l < h) {  // first slot NOT strictly stabbed by sd
-        uint32_t m = (l + h) / 2;
-        if (slots[m].s < sd && sd < slots[m].e) l = m + 1; else h = m;
-      }
-      stab_end = l;
-    }
-    // Entries at or below min_start are already on the caller's stack
-    // (§5.2 variation); land past them with another binary search.
-    uint32_t emit_begin;
-    {
-      uint32_t l = lo, h = stab_end;
-      while (l < h) {  // first slot with s > min_start
-        uint32_t m = (l + h) / 2;
-        if (slots[m].s <= min_start) l = m + 1; else h = m;
-      }
-      emit_begin = l;
-    }
-    for (uint32_t i = emit_begin; i < stab_end; ++i) {
-      ++*entries_scanned;
-      out->push_back(slots[i]);
-    }
-    if (stab_end < hi) return Status::Ok();  // prefix ended inside this page
     // Compressed pages: the run provably ends here when the decoded span
     // stopped short of the page end or larger keys follow within it.
     if (hdr->format == kXrPageFormatCompressed &&
-        (!covers_page_end || hi < n)) {
+        (!covers_page_end || (n > 0 && slots[n - 1].key > key))) {
       return Status::Ok();
     }
     cur = hdr->next;  // run (all stabbed so far) may continue on the next page

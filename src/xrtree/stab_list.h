@@ -88,6 +88,18 @@ class StabList {
   bool compressed_;
 };
 
+/// Algorithm 5's PSL search over one (key, s)-sorted slice of a stab chain
+/// — a chain page, or a whole chain copied into memory: appends the prefix
+/// of PSL(key)'s run in the slice that `sd` strictly stabs, skipping (and
+/// not counting) entries with s <= min_start, and counts each appended
+/// entry in *entries_scanned. Returns true when the run may go on in the
+/// next slice: every entry of the slice precedes the run, or the slice's
+/// part of the run is stabbed throughout.
+bool CollectStabbedInSlice(const StabEntry* slots, uint32_t n, Position key,
+                           Position sd, Position min_start,
+                           std::vector<StabEntry>* out,
+                           uint64_t* entries_scanned);
+
 }  // namespace xrtree
 
 #endif  // XRTREE_XRTREE_STAB_LIST_H_

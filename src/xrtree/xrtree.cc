@@ -10,6 +10,7 @@
 #include <unordered_set>
 
 #include "storage/element_file.h"
+#include "xrtree/ancestor_probe.h"
 #include "xrtree/page_codec.h"
 #include "xrtree/xrtree_iterator.h"
 
@@ -32,21 +33,8 @@ uint32_t XrLeafLowerBound(const Page* page, Position key) {
   return lo;
 }
 
-/// Child slot for descending toward `key`: first slot with keys[slot] > key
-/// (keys >= k live under k's right child, matching the stab convention that
-/// separator k satisfies left starts < k <= right starts).
 uint32_t XrChildSlot(const Page* page, Position key) {
-  const XrInternalEntry* slots = XrInternalSlots(page);
-  uint32_t lo = 0, hi = XrHeader(page)->count;
-  while (lo < hi) {
-    uint32_t mid = (lo + hi) / 2;
-    if (slots[mid].key <= key) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
+  return XrChildSlot(XrInternalSlots(page), XrHeader(page)->count, key);
 }
 
 PageId XrChildAt(const Page* page, uint32_t child_slot) {
@@ -254,6 +242,7 @@ Status XrTree::Insert(const Element& element) {
   if (!(element.start < element.end)) {
     return Status::InvalidArgument("element start must precede end");
   }
+  WriteScope write_scope(this);
   std::shared_lock<std::shared_mutex> commit_barrier(pool_->commit_mutex());
   bool needs_exclusive = false;
   {
@@ -991,6 +980,7 @@ Status XrTree::MergeStabLists(Page* dest, Page* victim) {
 // ---------------------------------------------------------------------------
 
 Status XrTree::Delete(Position key) {
+  WriteScope write_scope(this);
   std::shared_lock<std::shared_mutex> commit_barrier(pool_->commit_mutex());
   // Exclusive writer gate: the D31 reinsertion and key-replacement sweeps
   // descend into subtrees OFF the deletion path, which can deadlock against
@@ -1451,6 +1441,7 @@ Result<ElementList> XrTree::FindAncestorsAbove(Position sd,
     ReadLatchedPage cur(pool_, *fetched);
     if (root_.load(std::memory_order_acquire) != root_id) continue;
     bool done = false;
+    std::vector<StabEntry> collected;
     for (int depth = 0; depth < kMaxTreeDepth; ++depth) {
       Page* raw = cur.get();
       const auto* hdr = XrHeader(raw);
@@ -1458,42 +1449,24 @@ Result<ElementList> XrTree::FindAncestorsAbove(Position sd,
         return Status::Corruption("xrtree: descent hit a foreign page");
       }
       if (hdr->is_leaf) {
-        // S2: scan the leaf for un-stabbed ancestors until start > sd.
-        // The §5.2 stack variation starts past min_start: elements at or
-        // below it are already cached on the caller's stack. A compressed
-        // leaf decodes only the landed-in suffix of mini-blocks; the
-        // scratch always covers through the page end, so the terminator
-        // logic below is unchanged.
-        Position from = (min_start == 0) ? 0 : min_start + 1;
+        // S2. A compressed leaf decodes only the suffix of mini-blocks from
+        // the one holding min_start + 1; the scratch always covers through
+        // the page end, so the terminator below is unchanged.
         std::vector<Element> scratch;
         const Element* slots;
         uint32_t nslots;
         if (XrLeafIsCompressed(raw)) {
-          XR_RETURN_IF_ERROR(XrcDecodeLeafFrom(raw, from, &scratch));
+          XR_RETURN_IF_ERROR(XrcDecodeLeafFrom(
+              raw, min_start == 0 ? 0 : min_start + 1, &scratch));
           slots = scratch.data();
           nslots = static_cast<uint32_t>(scratch.size());
         } else {
           slots = XrLeafSlots(raw);
           nslots = hdr->count;
         }
-        uint32_t i = 0;
-        if (from != 0) {
-          i = static_cast<uint32_t>(
-              std::lower_bound(slots, slots + nslots, from,
-                               [](const Element& e, Position k) {
-                                 return e.start < k;
-                               }) -
-              slots);
-        }
-        for (; i < nslots && slots[i].start < sd; ++i) {
-          ++local_scanned;
-          if (!InStabList(slots[i]) && sd < slots[i].end) {
-            Element e = slots[i];
-            e.flags = 0;
-            out.push_back(e);
-          }
-        }
-        // The terminating element (first start > sd) is handed back as the
+        uint32_t i = ScanLeafForAncestors(slots, nslots, sd, min_start, &out,
+                                          &local_scanned);
+        // The terminating element (first start >= sd) is handed back as the
         // join's next CurA; it is not charged here — the caller's next
         // sweep or cursor move examines it.
         if (next_start) {
@@ -1506,24 +1479,15 @@ Result<ElementList> XrTree::FindAncestorsAbove(Position sd,
         done = true;
         break;
       }
-      // S11 / Algorithm 5: check PSL_c for c = i+1 down to 0, touching the
-      // stab list only when the (ps, pe) summary proves a match exists.
       // The chain pages are read under this node's R latch, which is what
-      // keeps a writer from rewriting the chain mid-read.
-      const XrInternalEntry* slots = XrInternalSlots(raw);
-      uint32_t upper = XrChildSlot(raw, sd);  // == i + 1
-      if (upper >= hdr->count) upper = hdr->count == 0 ? 0 : hdr->count - 1;
+      // keeps a writer from rewriting the chain mid-read. The ps directory
+      // leads each PSL search to its first page (Theorem 4).
       StabList list(pool_, hdr->stab_head, hdr->ps_dir, use_ps_dir_);
-      std::vector<StabEntry> collected;
-      for (uint32_t c = upper + 1; c-- > 0;) {
-        if (slots[c].ps != kNilPosition && slots[c].ps < sd &&
-            sd < slots[c].pe) {
-          XR_RETURN_IF_ERROR(
-              list.CollectStabbed(slots[c].key, sd, min_start, &collected,
-                                  &local_scanned));
-        }
-      }
-      for (const StabEntry& se : collected) out.push_back(ToElement(se));
+      XR_RETURN_IF_ERROR(ForEachStabbedPsl(
+          XrInternalSlots(raw), hdr->count, sd, [&](Position key) {
+            return list.CollectStabbed(key, sd, min_start, &collected,
+                                       &local_scanned);
+          }));
       PageId child = XrChildAt(raw, XrChildSlot(raw, sd));
       XR_ASSIGN_OR_RETURN(Page * craw, pool_->FetchPage(child));
       ReadLatchedPage next(pool_, craw);
@@ -1540,13 +1504,7 @@ Result<ElementList> XrTree::FindAncestorsAbove(Position sd,
       XR_ASSIGN_OR_RETURN(XrIterator it, LowerBound(sd));
       if (it.Valid()) terminator = it.Get().start;
     }
-    if (min_start != 0) {
-      out.erase(std::remove_if(out.begin(), out.end(),
-                               [&](const Element& e) {
-                                 return e.start <= min_start;
-                               }),
-                out.end());
-    }
+    for (const StabEntry& se : collected) out.push_back(ToElement(se));
     std::sort(out.begin(), out.end());
     if (scanned) *scanned += local_scanned;
     if (next_start) *next_start = terminator;
@@ -1697,6 +1655,7 @@ Result<std::vector<Position>> XrTree::PartitionKeys(size_t max_keys) const {
 // ---------------------------------------------------------------------------
 
 Status XrTree::BulkLoad(const ElementList& elements, double fill_fraction) {
+  WriteScope write_scope(this);
   std::shared_lock<std::shared_mutex> commit_barrier(pool_->commit_mutex());
   // BulkLoad's contract is a quiescent, empty tree; the exclusive gate is a
   // cheap backstop against a stray concurrent writer.
@@ -1723,6 +1682,7 @@ Status XrTree::BulkLoad(const ElementList& elements, double fill_fraction) {
 
 Status XrTree::BulkLoadFromFile(const ElementFile& file,
                                 double fill_fraction) {
+  WriteScope write_scope(this);
   std::shared_lock<std::shared_mutex> commit_barrier(pool_->commit_mutex());
   std::unique_lock<std::shared_mutex> gate(writer_gate_);
   if (root_.load(std::memory_order_acquire) != kInvalidPageId ||
@@ -1749,6 +1709,7 @@ Status XrTree::BulkLoadFromFile(const ElementFile& file,
 }
 
 Status XrTree::Compact() {
+  WriteScope write_scope(this);
   std::shared_lock<std::shared_mutex> commit_barrier(pool_->commit_mutex());
   std::unique_lock<std::shared_mutex> gate(writer_gate_);
   PageId root_id = root_.load(std::memory_order_acquire);

@@ -84,6 +84,12 @@ struct StabStats {
 /// consistent but possibly momentarily stale view; joins needing exact
 /// results quiesce writers first. BulkLoad and CheckConsistency /
 /// ComputeStabStats / CountEntries remain quiescent-only.
+///
+/// Every mutator bumps a write sequence before its first latch (see
+/// WriteScope). XrProbeCursor tags its copy of a probe path with it and
+/// serves probes from the copy while the sequence stands still, so a run
+/// of ascending FindAncestorsAbove probes mostly touches no page
+/// (DESIGN.md §10).
 class XrTree {
  public:
   XrTree(BufferPool* pool, PageId root = kInvalidPageId,
@@ -240,6 +246,27 @@ class XrTree {
 
  private:
   friend class XrIterator;
+  friend class XrProbeCursor;
+
+  /// Held by every mutator (Insert, Delete, BulkLoad, BulkLoadFromFile,
+  /// Compact) from before its first latch until after its deferred frees:
+  /// registers in writers_active_, then bumps write_seq_, which invalidates
+  /// every XrProbeCursor copy of the tree (DESIGN.md §10).
+  class WriteScope {
+   public:
+    explicit WriteScope(XrTree* tree) : tree_(tree) {
+      tree_->writers_active_.fetch_add(1, std::memory_order_acq_rel);
+      tree_->write_seq_.fetch_add(1, std::memory_order_acq_rel);
+    }
+    ~WriteScope() {
+      tree_->writers_active_.fetch_sub(1, std::memory_order_acq_rel);
+    }
+    WriteScope(const WriteScope&) = delete;
+    WriteScope& operator=(const WriteScope&) = delete;
+
+   private:
+    XrTree* tree_;
+  };
 
   struct PathEntry {
     PageId page;
@@ -343,6 +370,9 @@ class XrTree {
   BufferPool* pool_;
   std::atomic<PageId> root_;
   std::atomic<uint64_t> size_{0};
+  /// Mutators started (see WriteScope) and mutators still running.
+  std::atomic<uint64_t> write_seq_{0};
+  std::atomic<uint32_t> writers_active_{0};
   /// Serializes lazy root creation (two first-inserters racing).
   std::mutex root_init_mu_;
   /// Stage-1 writer gate: Insert/BulkLoad shared, Delete exclusive (its

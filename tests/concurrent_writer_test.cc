@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <thread>
 #include <vector>
 
@@ -655,6 +656,97 @@ TEST(ConcurrentWriterJoinTest, JoinsDuringInsertChurnRunCleanly) {
   auto want = Canonical(NestedLoopJoin(a_list, d_list).pairs);
   ASSERT_OK_AND_ASSIGN(JoinOutput out, XrStackJoin(a_tree, d_tree));
   EXPECT_EQ(Canonical(out.pairs), want);
+  EXPECT_EQ(db.pool()->pinned_frames(), 0u);
+}
+
+
+// Joins WHILE writers churn the ANCESTOR tree — the tree whose root-to-leaf
+// path each join worker's probe cursor copies. Every write invalidates the
+// copies, so probes keep re-descending and some race a writer and fall back
+// to the one-shot path; all of it must run cleanly, and quiescing restores
+// exact answers.
+TEST(ConcurrentWriterJoinTest, JoinsDuringAncestorChurnRunCleanly) {
+  ElementList universe = RandomNestedElements(139, 1800, 3);
+  ElementList a_list, d_list;
+  for (const Element& e : universe) {
+    (e.level % 2 == 0 ? a_list : d_list).push_back(e);
+  }
+
+  TempDb db(256, 4);
+  XrTreeOptions options;
+  options.leaf_capacity = 4;
+  options.internal_capacity = 4;
+  XrTree a_tree(db.pool(), kInvalidPageId, options);
+  XrTree d_tree(db.pool(), kInvalidPageId, options);
+  ASSERT_OK(a_tree.BulkLoad(a_list));
+  ASSERT_OK(d_tree.BulkLoad(d_list));
+
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> join_errors{0};
+  std::atomic<uint64_t> joins_run{0};
+  std::atomic<uint64_t> fallbacks{0};
+  auto join_loop = [&](uint32_t threads) {
+    JoinOptions join_options;
+    join_options.num_threads = threads;
+    while (!done.load(std::memory_order_acquire)) {
+      auto out = ParallelXrStackJoin(a_tree, d_tree, join_options);
+      if (!out.ok()) {
+        join_errors.fetch_add(1);
+        continue;
+      }
+      joins_run.fetch_add(1);
+      fallbacks.fetch_add(out->stats.probe_fallbacks);
+      for (const JoinPair& p : out->pairs) {
+        if (!(p.ancestor.start < p.descendant.start &&
+              p.descendant.start < p.ancestor.end)) {
+          join_errors.fetch_add(1);
+          break;
+        }
+      }
+    }
+  };
+  std::vector<std::thread> joiners;
+  joiners.emplace_back(join_loop, 1);
+  joiners.emplace_back(join_loop, 4);
+
+  // Each writer deletes and re-inserts its slice of the ancestors, so the
+  // tree ends where it started.
+  auto slices = Deal(a_list, 2);
+  std::atomic<uint64_t> writer_errors{0};
+  std::vector<std::thread> writers;
+  for (size_t w = 0; w < slices.size(); ++w) {
+    writers.emplace_back([&, w] {
+      for (int round = 0; round < 2; ++round) {
+        for (const Element& e : slices[w]) {
+          if (!a_tree.Delete(e.start).ok()) writer_errors.fetch_add(1);
+          if (!a_tree.Insert(e).ok()) writer_errors.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& t : writers) t.join();
+  done.store(true, std::memory_order_release);
+  for (auto& t : joiners) t.join();
+
+  EXPECT_EQ(writer_errors.load(), 0u);
+  EXPECT_EQ(join_errors.load(), 0u);
+  EXPECT_GT(joins_run.load(), 0u);
+  ASSERT_OK(a_tree.CheckConsistency());
+  std::printf("ancestor churn: %llu joins, %llu probe fallbacks\n",
+              static_cast<unsigned long long>(joins_run.load()),
+              static_cast<unsigned long long>(fallbacks.load()));
+
+  // Quiesced: exact again, serial and parallel, with no fallbacks.
+  auto want = Canonical(NestedLoopJoin(a_list, d_list).pairs);
+  ASSERT_OK_AND_ASSIGN(JoinOutput serial, XrStackJoin(a_tree, d_tree));
+  EXPECT_EQ(Canonical(serial.pairs), want);
+  EXPECT_EQ(serial.stats.probe_fallbacks, 0u);
+  JoinOptions par_options;
+  par_options.num_threads = 4;
+  ASSERT_OK_AND_ASSIGN(JoinOutput par,
+                       ParallelXrStackJoin(a_tree, d_tree, par_options));
+  EXPECT_EQ(par.pairs, serial.pairs);
+  EXPECT_EQ(par.stats.probe_fallbacks, 0u);
   EXPECT_EQ(db.pool()->pinned_frames(), 0u);
 }
 

@@ -474,6 +474,13 @@ TEST_P(ParallelEquivalenceTest, OutputIsByteIdenticalToSerial) {
   // Byte-identical: same pairs in the same emission order.
   EXPECT_EQ(par.pairs, serial.pairs);
   EXPECT_EQ(par.stats.output_pairs, serial.stats.output_pairs);
+  // Static trees: every probe is answered by the cursors, none by the
+  // one-shot fallback.
+  if (serial.stats.output_pairs > 0) {
+    EXPECT_GT(serial.stats.probe_refills, 0u);
+  }
+  EXPECT_EQ(serial.stats.probe_fallbacks, 0u);
+  EXPECT_EQ(par.stats.probe_fallbacks, 0u);
 
   // Parent-child variant through the same partitioning.
   JoinOptions pc = options;

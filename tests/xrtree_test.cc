@@ -8,6 +8,7 @@
 
 #include "tests/test_util.h"
 #include "xml/generator.h"
+#include "xrtree/probe_cursor.h"
 #include "xrtree/stab_list.h"
 #include "xrtree/xrtree_iterator.h"
 
@@ -743,6 +744,248 @@ TEST(XrTreeTest, ScannedCounterTracksWork) {
   // of the leaf) — bounded by a couple of pages, far less than N.
   EXPECT_GE(scanned, anc.size());
   EXPECT_LT(scanned, 2 * tree.leaf_capacity());
+}
+
+
+// ---------------------------------------------------------------------------
+// Probe cursor: the XR-stack's finger over FindAncestorsAbove
+// ---------------------------------------------------------------------------
+
+/// One probe through `cursor` and through the one-shot path: the answer,
+/// next_start and the scanned increment must be identical. Returns the
+/// answer in *answer when non-null.
+void ExpectCursorMatchesOneShot(const XrTree& tree, XrProbeCursor* cursor,
+                                Position sd, Position min_start,
+                                ElementList* answer = nullptr) {
+  ElementList got;
+  uint64_t got_scanned = 0;
+  Position got_next = 0;
+  ASSERT_OK(cursor->FindAncestorsAbove(sd, min_start, &got, &got_scanned,
+                                       &got_next));
+  uint64_t want_scanned = 0;
+  Position want_next = 0;
+  ASSERT_OK_AND_ASSIGN(
+      ElementList want,
+      tree.FindAncestorsAbove(sd, min_start, &want_scanned, &want_next));
+  ASSERT_EQ(got, want) << "sd=" << sd << " min_start=" << min_start;
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].id, want[i].id) << "sd=" << sd;
+  }
+  ASSERT_EQ(got_next, want_next) << "sd=" << sd << " min_start=" << min_start;
+  ASSERT_EQ(got_scanned, want_scanned)
+      << "sd=" << sd << " min_start=" << min_start;
+  if (answer != nullptr) *answer = std::move(got);
+}
+
+/// Replays the XR-stack's probe sequence over `probes` (document order):
+/// the stack pops closed regions and each probe is floored at
+/// max(stack top, previous probe - 1), or at 0 without the floor
+/// (JoinOptions::disable_probe_floor).
+void ReplayJoinProbes(const XrTree& tree, XrProbeCursor* cursor,
+                      const ElementList& probes, bool probe_floor) {
+  ElementList stack;
+  Position last_probe = 0;
+  for (const Element& d : probes) {
+    while (!stack.empty() && stack.back().end < d.start) stack.pop_back();
+    Position stack_floor = stack.empty() ? 0 : stack.back().start;
+    Position min_start =
+        probe_floor
+            ? std::max(stack_floor, last_probe > 0 ? last_probe - 1 : 0)
+            : 0;
+    ElementList ad;
+    ASSERT_NO_FATAL_FAILURE(
+        ExpectCursorMatchesOneShot(tree, cursor, d.start, min_start, &ad));
+    for (const Element& a : ad) {
+      if (a.start > stack_floor) stack.push_back(a);
+    }
+    last_probe = d.start;
+  }
+}
+
+struct CursorShape {
+  uint32_t fanout;  // 0 = full pages
+  bool compressed;
+  bool ps_dir;
+};
+
+class ProbeCursorDifferentialTest
+    : public ::testing::TestWithParam<CursorShape> {};
+
+TEST_P(ProbeCursorDifferentialTest, CursorMatchesOneShotProbes) {
+  const CursorShape p = GetParam();
+  // A bushy random document followed by one deep chain, whose ancestors
+  // pile up in a few nodes' stab lists (multi-page chains at fanout 4).
+  ElementList universe = RandomNestedElements(61, 3000, 3);
+  Document doc = Generator::GenerateNested(/*nesting=*/1200, /*chains=*/1,
+                                           /*fanout=*/0);
+  doc.EncodeRegions(1);
+  const Position shift = universe.front().end + 10;
+  for (Element e : doc.ElementsWithTag("nest")) {
+    e.start += shift;
+    e.end += shift;
+    universe.push_back(e);
+  }
+  ElementList a_list, d_list;
+  for (const Element& e : universe) {
+    (e.level % 2 == 0 ? a_list : d_list).push_back(e);
+  }
+
+  TempDb db(2048);
+  XrTreeOptions options;
+  options.leaf_capacity = p.fanout;
+  options.internal_capacity = p.fanout;
+  options.compressed_pages = p.compressed;
+  options.disable_ps_directory = !p.ps_dir;
+  XrTree tree(db.pool(), kInvalidPageId, options);
+  ASSERT_OK(tree.BulkLoad(a_list));
+  ASSERT_OK_AND_ASSIGN(uint32_t height, tree.Height());
+  EXPECT_GE(height, 2u);
+  if (p.fanout != 0 && !p.compressed) {
+    ASSERT_OK_AND_ASSIGN(StabStats stats, tree.ComputeStabStats());
+    EXPECT_GT(stats.max_stab_pages_per_node, 1u);
+  }
+
+  // The join's probes, with and without the §5.2 floor, and a self-join
+  // (probe points are the indexed starts themselves).
+  XrProbeCursor cursor(&tree);
+  ASSERT_NO_FATAL_FAILURE(ReplayJoinProbes(tree, &cursor, d_list, true));
+  EXPECT_LT(cursor.refills(), d_list.size() / 2);
+  XrProbeCursor unfloored(&tree);
+  ASSERT_NO_FATAL_FAILURE(ReplayJoinProbes(tree, &unfloored, d_list, false));
+  XrProbeCursor self(&tree);
+  ASSERT_NO_FATAL_FAILURE(ReplayJoinProbes(tree, &self, a_list, true));
+
+  // Non-monotone jumps, including points past the last element and floors
+  // at an ancestor's start: the cursor re-descends.
+  Random rng(62);
+  const Position max_pos = universe.back().end + 5;
+  for (int q = 0; q < 400; ++q) {
+    Position sd = static_cast<Position>(rng.UniformRange(1, max_pos));
+    Position min_start = 0;
+    switch (rng.Uniform(3)) {
+      case 0:
+        break;
+      case 1:
+        min_start = sd / 2;
+        break;
+      default: {
+        ElementList anc = BruteAncestors(a_list, sd);
+        if (!anc.empty()) min_start = anc[rng.Uniform(anc.size())].start;
+      }
+    }
+    ElementList got;
+    ASSERT_NO_FATAL_FAILURE(
+        ExpectCursorMatchesOneShot(tree, &cursor, sd, min_start, &got));
+    ElementList want;
+    for (const Element& e : BruteAncestors(a_list, sd)) {
+      if (e.start > min_start) want.push_back(e);
+    }
+    ASSERT_EQ(got, want) << "sd=" << sd << " min_start=" << min_start;
+  }
+
+  // Nothing wrote the tree, so no probe fell back, and no cursor holds a
+  // pin between probes.
+  EXPECT_EQ(cursor.fallbacks(), 0u);
+  EXPECT_EQ(unfloored.fallbacks(), 0u);
+  EXPECT_EQ(self.fallbacks(), 0u);
+  EXPECT_EQ(db.pool()->pinned_frames(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, ProbeCursorDifferentialTest,
+    ::testing::Values(CursorShape{4, false, true}, CursorShape{4, false, false},
+                      CursorShape{4, true, true}, CursorShape{4, true, false},
+                      CursorShape{0, false, true}, CursorShape{0, false, false},
+                      CursorShape{0, true, true}, CursorShape{0, true, false}),
+    [](const ::testing::TestParamInfo<CursorShape>& info) {
+      return std::string(info.param.fanout == 0 ? "full" : "fan4") +
+             (info.param.compressed ? "_compressed" : "_fixed") +
+             (info.param.ps_dir ? "_psdir" : "_nopsdir");
+    });
+
+// One cursor across writes: each probe after an Insert, Delete, root split
+// or Compact must see the write, and the cursor never holds a pin.
+TEST(ProbeCursorTest, ProbesAfterWritesSeeTheWrites) {
+  TempDb db(1024);
+  XrTreeOptions options;
+  options.leaf_capacity = 4;
+  options.internal_capacity = 4;
+  XrTree tree(db.pool(), kInvalidPageId, options);
+  // Scaled positions leave room to insert an element between any element
+  // and its children.
+  ElementList elems = RandomNestedElements(71, 300, 3);
+  for (Element& e : elems) {
+    e.start *= 4;
+    e.end *= 4;
+  }
+  ASSERT_OK(tree.BulkLoad(elems));
+  XrProbeCursor cursor(&tree);
+  auto probe = [&](Position sd, Position min_start, ElementList* answer) {
+    ExpectCursorMatchesOneShot(tree, &cursor, sd, min_start, answer);
+    EXPECT_EQ(db.pool()->pinned_frames(), 0u);
+  };
+  auto contains = [](const ElementList& list, Position start) {
+    return std::any_of(list.begin(), list.end(), [&](const Element& e) {
+      return e.start == start;
+    });
+  };
+
+  // An element x with a child c; y is inserted between them, enclosing the
+  // next probe point c.start + 1.
+  size_t xi = 1;
+  while (xi + 1 < elems.size() && !(elems[xi + 1].start < elems[xi].end)) {
+    ++xi;
+  }
+  ASSERT_LT(xi + 1, elems.size());
+  const Element x = elems[xi];
+  const Element c = elems[xi + 1];
+  ASSERT_LT(c.end, x.end);
+  const Element y(x.start + 1, x.end - 1, x.level, 999999);
+  ElementList got;
+  ASSERT_NO_FATAL_FAILURE(probe(c.start - 1, 0, &got));
+  EXPECT_FALSE(contains(got, y.start));
+  uint64_t refills = cursor.refills();
+  ASSERT_OK(tree.Insert(y));
+  ASSERT_NO_FATAL_FAILURE(probe(c.start + 1, 0, &got));
+  EXPECT_TRUE(contains(got, y.start));
+  EXPECT_TRUE(contains(got, x.start));
+  EXPECT_GT(cursor.refills(), refills);
+  ASSERT_OK(tree.Delete(y.start));
+  ASSERT_NO_FATAL_FAILURE(probe(c.start + 1, 0, &got));
+  EXPECT_FALSE(contains(got, y.start));
+  EXPECT_TRUE(contains(got, x.start));
+
+  // Inserts past the end grow the tree; probe after every one.
+  ASSERT_OK_AND_ASSIGN(uint32_t height0, tree.Height());
+  ElementList more = RandomNestedElements(72, 400, 2);
+  const Position shift = elems.front().end + 8;
+  Random rng(73);
+  ElementList present = elems;
+  for (Element e : more) {
+    e.start = e.start * 4 + shift;
+    e.end = e.end * 4 + shift;
+    ASSERT_OK(tree.Insert(e));
+    present.push_back(e);
+    Position sd = static_cast<Position>(rng.UniformRange(1, e.start + 2));
+    ASSERT_NO_FATAL_FAILURE(probe(sd, rng.Uniform(2) == 0 ? 0 : sd / 2,
+                                  nullptr));
+  }
+  ASSERT_OK_AND_ASSIGN(uint32_t height1, tree.Height());
+  EXPECT_GT(height1, height0);
+
+  // Compact rebuilds the tree and frees every old page.
+  ASSERT_NO_FATAL_FAILURE(probe(present.back().start + 1, 0, nullptr));
+  ASSERT_OK(tree.Compact());
+  ASSERT_OK(tree.CheckConsistency());
+  for (int q = 0; q < 200; ++q) {
+    Position sd = static_cast<Position>(
+        rng.UniformRange(1, present.back().end + 2));
+    ASSERT_NO_FATAL_FAILURE(probe(sd, 0, &got));
+    StripFlags(&got);
+    ASSERT_EQ(got, BruteAncestors(Sorted(present), sd));
+  }
+  // Single-threaded: no refill ever raced a writer.
+  EXPECT_EQ(cursor.fallbacks(), 0u);
 }
 
 }  // namespace
