@@ -34,13 +34,13 @@ BenchEnv GetBenchEnv() {
   return env;
 }
 
-BenchDb::BenchDb(size_t pool_pages, size_t shard_count) {
+BenchDb::BenchDb(size_t pool_pages) {
   char tmpl[] = "/tmp/xrtree_bench_XXXXXX";
   int fd = ::mkstemp(tmpl);
   if (fd >= 0) ::close(fd);
   path_ = tmpl;
   XR_CHECK_OK(disk_.Open(path_));
-  pool_ = std::make_unique<BufferPool>(&disk_, pool_pages, shard_count);
+  pool_ = std::make_unique<BufferPool>(&disk_, pool_pages);
 }
 
 BenchDb::~BenchDb() {
@@ -49,10 +49,10 @@ BenchDb::~BenchDb() {
   std::remove(path_.c_str());
 }
 
-void BenchDb::SwapPool(size_t pool_pages, size_t shard_count) {
+void BenchDb::SwapPool(size_t pool_pages) {
   XR_CHECK_OK(pool_->FlushAll());
   pool_.reset();
-  pool_ = std::make_unique<BufferPool>(&disk_, pool_pages, shard_count);
+  pool_ = std::make_unique<BufferPool>(&disk_, pool_pages);
 }
 
 const char* AlgoName(Algo algo) {

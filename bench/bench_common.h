@@ -36,15 +36,14 @@ BenchEnv GetBenchEnv();
 /// A scratch on-disk database deleted on destruction.
 class BenchDb {
  public:
-  explicit BenchDb(size_t pool_pages, size_t shard_count = 0);
+  explicit BenchDb(size_t pool_pages);
   ~BenchDb();
   BufferPool* pool() { return pool_.get(); }
   DiskManager* disk() { return &disk_; }
 
   /// Drops the current pool (flushing) and attaches a fresh, cold one of
-  /// `pool_pages` frames (and `shard_count` shards, 0 = auto) over the same
-  /// file.
-  void SwapPool(size_t pool_pages, size_t shard_count = 0);
+  /// `pool_pages` frames over the same file.
+  void SwapPool(size_t pool_pages);
 
  private:
   std::string path_;

@@ -1,20 +1,20 @@
 // Multi-threaded structural-join driver: N reader threads drain a shared
 // queue of join jobs (XR-stack, Stack-Tree-Desc and B+-probe, §6.2's three
-// algorithms) against one shared sharded buffer pool, for thread counts
-// 1..T. Reports throughput scaling and the per-shard hit/miss balance.
+// algorithms) against one shared buffer pool, for thread counts 1..T.
+// Reports throughput scaling; exits 1 on a wrong join result and 2 when
+// 1->T-thread throughput is not monotonic.
 //
 // The workload is deliberately miss-dominated: the pool is smaller than the
 // working set and the disk charges a *blocking* (sleeping) per-access
 // latency, modelling a device that serves independent requests
-// concurrently. Threads therefore overlap their miss waits — which is
-// exactly what the sharded pool permits and a single global pool latch
-// would serialize — so throughput scales with threads even on one core.
+// concurrently. Threads therefore overlap their miss waits — a miss reads
+// with no pool latch held (DESIGN.md §12) — so throughput scales with
+// threads even on one core.
 //
 // Environment knobs:
 //   XR_CONC_SCALE            elements per dataset side (default 40000)
 //   XR_CONC_THREADS          max reader threads T (default 4)
 //   XR_CONC_POOL             shared pool size in pages (default 128)
-//   XR_CONC_SHARDS           pool shards (default 8)
 //   XR_CONC_JOBS             join jobs per thread-count round (default 8)
 //   XR_CONC_MISS_LATENCY_US  blocking per-disk-access latency (default 250)
 
@@ -94,16 +94,15 @@ int main(int argc, char** argv) {
   const uint64_t scale = EnvU64("XR_CONC_SCALE", 40000);
   const uint64_t max_threads = EnvU64("XR_CONC_THREADS", 4);
   const uint64_t pool_pages = EnvU64("XR_CONC_POOL", 128);
-  const uint64_t shards = EnvU64("XR_CONC_SHARDS", 8);
   const uint64_t jobs_per_round = EnvU64("XR_CONC_JOBS", 8);
   const uint64_t miss_latency_us = EnvU64("XR_CONC_MISS_LATENCY_US", 250);
 
-  PrintHeader("Concurrent structural joins over one shared sharded pool");
+  PrintHeader("Concurrent structural joins over one shared pool");
   std::printf(
-      "scale=%llu elements/side, pool=%llu pages x %llu shards, "
+      "scale=%llu elements/side, pool=%llu pages, "
       "%llu jobs/round, blocking miss latency=%llu us\n",
       (unsigned long long)scale, (unsigned long long)pool_pages,
-      (unsigned long long)shards, (unsigned long long)jobs_per_round,
+      (unsigned long long)jobs_per_round,
       (unsigned long long)miss_latency_us);
 
   auto ds = MakeDepartmentDataset(scale);
@@ -131,7 +130,7 @@ int main(int argc, char** argv) {
   db.disk()->SetLatency(latency);
 
   // Single-threaded ground truth for result verification.
-  db.SwapPool(pool_pages, shards);
+  db.SwapPool(pool_pages);
   std::vector<uint64_t> expected(3);
   for (size_t algo = 0; algo < 3; ++algo) {
     expected[algo] = RunOneJoin(db.pool(), a, d, algo);
@@ -150,7 +149,7 @@ int main(int argc, char** argv) {
 
   std::vector<std::string> round_json;
   for (uint64_t threads : thread_counts) {
-    db.SwapPool(pool_pages, shards);  // cold, identical start for each round
+    db.SwapPool(pool_pages);  // cold, identical start for each round
     BufferPool* pool = db.pool();
     IoStats before = pool->stats();
     std::atomic<size_t> next_job{0};
@@ -191,23 +190,11 @@ int main(int argc, char** argv) {
     round_json.push_back(o.Dump());
   }
 
-  std::printf("\nPer-shard balance (final round):\n");
-  BufferPool* pool = db.pool();
-  for (size_t s = 0; s < pool->shard_count(); ++s) {
-    IoStats ss = pool->shard_stats(s);
-    uint64_t total = ss.buffer_hits + ss.buffer_misses;
-    double hit_rate =
-        total == 0 ? 0.0 : 100.0 * ss.buffer_hits / static_cast<double>(total);
-    std::printf("  shard %2zu: %9llu accesses, %5.1f%% hit rate\n", s,
-                (unsigned long long)total, hit_rate);
-  }
-
   if (!json_path.empty()) {
     JsonObject top;
     top.Set("bench", "concurrent_joins");
     top.Set("scale", scale);
     top.Set("pool_pages", pool_pages);
-    top.Set("shards", shards);
     top.Set("jobs_per_round", jobs_per_round);
     top.Set("miss_latency_us", miss_latency_us);
     top.Set("monotonic", monotonic);

@@ -35,7 +35,6 @@
 //   XR_MIX_SCALE   elements per dataset side (default 20000)
 //   XR_MIX_POOL    pool pages (default 4096 — resident working set, so the
 //                  phases measure latching, not I/O)
-//   XR_MIX_SHARDS  pool shards (default 8)
 
 #include <atomic>
 #include <chrono>
@@ -195,14 +194,13 @@ int main(int argc, char** argv) {
   const std::string json_path = ParseJsonPathArg(argc, argv);
   const uint64_t scale = EnvU64("XR_MIX_SCALE", 20000);
   const uint64_t pool_pages = EnvU64("XR_MIX_POOL", 4096);
-  const uint64_t shards = EnvU64("XR_MIX_SHARDS", 8);
 
   PrintHeader("Mixed workload: concurrent joins vs. streaming inserts");
   std::printf(
-      "scale=%llu elements/side, pool=%llu pages x %llu shards, "
+      "scale=%llu elements/side, pool=%llu pages, "
       "%llu readers + %llu writers @ %llu inserts/s each, %.1fs/phase\n",
       (unsigned long long)scale, (unsigned long long)pool_pages,
-      (unsigned long long)shards, (unsigned long long)readers,
+      (unsigned long long)readers,
       (unsigned long long)writers, (unsigned long long)writer_rate, seconds);
 
   auto ds = MakeDepartmentDataset(scale);
@@ -213,7 +211,7 @@ int main(int argc, char** argv) {
   // so writer traffic lands in the middle of the joined key space (real
   // splits on pages the readers are traversing), not in an appendix the
   // readers never visit.
-  BenchDb db(pool_pages, shards);
+  BenchDb db(pool_pages);
   XrTree a_tree(db.pool(), kInvalidPageId);
   XrTree d_tree(db.pool(), kInvalidPageId);
   ElementList d_loaded;

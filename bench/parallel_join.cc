@@ -1,7 +1,7 @@
 // Intra-query parallel structural join driver: ONE ancestor-descendant
 // XR-stack join split across worker threads by ancestor key range
 // (ParallelXrStackJoin), with optional descendant leaf prefetching, against
-// a shared sharded buffer pool. Contrast with bench/concurrent_joins, which
+// a shared buffer pool. Contrast with bench/concurrent_joins, which
 // scales across independent queries; here a single query's latency drops.
 //
 // The measurement pool is smaller than the working set and the disk charges
@@ -23,15 +23,11 @@
 //                 noise allowance). This is the CI regression guard for the
 //                 single-flight read path: prefetch losing at high thread
 //                 counts was the signature of demand misses serializing
-//                 behind the prefetcher under the shard latch.
+//                 behind the prefetcher under the pool latch.
 //
 // Environment knobs:
 //   XR_PAR_SCALE            elements per dataset side (default 60000)
 //   XR_PAR_POOL             shared pool size in pages (default 256)
-//   XR_PAR_SHARDS           pool shards (default 32 — misses read outside
-//                           the latch via the in-flight table, so shards
-//                           only bound hit-path contention; see DESIGN.md
-//                           §10, §12)
 //   XR_PAR_MISS_LATENCY_US  blocking per-disk-access latency (default 5000,
 //                           one 2002-era disk access like XR_MISS_LATENCY_US)
 //   XR_PAR_PREFETCH         leaf read-ahead depth for prefetch rounds
@@ -100,16 +96,15 @@ int main(int argc, char** argv) {
 
   const uint64_t scale = EnvU64("XR_PAR_SCALE", 60000);
   const uint64_t pool_pages = EnvU64("XR_PAR_POOL", 256);
-  const uint64_t shards = EnvU64("XR_PAR_SHARDS", 32);
   const uint64_t miss_latency_us = EnvU64("XR_PAR_MISS_LATENCY_US", 5000);
   const uint64_t prefetch_depth = EnvU64("XR_PAR_PREFETCH", 8);
 
   PrintHeader("Intra-query parallel XR-stack join (range partitioning)");
   std::printf(
-      "scale=%llu elements/side, pool=%llu pages x %llu shards, "
+      "scale=%llu elements/side, pool=%llu pages, "
       "blocking miss latency=%llu us, prefetch depth=%llu\n",
       (unsigned long long)scale, (unsigned long long)pool_pages,
-      (unsigned long long)shards, (unsigned long long)miss_latency_us,
+      (unsigned long long)miss_latency_us,
       (unsigned long long)prefetch_depth);
 
   auto ds = MakeDepartmentDataset(scale);
@@ -136,7 +131,7 @@ int main(int argc, char** argv) {
   db.disk()->SetLatency(latency);
 
   // Serial ground truth (cold pool, same latency model).
-  db.SwapPool(pool_pages, shards);
+  db.SwapPool(pool_pages);
   uint64_t expected_pairs;
   double serial_seconds;
   {
@@ -168,7 +163,7 @@ int main(int argc, char** argv) {
   if (prefetch_depth > 0) depths.push_back(prefetch_depth);
   for (uint64_t threads : thread_counts) {
     for (uint64_t pf : depths) {
-      db.SwapPool(pool_pages, shards);  // cold, identical start each round
+      db.SwapPool(pool_pages);  // cold, identical start each round
       XrTree a_xr(db.pool(), a_root);
       XrTree d_xr(db.pool(), d_root);
       JoinOptions options;
@@ -241,7 +236,6 @@ int main(int argc, char** argv) {
     top.Set("adaptive_prefetch", prefetch_depth > 0);
     top.Set("scale", scale);
     top.Set("pool_pages", pool_pages);
-    top.Set("shards", shards);
     top.Set("miss_latency_us", miss_latency_us);
     top.Set("prefetch_depth", prefetch_depth);
     top.Set("serial_seconds", serial_seconds);

@@ -45,8 +45,8 @@ struct JoinOptions {
 
   /// Intra-query parallelism (ParallelXrStackJoin): number of worker
   /// threads to split the ancestor key space across. <= 1 runs the plain
-  /// serial XR-stack. Workers share the caller's BufferPool, so the pool
-  /// must be the sharded thread-safe configuration (it is by default).
+  /// serial XR-stack. Workers share the caller's BufferPool, which is
+  /// thread-safe.
   uint32_t num_threads = 1;
 
   /// Leaf read-ahead depth for the descendant range scan (XR-stack and its

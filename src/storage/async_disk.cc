@@ -64,7 +64,7 @@ void AsyncDisk::WorkerLoop() {
     ++active_;
     lock.unlock();
     // The device call and the caller's completion run with no AsyncDisk
-    // lock held: completions take shard latches and entry mutexes, and a
+    // lock held: completions take the pool latch and entry mutexes, and a
     // slow device read must not serialize the other workers.
     base_->ReadBatch(op.requests, op.n);
     if (op.completion) op.completion();

@@ -8,55 +8,22 @@
 
 namespace xrtree {
 
-size_t BufferPool::AutoShardCount(size_t pool_size) {
-  // Double the shard count while every shard would still hold at least
-  // kMinFramesPerShard frames. Small pools (the paper's 100-page
-  // configuration and most tests) get one or two shards; tiny pools stay
-  // unsharded so single-threaded eviction tests see exact global LRU.
-  size_t shards = 1;
-  while (shards < kMaxAutoShards &&
-         pool_size / (shards * 2) >= kMinFramesPerShard) {
-    shards *= 2;
-  }
-  return shards;
-}
-
-size_t BufferPool::ShardIndex(PageId page_id) const {
-  // Fibonacci hash: sequential page ids (the common allocation pattern)
-  // spread uniformly instead of striping.
-  uint64_t h = static_cast<uint64_t>(page_id) * 0x9E3779B97F4A7C15ull;
-  return static_cast<size_t>(h >> 32) % shards_.size();
-}
-
-BufferPool::BufferPool(DiskInterface* disk, size_t pool_size,
-                       size_t shard_count)
+BufferPool::BufferPool(DiskInterface* disk, size_t pool_size)
     : BufferPool(disk, [&] {
         BufferPoolOptions o;
         o.pool_size = pool_size;
-        o.shard_count = shard_count;
         return o;
       }()) {}
 
 BufferPool::BufferPool(DiskInterface* disk, const BufferPoolOptions& options)
-    : disk_(disk), pool_size_(options.pool_size), options_(options) {
-  size_t pool_size = options.pool_size;
-  size_t shard_count = options.shard_count;
-  assert(pool_size > 0);
-  if (shard_count == 0) shard_count = AutoShardCount(pool_size);
-  shard_count = std::min(shard_count, pool_size);
-  shards_.reserve(shard_count);
-  for (size_t i = 0; i < shard_count; ++i) {
-    auto shard = std::make_unique<Shard>();
-    // Distribute frames as evenly as possible; the first pool_size % K
-    // shards take one extra.
-    size_t n = pool_size / shard_count + (i < pool_size % shard_count ? 1 : 0);
-    shard->frames.reserve(n);
-    shard->free_frames.reserve(n);
-    for (size_t f = 0; f < n; ++f) {
-      shard->frames.push_back(std::make_unique<Page>());
-      shard->free_frames.push_back(n - 1 - f);  // pop_back yields frame 0
-    }
-    shards_.push_back(std::move(shard));
+    : disk_(disk), options_(options) {
+  const size_t n = options.pool_size;
+  assert(n > 0);
+  frames_.reserve(n);
+  free_frames_.reserve(n);
+  for (size_t f = 0; f < n; ++f) {
+    frames_.push_back(std::make_unique<Page>());
+    free_frames_.push_back(n - 1 - f);  // pop_back yields frame 0
   }
   async_ = std::make_unique<AsyncDisk>(
       disk_, AsyncDiskOptions{kAsyncWorkers, kAsyncQueueDepth});
@@ -64,22 +31,22 @@ BufferPool::BufferPool(DiskInterface* disk, const BufferPoolOptions& options)
 
 BufferPool::~BufferPool() {
   // No caller may still be submitting; draining and joining the async
-  // workers here guarantees no completion can touch shard state once
+  // workers here guarantees no completion can touch pool state once
   // teardown proceeds to the flush.
   async_.reset();
   FlushAll().ok();
 }
 
-bool BufferPool::FindVictim(Shard& s, FrameId* out, bool clean_only) {
-  const size_t n = s.frames.size();
-  s.clock_sweeps.fetch_add(1, std::memory_order_relaxed);
+bool BufferPool::FindVictim(FrameId* out, bool clean_only) {
+  const size_t n = frames_.size();
+  counters_.clock_sweeps.fetch_add(1, std::memory_order_relaxed);
   // Up to two revolutions: the first pass may spend every set reference
   // bit, the second then lands on a victim — unless every frame is
   // free/reserved, pinned, or (for clean_only) dirty.
   for (size_t scanned = 0; scanned < 2 * n; ++scanned) {
-    const FrameId f = s.clock_hand;
-    s.clock_hand = (s.clock_hand + 1) % n;
-    Page* page = s.frames[f].get();
+    const FrameId f = clock_hand_;
+    clock_hand_ = (clock_hand_ + 1) % n;
+    Page* page = frames_[f].get();
     if (page->page_id_ == kInvalidPageId) continue;  // free or reserved
     if (page->pin_count_ != 0) continue;
     if (clean_only && page->is_dirty_) continue;
@@ -108,37 +75,36 @@ Status BufferPool::WriteBack(Page* page) {
   return Status::Ok();
 }
 
-Status BufferPool::EvictFrame(Shard& s, FrameId frame) {
-  Page* page = s.frames[frame].get();
+Status BufferPool::EvictFrame(FrameId frame) {
+  Page* page = frames_[frame].get();
   if (page->is_dirty_) {
     XR_RETURN_IF_ERROR(WriteBack(page));
   }
   if (page->prefetched_) {
     // Prefetched but never fetched: the read-ahead was wasted.
-    s.prefetch_wasted.fetch_add(1, std::memory_order_relaxed);
+    counters_.prefetch_wasted.fetch_add(1, std::memory_order_relaxed);
   }
-  s.page_table.erase(page->page_id_);
+  page_table_.erase(page->page_id_);
   page->Reset();
   return Status::Ok();
 }
 
-bool BufferPool::AcquireFrame(Shard& s, FrameId* out, Status* error) {
+bool BufferPool::AcquireFrame(FrameId* out, Status* error) {
   *error = Status::Ok();
-  if (!s.free_frames.empty()) {
-    *out = s.free_frames.back();
-    s.free_frames.pop_back();
+  if (!free_frames_.empty()) {
+    *out = free_frames_.back();
+    free_frames_.pop_back();
     // Every path returning a frame to the free list must Reset() it first;
     // stale prefetch provenance here would mis-credit prefetch_hits on the
     // frame's next occupant.
-    assert(!s.frames[*out]->prefetched_ &&
-           s.frames[*out]->page_id_ == kInvalidPageId &&
-           s.frames[*out]->pin_count_ == 0 &&
-           "free-list frame not Reset()");
+    assert(!frames_[*out]->prefetched_ &&
+           frames_[*out]->page_id_ == kInvalidPageId &&
+           frames_[*out]->pin_count_ == 0 && "free-list frame not Reset()");
     return true;
   }
   FrameId victim;
-  if (FindVictim(s, &victim)) {
-    *error = EvictFrame(s, victim);
+  if (FindVictim(&victim)) {
+    *error = EvictFrame(victim);
     if (!error->ok()) return false;
     *out = victim;
     return true;
@@ -146,21 +112,19 @@ bool BufferPool::AcquireFrame(Shard& s, FrameId* out, Status* error) {
   return false;  // every frame pinned; caller backs off
 }
 
-std::string BufferPool::ExhaustedMessage(size_t shard_index,
-                                         const Shard& s) const {
+std::string BufferPool::ExhaustedMessage() const {
   size_t pinned = 0;
   size_t reserved = 0;
   {
-    std::lock_guard<std::mutex> lock(s.mu);
-    for (const auto& f : s.frames) {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const auto& f : frames_) {
       if (f->pin_count_ > 0) ++pinned;
     }
-    reserved = s.reserved_frames;
+    reserved = reserved_frames_;
   }
-  return "buffer pool exhausted: every frame of shard " +
-         std::to_string(shard_index) + " unavailable (" +
+  return "buffer pool exhausted: every frame unavailable (" +
          std::to_string(pinned) + " pinned, " + std::to_string(reserved) +
-         " reserved by in-flight reads, " + std::to_string(s.frames.size()) +
+         " reserved by in-flight reads, " + std::to_string(frames_.size()) +
          " frames)";
 }
 
@@ -183,8 +147,7 @@ void BufferPool::CompleteInFlight(const std::shared_ptr<InFlight>& entry) {
   entry->cv.notify_all();
 }
 
-bool BufferPool::CompleteDemandRead(Shard& s,
-                                    const std::shared_ptr<InFlight>& entry,
+bool BufferPool::CompleteDemandRead(const std::shared_ptr<InFlight>& entry,
                                     Page* page, FrameId frame, PageId page_id,
                                     const Status& read, bool from_log) {
   // The world may have changed during the unlatched read — NewPage can have
@@ -194,24 +157,24 @@ bool BufferPool::CompleteDemandRead(Shard& s,
   // budget (staleness means progress elsewhere, not an I/O fault).
   bool stale = false;
   {
-    std::lock_guard<std::mutex> lock(s.mu);
-    s.in_flight.erase(page_id);
-    --s.reserved_frames;
+    std::lock_guard<std::mutex> lock(mu_);
+    in_flight_.erase(page_id);
+    --reserved_frames_;
     Wal* wal = wal_.load(std::memory_order_acquire);
     bool overlay_now = wal != nullptr && wal->HasImage(page_id);
-    stale = s.page_table.find(page_id) != s.page_table.end() ||
+    stale = page_table_.find(page_id) != page_table_.end() ||
             overlay_now != from_log;
     if (read.ok() && !stale) {
       page->page_id_ = page_id;
       page->pin_count_ = 1;  // pinned on behalf of the leader
       page->is_dirty_ = false;
       page->ref_ = false;  // demand install: fetched once, not re-referenced
-      s.page_table[page_id] = frame;
+      page_table_[page_id] = frame;
     } else {
       // Return the frame to the free list instead of leaking it; the
       // leader's retry/repair decision follows.
       page->Reset();
-      s.free_frames.push_back(frame);
+      free_frames_.push_back(frame);
     }
   }
   CompleteInFlight(entry);
@@ -222,8 +185,6 @@ Result<Page*> BufferPool::FetchPage(PageId page_id) {
   if (page_id == kInvalidPageId) {
     return Status::InvalidArgument("FetchPage(kInvalidPageId)");
   }
-  const size_t shard_index = ShardIndex(page_id);
-  Shard& s = *shards_[shard_index];
   // Built on the first retry, so a hit touches no pool-global counter.
   std::optional<RetryState> pin_retry;
   std::optional<RetryState> io_retry;
@@ -241,7 +202,7 @@ Result<Page*> BufferPool::FetchPage(PageId page_id) {
   // requires a whole free/recycle or log-append to land mid-read.
   constexpr int kMaxStaleRetriesPerFetch = 64;
   int stale_retries = 0;
-  // Rounds spent parked on another read's completion when the shard looked
+  // Rounds spent parked on another read's completion when the pool looked
   // exhausted (see the all_pinned branch) — bounded separately from
   // pin_retry, which only meters frames that are genuinely pinned.
   constexpr int kMaxReservedWaitsPerFetch = 256;
@@ -258,63 +219,65 @@ Result<Page*> BufferPool::FetchPage(PageId page_id) {
     bool leader = false;
     bool all_pinned = false;
     {
-      std::lock_guard<std::mutex> lock(s.mu);
-      auto it = s.page_table.find(page_id);
-      if (it != s.page_table.end()) {
-        if (!miss_counted) s.hits.fetch_add(1, std::memory_order_relaxed);
-        Page* hit = s.frames[it->second].get();
+      std::lock_guard<std::mutex> lock(mu_);
+      auto it = page_table_.find(page_id);
+      if (it != page_table_.end()) {
+        if (!miss_counted) {
+          counters_.buffer_hits.fetch_add(1, std::memory_order_relaxed);
+        }
+        Page* hit = frames_[it->second].get();
         if (hit->prefetched_) {
           // First fetch of a read-ahead page: the prefetch paid off.
           hit->prefetched_ = false;
-          s.prefetch_hits.fetch_add(1, std::memory_order_relaxed);
+          counters_.prefetch_hits.fetch_add(1, std::memory_order_relaxed);
         }
         ++hit->pin_count_;
         hit->ref_ = true;  // second chance for the CLOCK sweep
         return hit;
       }
-      auto fl = s.in_flight.find(page_id);
-      if (fl != s.in_flight.end()) {
+      auto fl = in_flight_.find(page_id);
+      if (fl != in_flight_.end()) {
         // Another thread is already reading this page (demand miss or
         // prefetch). Take a reference and park on it below, outside the
         // latch — single-flight: no duplicate read, and fetchers of other
-        // pages in this shard proceed unimpeded.
+        // pages proceed unimpeded.
         entry = fl->second;
       } else {
         Status error;
-        if (AcquireFrame(s, &frame, &error)) {
+        if (AcquireFrame(&frame, &error)) {
           if (!miss_counted) {
-            s.misses.fetch_add(1, std::memory_order_relaxed);
+            counters_.buffer_misses.fetch_add(1, std::memory_order_relaxed);
             miss_counted = true;
           }
-          // Reserve the frame (it is in neither page_table nor
-          // free_frames, so no other thread can touch it) and publish the
+          // Reserve the frame (it is in neither page_table_ nor
+          // free_frames_, so no other thread can touch it) and publish the
           // in-flight entry, then drop the latch for the read.
-          page = s.frames[frame].get();
+          page = frames_[frame].get();
           entry = std::make_shared<InFlight>();
-          s.in_flight.emplace(page_id, entry);
-          ++s.reserved_frames;
+          in_flight_.emplace(page_id, entry);
+          ++reserved_frames_;
           leader = true;
         } else if (!error.ok()) {
           return error;  // eviction write-back failed
         } else {
           all_pinned = true;
-          if (s.reserved_frames > 0 && !s.in_flight.empty()) {
+          if (reserved_frames_ > 0 && !in_flight_.empty()) {
             // At least one unavailable frame is only *reserved* by an
             // in-flight read, not pinned; it comes back (installed unpinned
             // or returned to the free list) when that read completes.
-            reserved_wait = s.in_flight.begin()->second;
+            reserved_wait = in_flight_.begin()->second;
           }
         }
       }
     }
     if (all_pinned) {
-      // Every frame of this shard is unavailable — transient under
+      // Every frame of the pool is unavailable — transient under
       // concurrency: back off and retry until the bound, then surface pool
       // pressure. When part of the unavailability is frames reserved by
       // in-flight reads, park on a completion instead — those frames
       // return in bounded time, so burning pin-retry budget against them
-      // would make small shards fail spuriously under read bursts.
-      s.exhausted_waits.fetch_add(1, std::memory_order_relaxed);
+      // would make small pools fail spuriously under read bursts.
+      counters_.pool_exhausted_waits.fetch_add(1, std::memory_order_relaxed);
       if (reserved_wait && ++reserved_waits <= kMaxReservedWaitsPerFetch) {
         std::unique_lock<std::mutex> wait_lock(reserved_wait->mu);
         reserved_wait->cv.wait(wait_lock, [&] { return reserved_wait->done; });
@@ -322,7 +285,7 @@ Result<Page*> BufferPool::FetchPage(PageId page_id) {
       }
       uint64_t delay;
       if (!NextRetry(&pin_retry, options_.pin_retry, page_id, &delay)) {
-        return Status::ResourceExhausted(ExhaustedMessage(shard_index, s));
+        return Status::ResourceExhausted(ExhaustedMessage());
       }
       BackoffSleep(delay);
       continue;
@@ -347,11 +310,11 @@ Result<Page*> BufferPool::FetchPage(PageId page_id) {
       }
       if (freed) {
         {
-          std::lock_guard<std::mutex> lock(s.mu);
-          s.in_flight.erase(page_id);
-          --s.reserved_frames;
+          std::lock_guard<std::mutex> lock(mu_);
+          in_flight_.erase(page_id);
+          --reserved_frames_;
           page->Reset();
-          s.free_frames.push_back(frame);
+          free_frames_.push_back(frame);
         }
         CompleteInFlight(entry);
         return Status::NotFound("FetchPage: page " + std::to_string(page_id) +
@@ -381,7 +344,7 @@ Result<Page*> BufferPool::FetchPage(PageId page_id) {
     }
     if (read.ok()) read = VerifyPageTrailer(page->data_, page_id);
     const bool stale =
-        CompleteDemandRead(s, entry, page, frame, page_id, read, from_log);
+        CompleteDemandRead(entry, page, frame, page_id, read, from_log);
     if (stale) {
       if (++stale_retries > kMaxStaleRetriesPerFetch) {
         return Status::Aborted(
@@ -397,7 +360,7 @@ Result<Page*> BufferPool::FetchPage(PageId page_id) {
       if (!NextRetry(&io_retry, options_.io_retry, page_id, &delay)) {
         return read;  // retry budget exhausted
       }
-      io_retries_.fetch_add(1, std::memory_order_relaxed);
+      counters_.io_retries.fetch_add(1, std::memory_order_relaxed);
       BackoffSleep(delay);
       continue;
     }
@@ -421,10 +384,10 @@ Status BufferPool::RepairCorruptPage(PageId page_id, const Status& cause) {
   {
     std::lock_guard<std::mutex> lock(quarantine_mu_);
     if (quarantined_.insert(page_id).second) {
-      pages_quarantined_.fetch_add(1, std::memory_order_relaxed);
+      counters_.pages_quarantined.fetch_add(1, std::memory_order_relaxed);
     }
   }
-  repairs_attempted_.fetch_add(1, std::memory_order_relaxed);
+  counters_.repairs_attempted.fetch_add(1, std::memory_order_relaxed);
 
   alignas(8) char buf[kPageSize];
   bool repaired = false;
@@ -462,7 +425,7 @@ Status BufferPool::RepairCorruptPage(PageId page_id, const Status& cause) {
         " failed its integrity check and no clean image exists (" +
         cause.ToString() + ")");
   }
-  repairs_succeeded_.fetch_add(1, std::memory_order_relaxed);
+  counters_.repairs_succeeded.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(quarantine_mu_);
   quarantined_.erase(page_id);
   return Status::Ok();
@@ -484,7 +447,7 @@ Result<Page*> BufferPool::NewPage() {
   // Take a page id first: recycle from the free list before extending the
   // file. A free-list entry that is somehow still resident is in use — drop
   // it rather than reissue it. The allocator lock is never held together
-  // with a shard latch.
+  // with the pool latch.
   PageId page_id = kInvalidPageId;
   bool recycled = false;
   for (;;) {
@@ -501,18 +464,15 @@ Result<Page*> BufferPool::NewPage() {
       page_id = disk_->AllocatePage();
       break;
     }
-    Shard& s = *shards_[ShardIndex(page_id)];
-    std::lock_guard<std::mutex> lock(s.mu);
-    if (s.page_table.find(page_id) == s.page_table.end()) break;
+    std::lock_guard<std::mutex> lock(mu_);
+    if (page_table_.find(page_id) == page_table_.end()) break;
     recycled = false;  // stale entry: skip it, try the next candidate
   }
 
-  const size_t shard_index = ShardIndex(page_id);
-  Shard& s = *shards_[shard_index];
   std::optional<RetryState> pin_retry;  // built on the first retry
   for (;;) {
     {
-      std::lock_guard<std::mutex> lock(s.mu);
+      std::lock_guard<std::mutex> lock(mu_);
       FrameId frame;
       Status error;
       bool have = false;
@@ -528,22 +488,22 @@ Result<Page*> BufferPool::NewPage() {
       // the racing frame in place instead. A read still in flight needs no
       // handling here: its completion re-validates residency under this
       // same latch and discards the image once we are installed.
-      auto it = s.page_table.find(page_id);
-      if (it != s.page_table.end()) {
-        Page* resident = s.frames[it->second].get();
+      auto it = page_table_.find(page_id);
+      if (it != page_table_.end()) {
+        Page* resident = frames_[it->second].get();
         if (resident->pin_count_ == 0) {
           frame = it->second;
           if (resident->prefetched_) {
-            s.prefetch_wasted.fetch_add(1, std::memory_order_relaxed);
+            counters_.prefetch_wasted.fetch_add(1, std::memory_order_relaxed);
           }
-          s.page_table.erase(it);
+          page_table_.erase(it);
           resident->Reset();
           have = true;
         }
         // Pinned resident frame: a racing fetcher still holds the
-        // superseded install; treated like a fully pinned shard — back
+        // superseded install; treated like a fully pinned pool — back
         // off below until the pin drops.
-      } else if (AcquireFrame(s, &frame, &error)) {
+      } else if (AcquireFrame(&frame, &error)) {
         have = true;
       } else if (!error.ok()) {
         return error;
@@ -555,18 +515,18 @@ Result<Page*> BufferPool::NewPage() {
           Wal* wal = wal_.load(std::memory_order_acquire);
           if (wal != nullptr) wal->SuppressOverlay(page_id);
         }
-        Page* page = s.frames[frame].get();
+        Page* page = frames_[frame].get();
         page->Reset();
         page->page_id_ = page_id;
         page->pin_count_ = 1;
         page->is_dirty_ = true;  // ensure the zeroed page reaches disk
         // A brand-new page starts with ref_ clear (Reset did that): it has
         // been touched once, exactly like a demand-installed page.
-        s.page_table[page_id] = frame;
+        page_table_[page_id] = frame;
         return page;
       }
     }
-    s.exhausted_waits.fetch_add(1, std::memory_order_relaxed);
+    counters_.pool_exhausted_waits.fetch_add(1, std::memory_order_relaxed);
     uint64_t delay;
     if (!NextRetry(&pin_retry, options_.pin_retry, page_id, &delay)) break;
     BackoffSleep(delay);
@@ -580,24 +540,23 @@ Result<Page*> BufferPool::NewPage() {
       free_pages_.push_back(page_id);
     }
   }
-  return Status::ResourceExhausted(ExhaustedMessage(shard_index, s));
+  return Status::ResourceExhausted(ExhaustedMessage());
 }
 
-bool BufferPool::AcquireCleanFrame(Shard& s, FrameId* out) {
-  if (!s.free_frames.empty()) {
-    *out = s.free_frames.back();
-    s.free_frames.pop_back();
-    assert(!s.frames[*out]->prefetched_ &&
-           s.frames[*out]->page_id_ == kInvalidPageId &&
-           s.frames[*out]->pin_count_ == 0 &&
-           "free-list frame not Reset()");
+bool BufferPool::AcquireCleanFrame(FrameId* out) {
+  if (!free_frames_.empty()) {
+    *out = free_frames_.back();
+    free_frames_.pop_back();
+    assert(!frames_[*out]->prefetched_ &&
+           frames_[*out]->page_id_ == kInvalidPageId &&
+           frames_[*out]->pin_count_ == 0 && "free-list frame not Reset()");
     return true;
   }
   FrameId victim;
-  if (FindVictim(s, &victim, /*clean_only=*/true)) {
+  if (FindVictim(&victim, /*clean_only=*/true)) {
     // Clean victim: EvictFrame will not write back (and therefore cannot
     // touch the WAL from a read-ahead path).
-    if (!EvictFrame(s, victim).ok()) return false;
+    if (!EvictFrame(victim).ok()) return false;
     *out = victim;
     return true;
   }
@@ -634,13 +593,12 @@ void BufferPool::PrefetchBatchAsync(const std::vector<PageId>& ids) {
   // rest. Registration also dedupes repeated ids within the batch.
   for (const PageId id : ids) {
     if (id == kInvalidPageId || id >= num_pages) continue;
-    Shard& s = *shards_[ShardIndex(id)];
-    std::lock_guard<std::mutex> lock(s.mu);
-    if (s.page_table.count(id) != 0 || s.in_flight.count(id) != 0) continue;
+    std::lock_guard<std::mutex> lock(mu_);
+    if (page_table_.count(id) != 0 || in_flight_.count(id) != 0) continue;
     Slot slot;
     slot.page_id = id;
     slot.entry = std::make_shared<InFlight>();
-    s.in_flight.emplace(id, slot.entry);
+    in_flight_.emplace(id, slot.entry);
     slots.push_back(std::move(slot));
   }
   if (slots.empty()) return;
@@ -680,7 +638,7 @@ void BufferPool::PrefetchBatchAsync(const std::vector<PageId>& ids) {
   }
 
   // Phase 3 (per slot, usually on a completion worker): install the image
-  // unpinned under its shard latch, with the same re-validation as the
+  // unpinned under the pool latch, with the same re-validation as the
   // demand path (the id can have been recycled by NewPage, the overlay
   // flipped by FreePage/LogPageImage, mid-read). Best-effort contract: any
   // failure installs nothing — the demand fetch pays the miss and surfaces
@@ -691,34 +649,33 @@ void BufferPool::PrefetchBatchAsync(const std::vector<PageId>& ids) {
     bool resident = false;
     bool stale = false;
     {
-      Shard& s = *shards_[ShardIndex(slot.page_id)];
-      std::lock_guard<std::mutex> lock(s.mu);
-      s.in_flight.erase(slot.page_id);
+      std::lock_guard<std::mutex> lock(mu_);
+      in_flight_.erase(slot.page_id);
       Wal* wal_now = wal_.load(std::memory_order_acquire);
       bool overlay_now = wal_now != nullptr && wal_now->HasImage(slot.page_id);
-      if (s.page_table.find(slot.page_id) != s.page_table.end()) {
+      if (page_table_.find(slot.page_id) != page_table_.end()) {
         resident = true;  // NewPage recycled the id mid-read
       } else if (overlay_now != slot.from_log) {
         stale = true;  // wrong source: drop the image, no error
       } else if (read.ok()) {
         FrameId frame;
-        if (AcquireCleanFrame(s, &frame)) {
-          Page* page = s.frames[frame].get();
+        if (AcquireCleanFrame(&frame)) {
+          Page* page = frames_[frame].get();
           std::memcpy(page->data_, slot.buf, kPageSize);
           page->page_id_ = slot.page_id;
           page->pin_count_ = 0;
           page->is_dirty_ = false;
           page->prefetched_ = true;
           page->ref_ = true;  // read ahead *for* a fetch: one sweep of grace
-          s.page_table[slot.page_id] = frame;
-          s.prefetch_issued.fetch_add(1, std::memory_order_relaxed);
+          page_table_[slot.page_id] = frame;
+          counters_.prefetch_issued.fetch_add(1, std::memory_order_relaxed);
           resident = true;
         }
       }
     }
     CompleteInFlight(slot.entry);
     if (!resident && !stale && !read.ok()) {
-      prefetch_errors_.fetch_add(1, std::memory_order_relaxed);
+      counters_.prefetch_errors.fetch_add(1, std::memory_order_relaxed);
     }
   };
 
@@ -756,13 +713,12 @@ void BufferPool::PrefetchBatchAsync(const std::vector<PageId>& ids) {
 void BufferPool::WaitForPrefetchIdle() { async_->Drain(); }
 
 Status BufferPool::UnpinPage(PageId page_id, bool dirty) {
-  Shard& s = *shards_[ShardIndex(page_id)];
-  std::lock_guard<std::mutex> lock(s.mu);
-  auto it = s.page_table.find(page_id);
-  if (it == s.page_table.end()) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = page_table_.find(page_id);
+  if (it == page_table_.end()) {
     return Status::InvalidArgument("UnpinPage: page not resident");
   }
-  Page* page = s.frames[it->second].get();
+  Page* page = frames_[it->second].get();
   if (page->pin_count_ <= 0) {
     return Status::InvalidArgument("UnpinPage: pin count already zero");
   }
@@ -773,47 +729,47 @@ Status BufferPool::UnpinPage(PageId page_id, bool dirty) {
 
 Status BufferPool::FlushPage(PageId page_id) {
   std::unique_lock<std::shared_mutex> barrier(commit_mu_);
-  Shard& s = *shards_[ShardIndex(page_id)];
-  std::lock_guard<std::mutex> lock(s.mu);
-  auto it = s.page_table.find(page_id);
-  if (it == s.page_table.end()) return Status::Ok();  // not resident: no-op
-  Page* page = s.frames[it->second].get();
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = page_table_.find(page_id);
+  if (it == page_table_.end()) return Status::Ok();  // not resident: no-op
+  Page* page = frames_[it->second].get();
   if (page->is_dirty_) {
     XR_RETURN_IF_ERROR(WriteBack(page));
   }
   return Status::Ok();
 }
 
-Status BufferPool::FlushAll() {
-  std::unique_lock<std::shared_mutex> barrier(commit_mu_);
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    for (auto& [page_id, frame] : shard->page_table) {
-      Page* page = shard->frames[frame].get();
-      if (page->is_dirty_) {
-        XR_RETURN_IF_ERROR(WriteBack(page));
-      }
+Status BufferPool::WriteBackAllDirty() {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (auto& [page_id, frame] : page_table_) {
+    Page* page = frames_[frame].get();
+    if (page->is_dirty_) {
+      XR_RETURN_IF_ERROR(WriteBack(page));
     }
   }
   return Status::Ok();
 }
 
+Status BufferPool::FlushAll() {
+  std::unique_lock<std::shared_mutex> barrier(commit_mu_);
+  return WriteBackAllDirty();
+}
+
 Status BufferPool::DiscardPage(PageId page_id) {
-  Shard& s = *shards_[ShardIndex(page_id)];
-  std::lock_guard<std::mutex> lock(s.mu);
-  auto it = s.page_table.find(page_id);
-  if (it == s.page_table.end()) return Status::Ok();
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = page_table_.find(page_id);
+  if (it == page_table_.end()) return Status::Ok();
   FrameId frame = it->second;
-  Page* page = s.frames[frame].get();
+  Page* page = frames_[frame].get();
   if (page->pin_count_ > 0) {
     return Status::InvalidArgument("DiscardPage: page is pinned");
   }
   if (page->prefetched_) {
-    s.prefetch_wasted.fetch_add(1, std::memory_order_relaxed);
+    counters_.prefetch_wasted.fetch_add(1, std::memory_order_relaxed);
   }
-  s.page_table.erase(it);
+  page_table_.erase(it);
   page->Reset();
-  s.free_frames.push_back(frame);
+  free_frames_.push_back(frame);
   return Status::Ok();
 }
 
@@ -822,21 +778,20 @@ Status BufferPool::FreePage(PageId page_id) {
     return Status::InvalidArgument("FreePage: reserved or invalid page id");
   }
   {
-    Shard& s = *shards_[ShardIndex(page_id)];
-    std::lock_guard<std::mutex> lock(s.mu);
-    auto it = s.page_table.find(page_id);
-    if (it != s.page_table.end()) {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = page_table_.find(page_id);
+    if (it != page_table_.end()) {
       FrameId frame = it->second;
-      Page* page = s.frames[frame].get();
+      Page* page = frames_[frame].get();
       if (page->pin_count_ > 0) {
         return Status::InvalidArgument("FreePage: page is pinned");
       }
       if (page->prefetched_) {
-        s.prefetch_wasted.fetch_add(1, std::memory_order_relaxed);
+        counters_.prefetch_wasted.fetch_add(1, std::memory_order_relaxed);
       }
-      s.page_table.erase(it);
+      page_table_.erase(it);
       page->Reset();
-      s.free_frames.push_back(frame);
+      free_frames_.push_back(frame);
     }
   }
   // The log may hold an image of the page from before the free; once the id
@@ -894,17 +849,9 @@ Status BufferPool::Commit() {
   // logical update, including pages that were never evicted. The exclusive
   // commit barrier holds off every tree write operation (they hold it
   // shared), so each image logged here is from a completed op — never a
-  // half-applied split; the shard latches only fence off readers.
+  // half-applied split; the pool latch only fences off readers.
   std::unique_lock<std::shared_mutex> barrier(commit_mu_);
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    for (auto& [page_id, frame] : shard->page_table) {
-      Page* page = shard->frames[frame].get();
-      if (page->is_dirty_) {
-        XR_RETURN_IF_ERROR(WriteBack(page));
-      }
-    }
-  }
+  XR_RETURN_IF_ERROR(WriteBackAllDirty());
   XR_RETURN_IF_ERROR(wal->Commit());
   if (wal->needs_checkpoint()) {
     XR_RETURN_IF_ERROR(wal->Checkpoint(disk_));
@@ -923,57 +870,21 @@ Status BufferPool::Checkpoint() {
 
 IoStats BufferPool::stats() const {
   IoStats merged = disk_->stats();
-  for (const auto& shard : shards_) {
-    merged.buffer_hits += shard->hits.load(std::memory_order_relaxed);
-    merged.buffer_misses += shard->misses.load(std::memory_order_relaxed);
-    merged.pool_exhausted_waits +=
-        shard->exhausted_waits.load(std::memory_order_relaxed);
-    merged.prefetch_issued +=
-        shard->prefetch_issued.load(std::memory_order_relaxed);
-    merged.prefetch_hits +=
-        shard->prefetch_hits.load(std::memory_order_relaxed);
-    merged.prefetch_wasted +=
-        shard->prefetch_wasted.load(std::memory_order_relaxed);
-    merged.clock_sweeps += shard->clock_sweeps.load(std::memory_order_relaxed);
-  }
-  merged.failed_unpins += failed_unpins_.load(std::memory_order_relaxed);
-  merged.prefetch_errors += prefetch_errors_.load(std::memory_order_relaxed);
-  merged.io_retries += io_retries_.load(std::memory_order_relaxed);
-  merged.repairs_attempted +=
-      repairs_attempted_.load(std::memory_order_relaxed);
-  merged.repairs_succeeded +=
-      repairs_succeeded_.load(std::memory_order_relaxed);
-  merged.pages_quarantined +=
-      pages_quarantined_.load(std::memory_order_relaxed);
+  merged += counters_.Snapshot();
   return merged;
 }
 
-IoStats BufferPool::shard_stats(size_t shard) const {
-  IoStats s;
-  const Shard& sh = *shards_[shard];
-  s.buffer_hits = sh.hits.load(std::memory_order_relaxed);
-  s.buffer_misses = sh.misses.load(std::memory_order_relaxed);
-  s.pool_exhausted_waits = sh.exhausted_waits.load(std::memory_order_relaxed);
-  s.prefetch_issued = sh.prefetch_issued.load(std::memory_order_relaxed);
-  s.prefetch_hits = sh.prefetch_hits.load(std::memory_order_relaxed);
-  s.prefetch_wasted = sh.prefetch_wasted.load(std::memory_order_relaxed);
-  s.clock_sweeps = sh.clock_sweeps.load(std::memory_order_relaxed);
-  return s;
-}
-
 void BufferPool::NoteFailedUnpin(const Status& error) {
-  failed_unpins_.fetch_add(1, std::memory_order_relaxed);
+  counters_.failed_unpins.fetch_add(1, std::memory_order_relaxed);
   (void)error;
   assert(false && "PageGuard release: UnpinPage failed (pin leak)");
 }
 
 size_t BufferPool::pinned_frames() const {
+  std::lock_guard<std::mutex> lock(mu_);
   size_t n = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    for (const auto& f : shard->frames) {
-      if (f->pin_count_ > 0) ++n;
-    }
+  for (const auto& f : frames_) {
+    if (f->pin_count_ > 0) ++n;
   }
   return n;
 }

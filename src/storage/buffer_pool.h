@@ -29,16 +29,14 @@ namespace xrtree {
 /// surface.
 struct BufferPoolOptions {
   size_t pool_size = 256;
-  /// 0 picks automatically — see the BufferPool constructor comment.
-  size_t shard_count = 0;
   /// Retry schedule for *retryable* I/O errors (Status::IsRetryable) on the
-  /// demand-fetch miss path. Sleeps happen outside the shard latch. The
+  /// demand-fetch miss path. Sleeps happen outside the pool latch. The
   /// defaults absorb EINTR-style blips in ~a few hundred µs and give up
   /// within 50 ms.
   RetryPolicy io_retry{/*max_retries=*/4, /*yield_retries=*/0,
                        /*initial_delay_us=*/100, /*max_delay_us=*/2000,
                        /*deadline_us=*/50000};
-  /// Retry schedule for a fully pinned shard (every frame pinned by other
+  /// Retry schedule for a fully pinned pool (every frame pinned by other
   /// threads). Mirrors the historical behaviour: 16 yields then short
   /// fixed sleeps, bounded by attempt count, no deadline.
   RetryPolicy pin_retry{/*max_retries=*/128, /*yield_retries=*/16,
@@ -67,10 +65,11 @@ struct BufferPoolOptions {
 /// bounded number of times and then fails with Status::ResourceExhausted
 /// (the index code never pins more than a handful of pages at once).
 ///
-/// Concurrency: the pool is sharded into K latch-protected sub-pools, page
-/// ids hashed to shards. Each shard owns a fixed set of frames, its page
-/// table, CLOCK hand and free-frame list under one small mutex, so readers
-/// touching different shards never contend. Hit/miss counters are relaxed
+/// Concurrency: one mutex (the pool latch) guards the frames, the page
+/// table, the CLOCK hand, the free-frame list and the in-flight table. It is
+/// held only for a hash lookup and a pin on a hit; a miss reads the disk
+/// with no latch held (DESIGN.md §12), so one global CLOCK domain — the
+/// paper's single buffer — costs no I/O concurrency. Counters are relaxed
 /// atomics outside any lock. Any number of threads may Fetch/Unpin
 /// concurrently. Structural mutation (NewPage/FreePage id allocation)
 /// serializes only on a small allocator lock. Page *contents* are guarded by per-page latches
@@ -98,11 +97,8 @@ struct BufferPoolOptions {
 /// deleted pages stop leaking.
 class BufferPool {
  public:
-  /// `shard_count` = 0 picks automatically: 1 for small pools (preserving
-  /// exact single-sweep behaviour), growing with capacity so each shard
-  /// keeps a meaningful frame set (at least kMinFramesPerShard frames).
-  BufferPool(DiskInterface* disk, size_t pool_size, size_t shard_count = 0);
-  /// Full-options constructor; the size/shard form above delegates here
+  BufferPool(DiskInterface* disk, size_t pool_size);
+  /// Full-options constructor; the size-only form above delegates here
   /// with default retry policies.
   BufferPool(DiskInterface* disk, const BufferPoolOptions& options);
   ~BufferPool();
@@ -117,7 +113,7 @@ class BufferPool {
   /// non-resident page of `ids` unpinned so a later FetchPage hits instead
   /// of paying a blocking miss. Strictly weaker than FetchPage: invalid,
   /// unallocated, resident and already-in-flight ids are skipped; a page
-  /// whose shard has no free or clean-evictable frame is skipped (prefetch
+  /// that finds no free or clean-evictable frame is skipped (prefetch
   /// never writes back a dirty victim, so it never touches the WAL); and a
   /// page whose read or integrity check fails is skipped (the eventual real
   /// fetch surfaces the error). The pages are registered in-flight and each
@@ -185,8 +181,7 @@ class BufferPool {
   /// log. Call after Commit(). Requires an attached Wal.
   Status Checkpoint();
 
-  size_t pool_size() const { return pool_size_; }
-  size_t shard_count() const { return shards_.size(); }
+  size_t pool_size() const { return frames_.size(); }
   DiskInterface* disk() const { return disk_; }
   const BufferPoolOptions& options() const { return options_; }
 
@@ -210,13 +205,6 @@ class BufferPool {
   /// monotonic relaxed atomic; measure intervals by snapshot subtraction
   /// (IoStats::operator- saturates).
   IoStats stats() const;
-
-  /// Hit/miss/wait counters of one shard (per-shard balance reporting in
-  /// the concurrent benches). `shard` < shard_count().
-  IoStats shard_stats(size_t shard) const;
-
-  /// Shard a page id maps to (for tests and bench reporting).
-  size_t ShardOf(PageId page_id) const { return ShardIndex(page_id); }
 
   /// Number of currently pinned frames (for tests/assertions).
   size_t pinned_frames() const;
@@ -243,20 +231,15 @@ class BufferPool {
     free_epoch_.fetch_add(1, std::memory_order_acq_rel);
   }
 
-  /// Auto-sharding keeps at least this many frames per shard.
-  static constexpr size_t kMinFramesPerShard = 32;
-  /// Auto-sharding cap (beyond ~16 latches contention is elsewhere).
-  static constexpr size_t kMaxAutoShards = 16;
-
  private:
   using FrameId = size_t;
 
-  /// One in-flight page read (see DESIGN.md §12). Registered in its shard's
-  /// `in_flight` map under the shard latch before the reader drops the
+  /// One in-flight page read (see DESIGN.md §12). Registered in
+  /// `in_flight_` under the pool latch before the reader drops the
   /// latch to do the I/O; concurrent fetchers of the same page find the
   /// entry and park on `cv` instead of issuing a duplicate read
   /// (single-flight). The reader always completes the entry — erase from
-  /// the map under the shard latch, then set `done` and notify — whether
+  /// the map under the pool latch, then set `done` and notify — whether
   /// the read succeeded, failed, or turned out stale; woken waiters simply
   /// re-run their fetch loop (the common outcome is a pool hit).
   struct InFlight {
@@ -265,60 +248,29 @@ class BufferPool {
     bool done = false;  // guarded by mu
   };
 
-  /// One latch-protected sub-pool. Everything inside is guarded by `mu`
-  /// except the trailing counters, which are relaxed atomics so stats()
-  /// never takes a latch.
-  struct Shard {
-    mutable std::mutex mu;
-    /// The shard's frames, fixed at construction (heap-allocated Pages, so
-    /// a Page pointer captured under the latch stays valid after it).
-    std::vector<std::unique_ptr<Page>> frames;
-    std::unordered_map<PageId, FrameId> page_table;
-    /// Second-chance sweep position (CLOCK replacement, DESIGN.md §13).
-    FrameId clock_hand = 0;
-    std::vector<FrameId> free_frames;
-    /// Reads currently in flight for pages of this shard, demand misses and
-    /// prefetches alike. Holders keep shared_ptr copies so an entry stays
-    /// valid for parked waiters after the reader erases it from the map.
-    std::unordered_map<PageId, std::shared_ptr<InFlight>> in_flight;
-    /// Frames reserved by in-flight demand reads: unpinned, but in neither
-    /// page_table nor free_frames until the read completes. Counted
-    /// so pool-exhaustion handling can tell "pinned forever until someone
-    /// unpins" apart from "returns when the read lands" (guarded by mu).
-    size_t reserved_frames = 0;
-
-    std::atomic<uint64_t> hits{0};
-    std::atomic<uint64_t> misses{0};
-    std::atomic<uint64_t> exhausted_waits{0};
-    std::atomic<uint64_t> prefetch_issued{0};
-    std::atomic<uint64_t> prefetch_hits{0};
-    std::atomic<uint64_t> prefetch_wasted{0};
-    std::atomic<uint64_t> clock_sweeps{0};
-  };
-
-  static size_t AutoShardCount(size_t pool_size);
-  size_t ShardIndex(PageId page_id) const;
-
   // Victim selection: second-chance CLOCK sweep — the hand skips empty,
   // reserved and pinned slots, clears set reference bits, and picks the
   // first unpinned resident frame whose bit is already clear (at most two
   // revolutions). `clean_only` additionally skips dirty frames (the
-  // prefetch path must never write back). Shard latch held.
-  bool FindVictim(Shard& s, FrameId* out, bool clean_only = false);
+  // prefetch path must never write back). Latch held.
+  bool FindVictim(FrameId* out, bool clean_only = false);
   // Evicts the current occupant of `frame` (flushing if dirty). Latch held.
-  Status EvictFrame(Shard& s, FrameId frame);
+  Status EvictFrame(FrameId frame);
   // Stamps the integrity trailer and writes the frame's page out. Latch held.
   Status WriteBack(Page* page);
-  // Grabs a free or evictable frame in `s`. On success `*out` is a reset
+  // WriteBack of every dirty resident page (FlushAll, Commit). Takes the
+  // latch; the caller holds the commit barrier exclusively.
+  Status WriteBackAllDirty();
+  // Grabs a free or evictable frame. On success `*out` is a reset
   // frame. Returns false with *error OK when every frame is pinned
   // (caller backs off and retries), false with *error set when an eviction
   // write-back failed. Latch held.
-  bool AcquireFrame(Shard& s, FrameId* out, Status* error);
+  bool AcquireFrame(FrameId* out, Status* error);
 
-  // Builds the ResourceExhausted message for a shard whose every frame is
+  // Builds the ResourceExhausted message for a pool whose every frame is
   // unavailable, with a pinned-frame and reserved-frame census (takes the
-  // shard latch; call without it held).
-  std::string ExhaustedMessage(size_t shard_index, const Shard& s) const;
+  // pool latch; call without it held).
+  std::string ExhaustedMessage() const;
 
   // Next delay of a retry schedule that is built on its first use: an
   // operation that never retries (every pool hit) never touches the
@@ -329,7 +281,7 @@ class BufferPool {
                  PageId page_id, uint64_t* delay);
 
   // Quarantine + repair of a page whose image failed its integrity check.
-  // Runs outside any shard latch (serialized by repair_mu_): bounded clean
+  // Runs outside the pool latch (serialized by repair_mu_): bounded clean
   // re-reads from the data file first, then the newest WAL repair image
   // (reinstalled to the data file and re-verified). On success the page
   // leaves quarantine and the caller's fetch loop retries; otherwise
@@ -337,23 +289,23 @@ class BufferPool {
   Status RepairCorruptPage(PageId page_id, const Status& cause);
 
   // Marks an in-flight entry done and wakes its parked waiters. Call after
-  // releasing the shard latch (the entry must already be erased from the
-  // shard's map, under that latch, by the same completion).
+  // releasing the pool latch (the entry must already be erased from
+  // in_flight_, under that latch, by the same completion).
   static void CompleteInFlight(const std::shared_ptr<InFlight>& entry);
 
-  // Demand-read completion (DESIGN.md §12): retakes the shard latch, erases
+  // Demand-read completion (DESIGN.md §12): retakes the pool latch, erases
   // the in-flight entry, revalidates (residency + WAL-overlay parity) and
   // installs the image pinned once for the leader — or returns the reserved
   // frame to the free list — then wakes everyone parked on the entry. Runs
   // on the fetching thread. `read` is the read+verify outcome. Returns true
   // when revalidation discarded the image as stale.
-  bool CompleteDemandRead(Shard& s, const std::shared_ptr<InFlight>& entry,
-                          Page* page, FrameId frame, PageId page_id,
-                          const Status& read, bool from_log);
+  bool CompleteDemandRead(const std::shared_ptr<InFlight>& entry, Page* page,
+                          FrameId frame, PageId page_id, const Status& read,
+                          bool from_log);
 
   // Like AcquireFrame but refuses dirty victims (prefetch must never write
   // back, so it never touches the WAL). Latch held.
-  bool AcquireCleanFrame(Shard& s, FrameId* out);
+  bool AcquireCleanFrame(FrameId* out);
 
   /// Read-ahead completion workers and submission-queue depth (DESIGN.md
   /// §13). A full queue rejects a run and the submitter reads it inline.
@@ -363,28 +315,44 @@ class BufferPool {
   DiskInterface* const disk_;
   /// Read-ahead submission/completion queue over disk_. Reset (drained and
   /// joined) by the destructor before FlushAll, so no completion can touch
-  /// a dying shard.
+  /// a dying pool.
   std::unique_ptr<AsyncDisk> async_;
   std::atomic<Wal*> wal_{nullptr};
-  std::vector<std::unique_ptr<Shard>> shards_;
-  size_t pool_size_ = 0;
   BufferPoolOptions options_;
 
+  // The pool latch and everything it guards.
+  mutable std::mutex mu_;
+  /// The frames, fixed at construction (heap-allocated Pages, so a Page
+  /// pointer captured under the latch stays valid after it).
+  std::vector<std::unique_ptr<Page>> frames_;
+  std::unordered_map<PageId, FrameId> page_table_;
+  /// Second-chance sweep position (CLOCK replacement, DESIGN.md §13).
+  FrameId clock_hand_ = 0;
+  std::vector<FrameId> free_frames_;
+  /// Reads currently in flight, demand misses and prefetches alike.
+  /// Holders keep shared_ptr copies so an entry stays valid for parked
+  /// waiters after the reader erases it from the map.
+  std::unordered_map<PageId, std::shared_ptr<InFlight>> in_flight_;
+  /// Frames reserved by in-flight demand reads: unpinned, but in neither
+  /// page_table_ nor free_frames_ until the read completes. Counted so
+  /// pool-exhaustion handling can tell "pinned forever until someone
+  /// unpins" apart from "returns when the read lands".
+  size_t reserved_frames_ = 0;
+
+  /// Every pool-side counter (relaxed atomics, bumped with or without the
+  /// latch); stats() adds the disk's own counters.
+  AtomicIoStats counters_;
+
   // Fault-tolerance state: quarantined ids under their own small lock
-  // (never held together with a shard latch); repair_mu_ serializes repair
+  // (never held together with the pool latch); repair_mu_ serializes repair
   // passes so concurrent fetchers of one corrupt page do a single repair.
   mutable std::mutex quarantine_mu_;
   std::unordered_set<PageId> quarantined_;
   std::mutex repair_mu_;
   std::atomic<uint64_t> retry_seq_{0};
-  std::atomic<uint64_t> io_retries_{0};
-  std::atomic<uint64_t> repairs_attempted_{0};
-  std::atomic<uint64_t> repairs_succeeded_{0};
-  std::atomic<uint64_t> pages_quarantined_{0};
-  std::atomic<uint64_t> prefetch_errors_{0};
 
   // Page-id allocation state: the recycled-id free list, behind its own
-  // small lock (never held together with a shard latch). free_set_ mirrors
+  // small lock (never held together with the pool latch). free_set_ mirrors
   // free_pages_ to keep FreePage idempotent (double-free must not hand the
   // same id out twice).
   mutable std::mutex alloc_mu_;
@@ -395,8 +363,6 @@ class BufferPool {
   mutable std::shared_mutex commit_mu_;
   /// Tree-node free counter (see free_epoch()).
   std::atomic<uint64_t> free_epoch_{0};
-
-  std::atomic<uint64_t> failed_unpins_{0};
 };
 
 /// RAII pin holder. Unpins (with the recorded dirty flag) on destruction.

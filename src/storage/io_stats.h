@@ -27,8 +27,9 @@ namespace xrtree {
 ///   failed_unpins
 ///       PageGuard releases whose unpin errored.
 ///   pool_exhausted_waits
-///       times a Fetch/NewPage found every frame of its shard pinned and had
-///       to back off and retry (pool-pressure signal for concurrent benches).
+///       times a Fetch/NewPage found every frame of the pool unavailable and
+///       had to back off and retry (pool-pressure signal for concurrent
+///       benches).
 ///   prefetch_issued, prefetch_hits, prefetch_wasted
 ///       read-ahead accounting (BufferPool::PrefetchBatchAsync). A
 ///       prefetched page is `issued` once when its image is installed
@@ -51,7 +52,7 @@ namespace xrtree {
 ///       `repairs_succeeded`.
 ///   clock_sweeps
 ///       second-chance victim searches (DESIGN.md §13); each may advance the
-///       shard's hand up to two full revolutions.
+///       pool's CLOCK hand up to two full revolutions.
 #define XR_IO_STATS_FIELDS(X) \
   X(disk_reads)               \
   X(disk_writes)              \

@@ -91,12 +91,12 @@ class Page {
   int pin_count() const { return pin_count_; }
 
   /// Per-page latch (DESIGN.md §14). Guards the page *contents* — the
-  /// buffer-pool bookkeeping fields stay under the shard latch. Latch only
+  /// buffer-pool bookkeeping fields stay under the pool latch. Latch only
   /// while holding a pin: the latch lives in the frame, and an unpinned
   /// frame may be evicted and re-targeted at any time. Readers couple
   /// R-latches down a descent; writers crab W-latches (WriteLatchSet).
   /// The latch survives Reset() deliberately — a frame is only ever reset
-  /// under its shard latch with zero pins, so no holder can exist.
+  /// under the pool latch with zero pins, so no holder can exist.
   void RLatch() const { latch_.lock_shared(); }
   void RUnlatch() const { latch_.unlock_shared(); }
   bool TryRLatch() const { return latch_.try_lock_shared(); }
@@ -135,7 +135,7 @@ class Page {
   /// when the sweep hand passes. Demand installs leave it clear so a
   /// fetched-once page ranks below a re-referenced one — which keeps the
   /// policy's eviction order LRU-compatible for the classic access traces
-  /// the single-threaded tests pin down. Guarded by the shard latch.
+  /// the single-threaded tests pin down. Guarded by the pool latch.
   bool ref_ = false;
 };
 

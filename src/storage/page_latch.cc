@@ -11,8 +11,8 @@
 // latch-crabbing descents that are cycle-free over page identities at any
 // instant (DESIGN.md §14 gives the ordering argument). Suppress deadlock
 // reports whose stacks go through the page latch; data-race detection and
-// deadlock detection on every named mutex (WAL mutex, writer gate, shard
-// latches, commit barrier) remain fully active.
+// deadlock detection on every named mutex (WAL mutex, writer gate, pool
+// latch, commit barrier) remain fully active.
 #if defined(__SANITIZE_THREAD__)
 #define XR_TSAN_ACTIVE 1
 #elif defined(__has_feature)

@@ -120,6 +120,9 @@ class XrTree {
     naive_split_key_ = other.naive_split_key_;
     use_ps_dir_ = other.use_ps_dir_;
     compressed_ = other.compressed_;
+    // This object now names a different tree: invalidate every probe
+    // cursor still holding copies of the old one.
+    write_seq_.fetch_add(1, std::memory_order_acq_rel);
     return *this;
   }
 

@@ -1,4 +1,4 @@
-// Multi-threaded tests for the sharded buffer pool and the read-side of the
+// Multi-threaded tests for the buffer pool and the read-side of the
 // index/join stack. Everything here must be clean under ThreadSanitizer
 // (the CI tsan job runs this binary). Index mutation here happens before
 // the reader threads start; concurrent-mutation coverage (latch-crabbing
@@ -147,14 +147,14 @@ class GateDisk final : public DiskInterface {
 /// Temp file + DiskManager + GateDisk + BufferPool.
 class GatedDb {
  public:
-  explicit GatedDb(size_t pool_pages = 64, size_t shard_count = 4) {
+  explicit GatedDb(size_t pool_pages = 64) {
     char tmpl[] = "/tmp/xrtree_gate_XXXXXX";
     int fd = ::mkstemp(tmpl);
     if (fd >= 0) ::close(fd);
     path_ = tmpl;
     XR_CHECK_OK(disk_.Open(path_));
     gate_ = std::make_unique<GateDisk>(&disk_);
-    pool_ = std::make_unique<BufferPool>(gate_.get(), pool_pages, shard_count);
+    pool_ = std::make_unique<BufferPool>(gate_.get(), pool_pages);
   }
 
   ~GatedDb() {
@@ -220,16 +220,10 @@ TEST(SingleFlightTest, ConcurrentColdMissesIssueOneRead) {
   EXPECT_EQ(delta.total_page_accesses(), static_cast<uint64_t>(kThreads));
 }
 
-TEST(SingleFlightTest, SameShardOtherPagesProceedDuringMiss) {
+TEST(SingleFlightTest, OtherPagesProceedDuringMiss) {
   GatedDb db;
   PageId x = ColdMarkerPage(db.pool(), 'X');
-  // A second cold page in the same shard as x.
-  PageId y = kInvalidPageId;
-  for (int i = 0; i < 64 && y == kInvalidPageId; ++i) {
-    PageId cand = ColdMarkerPage(db.pool(), 'Y');
-    if (db.pool()->ShardOf(cand) == db.pool()->ShardOf(x)) y = cand;
-  }
-  ASSERT_NE(y, kInvalidPageId) << "no same-shard page found";
+  PageId y = ColdMarkerPage(db.pool(), 'Y');
 
   db.gate()->GatePage(x);
   std::thread fetcher([&] {
@@ -239,9 +233,9 @@ TEST(SingleFlightTest, SameShardOtherPagesProceedDuringMiss) {
   });
   db.gate()->AwaitReader();
   // x's read is parked inside the disk, holding no latch: a miss on
-  // another page of the same shard must complete while it is in flight.
-  // (Before the in-flight table this deadlocked-by-design: the read ran
-  // under the shard latch and this fetch would block until Release.)
+  // another page must complete while it is in flight. (Before the
+  // in-flight table this deadlocked-by-design: the read ran under the
+  // pool latch and this fetch would block until Release.)
   auto p = db.pool()->FetchPage(y);
   ASSERT_OK(p.status());
   EXPECT_EQ((*p)->data()[0], 'Y');
@@ -380,7 +374,6 @@ TEST(SingleFlightTest, NewPageReclaimsRacingPrefetchInstall) {
   GateDisk gate(&disk);
   BufferPoolOptions opts;
   opts.pool_size = 8;
-  opts.shard_count = 1;
   // Wide poll interval and a deep budget: the allocator thread below must
   // sleep across the staged prefetch install, not give up or busy-poll
   // through the window.
@@ -465,47 +458,25 @@ TEST(SingleFlightTest, NewPageReclaimsRacingPrefetchInstall) {
   std::remove(path.c_str());
 }
 
-TEST(ShardedPoolTest, ShardLayoutAndPerShardCounters) {
-  TempDb db(64, 8);
-  EXPECT_EQ(db.pool()->shard_count(), 8u);
-  EXPECT_EQ(db.pool()->pool_size(), 64u);
-
-  std::vector<PageId> ids = WritePatternPages(db.pool(), 32);
+// A pool with a frame for every page never evicts: re-fetching every page
+// is all hits, and each fetch counts exactly one hit or miss.
+TEST(BufferPoolTest, FullPoolKeepsEveryPageResident) {
+  TempDb db(256);
+  std::vector<PageId> ids = WritePatternPages(db.pool(), 256);
   IoStats before = db.pool()->stats();
   for (PageId id : ids) {
-    auto p = db.pool()->FetchPage(id);
-    ASSERT_OK(p.status());
+    ASSERT_OK_AND_ASSIGN(Page * page, db.pool()->FetchPage(id));
+    EXPECT_EQ(page->data()[0], static_cast<char>(id % 251));
     ASSERT_OK(db.pool()->UnpinPage(id, false));
   }
   IoStats delta = db.pool()->stats() - before;
-  EXPECT_EQ(delta.total_page_accesses(), ids.size());
-
-  // The merged view must equal the sum of the per-shard counters.
-  uint64_t shard_hits = 0, shard_misses = 0;
-  for (size_t s = 0; s < db.pool()->shard_count(); ++s) {
-    IoStats ss = db.pool()->shard_stats(s);
-    shard_hits += ss.buffer_hits;
-    shard_misses += ss.buffer_misses;
-  }
-  IoStats total = db.pool()->stats();
-  EXPECT_EQ(total.buffer_hits, shard_hits);
-  EXPECT_EQ(total.buffer_misses, shard_misses);
-
-  // Pattern pages spread over more than one shard.
-  std::vector<bool> touched(db.pool()->shard_count(), false);
-  for (PageId id : ids) touched[db.pool()->ShardOf(id)] = true;
-  size_t used = 0;
-  for (bool t : touched) used += t;
-  EXPECT_GT(used, 1u);
+  EXPECT_EQ(delta.buffer_misses, 0u);
+  EXPECT_EQ(delta.disk_reads, 0u);
+  EXPECT_EQ(delta.buffer_hits + delta.buffer_misses, ids.size());
 }
 
-TEST(ShardedPoolTest, TinyPoolsStayUnsharded) {
-  TempDb db(3);
-  EXPECT_EQ(db.pool()->shard_count(), 1u);
-}
-
-TEST(ShardedPoolTest, ExhaustionIsDistinctAndCounted) {
-  TempDb db(4, 1);
+TEST(BufferPoolTest, ExhaustionIsDistinctAndCounted) {
+  TempDb db(4);
   std::vector<PageId> pinned;
   for (int i = 0; i < 4; ++i) {
     auto p = db.pool()->NewPage();
@@ -528,7 +499,7 @@ TEST(ShardedPoolTest, ExhaustionIsDistinctAndCounted) {
 }
 
 TEST(ConcurrencyTest, ParallelPinUnpinHammer) {
-  TempDb db(64, 8);
+  TempDb db(64);
   std::vector<PageId> ids = WritePatternPages(db.pool(), 160);
 
   constexpr int kThreads = 8;
@@ -572,10 +543,10 @@ TEST(ConcurrencyTest, ParallelPinUnpinHammer) {
 }
 
 // Threads holding one pin while taking a second can momentarily pin every
-// frame of a small single-shard pool. The bounded back-off in FetchPage
+// frame of a small pool. The bounded back-off in FetchPage
 // must absorb the transient instead of surfacing ResourceExhausted.
 TEST(ConcurrencyTest, TransientExhaustionRecoversViaRetry) {
-  TempDb db(8, 1);
+  TempDb db(8);
   std::vector<PageId> ids = WritePatternPages(db.pool(), 16);
 
   constexpr int kThreads = 4;  // peak demand = 4 threads x 2 pins = capacity
@@ -609,7 +580,7 @@ TEST(ConcurrencyTest, TransientExhaustionRecoversViaRetry) {
 }
 
 TEST(ConcurrencyTest, StatsSnapshotsAreMonotonicUnderLoad) {
-  TempDb db(32, 4);
+  TempDb db(32);
   std::vector<PageId> ids = WritePatternPages(db.pool(), 64);
 
   std::atomic<bool> stop{false};
@@ -666,7 +637,7 @@ TEST(IoStatsTest, SubtractionSaturatesAtZero) {
 // XrTree (each with its own lightweight cursor handle) must see exactly the
 // single-threaded answers.
 TEST(ConcurrencyTest, ParallelXrProbesMatchSerial) {
-  TempDb db(128, 4);
+  TempDb db(128);
   XrTreeOptions options;
   options.leaf_capacity = 16;
   options.internal_capacity = 8;
@@ -741,7 +712,7 @@ TEST(ConcurrencyTest, ConcurrentJoinsMatchSingleThreaded) {
   auto ds = MakeDepartmentDataset(3000);
   ASSERT_OK(ds.status());
 
-  TempDb db(256, 8);
+  TempDb db(256);
   PageId a_file_head, d_file_head, a_bt_root, d_bt_root, a_xr_root, d_xr_root;
   uint64_t a_size, d_size;
   {
@@ -825,7 +796,7 @@ TEST(ConcurrencyTest, ParallelJoinsUnderConcurrencyMatchSerial) {
   auto ds = MakeDepartmentDataset(3000);
   ASSERT_OK(ds.status());
 
-  TempDb db(256, 8);
+  TempDb db(256);
   PageId a_xr_root, d_xr_root;
   {
     StoredElementSet a_set(db.pool(), "A");
@@ -878,7 +849,7 @@ TEST(ConcurrencyTest, ParallelJoinsUnderConcurrencyMatchSerial) {
 }
 
 // ---------------------------------------------------------------------------
-// Chaos: concurrent serial + parallel joins over a shared sharded pool while
+// Chaos: concurrent serial + parallel joins over a shared pool while
 // the disk injects sustained transient and corrupt-read faults. Every run
 // must either reproduce the fault-free output byte for byte or fail with a
 // clean typed error — never crash, deadlock, serve torn frames, or emit a
@@ -988,7 +959,7 @@ TEST(AsyncReadTest, ScatteredMissesOverlapToOneLatencyUnit) {
     DiskManager disk;
     ASSERT_OK(disk.Open(path));
     LatencyDisk slow(&disk);
-    BufferPool pool(&slow, /*pool_size=*/64, /*shard_count=*/4);
+    BufferPool pool(&slow, /*pool_size=*/64);
 
     // 16 pages, then prefetch every other one: 8 non-consecutive ids, so
     // the pool submits 8 width-1 runs that the workers serve concurrently.
@@ -1178,7 +1149,6 @@ TEST(ChaosTest, ConcurrentJoinsUnderSustainedFaults) {
     FaultInjectingDisk faulty(&disk);
     BufferPoolOptions options;
     options.pool_size = 48;  // well under the working set: misses every run
-    options.shard_count = 4;
     options.io_retry = RetryPolicy{8, 0, 10, 100, 0};
     options.corrupt_read_retries = 6;
     options.retry_seed = seed;

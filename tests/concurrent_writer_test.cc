@@ -63,7 +63,7 @@ class BTreeWriterTest : public ::testing::TestWithParam<int> {};
 TEST_P(BTreeWriterTest, ConcurrentInsertersBuildExactTree) {
   const int kWriters = GetParam();
   ElementList elements = RandomNestedElements(101, 2000, 3);
-  TempDb db(256, 4);
+  TempDb db(256);
   BTreeOptions options;
   options.leaf_capacity = 4;  // splits on almost every insert
   options.internal_capacity = 4;
@@ -95,7 +95,7 @@ TEST_P(BTreeWriterTest, ConcurrentInsertersBuildExactTree) {
 TEST_P(BTreeWriterTest, ConcurrentDeletersDrainExactly) {
   const int kWriters = GetParam();
   ElementList elements = RandomNestedElements(103, 1600, 3);
-  TempDb db(256, 4);
+  TempDb db(256);
   BTreeOptions options;
   options.leaf_capacity = 4;
   options.internal_capacity = 4;
@@ -134,7 +134,7 @@ TEST_P(BTreeWriterTest, ConcurrentDeletersDrainExactly) {
 TEST_P(BTreeWriterTest, ReadersRunCleanlyDuringInsertChurn) {
   const int kWriters = GetParam();
   ElementList elements = RandomNestedElements(107, 2000, 3);
-  TempDb db(256, 4);
+  TempDb db(256);
   BTreeOptions options;
   options.leaf_capacity = 4;
   options.internal_capacity = 4;
@@ -216,7 +216,7 @@ class XrWriterTest : public ::testing::TestWithParam<int> {};
 TEST_P(XrWriterTest, ConcurrentInsertersMatchSerialTruth) {
   const int kWriters = GetParam();
   ElementList elements = RandomNestedElements(111, 2000, 3);
-  TempDb db(256, 4);
+  TempDb db(256);
   XrTreeOptions options;
   options.leaf_capacity = 4;
   options.internal_capacity = 4;
@@ -264,7 +264,7 @@ TEST_P(XrWriterTest, DuplicateRacersRollBackCleanly) {
   // (Algorithm 1's I2 duplicate exit) without corrupting the tree.
   const int kWriters = GetParam();
   ElementList elements = RandomNestedElements(113, 600, 3);
-  TempDb db(256, 4);
+  TempDb db(256);
   XrTreeOptions options;
   options.leaf_capacity = 4;
   options.internal_capacity = 4;
@@ -297,7 +297,7 @@ TEST_P(XrWriterTest, DuplicateRacersRollBackCleanly) {
 TEST_P(XrWriterTest, ReadersAndIteratorsRunCleanlyDuringInsertChurn) {
   const int kWriters = GetParam();
   ElementList elements = RandomNestedElements(117, 2000, 3);
-  TempDb db(256, 4);
+  TempDb db(256);
   XrTreeOptions options;
   options.leaf_capacity = 4;
   options.internal_capacity = 4;
@@ -383,7 +383,7 @@ TEST_P(XrWriterTest, MixedInsertDeleteWritersConverge) {
   for (size_t i = 0; i < elements.size(); ++i) {
     (i % 2 == 0 ? stay : churn).push_back(elements[i]);
   }
-  TempDb db(256, 4);
+  TempDb db(256);
   XrTreeOptions options;
   options.leaf_capacity = 4;
   options.internal_capacity = 4;
@@ -448,7 +448,7 @@ TEST_P(XrWriterTest, CompressedPagesDecompressUnderSplitStorm) {
   for (size_t i = 0; i < elements.size(); ++i) {
     (i % 2 == 0 ? loaded : inserted).push_back(elements[i]);
   }
-  TempDb db(512, 4);
+  TempDb db(512);
   XrTreeOptions options;
   options.leaf_capacity = 4;
   options.internal_capacity = 4;
@@ -499,7 +499,7 @@ TEST_P(XrWriterTest, CompressedPagesSurviveMixedChurn) {
   for (size_t i = 0; i < elements.size(); ++i) {
     if (i % 2 == 1) churn.push_back(elements[i]);
   }
-  TempDb db(512, 4);
+  TempDb db(512);
   XrTreeOptions options;
   options.leaf_capacity = 4;
   options.internal_capacity = 4;
@@ -547,7 +547,7 @@ TEST(ConcurrentWriterJoinTest, JoinOverConcurrentlyBuiltTreesMatchesOracle) {
   ASSERT_FALSE(a_list.empty());
   ASSERT_FALSE(d_list.empty());
 
-  TempDb db(256, 4);
+  TempDb db(256);
   XrTreeOptions options;
   options.leaf_capacity = 4;
   options.internal_capacity = 4;
@@ -596,7 +596,7 @@ TEST(ConcurrentWriterJoinTest, JoinsDuringInsertChurnRunCleanly) {
     (e.level % 2 == 0 ? a_list : d_list).push_back(e);
   }
 
-  TempDb db(256, 4);
+  TempDb db(256);
   XrTreeOptions options;
   options.leaf_capacity = 4;
   options.internal_capacity = 4;
@@ -672,7 +672,7 @@ TEST(ConcurrentWriterJoinTest, JoinsDuringAncestorChurnRunCleanly) {
     (e.level % 2 == 0 ? a_list : d_list).push_back(e);
   }
 
-  TempDb db(256, 4);
+  TempDb db(256);
   XrTreeOptions options;
   options.leaf_capacity = 4;
   options.internal_capacity = 4;

@@ -41,16 +41,14 @@ namespace xrtree {
 /// destruction.
 class TempDb {
  public:
-  /// `shard_count` = 0 lets the pool pick (1 shard for small pools);
-  /// concurrency tests pass an explicit count.
-  explicit TempDb(size_t pool_pages = 256, size_t shard_count = 0) {
+  explicit TempDb(size_t pool_pages = 256) {
     char tmpl[] = "/tmp/xrtree_test_XXXXXX";
     int fd = ::mkstemp(tmpl);
     if (fd >= 0) ::close(fd);
     path_ = tmpl;
     Status st = disk_.Open(path_);
     if (!st.ok()) std::abort();
-    pool_ = std::make_unique<BufferPool>(&disk_, pool_pages, shard_count);
+    pool_ = std::make_unique<BufferPool>(&disk_, pool_pages);
   }
 
   ~TempDb() {

@@ -988,5 +988,29 @@ TEST(ProbeCursorTest, ProbesAfterWritesSeeTheWrites) {
   EXPECT_EQ(cursor.fallbacks(), 0u);
 }
 
+// Move-assigning another tree into the cursor's tree replaces the whole
+// index; the cursor's copies of the old tree must not answer the next
+// probe.
+TEST(ProbeCursorTest, MoveAssignedTreeInvalidatesCursor) {
+  TempDb db;
+  XrTree a(db.pool());
+  XrTree b(db.pool());
+  ASSERT_OK(a.Insert(Element(10, 100)));
+  ASSERT_OK(b.Insert(Element(20, 90)));
+  XrProbeCursor cursor(&a);
+  ElementList got;
+  ASSERT_OK(cursor.FindAncestorsAbove(51, 0, &got));
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].start, 10u);
+
+  a = std::move(b);
+  ASSERT_OK(cursor.FindAncestorsAbove(51, 0, &got));
+  ASSERT_OK_AND_ASSIGN(ElementList one_shot, a.FindAncestorsAbove(51, 0));
+  ASSERT_EQ(one_shot.size(), 1u);
+  EXPECT_EQ(one_shot[0].start, 20u);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].start, 20u);
+}
+
 }  // namespace
 }  // namespace xrtree
