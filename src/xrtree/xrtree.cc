@@ -65,6 +65,12 @@ bool SmallestStabbingKey(const Page* page, Position s, Position e,
   return false;
 }
 
+/// Bound on decompress-on-write split rounds per Insert or Delete. Each
+/// round halves the compressed leaf holding the key, and a compressed leaf
+/// holds at most kXrcMaxPageEntries, so a handful suffice; the bound only
+/// stops a corrupt page from looping forever.
+constexpr int kMaxDecompressRounds = 40;
+
 bool ValidXrMagic(const Page* page) {
   uint32_t magic = XrHeader(page)->magic;
   return magic == kXrLeafMagic || magic == kXrInternalMagic;
@@ -110,7 +116,9 @@ Status XrTree::InitRootLeaf() {
   return Status::Ok();
 }
 
-Result<ReadLatchedPage> XrTree::DescendToLeafRead(Position key) const {
+template <typename Visit>
+Result<ReadLatchedPage> XrTree::DescendRead(Position key,
+                                            Visit&& visit) const {
   for (;;) {
     PageId root_id = root_.load(std::memory_order_acquire);
     if (root_id == kInvalidPageId) return ReadLatchedPage();
@@ -134,6 +142,7 @@ Result<ReadLatchedPage> XrTree::DescendToLeafRead(Position key) const {
         return Status::Corruption("xrtree: descent hit a foreign page");
       }
       if (XrHeader(raw)->is_leaf) return cur;
+      XR_RETURN_IF_ERROR(visit(static_cast<const Page*>(raw)));
       PageId child = XrChildAt(raw, XrChildSlot(raw, key));
       // Couple: latch the child while the parent latch pins the link.
       XR_ASSIGN_OR_RETURN(Page * craw, pool_->FetchPage(child));
@@ -144,57 +153,41 @@ Result<ReadLatchedPage> XrTree::DescendToLeafRead(Position key) const {
   }
 }
 
+Result<ReadLatchedPage> XrTree::DescendToLeafRead(Position key) const {
+  return DescendRead(key, [](const Page*) { return Status::Ok(); });
+}
+
 Result<std::vector<PageId>> XrTree::LeafRunAfter(Position key, size_t max_run,
                                                  Position* resume_key,
                                                  Position hi) const {
   std::vector<PageId> run;
   if (max_run == 0) return run;
-  for (;;) {
+  // Record the children after the taken slot at every level; when the
+  // descent bottoms out, the last recording is the leaf's sibling run. (An
+  // internal node with `count` keys has `count + 1` children, at child
+  // slots 0..count. The child at slot i >= 1 begins at the separator
+  // slots[i-1].key, which is the resume key when that child is the last
+  // one recorded.) A child whose separator is at or past `hi` starts
+  // outside the caller's range and is never visited — stop the run there
+  // rather than prefetch dead pages.
+  auto record_run = [&](const Page* node) {
+    const uint32_t count = XrHeader(node)->count;
+    const XrInternalEntry* slots = XrInternalSlots(node);
     run.clear();
-    PageId root_id = root_.load(std::memory_order_acquire);
-    if (root_id == kInvalidPageId) return run;
-    auto fetched = pool_->FetchPage(root_id);
-    if (!fetched.ok()) {
-      if (root_.load(std::memory_order_acquire) != root_id) continue;
-      return fetched.status();
+    uint32_t last = 0;
+    for (uint32_t next = XrChildSlot(node, key) + 1;
+         next <= count && run.size() < max_run; ++next) {
+      if (hi != kNilPosition && slots[next - 1].key >= hi) break;
+      run.push_back(XrChildAt(node, next));
+      last = next;
     }
-    ReadLatchedPage cur(pool_, *fetched);
-    if (root_.load(std::memory_order_acquire) != root_id) continue;
-    for (int depth = 0; depth < kMaxTreeDepth; ++depth) {
-      Page* raw = cur.get();
-      const auto* hdr = XrHeader(raw);
-      if (!ValidXrMagic(raw)) {
-        return Status::Corruption("xrtree: descent hit a foreign page");
-      }
-      if (hdr->is_leaf) return run;
-      uint32_t slot = XrChildSlot(raw, key);
-      // Record the children after the taken slot at every level; when the
-      // descent bottoms out, the last recording is the leaf's sibling run.
-      // (An internal node with `count` keys has `count + 1` children, at
-      // child slots 0..count. The child at slot i >= 1 begins at the
-      // separator slots[i-1].key, which is the resume key when that child
-      // is the last one recorded.) A child whose separator is at or past
-      // `hi` starts outside the caller's range and is never visited — stop
-      // the run there rather than prefetch dead pages.
-      run.clear();
-      uint32_t last = 0;
-      const XrInternalEntry* slots = XrInternalSlots(raw);
-      for (uint32_t next = slot + 1;
-           next <= hdr->count && run.size() < max_run; ++next) {
-        if (hi != kNilPosition && slots[next - 1].key >= hi) break;
-        run.push_back(XrChildAt(raw, next));
-        last = next;
-      }
-      if (resume_key != nullptr && !run.empty()) {
-        *resume_key = slots[last - 1].key;
-      }
-      PageId child = XrChildAt(raw, slot);
-      XR_ASSIGN_OR_RETURN(Page * craw, pool_->FetchPage(child));
-      ReadLatchedPage next_page(pool_, craw);
-      cur = std::move(next_page);
+    if (resume_key != nullptr && !run.empty()) {
+      *resume_key = slots[last - 1].key;
     }
-    return Status::Corruption("xrtree: descent did not reach a leaf");
-  }
+    return Status::Ok();
+  };
+  XR_RETURN_IF_ERROR(DescendRead(key, record_run).status());
+  return run;
 }
 
 Result<std::vector<StabEntry>> XrTree::ReadNodeStab(const Page* node) const {
@@ -244,87 +237,51 @@ Status XrTree::Insert(const Element& element) {
   }
   WriteScope write_scope(this);
   std::shared_lock<std::shared_mutex> commit_barrier(pool_->commit_mutex());
-  bool needs_exclusive = false;
-  {
-    // Inserts share the writer gate with each other (they crab); only
-    // Delete and the decompress-on-write retry below take it exclusively.
-    std::shared_lock<std::shared_mutex> gate(writer_gate_);
+  // Inserts share the writer gate with each other (they crab); Delete,
+  // BulkLoad, BulkLoadFromFile and Compact take it exclusively.
+  std::shared_lock<std::shared_mutex> gate(writer_gate_);
+  if (root_.load(std::memory_order_acquire) == kInvalidPageId) {
+    std::lock_guard<std::mutex> init(root_init_mu_);
     if (root_.load(std::memory_order_acquire) == kInvalidPageId) {
-      std::lock_guard<std::mutex> init(root_init_mu_);
-      if (root_.load(std::memory_order_acquire) == kInvalidPageId) {
-        XR_RETURN_IF_ERROR(InitRootLeaf());
-      }
+      XR_RETURN_IF_ERROR(InitRootLeaf());
     }
-    Status st = InsertFast(element, &needs_exclusive);
-    if (!needs_exclusive) return st;
   }
-  // The descent landed on a compressed leaf (bulk load / compaction
-  // output). Mutating it means rewriting the whole page, possibly several
-  // times over (binary splits until the entries fit the fixed layout) —
-  // run that under the exclusive gate so no sibling writer crabs through
-  // the half-converted region. Readers are unaffected: every intermediate
-  // state is a consistent tree. (DESIGN.md §15.)
-  std::unique_lock<std::shared_mutex> gate(writer_gate_);
-  return InsertExclusive(element);
-}
-
-Status XrTree::InsertFast(const Element& element, bool* needs_exclusive) {
-  WriteLatchSet ls(pool_);
-  std::vector<PathEntry> path;
-  bool placed = false;
-  PageId placed_page = kInvalidPageId;
-  Position placed_key = 0;
-  Page* lraw = nullptr;
 
   // I1: crab down; on the way, insert the element into the stab list of the
   // highest (topmost) internal node with a stabbing key. That node stays
   // W-latched to the end of the operation even when the crab would drop it:
-  // the duplicate-rollback path must still reach it, and holding it pins
-  // the element's topmost-node invariant against concurrent promotions.
+  // the rollback paths must still reach it, and holding it pins the
+  // element's topmost-node invariant against concurrent promotions.
   // A concurrent split can only promote a key into an ancestor we released
   // while holding that ancestor's W-latch itself (a full child is unsafe,
   // so its parent was retained by the splitter), and our coupled descent
   // serializes against it — we see the key either above or below, never
-  // neither.
+  // neither. Each pass either loses a race with a root split (nothing was
+  // placed yet), splits a compressed leaf and re-descends, or finishes.
+  int splits = 0;
   for (;;) {
+    WriteLatchSet ls(pool_);
+    std::vector<PathEntry> path;
+    bool placed = false;
+    PageId placed_page = kInvalidPageId;
+    Position placed_key = 0;
     PageId root_id = root_.load(std::memory_order_acquire);
     auto fetched = ls.Acquire(root_id);
     if (!fetched.ok()) {
-      ls.ReleaseAll();
       if (root_.load(std::memory_order_acquire) != root_id) continue;
       return fetched.status();
     }
-    if (root_.load(std::memory_order_acquire) != root_id) {
-      // Lost a race with a root split; the stale root now covers only a
-      // slice of the key space. Nothing was placed yet — restart clean.
-      ls.ReleaseAll();
-      continue;
-    }
+    // A root split won the race: the stale root now covers only a slice of
+    // the key space.
+    if (root_.load(std::memory_order_acquire) != root_id) continue;
     Page* node = *fetched;
-    bool at_leaf = false;
-    for (int depth = 0; depth < kMaxTreeDepth; ++depth) {
+    for (int depth = 0;; ++depth) {
       if (!ValidXrMagic(node)) {
-        ls.ReleaseAll();
         return Status::Corruption("xrtree: descent hit a foreign page");
       }
-      const auto* chk = XrHeader(node);
-      if (chk->is_leaf) {
-        if (XrLeafIsCompressed(node)) {
-          // Mutating a compressed leaf requires the exclusive gate. Undo
-          // the speculative stab placement (the element is not in the tree
-          // yet), release everything, and hand over to InsertExclusive.
-          if (placed) {
-            XR_RETURN_IF_ERROR(
-                RollbackStabPlacement(ls, placed_page, placed_key, element));
-          }
-          ls.ReleaseAll();
-          *needs_exclusive = true;
-          return Status::Ok();
-        }
-        path.push_back({node->page_id(), 0});
-        lraw = node;
-        at_leaf = true;
-        break;
+      if (XrHeader(node)->is_leaf) break;
+      if (depth == kMaxTreeDepth) {
+        return Status::Corruption("xrtree: descent did not reach a leaf");
       }
       if (!placed) {
         uint32_t stab_slot;
@@ -342,12 +299,8 @@ Status XrTree::InsertFast(const Element& element, bool* needs_exclusive) {
       uint32_t slot = XrChildSlot(node, element.start);
       path.push_back({node->page_id(), slot});
       PageId child_id = XrChildAt(node, slot);
-      auto child = ls.Acquire(child_id);
-      if (!child.ok()) {
-        ls.ReleaseAll();
-        return child.status();
-      }
-      const auto* chdr = XrHeader(*child);
+      XR_ASSIGN_OR_RETURN(Page * child, ls.Acquire(child_id));
+      const auto* chdr = XrHeader(child);
       uint32_t cap = chdr->is_leaf ? leaf_cap_ : internal_cap_;
       if (chdr->count < cap) {
         // Safe child: a split below cannot propagate past it — drop the
@@ -358,25 +311,41 @@ Status XrTree::InsertFast(const Element& element, bool* needs_exclusive) {
           ls.ReleaseAllExcept({child_id});
         }
       }
-      node = *child;
+      node = child;
     }
-    if (!at_leaf) {
-      ls.ReleaseAll();
-      return Status::Corruption("xrtree: descent did not reach a leaf");
-    }
-    break;
-  }
+    path.push_back({node->page_id(), 0});
 
-  (void)lraw;
-  return LeafInsert(ls, path, element, placed, placed_page, placed_key);
+    if (XrLeafIsCompressed(node)) {
+      // Decompress-on-write inside the crab (DESIGN.md §15). A leaf whose
+      // entries fit leaf_capacity converts in place under its own latch
+      // (when full, it failed the crab's safety test, so LeafInsert's split
+      // has its ancestors). An over-full one failed that test too: split it
+      // here under the ancestors the crab kept, then re-descend. The split
+      // rewrites stab lists on the held path and could retag or move the
+      // speculative placement, so undo it first.
+      if (placed && XrHeader(node)->count > leaf_cap_) {
+        XR_RETURN_IF_ERROR(
+            RollbackStabPlacement(ls, placed_page, placed_key, element));
+      }
+      XR_ASSIGN_OR_RETURN(bool split, DecompressLeafStep(ls, path));
+      if (split) {
+        if (++splits == kMaxDecompressRounds) {
+          return Status::Corruption(
+              "xrtree: decompress-on-write did not converge");
+        }
+        continue;
+      }
+    }
+    return LeafInsert(ls, path, element, placed, placed_page, placed_key);
+  }
 }
 
 Status XrTree::RollbackStabPlacement(WriteLatchSet& ls, PageId placed_page,
                                      Position placed_key,
                                      const Element& element) {
   // Undo the speculative I1 stab placement (duplicate key, or a compressed
-  // leaf forcing the exclusive retry). The placement node is still in the
-  // latch set by construction.
+  // leaf about to split). The placement node is still in the latch set by
+  // construction.
   Page* nraw = ls.Get(placed_page);
   if (nraw == nullptr) {
     return Status::Corruption("xrtree: stab placement node was released");
@@ -492,65 +461,6 @@ Status XrTree::LeafInsert(WriteLatchSet& ls, std::vector<PathEntry>& path,
   return Status::Ok();
 }
 
-Status XrTree::InsertExclusive(const Element& element) {
-  // Exclusive-gate insert: no other writer is active, so the descent can
-  // hold the full path W-latched (like Delete) without deadlock risk.
-  // Each round either converts the target leaf to the fixed layout (then
-  // inserts) or performs one binary split of an over-full compressed leaf
-  // and re-descends; the tree is consistent between rounds. A compressed
-  // leaf holds at most kXrcMaxPageEntries entries, so the number of split
-  // rounds is logarithmic and tiny — the bound below is pure paranoia.
-  for (int round = 0; round < 40; ++round) {
-    WriteLatchSet ls(pool_);
-    std::vector<PathEntry> path;
-    Page* lraw = nullptr;
-    PageId cur = root_.load(std::memory_order_acquire);
-    for (int depth = 0; depth < kMaxTreeDepth && lraw == nullptr; ++depth) {
-      XR_ASSIGN_OR_RETURN(Page * raw, ls.Acquire(cur));
-      if (!ValidXrMagic(raw)) {
-        return Status::Corruption("xrtree: descent hit a foreign page");
-      }
-      if (XrHeader(raw)->is_leaf) {
-        path.push_back({cur, 0});
-        lraw = raw;
-        break;
-      }
-      uint32_t slot = XrChildSlot(raw, element.start);
-      path.push_back({cur, slot});
-      cur = XrChildAt(raw, slot);
-    }
-    if (lraw == nullptr) {
-      return Status::Corruption("xrtree: descent did not reach a leaf");
-    }
-    if (XrLeafIsCompressed(lraw)) {
-      XR_RETURN_IF_ERROR(DecompressLeafStep(ls, path));
-      continue;  // release everything, re-descend
-    }
-    // The leaf is in the fixed layout. Place the stab entry at the topmost
-    // stabbing node on the held path (same placement Insert's crabbing
-    // descent makes speculatively), then run the shared leaf tail.
-    bool placed = false;
-    PageId placed_page = kInvalidPageId;
-    Position placed_key = 0;
-    for (const PathEntry& pe : path) {
-      Page* node = ls.Get(pe.page);
-      if (node == nullptr || XrHeader(node)->is_leaf) break;
-      uint32_t stab_slot;
-      if (SmallestStabbingKey(node, element.start, element.end, &stab_slot)) {
-        placed_key = XrInternalSlots(node)[stab_slot].key;
-        XR_RETURN_IF_ERROR(
-            InsertStabIntoNode(node, MakeStabEntry(element, placed_key)));
-        ls.MarkDirty(pe.page);
-        placed = true;
-        placed_page = pe.page;
-        break;
-      }
-    }
-    return LeafInsert(ls, path, element, placed, placed_page, placed_key);
-  }
-  return Status::Corruption("xrtree: decompress-on-write did not converge");
-}
-
 Status XrTree::DecompressLeafInPlace(WriteLatchSet& ls, PageId leaf_id) {
   Page* lraw = ls.Get(leaf_id);
   if (lraw == nullptr) {
@@ -573,8 +483,8 @@ Status XrTree::DecompressLeafInPlace(WriteLatchSet& ls, PageId leaf_id) {
   return Status::Ok();
 }
 
-Status XrTree::DecompressLeafStep(WriteLatchSet& ls,
-                                  std::vector<PathEntry> path) {
+Result<bool> XrTree::DecompressLeafStep(WriteLatchSet& ls,
+                                        std::vector<PathEntry> path) {
   PageId leaf_id = path.back().page;
   path.pop_back();
   Page* lraw = ls.Get(leaf_id);
@@ -582,11 +492,12 @@ Status XrTree::DecompressLeafStep(WriteLatchSet& ls,
     return Status::Corruption("xrtree: leaf not held for decompression");
   }
   auto* hdr = XrHeader(lraw);
+  if (hdr->count <= leaf_cap_) {
+    XR_RETURN_IF_ERROR(DecompressLeafInPlace(ls, leaf_id));
+    return false;
+  }
   std::vector<Element> all;
   XR_RETURN_IF_ERROR(XrcDecodeLeaf(lraw, &all));
-  if (all.size() <= leaf_cap_) {
-    return DecompressLeafInPlace(ls, leaf_id);
-  }
 
   // Binary split: same separator policy and StabSet' computation as the
   // I22 leaf split, just over decoded entries re-encoded compressed. Both
@@ -633,7 +544,9 @@ Status XrTree::DecompressLeafStep(WriteLatchSet& ls,
     XrHeader(nraw)->prev = rraw->page_id();
     ls.MarkDirty(old_next);
   }
-  return InsertIntoParent(ls, path, sep, rraw->page_id(), std::move(stab_set));
+  XR_RETURN_IF_ERROR(
+      InsertIntoParent(ls, path, sep, rraw->page_id(), std::move(stab_set)));
+  return true;
 }
 
 Status XrTree::InsertIntoParent(WriteLatchSet& ls,
@@ -999,7 +912,7 @@ Status XrTree::Delete(Position key) {
   // root_) stable, so no retry loop is needed — except for the
   // decompress-on-write rounds below, which re-descend after splitting an
   // over-full compressed leaf (the gate is exclusive, so this is private).
-  for (int round = 0; round < 40; ++round) {
+  for (int round = 0; round < kMaxDecompressRounds; ++round) {
     PageId cur = root_.load(std::memory_order_acquire);
     for (int depth = 0; depth < kMaxTreeDepth; ++depth) {
       XR_ASSIGN_OR_RETURN(Page * raw, ls.Acquire(cur));
@@ -1019,11 +932,8 @@ Status XrTree::Delete(Position key) {
       return Status::Corruption("xrtree: descent did not reach a leaf");
     }
     if (!XrLeafIsCompressed(lraw)) break;
-    if (XrHeader(lraw)->count <= leaf_cap_) {
-      XR_RETURN_IF_ERROR(DecompressLeafInPlace(ls, path.back().page));
-      break;
-    }
-    XR_RETURN_IF_ERROR(DecompressLeafStep(ls, path));
+    XR_ASSIGN_OR_RETURN(bool split, DecompressLeafStep(ls, path));
+    if (!split) break;
     ls.ReleaseAll();
     path.clear();
     lraw = nullptr;
@@ -1423,93 +1333,61 @@ Result<ElementList> XrTree::FindAncestorsAbove(Position sd,
                                                Position min_start,
                                                uint64_t* scanned,
                                                Position* next_start) const {
-  for (;;) {  // root-retry, exactly like DescendToLeafRead
-    ElementList out;
-    uint64_t local_scanned = 0;
-    Position terminator = kNilPosition;
-    bool need_tail_probe = false;
-    PageId root_id = root_.load(std::memory_order_acquire);
-    if (root_id == kInvalidPageId) {
-      if (next_start) *next_start = kNilPosition;
-      return ElementList{};
-    }
-    auto fetched = pool_->FetchPage(root_id);
-    if (!fetched.ok()) {
-      if (root_.load(std::memory_order_acquire) != root_id) continue;
-      return fetched.status();
-    }
-    ReadLatchedPage cur(pool_, *fetched);
-    if (root_.load(std::memory_order_acquire) != root_id) continue;
-    bool done = false;
-    std::vector<StabEntry> collected;
-    for (int depth = 0; depth < kMaxTreeDepth; ++depth) {
-      Page* raw = cur.get();
-      const auto* hdr = XrHeader(raw);
-      if (!ValidXrMagic(raw)) {
-        return Status::Corruption("xrtree: descent hit a foreign page");
-      }
-      if (hdr->is_leaf) {
-        // S2. A compressed leaf decodes only the suffix of mini-blocks from
-        // the one holding min_start + 1; the scratch always covers through
-        // the page end, so the terminator below is unchanged.
-        std::vector<Element> scratch;
-        const Element* slots;
-        uint32_t nslots;
-        if (XrLeafIsCompressed(raw)) {
-          XR_RETURN_IF_ERROR(XrcDecodeLeafFrom(
-              raw, min_start == 0 ? 0 : min_start + 1, &scratch));
-          slots = scratch.data();
-          nslots = static_cast<uint32_t>(scratch.size());
-        } else {
-          slots = XrLeafSlots(raw);
-          nslots = hdr->count;
-        }
-        uint32_t i = ScanLeafForAncestors(slots, nslots, sd, min_start, &out,
-                                          &local_scanned);
-        // The terminating element (first start >= sd) is handed back as the
-        // join's next CurA; it is not charged here — the caller's next
-        // sweep or cursor move examines it.
-        if (next_start) {
-          if (i < nslots) {
-            terminator = slots[i].start;
-          } else {
-            need_tail_probe = true;
-          }
-        }
-        done = true;
-        break;
-      }
-      // The chain pages are read under this node's R latch, which is what
-      // keeps a writer from rewriting the chain mid-read. The ps directory
-      // leads each PSL search to its first page (Theorem 4).
-      StabList list(pool_, hdr->stab_head, hdr->ps_dir, use_ps_dir_);
-      XR_RETURN_IF_ERROR(ForEachStabbedPsl(
-          XrInternalSlots(raw), hdr->count, sd, [&](Position key) {
-            return list.CollectStabbed(key, sd, min_start, &collected,
-                                       &local_scanned);
-          }));
-      PageId child = XrChildAt(raw, XrChildSlot(raw, sd));
-      XR_ASSIGN_OR_RETURN(Page * craw, pool_->FetchPage(child));
-      ReadLatchedPage next(pool_, craw);
-      cur = std::move(next);
-    }
-    if (!done) {
-      return Status::Corruption("xrtree: descent did not reach a leaf");
-    }
-    cur.Release();
-    if (need_tail_probe) {
-      // The terminator lives past this leaf. A snapshot cursor's fresh
-      // descent replaces the old unlatched chain walk: it is epoch-checked
-      // and correct against concurrent leaf frees.
-      XR_ASSIGN_OR_RETURN(XrIterator it, LowerBound(sd));
-      if (it.Valid()) terminator = it.Get().start;
-    }
-    for (const StabEntry& se : collected) out.push_back(ToElement(se));
-    std::sort(out.begin(), out.end());
-    if (scanned) *scanned += local_scanned;
-    if (next_start) *next_start = terminator;
+  ElementList out;
+  uint64_t local_scanned = 0;
+  std::vector<StabEntry> collected;
+  // S1. The chain pages are read under each node's R latch, which is what
+  // keeps a writer from rewriting the chain mid-read. The ps directory
+  // leads each PSL search to its first page (Theorem 4).
+  auto collect = [&](const Page* node) {
+    const auto* hdr = XrHeader(node);
+    StabList list(pool_, hdr->stab_head, hdr->ps_dir, use_ps_dir_);
+    return ForEachStabbedPsl(
+        XrInternalSlots(node), hdr->count, sd, [&](Position key) {
+          return list.CollectStabbed(key, sd, min_start, &collected,
+                                     &local_scanned);
+        });
+  };
+  XR_ASSIGN_OR_RETURN(ReadLatchedPage leaf, DescendRead(sd, collect));
+  if (!leaf) {
+    if (next_start) *next_start = kNilPosition;
     return out;
   }
+  // S2. A compressed leaf decodes only the suffix of mini-blocks from the
+  // one holding min_start + 1; the scratch always covers through the page
+  // end, so the terminator below is unchanged.
+  const Page* raw = leaf.get();
+  std::vector<Element> scratch;
+  const Element* slots;
+  uint32_t nslots;
+  if (XrLeafIsCompressed(raw)) {
+    XR_RETURN_IF_ERROR(XrcDecodeLeafFrom(
+        raw, min_start == 0 ? 0 : min_start + 1, &scratch));
+    slots = scratch.data();
+    nslots = static_cast<uint32_t>(scratch.size());
+  } else {
+    slots = XrLeafSlots(raw);
+    nslots = XrHeader(raw)->count;
+  }
+  uint32_t i =
+      ScanLeafForAncestors(slots, nslots, sd, min_start, &out, &local_scanned);
+  // The terminating element (first start >= sd) is handed back as the
+  // join's next CurA; it is not charged here — the caller's next sweep or
+  // cursor move examines it.
+  Position terminator = i < nslots ? slots[i].start : kNilPosition;
+  leaf.Release();
+  if (next_start && i >= nslots) {
+    // The terminator lives past this leaf. A snapshot cursor's fresh
+    // descent replaces the old unlatched chain walk: it is epoch-checked
+    // and correct against concurrent leaf frees.
+    XR_ASSIGN_OR_RETURN(XrIterator it, LowerBound(sd));
+    if (it.Valid()) terminator = it.Get().start;
+  }
+  for (const StabEntry& se : collected) out.push_back(ToElement(se));
+  std::sort(out.begin(), out.end());
+  if (scanned) *scanned += local_scanned;
+  if (next_start) *next_start = terminator;
+  return out;
 }
 
 Result<ElementList> XrTree::FindAncestors(Position sd,
@@ -2026,31 +1904,14 @@ Status XrTree::BulkLoadImpl(const std::function<bool(Element*)>& next,
 // ---------------------------------------------------------------------------
 
 Result<uint32_t> XrTree::Height() const {
-  for (;;) {
-    PageId root_id = root_.load(std::memory_order_acquire);
-    if (root_id == kInvalidPageId) return static_cast<uint32_t>(0);
-    auto fetched = pool_->FetchPage(root_id);
-    if (!fetched.ok()) {
-      if (root_.load(std::memory_order_acquire) != root_id) continue;
-      return fetched.status();
-    }
-    ReadLatchedPage cur(pool_, *fetched);
-    if (root_.load(std::memory_order_acquire) != root_id) continue;
-    uint32_t h = 1;
-    for (int depth = 0; depth < kMaxTreeDepth; ++depth) {
-      Page* raw = cur.get();
-      if (!ValidXrMagic(raw)) {
-        return Status::Corruption("xrtree: descent hit a foreign page");
-      }
-      if (XrHeader(raw)->is_leaf) return h;
-      XR_ASSIGN_OR_RETURN(Page * craw,
-                          pool_->FetchPage(XrHeader(raw)->leftmost));
-      ReadLatchedPage next(pool_, craw);
-      cur = std::move(next);
-      ++h;
-    }
-    return Status::Corruption("xrtree: descent did not reach a leaf");
-  }
+  // Every leaf sits at the same depth, so any key's descent measures it.
+  uint32_t height = 0;
+  auto count_level = [&](const Page*) {
+    ++height;
+    return Status::Ok();
+  };
+  XR_ASSIGN_OR_RETURN(ReadLatchedPage leaf, DescendRead(0, count_level));
+  return leaf ? height + 1 : 0;
 }
 
 Result<uint64_t> XrTree::CountEntries() {

@@ -72,14 +72,14 @@ struct StabStats {
 /// coupling (stab chains are read under their owning node's R latch) and
 /// the leaf cursors are snapshot iterators, so any number of reader threads
 /// may query concurrently. Insert runs a per-page latch-crabbing descent
-/// (WriteLatchSet) and additionally keeps the node that took the element's
-/// stab entry W-latched to the end of the operation, so any number of
-/// inserters run concurrently with each other and with readers. Delete's
-/// stab maintenance (Algorithm 2's D31 reinsertion and the key-replacement
-/// sweeps) revisits subtrees OFF the descent path, which breaks the pure
-/// top-down acquisition discipline crabbing relies on — stage 1 therefore
-/// runs each Delete under an exclusive writer gate (inserts take it
-/// shared); readers are unaffected. Stage 2 (copy-on-write snapshots,
+/// (WriteLatchSet), converting a compressed leaf inside it, and keeps the
+/// node that took the element's stab entry W-latched to the end of the
+/// operation, so any number of inserters run concurrently with each other
+/// and with readers. Delete's stab maintenance (Algorithm 2's D31
+/// reinsertion and the key-replacement sweeps) revisits subtrees OFF the
+/// descent path, which breaks the pure top-down acquisition discipline
+/// crabbing relies on — stage 1 therefore runs each Delete under an
+/// exclusive writer gate (inserts take it shared); readers are unaffected. Stage 2 (copy-on-write snapshots,
 /// ROADMAP) removes the gate. Readers racing in-flight writes see a
 /// consistent but possibly momentarily stale view; joins needing exact
 /// results quiesce writers first. BulkLoad and CheckConsistency /
@@ -278,40 +278,34 @@ class XrTree {
 
   Status InitRootLeaf();
 
-  /// Insert body under the shared gate (the common, crabbing path). When
-  /// the descent lands on a compressed leaf it rolls back any speculative
-  /// stab placement, releases everything, and reports via
-  /// *needs_exclusive instead of mutating (DESIGN.md §15).
-  Status InsertFast(const Element& element, bool* needs_exclusive);
-
-  /// Insert retry under the exclusive gate: full-path W descent; compressed
-  /// leaves are split in place (binary, re-descending between rounds) until
-  /// the target leaf fits the fixed layout, is decompressed, and takes the
-  /// insert through the shared leaf path.
-  Status InsertExclusive(const Element& element);
-
-  /// One decompression round on the leaf at path.back(): rewrites it to
-  /// the fixed layout in place when its entries fit, else performs one
-  /// binary split (both halves re-encoded compressed — always fits, see
-  /// page_codec.h) and posts the separator via InsertIntoParent. Caller
-  /// holds the full descent path W-latched and the exclusive gate.
-  Status DecompressLeafStep(WriteLatchSet& ls, std::vector<PathEntry> path);
+  /// One decompress-on-write round on the compressed leaf at path.back()
+  /// (DESIGN.md §15). When its entries fit leaf_capacity it is rewritten to
+  /// the fixed layout in place and the result is false. Otherwise it takes
+  /// one binary split (both halves re-encoded compressed, which always
+  /// fits, see page_codec.h), posts the separator via InsertIntoParent and
+  /// returns true; the caller then releases and re-descends. A split needs
+  /// the leaf's ancestors W-latched up to a node that can take the key:
+  /// Insert's crab keeps them (an over-full leaf is unsafe), Delete holds
+  /// the full path.
+  Result<bool> DecompressLeafStep(WriteLatchSet& ls,
+                                  std::vector<PathEntry> path);
 
   /// Rewrites a compressed leaf held W-latched in `ls` to the fixed slot
   /// layout in place (precondition: its entry count fits leaf_capacity).
   Status DecompressLeafInPlace(WriteLatchSet& ls, PageId leaf_id);
 
   /// Removes the speculative I1 stab placement for `element` from
-  /// `placed_page` (still held in `ls`): the duplicate-key and
-  /// compressed-leaf handover paths both undo before bailing out.
+  /// `placed_page` (still held in `ls`): a duplicate key undoes it before
+  /// reporting, and a compressed-leaf split undoes it before rewriting the
+  /// stab lists on the held path.
   Status RollbackStabPlacement(WriteLatchSet& ls, PageId placed_page,
                                Position placed_key, const Element& element);
 
   /// Shared tail of Insert: places `element` into the (fixed-format) leaf
   /// at path.back(), handling duplicates (with stab rollback) and the
-  /// leaf split of Algorithm 1 (I2/I22). Caller holds the path per its
-  /// gate mode and passes the speculative stab placement made during the
-  /// descent so the duplicate path can undo it.
+  /// leaf split of Algorithm 1 (I2/I22). Caller holds the crabbed path and
+  /// passes the speculative stab placement made during the descent so the
+  /// duplicate path can undo it.
   Status LeafInsert(WriteLatchSet& ls, std::vector<PathEntry>& path,
                     const Element& element, bool placed, PageId placed_page,
                     Position placed_key);
@@ -321,7 +315,16 @@ class XrTree {
   Status BulkLoadImpl(const std::function<bool(Element*)>& next,
                       double fill_fraction);
 
-  /// Reader descent with R-latch coupling (see BTree::DescendToLeafRead).
+  /// The one reader descent toward `key`: loads the root and retries until
+  /// the root it latched is still root_, checks each page's magic, couples
+  /// R latches down and bounds the depth. Calls `visit(node)` (returning
+  /// Status) under each internal node's R latch and returns the leaf still
+  /// R-latched, or an empty handle for an empty tree. A retry happens only
+  /// before the root is visited, so no node is visited twice.
+  template <typename Visit>
+  Result<ReadLatchedPage> DescendRead(Position key, Visit&& visit) const;
+
+  /// DescendRead with no visitor (see BTree::DescendToLeafRead).
   Result<ReadLatchedPage> DescendToLeafRead(Position key) const;
 
   /// Rewrites `node`'s stab chain to `entries` (sorted), updating the
@@ -378,9 +381,10 @@ class XrTree {
   std::atomic<uint32_t> writers_active_{0};
   /// Serializes lazy root creation (two first-inserters racing).
   std::mutex root_init_mu_;
-  /// Stage-1 writer gate: Insert/BulkLoad shared, Delete exclusive (its
-  /// off-path stab sweeps can deadlock against a concurrent inserter's
-  /// rightward lateral latches). Readers never touch it.
+  /// Stage-1 writer gate: Insert shared; Delete (its off-path stab sweeps
+  /// can deadlock against a concurrent inserter's rightward lateral
+  /// latches), BulkLoad, BulkLoadFromFile and Compact exclusive. Readers
+  /// never touch it.
   std::shared_mutex writer_gate_;
   uint32_t leaf_cap_;
   uint32_t internal_cap_;

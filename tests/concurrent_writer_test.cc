@@ -261,37 +261,64 @@ TEST_P(XrWriterTest, ConcurrentInsertersMatchSerialTruth) {
 TEST_P(XrWriterTest, DuplicateRacersRollBackCleanly) {
   // Every writer inserts the SAME element list: exactly one insert per key
   // wins; the rest must roll their provisional stab placement back
-  // (Algorithm 1's I2 duplicate exit) without corrupting the tree.
+  // (Algorithm 1's I2 duplicate exit) without corrupting the tree. In the
+  // compressed format half the list is bulk-loaded first, so duplicates
+  // also meet the decompress-on-write split, which rolls the placement
+  // back before it re-descends.
   const int kWriters = GetParam();
   ElementList elements = RandomNestedElements(113, 600, 3);
-  TempDb db(256);
-  XrTreeOptions options;
-  options.leaf_capacity = 4;
-  options.internal_capacity = 4;
-  XrTree tree(db.pool(), kInvalidPageId, options);
-
-  std::atomic<uint64_t> wins{0};
-  std::atomic<uint64_t> unexpected{0};
-  std::vector<std::thread> writers;
-  for (int w = 0; w < kWriters; ++w) {
-    writers.emplace_back([&] {
-      for (const Element& e : elements) {
-        Status s = tree.Insert(e);
-        if (s.ok()) {
-          wins.fetch_add(1);
-        } else if (!s.IsInvalidArgument()) {
-          unexpected.fetch_add(1);
-        }
+  for (bool compressed : {false, true}) {
+    SCOPED_TRACE(compressed ? "compressed pages" : "fixed pages");
+    TempDb db(256);
+    XrTreeOptions options;
+    options.leaf_capacity = 4;
+    options.internal_capacity = 4;
+    options.compressed_pages = compressed;
+    XrTree tree(db.pool(), kInvalidPageId, options);
+    ElementList loaded;
+    if (compressed) {
+      for (size_t i = 0; i < elements.size(); i += 2) {
+        loaded.push_back(elements[i]);
       }
-    });
-  }
-  for (auto& t : writers) t.join();
+      ASSERT_OK(tree.BulkLoad(loaded));
+    }
 
-  EXPECT_EQ(wins.load(), elements.size());
-  EXPECT_EQ(unexpected.load(), 0u);
-  EXPECT_EQ(tree.size(), elements.size());
-  ASSERT_OK(tree.CheckConsistency());
-  EXPECT_EQ(db.pool()->pinned_frames(), 0u);
+    std::atomic<uint64_t> wins{0};
+    std::atomic<uint64_t> unexpected{0};
+    std::vector<std::thread> writers;
+    for (int w = 0; w < kWriters; ++w) {
+      writers.emplace_back([&] {
+        for (const Element& e : elements) {
+          Status s = tree.Insert(e);
+          if (s.ok()) {
+            wins.fetch_add(1);
+          } else if (!s.IsInvalidArgument()) {
+            unexpected.fetch_add(1);
+          }
+        }
+      });
+    }
+    for (auto& t : writers) t.join();
+
+    EXPECT_EQ(wins.load(), elements.size() - loaded.size());
+    EXPECT_EQ(unexpected.load(), 0u);
+    EXPECT_EQ(tree.size(), elements.size());
+    ASSERT_OK(tree.CheckConsistency());
+
+    // A placement left behind by a loser would show up as a duplicate
+    // ancestor; compare against a serially built fixed-format reference.
+    XrTreeOptions fixed = options;
+    fixed.compressed_pages = false;
+    XrTree serial(db.pool(), kInvalidPageId, fixed);
+    ASSERT_OK(serial.BulkLoad(elements));
+    for (const Element& e : elements) {
+      ASSERT_OK_AND_ASSIGN(ElementList got, tree.FindAncestors(e.start + 1));
+      ASSERT_OK_AND_ASSIGN(ElementList want,
+                           serial.FindAncestors(e.start + 1));
+      EXPECT_EQ(got, want) << "FindAncestors(" << e.start + 1 << ") diverged";
+    }
+    EXPECT_EQ(db.pool()->pinned_frames(), 0u);
+  }
 }
 
 TEST_P(XrWriterTest, ReadersAndIteratorsRunCleanlyDuringInsertChurn) {
@@ -437,11 +464,11 @@ TEST_P(XrWriterTest, MixedInsertDeleteWritersConverge) {
 TEST_P(XrWriterTest, CompressedPagesDecompressUnderSplitStorm) {
   // Bulk-loaded compressed leaves hold far more than leaf_capacity entries
   // (page_max is the codec cap, not the slot cap), so the very first write
-  // landing on each page triggers the decompress-on-write protocol: the
-  // writer takes the exclusive gate, binary-splits the leaf down to
-  // leaf_capacity (DecompressLeafStep) and re-descends. Eight writers
-  // hammering disjoint key slices race those splits against each other and
-  // against stab-list placement.
+  // landing on each page triggers the decompress-on-write protocol: inside
+  // its crab, still under the shared gate, the writer binary-splits the
+  // leaf down to leaf_capacity (DecompressLeafStep) and re-descends. Eight
+  // writers hammering disjoint key slices race those splits against each
+  // other and against stab-list placement.
   const int kWriters = GetParam();
   ElementList elements = RandomNestedElements(131, 2400, 3);
   ElementList loaded, inserted;

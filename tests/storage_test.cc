@@ -434,6 +434,7 @@ TEST(BufferPoolTest, PrefetchBatchAsyncInstallsUnpinnedAndCountsHits) {
 
   // A second fetch is a plain hit: the prefetch already paid off once.
   ASSERT_OK_AND_ASSIGN(Page * p, db.pool()->FetchPage(ids[0]));
+  EXPECT_EQ(p->page_id(), ids[0]);
   ASSERT_OK(db.pool()->UnpinPage(ids[0], false));
   EXPECT_EQ(db.pool()->stats().prefetch_hits, 4u);
 }
@@ -454,6 +455,7 @@ TEST(BufferPoolTest, EvictedPrefetchesCountAsWastedNotHits) {
   // Consume one prefetched page, then push the other two out of the tiny
   // pool with fresh allocations.
   ASSERT_OK_AND_ASSIGN(Page * p, db.pool()->FetchPage(ids[0]));
+  EXPECT_EQ(p->page_id(), ids[0]);
   ASSERT_OK(db.pool()->UnpinPage(ids[0], false));
   for (int i = 0; i < 8; ++i) {
     ASSERT_OK_AND_ASSIGN(Page * np, db.pool()->NewPage());
