@@ -11,8 +11,10 @@
 //
 //  C. The §5.2 XR-stack probe floor ("return ancestors after the stack
 //     top"): without it every probe re-scans its landing-leaf prefix.
-//     Measured: elements scanned by the join.
+//     Measured: elements scanned by the join, its pairs and wall-clock.
+//     Exits 1 when the two variants disagree on the pair count.
 
+#include <chrono>
 #include <cstdio>
 
 #include "bench/bench_common.h"
@@ -92,10 +94,14 @@ void PsDirectoryAblation() {
   }
 }
 
-void ProbeFloorAblation() {
+// Returns false when the two variants disagree on the pair count. The
+// plain variant probes with min_start = 0, so no key walk or leaf scan is
+// pruned by the floor: it cross-checks the production path's answer.
+bool ProbeFloorAblation() {
   PrintHeader("C. XR-stack probe floor (§5.2): elements scanned by the "
               "join");
-  std::printf("%-24s %14s\n", "variant", "scanned");
+  std::printf("%-24s %14s %14s %10s\n", "variant", "scanned", "pairs",
+              "ms");
   const Dataset& ds = DepartmentDataset();
   DerivedWorkload w =
       MakeAncestorSelectivity(ds.ancestors, ds.descendants, 0.90, 0.99);
@@ -104,15 +110,28 @@ void ProbeFloorAblation() {
   StoredElementSet d_set(db.pool(), "D");
   XR_CHECK_OK(a_set.Build(w.ancestors));
   XR_CHECK_OK(d_set.Build(w.descendants));
+  uint64_t pairs[2] = {0, 0};
   for (bool disable : {false, true}) {
     JoinOptions options;
     options.materialize = false;
     options.disable_probe_floor = disable;
+    auto t0 = std::chrono::steady_clock::now();
     auto out = XrStackJoin(a_set.xrtree(), d_set.xrtree(), options).value();
-    std::printf("%-24s %14llu\n",
+    auto t1 = std::chrono::steady_clock::now();
+    pairs[disable] = out.stats.output_pairs;
+    std::printf("%-24s %14llu %14llu %10.2f\n",
                 disable ? "plain Algorithm 4" : "stack variation",
-                (unsigned long long)out.stats.elements_scanned);
+                (unsigned long long)out.stats.elements_scanned,
+                (unsigned long long)out.stats.output_pairs,
+                std::chrono::duration<double, std::milli>(t1 - t0).count());
   }
+  if (pairs[0] != pairs[1]) {
+    std::fprintf(stderr,
+                 "probe floor changed the answer: %llu vs %llu pairs\n",
+                 (unsigned long long)pairs[0], (unsigned long long)pairs[1]);
+    return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -122,6 +141,5 @@ void ProbeFloorAblation() {
 int main() {
   xrtree::bench::SplitKeyAblation();
   xrtree::bench::PsDirectoryAblation();
-  xrtree::bench::ProbeFloorAblation();
-  return 0;
+  return xrtree::bench::ProbeFloorAblation() ? 0 : 1;
 }

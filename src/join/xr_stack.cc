@@ -15,10 +15,19 @@ Result<JoinOutput> XrStackJoinRange(const XrTree& ancestors,
   uint64_t search_scanned = 0;
   std::vector<Element> stack;
 
-  auto emit = [&](const Element& anc, const Element& desc) {
-    if (options.parent_child && anc.level + 1 != desc.level) return;
-    ++out.stats.output_pairs;
-    if (options.materialize) out.pairs.push_back({anc, desc});
+  // Emits (a, d) for every a on the stack, all of which contain d. A
+  // count-only ancestor-descendant join needs just their number.
+  const bool count_only = !options.materialize && !options.parent_child;
+  auto emit_stack = [&](const Element& d) {
+    if (count_only) {
+      out.stats.output_pairs += stack.size();
+      return;
+    }
+    for (const Element& anc : stack) {
+      if (options.parent_child && anc.level + 1 != d.level) continue;
+      ++out.stats.output_pairs;
+      if (options.materialize) out.pairs.push_back({anc, d});
+    }
   };
 
   // An ancestor belongs to this range iff lo <= start < hi. Starts never
@@ -166,13 +175,13 @@ Result<JoinOutput> XrStackJoinRange(const XrTree& ancestors,
         // ranges owning their starts.
         if (a.start > stack_floor && in_range(a.start)) stack.push_back(a);
       }
-      for (const Element& anc : stack) emit(anc, d);
+      emit_stack(d);
       XR_RETURN_IF_ERROR(itd.Next());
     } else {
       if (!stack.empty()) {
         // Lines 15-17: in-stack ancestors may join descendants before
         // CurA; advance the descendant cursor one step.
-        for (const Element& anc : stack) emit(anc, d);
+        emit_stack(d);
         XR_RETURN_IF_ERROR(itd.Next());
       } else {
         // Line 19: no open ancestor — skip descendants up to CurA.
@@ -189,7 +198,7 @@ Result<JoinOutput> XrStackJoinRange(const XrTree& ancestors,
     if (cancelled()) return Status::Aborted(kJoinCancelledMessage);
     const Element d = itd.Get();
     while (!stack.empty() && stack.back().end < d.start) stack.pop_back();
-    for (const Element& anc : stack) emit(anc, d);
+    emit_stack(d);
     XR_RETURN_IF_ERROR(itd.Next());
   }
 

@@ -34,16 +34,21 @@ inline uint32_t XrChildSlot(const XrInternalEntry* slots, uint32_t count,
   return lo;
 }
 
-/// S11 / Algorithm 5 over one internal node: for c = i+1 down to 0, calls
-/// `search(key_c)` only when key c's (ps, pe) summary proves that PSL(key_c)
-/// holds an element strictly containing `sd`. `search` returns a Status;
-/// the first error stops the walk.
+/// S11 / Algorithm 5 over one internal node: for c = i+1 down to the first
+/// key above `min_start`, calls `search(key_c)` only when key c's (ps, pe)
+/// summary proves that PSL(key_c) holds an element strictly containing
+/// `sd`. Keys at or below the §5.2 floor are never visited: every entry of
+/// PSL(key) has s <= key (it is stabbed by key), so such a PSL holds only
+/// entries with s <= min_start, which the search would drop anyway. With
+/// min_start = 0 the walk reaches slot 0, as in the paper. `search` returns
+/// a Status; the first error stops the walk.
 template <typename Search>
 Status ForEachStabbedPsl(const XrInternalEntry* slots, uint32_t count,
-                         Position sd, Search&& search) {
+                         Position sd, Position min_start, Search&& search) {
   if (count == 0) return Status::Ok();
-  uint32_t upper = std::min(XrChildSlot(slots, count, sd), count - 1);
-  for (uint32_t c = upper + 1; c-- > 0;) {
+  const uint32_t upper = std::min(XrChildSlot(slots, count, sd), count - 1);
+  const uint32_t lowest = XrChildSlot(slots, upper + 1, min_start);
+  for (uint32_t c = upper + 1; c-- > lowest;) {
     if (slots[c].ps != kNilPosition && slots[c].ps < sd &&
         sd < slots[c].pe) {
       XR_RETURN_IF_ERROR(search(slots[c].key));
@@ -57,18 +62,31 @@ Status ForEachStabbedPsl(const XrInternalEntry* slots, uint32_t count,
 /// strictly contains `sd`, counting each element examined in *scanned.
 /// Returns the index of the first element with start >= sd — the XR-stack's
 /// next CurA — or n when the leaf ends first.
+///
+/// `finger` is an optional start hint, typically the index an earlier
+/// ascending probe over the same leaf returned. It is used only when the
+/// element before it starts at or below min_start; the scan then steps
+/// forward past the remaining elements at or below min_start instead of
+/// binary-searching the whole leaf. Any other hint falls back to the
+/// binary search, so the result never depends on it.
 inline uint32_t ScanLeafForAncestors(const Element* slots, uint32_t n,
                                      Position sd, Position min_start,
-                                     ElementList* out, uint64_t* scanned) {
+                                     ElementList* out, uint64_t* scanned,
+                                     uint32_t finger = 0) {
   // Elements at or below min_start are already on the caller's stack.
   uint32_t i = 0;
   if (min_start != 0) {
-    i = static_cast<uint32_t>(
-        std::lower_bound(slots, slots + n, min_start + 1,
-                         [](const Element& e, Position k) {
-                           return e.start < k;
-                         }) -
-        slots);
+    if (finger > 0 && finger <= n && slots[finger - 1].start <= min_start) {
+      i = finger;
+      while (i < n && slots[i].start <= min_start) ++i;
+    } else {
+      i = static_cast<uint32_t>(
+          std::lower_bound(slots, slots + n, min_start + 1,
+                           [](const Element& e, Position k) {
+                             return e.start < k;
+                           }) -
+          slots);
+    }
   }
   for (; i < n && slots[i].start < sd; ++i) {
     ++*scanned;

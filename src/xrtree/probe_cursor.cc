@@ -39,7 +39,7 @@ Status XrProbeCursor::FindAncestorsAbove(Position sd, Position min_start,
       // The search cannot fail over an in-memory chain.
       (void)ForEachStabbedPsl(
           lv.slots.data(), static_cast<uint32_t>(lv.slots.size()), sd,
-          [&](Position key) {
+          min_start, [&](Position key) {
             CollectStabbedInSlice(lv.stab.data(),
                                   static_cast<uint32_t>(lv.stab.size()), key,
                                   sd, min_start, &collected_, &local_scanned);
@@ -47,8 +47,11 @@ Status XrProbeCursor::FindAncestorsAbove(Position sd, Position min_start,
           });
     }
     const uint32_t n = static_cast<uint32_t>(leaf_.size());
+    // The previous probe over this copy stopped at the first start >= its
+    // point, which the join's next floor (that point - 1) does not pass.
     uint32_t i = ScanLeafForAncestors(leaf_.data(), n, sd, min_start, out,
-                                      &local_scanned);
+                                      &local_scanned, leaf_finger_);
+    leaf_finger_ = i;
     if (next_start != nullptr) {
       if (i < n) {
         terminator = leaf_[i].start;
@@ -73,8 +76,11 @@ Status XrProbeCursor::FindAncestorsAbove(Position sd, Position min_start,
                                                         scanned, next_start));
     return Status::Ok();
   }
-  for (const StabEntry& se : collected_) out->push_back(ToElement(se));
-  std::sort(out->begin(), out->end());
+  // The leaf scan emits in start order; only stab entries need sorting in.
+  if (!collected_.empty()) {
+    for (const StabEntry& se : collected_) out->push_back(ToElement(se));
+    std::sort(out->begin(), out->end());
+  }
   if (scanned != nullptr) *scanned += local_scanned;
   if (next_start != nullptr) *next_start = terminator;
   return Status::Ok();
@@ -173,6 +179,7 @@ bool XrProbeCursor::Refill(Position sd, uint64_t seq, size_t depth) {
   tag_ = seq;
   valid_ = true;
   tail_known_ = false;
+  leaf_finger_ = 0;
   return true;
 }
 

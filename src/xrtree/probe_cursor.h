@@ -30,6 +30,10 @@ class XrTree;
 /// refill that fails that check, or runs while a writer is active, is
 /// answered by the one-shot XrTree::FindAncestorsAbove.
 ///
+/// A served ascending probe walks only the internal keys above its floor
+/// and resumes the leaf scan where the previous probe stopped, so it costs
+/// about its answer, not a node's fanout or a leaf's log.
+///
 /// Probe points may jump backwards; the cursor re-descends. One cursor per
 /// thread; the tree must outlive it.
 class XrProbeCursor {
@@ -75,6 +79,9 @@ class XrProbeCursor {
   /// past the leaf's last element has looked it up.
   bool tail_known_ = false;
   Position tail_start_ = kNilPosition;
+  /// Where the previous probe's leaf scan stopped in leaf_ (0 after a
+  /// refill): the scan's start hint for the next, ascending probe.
+  uint32_t leaf_finger_ = 0;
   std::vector<StabEntry> collected_;  ///< per-probe scratch
   uint64_t refills_ = 0;
   uint64_t fallbacks_ = 0;

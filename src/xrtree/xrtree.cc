@@ -1343,7 +1343,7 @@ Result<ElementList> XrTree::FindAncestorsAbove(Position sd,
     const auto* hdr = XrHeader(node);
     StabList list(pool_, hdr->stab_head, hdr->ps_dir, use_ps_dir_);
     return ForEachStabbedPsl(
-        XrInternalSlots(node), hdr->count, sd, [&](Position key) {
+        XrInternalSlots(node), hdr->count, sd, min_start, [&](Position key) {
           return list.CollectStabbed(key, sd, min_start, &collected,
                                      &local_scanned);
         });

@@ -170,12 +170,15 @@ class XrTree {
                                     uint64_t* scanned = nullptr) const;
 
   /// XR-stack variation (§5.2): ancestors of `sd` with start > `min_start`
-  /// — i.e. those above the caller's current stack top. When `next_start`
-  /// is non-null it receives the start of the first indexed element with
-  /// start >= sd (the S2 scan's terminator, which becomes the join's next
-  /// CurA at no extra cost; equality only occurs on self-joins where the
-  /// probe position is itself an indexed start), or kNilPosition past the
-  /// end of the index.
+  /// — i.e. those above the caller's current stack top. The floor also
+  /// bounds each internal node's key walk: a key <= min_start stabs only
+  /// elements with start <= key, so its stab list is never searched (or
+  /// fetched). min_start = 0 walks every key, as Algorithm 5 does. When
+  /// `next_start` is non-null it receives the start of the first indexed
+  /// element with start >= sd (the S2 scan's terminator, which becomes the
+  /// join's next CurA at no extra cost; equality only occurs on self-joins
+  /// where the probe position is itself an indexed start), or kNilPosition
+  /// past the end of the index.
   Result<ElementList> FindAncestorsAbove(Position sd, Position min_start,
                                          uint64_t* scanned = nullptr,
                                          Position* next_start = nullptr) const;

@@ -186,23 +186,51 @@ TEST(JoinTest, DisjointSetsProduceNothing) {
   EXPECT_TRUE(out2.pairs.empty());
 }
 
+std::unique_ptr<XrTree> SmallFanoutTree(BufferPool* pool,
+                                        const ElementList& elements) {
+  XrTreeOptions options;
+  options.leaf_capacity = 4;
+  options.internal_capacity = 4;
+  auto tree = std::make_unique<XrTree>(pool, kInvalidPageId, options);
+  XR_CHECK_OK(tree->BulkLoad(elements));
+  return tree;
+}
+
 TEST(JoinTest, CountOnlyModeSkipsMaterialization) {
+  // Count-only emission adds the stack size per descendant instead of
+  // looping over the pairs; it must count exactly the pairs the
+  // materializing join returns and scan the same elements, serially and
+  // in every range worker, for both join axes.
   ElementList universe = RandomNestedElements(77, 600);
   ElementList a_list, d_list;
   SplitByLevel(universe, &a_list, &d_list);
-  TempDb db;
-  StoredElementSet a_set(db.pool(), "A");
-  StoredElementSet d_set(db.pool(), "D");
-  ASSERT_OK(a_set.Build(a_list));
-  ASSERT_OK(d_set.Build(d_list));
-  JoinOptions options;
-  options.materialize = false;
-  ASSERT_OK_AND_ASSIGN(JoinOutput counted,
-                       XrStackJoin(a_set.xrtree(), d_set.xrtree(), options));
-  EXPECT_TRUE(counted.pairs.empty());
-  ASSERT_OK_AND_ASSIGN(JoinOutput full,
-                       XrStackJoin(a_set.xrtree(), d_set.xrtree()));
-  EXPECT_EQ(counted.stats.output_pairs, full.pairs.size());
+  TempDb db(512);
+  auto a_tree = SmallFanoutTree(db.pool(), a_list);
+  auto d_tree = SmallFanoutTree(db.pool(), d_list);
+  for (uint32_t threads : {1u, 2u, 4u}) {
+    if (threads > 1) {
+      ASSERT_OK_AND_ASSIGN(auto ranges, PlanJoinPartitions(*a_tree, threads));
+      ASSERT_GT(ranges.size(), 1u);
+    }
+    for (bool parent_child : {false, true}) {
+      SCOPED_TRACE("threads " + std::to_string(threads) +
+                   (parent_child ? " parent-child" : " ancestor-descendant"));
+      JoinOptions options;
+      options.num_threads = threads;
+      options.parent_child = parent_child;
+      auto join = [&](const JoinOptions& o) {
+        return threads == 1 ? XrStackJoin(*a_tree, *d_tree, o)
+                            : ParallelXrStackJoin(*a_tree, *d_tree, o);
+      };
+      ASSERT_OK_AND_ASSIGN(JoinOutput full, join(options));
+      EXPECT_FALSE(full.pairs.empty());
+      options.materialize = false;
+      ASSERT_OK_AND_ASSIGN(JoinOutput counted, join(options));
+      EXPECT_TRUE(counted.pairs.empty());
+      EXPECT_EQ(counted.stats.output_pairs, full.pairs.size());
+      EXPECT_EQ(counted.stats.elements_scanned, full.stats.elements_scanned);
+    }
+  }
 }
 
 TEST(JoinTest, PaperExampleEmployeeName) {
@@ -311,16 +339,6 @@ TEST(JoinTest, MultiDocumentCorpusNeverJoinsAcrossDocuments) {
 
 /// Builds a deliberately deep XR-tree (fanout 4) so even small element sets
 /// offer internal separator keys for partitioning.
-std::unique_ptr<XrTree> SmallFanoutTree(BufferPool* pool,
-                                        const ElementList& elements) {
-  XrTreeOptions options;
-  options.leaf_capacity = 4;
-  options.internal_capacity = 4;
-  auto tree = std::make_unique<XrTree>(pool, kInvalidPageId, options);
-  XR_CHECK_OK(tree->BulkLoad(elements));
-  return tree;
-}
-
 TEST(ParallelJoinTest, RangeWorkersPartitionPairsExactly) {
   // Each pair must be emitted by exactly one range worker: the per-range
   // outputs are disjoint and their union is the serial output.

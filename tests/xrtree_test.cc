@@ -428,23 +428,40 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(XrTreeTest, FindAncestorsAboveFiltersStackTop) {
-  TempDb db;
-  XrTree tree(db.pool());
   ElementList elems = RandomNestedElements(8, 500, 2);
-  ASSERT_OK(tree.BulkLoad(elems));
-  Random rng(81);
-  for (int q = 0; q < 50; ++q) {
-    Position sd = elems[rng.Uniform(elems.size())].start + 1;
-    ElementList full = BruteAncestors(elems, sd);
-    if (full.empty()) continue;
-    Position cut = full[full.size() / 2].start;
-    ASSERT_OK_AND_ASSIGN(ElementList got, tree.FindAncestorsAbove(sd, cut));
-    StripFlags(&got);
-    ElementList want;
-    for (const Element& e : full) {
-      if (e.start > cut) want.push_back(e);
+  // Full pages, and fanout 4, whose height >= 3 tree puts internal keys at
+  // and below most floors (the key walk stops at the first key above it).
+  for (uint32_t fanout : {0u, 4u}) {
+    SCOPED_TRACE("fanout " + std::to_string(fanout));
+    TempDb db;
+    XrTreeOptions options;
+    options.leaf_capacity = fanout;
+    options.internal_capacity = fanout;
+    XrTree tree(db.pool(), kInvalidPageId, options);
+    ASSERT_OK(tree.BulkLoad(elems));
+    if (fanout != 0) {
+      ASSERT_OK_AND_ASSIGN(uint32_t height, tree.Height());
+      EXPECT_GE(height, 3u);
     }
-    ASSERT_EQ(got, want);
+    Random rng(81);
+    for (int q = 0; q < 50; ++q) {
+      Position sd = elems[rng.Uniform(elems.size())].start + 1;
+      ElementList full = BruteAncestors(elems, sd);
+      if (full.empty()) continue;
+      // A floor at an ancestor's start (the stack top) and one between
+      // elements (the previous probe point - 1).
+      for (Position cut : {full[full.size() / 2].start,
+                           static_cast<Position>(rng.UniformRange(0, sd))}) {
+        ASSERT_OK_AND_ASSIGN(ElementList got,
+                             tree.FindAncestorsAbove(sd, cut));
+        StripFlags(&got);
+        ElementList want;
+        for (const Element& e : full) {
+          if (e.start > cut) want.push_back(e);
+        }
+        ASSERT_EQ(got, want) << "sd=" << sd << " cut=" << cut;
+      }
+    }
   }
 }
 
@@ -780,9 +797,13 @@ void ExpectCursorMatchesOneShot(const XrTree& tree, XrProbeCursor* cursor,
 /// Replays the XR-stack's probe sequence over `probes` (document order):
 /// the stack pops closed regions and each probe is floored at
 /// max(stack top, previous probe - 1), or at 0 without the floor
-/// (JoinOptions::disable_probe_floor).
-void ReplayJoinProbes(const XrTree& tree, XrProbeCursor* cursor,
-                      const ElementList& probes, bool probe_floor) {
+/// (JoinOptions::disable_probe_floor). Every answer must equal the
+/// brute-force ancestors in `indexed` (the tree's elements) above the
+/// floor: the cursor and the one-shot path share the floored key walk, so
+/// their agreement alone would not catch a wrong prune.
+void ReplayJoinProbes(const XrTree& tree, const ElementList& indexed,
+                      XrProbeCursor* cursor, const ElementList& probes,
+                      bool probe_floor) {
   ElementList stack;
   Position last_probe = 0;
   for (const Element& d : probes) {
@@ -795,6 +816,11 @@ void ReplayJoinProbes(const XrTree& tree, XrProbeCursor* cursor,
     ElementList ad;
     ASSERT_NO_FATAL_FAILURE(
         ExpectCursorMatchesOneShot(tree, cursor, d.start, min_start, &ad));
+    ElementList want;
+    for (const Element& e : BruteAncestors(indexed, d.start)) {
+      if (e.start > min_start) want.push_back(e);
+    }
+    ASSERT_EQ(ad, want) << "sd=" << d.start << " min_start=" << min_start;
     for (const Element& a : ad) {
       if (a.start > stack_floor) stack.push_back(a);
     }
@@ -841,6 +867,9 @@ TEST_P(ProbeCursorDifferentialTest, CursorMatchesOneShotProbes) {
   ASSERT_OK_AND_ASSIGN(uint32_t height, tree.Height());
   EXPECT_GE(height, 2u);
   if (p.fanout != 0 && !p.compressed) {
+    // Fixed pages at fanout 4 put floors below keys on more than one
+    // internal level (compressed leaves pack more, so that tree is lower).
+    EXPECT_GE(height, 3u);
     ASSERT_OK_AND_ASSIGN(StabStats stats, tree.ComputeStabStats());
     EXPECT_GT(stats.max_stab_pages_per_node, 1u);
   }
@@ -848,12 +877,15 @@ TEST_P(ProbeCursorDifferentialTest, CursorMatchesOneShotProbes) {
   // The join's probes, with and without the §5.2 floor, and a self-join
   // (probe points are the indexed starts themselves).
   XrProbeCursor cursor(&tree);
-  ASSERT_NO_FATAL_FAILURE(ReplayJoinProbes(tree, &cursor, d_list, true));
+  ASSERT_NO_FATAL_FAILURE(
+      ReplayJoinProbes(tree, a_list, &cursor, d_list, true));
   EXPECT_LT(cursor.refills(), d_list.size() / 2);
   XrProbeCursor unfloored(&tree);
-  ASSERT_NO_FATAL_FAILURE(ReplayJoinProbes(tree, &unfloored, d_list, false));
+  ASSERT_NO_FATAL_FAILURE(
+      ReplayJoinProbes(tree, a_list, &unfloored, d_list, false));
   XrProbeCursor self(&tree);
-  ASSERT_NO_FATAL_FAILURE(ReplayJoinProbes(tree, &self, a_list, true));
+  ASSERT_NO_FATAL_FAILURE(
+      ReplayJoinProbes(tree, a_list, &self, a_list, true));
 
   // Non-monotone jumps, including points past the last element and floors
   // at an ancestor's start: the cursor re-descends.
