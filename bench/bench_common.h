@@ -33,6 +33,10 @@ struct BenchEnv {
 
 BenchEnv GetBenchEnv();
 
+/// The unsigned value of environment variable `name`, or `dflt` when it is
+/// unset or empty.
+uint64_t EnvU64(const char* name, uint64_t dflt);
+
 /// A scratch on-disk database deleted on destruction.
 class BenchDb {
  public:

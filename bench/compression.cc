@@ -29,12 +29,6 @@ namespace xrtree {
 namespace bench {
 namespace {
 
-uint64_t EnvU64(const char* name, uint64_t dflt) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return dflt;
-  return std::strtoull(v, nullptr, 10);
-}
-
 struct FormatResult {
   std::string format;
   uint64_t elements = 0;

@@ -36,12 +36,6 @@ namespace xrtree {
 namespace bench {
 namespace {
 
-uint64_t EnvU64(const char* name, uint64_t dflt) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return dflt;
-  return std::strtoull(v, nullptr, 10);
-}
-
 struct SetRoots {
   PageId file_head = kInvalidPageId;
   uint64_t file_size = 0;

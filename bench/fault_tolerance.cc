@@ -33,12 +33,6 @@ namespace xrtree {
 namespace bench {
 namespace {
 
-uint64_t EnvU64(const char* name, uint64_t dflt) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return dflt;
-  return std::strtoull(v, nullptr, 10);
-}
-
 struct RoundResult {
   std::string mode;
   double fault_prob = 0;

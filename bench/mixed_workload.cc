@@ -53,12 +53,6 @@ namespace xrtree {
 namespace bench {
 namespace {
 
-uint64_t EnvU64(const char* name, uint64_t dflt) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return dflt;
-  return std::strtoull(v, nullptr, 10);
-}
-
 struct PhaseResult {
   std::string name;
   double seconds = 0;

@@ -41,6 +41,8 @@ struct JoinOptions {
   /// Ablation (XR-stack only): disable the §5.2 stack variation that
   /// floors FindAncestors probes at max(stack top, previous probe); every
   /// probe then re-scans its landing leaf prefix from the first element.
+  /// It also turns off the in-leaf scan mode (every ancestor advance is a
+  /// probe), so the ablation cross-checks the step as well as the floor.
   bool disable_probe_floor = false;
 
   /// Intra-query parallelism (ParallelXrStackJoin): number of worker
@@ -111,6 +113,9 @@ struct JoinStats {
   /// re-copy (XrProbeCursor). A join over a static tree has no fallbacks.
   uint64_t probe_refills = 0;
   uint64_t probe_fallbacks = 0;
+  /// XR-stack ancestor advances answered by an in-leaf step through the
+  /// probe cursor's leaf copy instead of a probe (XrProbeCursor::Advance).
+  uint64_t probe_steps = 0;
   IoStats io;               ///< filled in by the caller (pool stats delta)
   double elapsed_seconds = 0;  ///< filled in by the caller
 };

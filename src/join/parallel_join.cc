@@ -165,6 +165,7 @@ Result<JoinOutput> ParallelXrStackJoin(const XrTree& ancestors,
     out.stats.elements_scanned += r->stats.elements_scanned;
     out.stats.probe_refills += r->stats.probe_refills;
     out.stats.probe_fallbacks += r->stats.probe_fallbacks;
+    out.stats.probe_steps += r->stats.probe_steps;
     MergeEmissionOrdered(&out.pairs, std::move(r->pairs));
   }
   return out;

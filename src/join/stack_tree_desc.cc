@@ -1,6 +1,9 @@
 #include "join/stack_tree_desc.h"
 
+#include <utility>
 #include <vector>
+
+#include "xrtree/xrtree_iterator.h"
 
 namespace xrtree {
 
@@ -79,6 +82,25 @@ class VectorStream {
   uint64_t scanned_ = 0;
 };
 
+/// Stream adapter over an XR-tree's leaf chain. A failed step ends the
+/// stream and keeps the error for the caller.
+class XrTreeStream {
+ public:
+  explicit XrTreeStream(XrIterator it) : it_(std::move(it)) {}
+  bool Valid() const { return status_.ok() && it_.Valid(); }
+  const Element& Get() const { return it_.Get(); }
+  void Next() {
+    Status st = it_.Next();
+    if (!st.ok()) status_ = std::move(st);
+  }
+  uint64_t scanned() const { return it_.scanned(); }
+  const Status& status() const { return status_; }
+
+ private:
+  XrIterator it_;
+  Status status_;
+};
+
 }  // namespace
 
 Result<JoinOutput> StackTreeDescJoin(const ElementFile& ancestors,
@@ -87,6 +109,20 @@ Result<JoinOutput> StackTreeDescJoin(const ElementFile& ancestors,
   FileStream a(ancestors);
   FileStream d(descendants);
   JoinOutput out = RunStackTreeDesc(a, d, options);
+  out.stats.elements_scanned = a.scanned() + d.scanned();
+  return out;
+}
+
+Result<JoinOutput> StackTreeDescJoin(const XrTree& ancestors,
+                                     const XrTree& descendants,
+                                     const JoinOptions& options) {
+  XR_ASSIGN_OR_RETURN(XrIterator a_it, ancestors.Begin());
+  XR_ASSIGN_OR_RETURN(XrIterator d_it, descendants.Begin());
+  XrTreeStream a(std::move(a_it));
+  XrTreeStream d(std::move(d_it));
+  JoinOutput out = RunStackTreeDesc(a, d, options);
+  XR_RETURN_IF_ERROR(a.status());
+  XR_RETURN_IF_ERROR(d.status());
   out.stats.elements_scanned = a.scanned() + d.scanned();
   return out;
 }

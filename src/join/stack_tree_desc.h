@@ -5,6 +5,7 @@
 #include "join/join_types.h"
 #include "storage/element_file.h"
 #include "xml/element.h"
+#include "xrtree/xrtree.h"
 
 namespace xrtree {
 
@@ -14,6 +15,12 @@ namespace xrtree {
 /// is scanned whether or not it joins; output is sorted by descendant.
 Result<JoinOutput> StackTreeDescJoin(const ElementFile& ancestors,
                                      const ElementFile& descendants,
+                                     const JoinOptions& options = {});
+
+/// The same merge over two XR-trees' leaf levels (XrIterator chains): the
+/// leaf-scan baseline XR-stack's skipping must beat (bench/skip_scan).
+Result<JoinOutput> StackTreeDescJoin(const XrTree& ancestors,
+                                     const XrTree& descendants,
                                      const JoinOptions& options = {});
 
 /// In-memory variant over plain lists (used by tests and the workload

@@ -34,12 +34,12 @@ Result<JoinOutput> XrStackJoinRange(const XrTree& ancestors,
   // equal kNilPosition, so hi == kNilPosition admits every ancestor.
   auto in_range = [&](Position start) { return start >= lo && start < hi; };
 
-  // CurA is tracked as a position, not a cursor: each FindAncestors probe
-  // returns the start of the first ancestor-set element past the probe
-  // point (Algorithm 6 line 12) as a byproduct of its S2 leaf scan, so the
-  // ancestor side is never walked element by element. A range worker lands
-  // on its first owned ancestor with one root-to-leaf probe (LowerBound),
-  // never a leaf-chain walk from the leftmost page.
+  // CurA is tracked as a position, not a cursor: each ancestor advance
+  // (an in-leaf step or a FindAncestors probe, below) returns the start of
+  // the first ancestor-set element past its point (Algorithm 6 line 12) as
+  // a byproduct, so the ancestor side is never walked by an iterator. A
+  // range worker lands on its first owned ancestor with one root-to-leaf
+  // probe (LowerBound), never a leaf-chain walk from the leftmost page.
   Position cur_a = kNilPosition;
   {
     XR_ASSIGN_OR_RETURN(XrIterator it0,
@@ -95,11 +95,13 @@ Result<JoinOutput> XrStackJoinRange(const XrTree& ancestors,
   // starting exactly at the previous probe position (not an ancestor of
   // its own start, but possibly of later ones) is still examined. Starting
   // the floor at `lo` additionally keeps probes from re-collecting
-  // ancestors owned by ranges to the left.
+  // ancestors owned by ranges to the left. A step (below) leaves the stack
+  // exactly as a probe at the same point would, so it moves the floor too.
   Position last_probe = lo;
 
   // The probes ascend (the floor above), so a finger cursor answers most of
-  // them from its copy of the previous probe's root-to-leaf path.
+  // them from its copy of the previous probe's root-to-leaf path. Where its
+  // leaf copy covers the next point, the cursor steps instead of probing.
   XrProbeCursor probe(&ancestors);
   ElementList ad;
 
@@ -129,9 +131,10 @@ Result<JoinOutput> XrStackJoinRange(const XrTree& ancestors,
     // CurD; routing equality through the FindAncestors branch keeps the
     // stack complete (an element is never its own ancestor).
     if (cur_a <= d.start) {
-      // Lines 9-13: fetch CurD's ancestors beyond the stack top straight
-      // from the XR-tree, skipping everything between, and pick up the
-      // next CurA from the same probe.
+      // Lines 9-13: add CurD's ancestors beyond the stack top and pick up
+      // the next CurA. Step through the cursor's leaf copy when it covers
+      // CurD (stepping costs one comparison per ancestor passed); probe the
+      // XR-tree otherwise, skipping everything between.
       Position stack_floor = stack.empty() ? 0 : stack.back().start;
       Position probe_floor = last_probe > 0 ? last_probe - 1 : 0;
       // The ablation probes with no floor (paper's plain Algorithm 4) and
@@ -164,9 +167,11 @@ Result<JoinOutput> XrStackJoinRange(const XrTree& ancestors,
         pf_arm_at =
             (resume != kNilPosition && resume > cur_a) ? resume : cur_a + 1;
       }
+      // The ablation's floor of 0 never steps, so it stays an independent
+      // all-probe cross-check of the step.
       Position next_a = kNilPosition;
-      XR_RETURN_IF_ERROR(probe.FindAncestorsAbove(d.start, min_start, &ad,
-                                                  &search_scanned, &next_a));
+      XR_RETURN_IF_ERROR(
+          probe.Advance(d.start, min_start, &ad, &search_scanned, &next_a));
       last_probe = d.start;
       cur_a = next_a;
       if (cur_a != kNilPosition && !in_range(cur_a)) cur_a = kNilPosition;
@@ -205,6 +210,7 @@ Result<JoinOutput> XrStackJoinRange(const XrTree& ancestors,
   out.stats.elements_scanned = itd.scanned() + search_scanned;
   out.stats.probe_refills = probe.refills();
   out.stats.probe_fallbacks = probe.fallbacks();
+  out.stats.probe_steps = probe.steps();
   return out;
 }
 

@@ -52,6 +52,9 @@ Status XrProbeCursor::FindAncestorsAbove(Position sd, Position min_start,
     uint32_t i = ScanLeafForAncestors(leaf_.data(), n, sd, min_start, out,
                                       &local_scanned, leaf_finger_);
     leaf_finger_ = i;
+    // A floor at or past sd skips the elements in [sd, min_start], so the
+    // finger then says nothing about sd.
+    scan_point_ = min_start < sd ? sd : kNilPosition;
     if (next_start != nullptr) {
       if (i < n) {
         terminator = leaf_[i].start;
@@ -83,6 +86,41 @@ Status XrProbeCursor::FindAncestorsAbove(Position sd, Position min_start,
   }
   if (scanned != nullptr) *scanned += local_scanned;
   if (next_start != nullptr) *next_start = terminator;
+  return Status::Ok();
+}
+
+Status XrProbeCursor::Advance(Position sd, Position min_start,
+                              ElementList* out, uint64_t* scanned,
+                              Position* next_start) {
+  // sd >= scan_point_ >= leaf_lo_, so [scan_point_, sd) lies inside the
+  // leaf's key range, and with it every element starting there.
+  if (!valid_ || min_start == 0 || min_start + 1 != scan_point_ ||
+      sd < scan_point_ || sd >= leaf_hi_ ||
+      tree_->write_seq_.load(std::memory_order_acquire) != tag_) {
+    return FindAncestorsAbove(sd, min_start, out, scanned, next_start);
+  }
+  out->clear();
+  const uint32_t n = static_cast<uint32_t>(leaf_.size());
+  uint32_t i = leaf_finger_;
+  for (; i < n && leaf_[i].start < sd; ++i) {
+    ++*scanned;
+    // Strict containment, as the probe's: the join keeps an element whose
+    // end equals the next descendant's start, so pushing one that merely
+    // touches sd would emit a pair the probe path never does.
+    if (sd < leaf_[i].end) {
+      Element e = leaf_[i];
+      e.flags = 0;
+      out->push_back(e);
+    }
+  }
+  leaf_finger_ = i;
+  scan_point_ = sd;
+  ++steps_;
+  if (i < n) {
+    *next_start = leaf_[i].start;
+  } else {
+    *next_start = tail_known_ ? tail_start_ : leaf_hi_;
+  }
   return Status::Ok();
 }
 
@@ -180,6 +218,7 @@ bool XrProbeCursor::Refill(Position sd, uint64_t seq, size_t depth) {
   valid_ = true;
   tail_known_ = false;
   leaf_finger_ = 0;
+  scan_point_ = kNilPosition;
   return true;
 }
 

@@ -34,6 +34,10 @@ class XrTree;
 /// and resumes the leaf scan where the previous probe stopped, so it costs
 /// about its answer, not a node's fanout or a leaf's log.
 ///
+/// Between probes the join can step instead (Advance): while the copy is
+/// current and its leaf covers the next point, the ancestors between the
+/// previous point and the next one are read straight off the leaf copy.
+///
 /// Probe points may jump backwards; the cursor re-descends. One cursor per
 /// thread; the tree must outlive it.
 class XrProbeCursor {
@@ -48,10 +52,29 @@ class XrProbeCursor {
                             uint64_t* scanned = nullptr,
                             Position* next_start = nullptr);
 
+  /// The XR-stack's ancestor advance: FindAncestorsAbove(sd, min_start,
+  /// ...), or an in-leaf step where that is cheaper. It steps when the copy
+  /// is current (the write sequence still equals its tag), its leaf's key
+  /// range covers sd, and min_start + 1 is the point p <= sd of the
+  /// previous served probe or step — the join's ascending floor. Then every
+  /// element with p <= start < sd lies in the leaf copy: the step writes
+  /// into *out (previous contents dropped, flags cleared, start order) the
+  /// ones that strictly contain sd, adds one to *scanned per element
+  /// passed, and sets *next_start to the first start >= sd — or to the
+  /// leaf's upper key bound when the leaf ends first, which no
+  /// ancestor-set start lies below. The answer is the probe's; *scanned
+  /// and *next_start may differ from it as described. A floor of 0 (the
+  /// join's unfloored ablation) always probes. `scanned` and `next_start`
+  /// must be non-null.
+  Status Advance(Position sd, Position min_start, ElementList* out,
+                 uint64_t* scanned, Position* next_start);
+
   /// Path re-copies made (including the first), and probes answered by the
   /// one-shot path because a writer raced the re-copy.
   uint64_t refills() const { return refills_; }
   uint64_t fallbacks() const { return fallbacks_; }
+  /// Advance calls answered by a step.
+  uint64_t steps() const { return steps_; }
 
  private:
   struct Level {
@@ -82,9 +105,14 @@ class XrProbeCursor {
   /// Where the previous probe's leaf scan stopped in leaf_ (0 after a
   /// refill): the scan's start hint for the next, ascending probe.
   uint32_t leaf_finger_ = 0;
+  /// The point leaf_finger_ stands at (leaf_finger_ is the first index with
+  /// start >= scan_point_), or kNilPosition when the last probe did not
+  /// leave it there; Advance steps only from here.
+  Position scan_point_ = kNilPosition;
   std::vector<StabEntry> collected_;  ///< per-probe scratch
   uint64_t refills_ = 0;
   uint64_t fallbacks_ = 0;
+  uint64_t steps_ = 0;
 };
 
 }  // namespace xrtree

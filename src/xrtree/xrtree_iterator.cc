@@ -115,6 +115,21 @@ Status XrIterator::SeekPastKey(Position key) {
   if (tree_ == nullptr) {
     return Status::InvalidArgument("SeekPastKey on default iterator");
   }
+  if (!snap_.empty() && snap_.front().start <= key &&
+      key < snap_.back().start) {
+    // Finger seek: the first start > key lies in this snapshot, and no
+    // earlier leaf holds one. Search from the cursor when the key is ahead
+    // of it (the join's case), else from the snapshot's first element.
+    const size_t from = Valid() && snap_[pos_].start <= key ? pos_ : 0;
+    pos_ = static_cast<size_t>(
+        std::upper_bound(snap_.begin() + from, snap_.end(), key,
+                         [](Position k, const Element& e) {
+                           return k < e.start;
+                         }) -
+        snap_.begin());
+    ++scanned_;  // the landing element, as a fresh descent charges it
+    return Status::Ok();
+  }
   const XrTree* tree = tree_;
   uint64_t scanned = scanned_;
   uint32_t prefetch = prefetch_depth_;
@@ -124,24 +139,6 @@ Status XrIterator::SeekPastKey(Position key) {
   // The landing element is examined and charged like any other scan (see
   // BTreeIterator::SeekPastKey). An off-the-end result comes back with a
   // null tree pointer; restore it so the iterator stays reseekable.
-  scanned_ += scanned;
-  tree_ = tree;
-  prefetch_depth_ = prefetch;
-  prefetch_cap_ = cap;
-  MaybePrefetch();
-  return Status::Ok();
-}
-
-Status XrIterator::SeekToStart(Position pos) {
-  if (tree_ == nullptr) {
-    return Status::InvalidArgument("SeekToStart on default iterator");
-  }
-  const XrTree* tree = tree_;
-  uint64_t scanned = scanned_;
-  uint32_t prefetch = prefetch_depth_;
-  uint32_t cap = prefetch_cap_;
-  XR_ASSIGN_OR_RETURN(XrIterator fresh, tree->LowerBound(pos));
-  *this = std::move(fresh);
   scanned_ += scanned;
   tree_ = tree;
   prefetch_depth_ = prefetch;

@@ -40,16 +40,13 @@ class XrIterator {
 
   Status Next();
 
-  /// Re-seeks to the first element with start > `key` via a fresh
-  /// root-to-leaf probe — the skip primitive of Algorithm 6 (lines 12/19).
+  /// Re-seeks to the first element with start > `key` — the skip
+  /// primitive of Algorithm 6 (line 19). When that element lies in the
+  /// current snapshot (its first start <= key < its last start) the seek
+  /// binary-searches the snapshot and fetches nothing; otherwise it takes a
+  /// fresh root-to-leaf probe. Either way the landing element is charged to
+  /// scanned() once and the read-ahead depth is kept.
   Status SeekPastKey(Position key);
-
-  /// Re-seeks to the first element with start >= `pos` via a fresh
-  /// root-to-leaf probe (O(log_F N), never a leaf-chain scan). This is the
-  /// partition-boundary landing primitive of the parallel join: a worker
-  /// owning ancestors in [lo, hi) starts its cursor at SeekToStart(lo)
-  /// without paying the O(leaf count) walk from the leftmost leaf.
-  Status SeekToStart(Position pos);
 
   /// Turns on leaf read-ahead: every time the cursor lands on a new leaf,
   /// the next `depth` sibling leaves (XrTree::LeafRunAfter) are submitted
@@ -69,6 +66,7 @@ class XrIterator {
   static constexpr uint32_t kMaxAdaptivePrefetch = 64;
 
   uint64_t scanned() const { return scanned_; }
+  uint32_t prefetch_depth() const { return prefetch_depth_; }
 
  private:
   friend class XrTree;

@@ -5,7 +5,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <cstring>
+#include <functional>
 #include <memory>
+#include <mutex>
+#include <thread>
 
 #include "join/bplus_join.h"
 #include "join/element_source.h"
@@ -931,6 +935,273 @@ TEST(JoinTest, SelfJoinProducesProperPairsOnly) {
   for (const JoinPair& pr : want) {
     EXPECT_TRUE(pr.ancestor.Contains(pr.descendant));
   }
+}
+
+// ---------------------------------------------------------------------------
+// Scan mode: XR-stack steps through the probe cursor's leaf copy where it
+// covers the next descendant and probes elsewhere. Its output must equal,
+// byte for byte, the all-probe path (disable_probe_floor) and Stack-Tree-
+// Desc over the same two trees.
+// ---------------------------------------------------------------------------
+
+/// About `fraction` of `list`, seeded; subsets of a nested list stay nested.
+ElementList KeepFraction(const ElementList& list, double fraction,
+                         uint64_t seed) {
+  if (fraction >= 1.0) return list;
+  Random rng(seed);
+  const uint64_t cut = static_cast<uint64_t>(fraction * 100000);
+  ElementList out;
+  for (const Element& e : list) {
+    if (rng.Uniform(100000) < cut) out.push_back(e);
+  }
+  return out;
+}
+
+/// Pairs with flags cleared (InStabList bookkeeping depends on the page
+/// format) and, when `contained_only`, only the proper-containment pairs.
+std::vector<JoinPair> Comparable(std::vector<JoinPair> pairs,
+                                 bool contained_only) {
+  std::vector<JoinPair> out;
+  for (JoinPair& p : pairs) {
+    if (contained_only && !p.ancestor.Contains(p.descendant)) continue;
+    p.ancestor.flags = p.descendant.flags = 0;
+    out.push_back(p);
+  }
+  return out;
+}
+
+void ExpectSameBytes(const std::vector<JoinPair>& got,
+                     const std::vector<JoinPair>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(std::memcmp(&got[i], &want[i], sizeof(JoinPair)), 0)
+        << "pair " << i << ": " << got[i].ancestor << " " << got[i].descendant
+        << " vs " << want[i].ancestor << " " << want[i].descendant;
+  }
+}
+
+struct ScanModeParam {
+  uint64_t seed;
+  bool compressed;
+  /// Ancestors and descendants from two independent documents, so their
+  /// positions collide (an ancestor may end exactly where a descendant
+  /// starts), instead of one document split by level.
+  bool colliding;
+};
+
+class ScanModeDifferentialTest
+    : public ::testing::TestWithParam<ScanModeParam> {};
+
+TEST_P(ScanModeDifferentialTest, StepsMatchProbesAndStackTreeDesc) {
+  const ScanModeParam p = GetParam();
+  ElementList a_all, d_list;
+  if (p.colliding) {
+    a_all = RandomNestedElements(p.seed, 1500, 3);
+    d_list = RandomNestedElements(p.seed + 1, 1500, 5);
+  } else {
+    SplitByLevel(RandomNestedElements(p.seed, 3000, 3), &a_all, &d_list);
+  }
+  TempDb db(2048);
+  XrTreeOptions topt;
+  topt.leaf_capacity = 8;
+  topt.internal_capacity = 4;
+  topt.compressed_pages = p.compressed;
+  XrTree d_tree(db.pool(), kInvalidPageId, topt);
+  ASSERT_OK(d_tree.BulkLoad(d_list));
+
+  JoinOptions probe_only;
+  probe_only.disable_probe_floor = true;
+  for (double kept : {1.0, 0.3, 0.05, 0.01, 0.002}) {
+    SCOPED_TRACE("ancestors kept " + std::to_string(kept));
+    ElementList a_list = KeepFraction(a_all, kept, p.seed + 7);
+    XrTree a_tree(db.pool(), kInvalidPageId, topt);
+    ASSERT_OK(a_tree.BulkLoad(a_list));
+
+    ASSERT_OK_AND_ASSIGN(JoinOutput xr, XrStackJoin(a_tree, d_tree));
+    ASSERT_OK_AND_ASSIGN(JoinOutput probed,
+                         XrStackJoin(a_tree, d_tree, probe_only));
+    ASSERT_OK_AND_ASSIGN(JoinOutput merge, StackTreeDescJoin(a_tree, d_tree));
+    // Same emission order, same bytes (the two paths read the same trees,
+    // so even the descendants' flags agree).
+    ASSERT_NO_FATAL_FAILURE(ExpectSameBytes(xr.pairs, probed.pairs));
+    EXPECT_EQ(probed.stats.probe_steps, 0u);
+    if (kept == 1.0) {
+      EXPECT_GT(xr.stats.probe_steps, 0u);
+    }
+    // Stack-Tree-Desc also pairs an ancestor with a descendant starting
+    // exactly at its end; XR-stack emits such a touching pair only when
+    // the ancestor is already on the stack. With colliding positions, so
+    // compare the proper containments.
+    ASSERT_NO_FATAL_FAILURE(
+        ExpectSameBytes(Comparable(xr.pairs, p.colliding),
+                        Comparable(merge.pairs, p.colliding)));
+
+    // Every range of every partition plan at 2-8 threads.
+    for (uint32_t threads = 2; threads <= 8; ++threads) {
+      ASSERT_OK_AND_ASSIGN(auto ranges, PlanJoinPartitions(a_tree, threads));
+      for (const auto& [lo, hi] : ranges) {
+        SCOPED_TRACE("range [" + std::to_string(lo) + ", " +
+                     std::to_string(hi) + ") of " + std::to_string(threads));
+        ASSERT_OK_AND_ASSIGN(JoinOutput part,
+                             XrStackJoinRange(a_tree, d_tree, lo, hi));
+        ASSERT_OK_AND_ASSIGN(
+            JoinOutput part_probed,
+            XrStackJoinRange(a_tree, d_tree, lo, hi, probe_only));
+        ASSERT_NO_FATAL_FAILURE(ExpectSameBytes(part.pairs, part_probed.pairs));
+        std::vector<JoinPair> owned;
+        for (const JoinPair& pr : xr.pairs) {
+          if (pr.ancestor.start >= lo && pr.ancestor.start < hi) {
+            owned.push_back(pr);
+          }
+        }
+        ASSERT_NO_FATAL_FAILURE(ExpectSameBytes(part.pairs, owned));
+      }
+      JoinOptions par;
+      par.num_threads = threads;
+      ASSERT_OK_AND_ASSIGN(JoinOutput joined,
+                           ParallelXrStackJoin(a_tree, d_tree, par));
+      ASSERT_NO_FATAL_FAILURE(ExpectSameBytes(joined.pairs, xr.pairs));
+    }
+  }
+
+  // Self-join: the probe point can sit exactly on an ancestor's start.
+  XrTree self(db.pool(), kInvalidPageId, topt);
+  ASSERT_OK(self.BulkLoad(a_all));
+  ASSERT_OK_AND_ASSIGN(JoinOutput xr, XrStackJoin(self, self));
+  ASSERT_OK_AND_ASSIGN(JoinOutput probed, XrStackJoin(self, self, probe_only));
+  ASSERT_OK_AND_ASSIGN(JoinOutput merge, StackTreeDescJoin(self, self));
+  EXPECT_GT(xr.stats.probe_steps, 0u);
+  ASSERT_NO_FATAL_FAILURE(ExpectSameBytes(xr.pairs, probed.pairs));
+  ASSERT_NO_FATAL_FAILURE(ExpectSameBytes(Comparable(xr.pairs, false),
+                                          Comparable(merge.pairs, false)));
+  EXPECT_EQ(Canonical(xr.pairs), Canonical(NestedLoopJoin(a_all, a_all).pairs));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, ScanModeDifferentialTest,
+    ::testing::Values(ScanModeParam{71, false, false},
+                      ScanModeParam{72, true, false},
+                      ScanModeParam{73, false, true},
+                      ScanModeParam{74, true, true}),
+    [](const ::testing::TestParamInfo<ScanModeParam>& info) {
+      return std::string(info.param.compressed ? "compressed" : "fixed") +
+             (info.param.colliding ? "_colliding" : "_split");
+    });
+
+/// DiskInterface decorator that runs a hook once, on the first read of one
+/// page: a deterministic point inside a join, between two descendants.
+class HookOnReadDisk final : public DiskInterface {
+ public:
+  explicit HookOnReadDisk(DiskInterface* base) : base_(base) {}
+
+  void Arm(PageId page, std::function<void()> hook) {
+    std::lock_guard<std::mutex> lock(mu_);
+    page_ = page;
+    hook_ = std::move(hook);
+  }
+
+  Status ReadPage(PageId page_id, char* out) override {
+    std::function<void()> hook;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (page_id == page_) hook.swap(hook_);
+    }
+    if (hook) hook();
+    return base_->ReadPage(page_id, out);
+  }
+  Status WritePage(PageId page_id, const char* in) override {
+    return base_->WritePage(page_id, in);
+  }
+  PageId AllocatePage() override { return base_->AllocatePage(); }
+  PageId num_pages() const override { return base_->num_pages(); }
+  Status Sync() override { return base_->Sync(); }
+  IoStats stats() const override { return base_->stats(); }
+  void ResetStats() override { base_->ResetStats(); }
+
+ private:
+  DiskInterface* const base_;
+  std::mutex mu_;
+  PageId page_ = kInvalidPageId;
+  std::function<void()> hook_;
+};
+
+// A writer commits to the ancestor tree while a reader's join sits between
+// two descendants that one ancestor leaf copy covers. The next ancestor
+// advance finds the copy stale, so it must probe (re-copy the path), and
+// the answer must lie between the counts before and after the write.
+TEST(ScanModeTest, WriteBetweenDescendantsForcesProbe) {
+  // 60 adjacent ancestors, one descendant inside each; ancestor leaves of
+  // 16 (the last holds 12) and descendant leaves of 6, so descendant
+  // leaves start mid-way through ancestor leaves.
+  ElementList a_list, d_list;
+  for (Position i = 0; i < 60; ++i) {
+    a_list.push_back(Element(10 * i + 10, 10 * i + 16, 1));
+    d_list.push_back(Element(10 * i + 12, 10 * i + 13, 3));
+  }
+  // Held out, then inserted mid-join: nested in ancestor 50, around its
+  // descendant. Its leaf has room, so the leaf layout does not change.
+  const Element extra(10 * 50 + 11, 10 * 50 + 14, 2);
+
+  char tmpl[] = "/tmp/xrtree_join_hook_XXXXXX";
+  int fd = ::mkstemp(tmpl);
+  ASSERT_GE(fd, 0);
+  ::close(fd);
+  std::string path = tmpl;
+  {
+    DiskManager disk;
+    ASSERT_OK(disk.Open(path));
+    HookOnReadDisk hooked(&disk);
+    BufferPool pool(&hooked, /*pool_size=*/512);
+    XrTreeOptions a_opt;
+    a_opt.leaf_capacity = 16;
+    a_opt.internal_capacity = 4;
+    XrTreeOptions d_opt;
+    d_opt.leaf_capacity = 6;
+    d_opt.internal_capacity = 4;
+    XrTree a_tree(&pool, kInvalidPageId, a_opt);
+    XrTree d_tree(&pool, kInvalidPageId, d_opt);
+    ASSERT_OK(a_tree.BulkLoad(a_list));
+    ASSERT_OK(d_tree.BulkLoad(d_list));
+    ASSERT_OK(pool.FlushAll());
+
+    ASSERT_OK_AND_ASSIGN(JoinOutput before, XrStackJoin(a_tree, d_tree));
+    EXPECT_EQ(before.stats.output_pairs, 60u);
+    EXPECT_GT(before.stats.probe_steps, 0u);
+
+    // The descendant leaf after the one holding descendant 13 (it starts
+    // at descendant 18, inside ancestor leaf 16..31) is the only page the
+    // next join misses on; the writer runs while that read is pending.
+    ASSERT_OK_AND_ASSIGN(std::vector<PageId> run,
+                         d_tree.LeafRunAfter(d_list[13].start, 1));
+    ASSERT_EQ(run.size(), 1u);
+    ASSERT_OK(pool.DiscardPage(run[0]));
+    Status write;
+    bool wrote = false;
+    hooked.Arm(run[0], [&] {
+      std::thread writer([&] { write = a_tree.Insert(extra); });
+      writer.join();
+      wrote = true;
+    });
+    ASSERT_OK_AND_ASSIGN(JoinOutput raced, XrStackJoin(a_tree, d_tree));
+    ASSERT_TRUE(wrote);
+    ASSERT_OK(write);
+    ASSERT_OK_AND_ASSIGN(JoinOutput after, XrStackJoin(a_tree, d_tree));
+    EXPECT_EQ(after.stats.output_pairs, 61u);
+    EXPECT_GE(raced.stats.output_pairs, before.stats.output_pairs);
+    EXPECT_LE(raced.stats.output_pairs, after.stats.output_pairs);
+    for (const JoinPair& pr : raced.pairs) {
+      EXPECT_TRUE(pr.ancestor.Contains(pr.descendant));
+    }
+    // The writer was done before the next advance, so that advance
+    // re-copied the path instead of stepping through the stale copy: one
+    // re-copy more than the quiet join, whose advance there was a step.
+    // No probe raced a writer.
+    EXPECT_EQ(raced.stats.probe_refills, before.stats.probe_refills + 1);
+    EXPECT_EQ(raced.stats.probe_fallbacks, 0u);
+    ASSERT_OK(a_tree.CheckConsistency());
+    ASSERT_OK(disk.Close());
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace

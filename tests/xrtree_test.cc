@@ -257,7 +257,7 @@ TEST(XrTreeTest, IteratorSeekPastKey) {
   EXPECT_FALSE(it.Valid());
 }
 
-TEST(XrTreeTest, IteratorSeekToStartLandsOnLowerBound) {
+TEST(XrTreeTest, LowerBoundLandsOnFirstStartAtOrAfter) {
   TempDb db;
   XrTreeOptions options;
   options.leaf_capacity = 4;
@@ -266,28 +266,112 @@ TEST(XrTreeTest, IteratorSeekToStartLandsOnLowerBound) {
   ElementList elems = RandomNestedElements(9, 500);
   ASSERT_OK(tree.BulkLoad(elems));
 
-  ASSERT_OK_AND_ASSIGN(XrIterator it, tree.Begin());
   // Exact hit: lands on the element itself.
-  ASSERT_OK(it.SeekToStart(elems[250].start));
+  ASSERT_OK_AND_ASSIGN(XrIterator it, tree.LowerBound(elems[250].start));
   ASSERT_TRUE(it.Valid());
   EXPECT_EQ(it.Get().start, elems[250].start);
   // Between two starts: lands on the next one. Starts are unique and
   // sorted, so position elems[100].start + 1 (if free) maps to elems[101].
-  ASSERT_OK(it.SeekToStart(elems[100].start + 1));
+  ASSERT_OK_AND_ASSIGN(it, tree.LowerBound(elems[100].start + 1));
   ASSERT_TRUE(it.Valid());
   EXPECT_EQ(it.Get().start, elems[101].start);
-  // Position 0 rewinds to the first element; past-the-end invalidates.
-  ASSERT_OK(it.SeekToStart(0));
+  // Position 0 lands on the first element; past-the-end is invalid.
+  ASSERT_OK_AND_ASSIGN(it, tree.LowerBound(0));
   ASSERT_TRUE(it.Valid());
   EXPECT_EQ(it.Get().start, elems[0].start);
-  ASSERT_OK(it.SeekToStart(elems.back().start + 1));
+  ASSERT_OK_AND_ASSIGN(it, tree.LowerBound(elems.back().start + 1));
   EXPECT_FALSE(it.Valid());
 
-  // The seek is a root-to-leaf probe, not a leaf-chain walk: the scan
-  // counter advances by at most one leaf's worth of entries per seek.
-  uint64_t before = it.scanned();
-  ASSERT_OK(it.SeekToStart(elems[400].start));
-  EXPECT_LE(it.scanned() - before, 4u);
+  // The landing is a root-to-leaf probe, not a leaf-chain walk: it charges
+  // at most one leaf's worth of entries.
+  ASSERT_OK_AND_ASSIGN(it, tree.LowerBound(elems[400].start));
+  EXPECT_LE(it.scanned(), 4u);
+}
+
+// SeekPastKey inside the iterator's snapshot binary-searches it instead of
+// descending: it must land where a fresh UpperBound lands, charge the same
+// one element, fetch nothing, and keep the read-ahead depth. Keys at or
+// past the snapshot's last start, or before its first, still descend.
+TEST(XrTreeTest, SeekPastKeyInsideSnapshotMatchesFreshDescent) {
+  TempDb db;
+  XrTreeOptions options;
+  options.leaf_capacity = 8;
+  options.internal_capacity = 4;
+  XrTree tree(db.pool(), kInvalidPageId, options);
+  ElementList elems = RandomNestedElements(19, 400);
+  ASSERT_OK(tree.BulkLoad(elems));
+  auto fetches = [&] {
+    IoStats s = db.pool()->stats();
+    return s.buffer_hits + s.buffer_misses;
+  };
+
+  // Leaf boundaries, found by the first Next() that fetches: the second
+  // leaf holds elems[first, last].
+  std::vector<size_t> leaf_starts = {0};
+  {
+    ASSERT_OK_AND_ASSIGN(XrIterator it, tree.Begin());
+    for (size_t i = 1; i < elems.size() && leaf_starts.size() < 3; ++i) {
+      uint64_t before = fetches();
+      ASSERT_OK(it.Next());
+      if (fetches() != before) leaf_starts.push_back(i);
+    }
+  }
+  ASSERT_EQ(leaf_starts.size(), 3u);
+  const size_t first = leaf_starts[1];
+  const size_t last = leaf_starts[2] - 1;
+  ASSERT_GE(last - first, 5u);
+
+  // An iterator parked on elems[first + 2] (pos_ 2 of the second leaf's
+  // snapshot), with fixed-depth read-ahead on.
+  auto parked = [&](XrIterator* it) {
+    ASSERT_OK_AND_ASSIGN(*it, tree.LowerBound(elems[first].start));
+    it->EnablePrefetch(3);
+    ASSERT_OK(it->Next());
+    ASSERT_OK(it->Next());
+    ASSERT_EQ(it->Get().start, elems[first + 2].start);
+  };
+  struct Case {
+    const char* what;
+    Position key;
+    bool in_snapshot;
+  };
+  const Case cases[] = {
+      {"before pos_, inside the snapshot", elems[first].start + 1, true},
+      {"equal to the snapshot's first start", elems[first].start, true},
+      {"equal to an element's start ahead", elems[first + 3].start, true},
+      {"between starts ahead", elems[last - 2].start + 1, true},
+      {"equal to the snapshot's last start", elems[last].start, false},
+      {"past the snapshot", elems[last + 2].start, false},
+      {"before the snapshot", elems[first - 1].start, false},
+      {"past the tree", elems.back().start, false},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    XrIterator it;
+    ASSERT_NO_FATAL_FAILURE(parked(&it));
+    ASSERT_OK_AND_ASSIGN(XrIterator fresh, tree.UpperBound(c.key));
+    const uint64_t scanned_before = it.scanned();
+    const uint64_t fetches_before = fetches();
+    ASSERT_OK(it.SeekPastKey(c.key));
+    if (c.in_snapshot) {
+      EXPECT_EQ(fetches(), fetches_before);
+    }
+    ASSERT_EQ(it.Valid(), fresh.Valid());
+    if (fresh.Valid()) {
+      EXPECT_EQ(it.Get().start, fresh.Get().start);
+    }
+    EXPECT_EQ(it.scanned() - scanned_before, fresh.scanned());
+    EXPECT_EQ(it.prefetch_depth(), 3u);
+    // The cursor keeps walking from its landing like a fresh one.
+    if (it.Valid()) {
+      ASSERT_OK(it.Next());
+      ASSERT_OK(fresh.Next());
+      ASSERT_EQ(it.Valid(), fresh.Valid());
+      if (fresh.Valid()) {
+        EXPECT_EQ(it.Get().start, fresh.Get().start);
+      }
+    }
+  }
 }
 
 TEST(XrTreeTest, PartitionKeysAreRealSeparators) {
