@@ -12,6 +12,7 @@
 #include "join/xr_stack.h"
 #include "rtree/rtree.h"
 #include "common/random.h"
+#include "storage/checksum.h"
 #include "xml/document.h"
 #include "xml/generator.h"
 #include "xrtree/xrtree.h"
@@ -44,6 +45,31 @@ void BM_BufferPoolFetchHit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BufferPoolFetchHit);
+
+// Pool set-up alone: the frame mapping, the frames' bookkeeping and the
+// read-ahead queue. Frame bytes are faulted in by first use, not here.
+void BM_BufferPoolConstruct(benchmark::State& state) {
+  BenchDb db(8);
+  const size_t frames = static_cast<size_t>(state.range(0));
+  for (auto _ : state) {
+    BufferPool pool(db.disk(), frames);
+    benchmark::DoNotOptimize(pool.pool_size());
+  }
+}
+BENCHMARK(BM_BufferPoolConstruct)->Arg(4096);
+
+// The integrity check every miss verifies and every write-back stamps.
+void BM_ComputePageCrc(benchmark::State& state) {
+  std::vector<char> page(kPageSize);
+  Random rng(3);
+  for (char& c : page) c = static_cast<char>(rng.Next32());
+  PageId id = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ComputePageCrc(page.data(), ++id, 0));
+  }
+  state.SetBytesProcessed(state.iterations() * kPageSize);
+}
+BENCHMARK(BM_ComputePageCrc);
 
 void BM_RegionEncode(benchmark::State& state) {
   const uint32_t n = static_cast<uint32_t>(state.range(0));
@@ -82,14 +108,27 @@ BENCHMARK_TEMPLATE(BM_IndexInsert, XrTree)
 
 void BM_XrBulkLoad(benchmark::State& state) {
   ElementList elems = NestedElements(static_cast<uint32_t>(state.range(0)));
+  uint64_t fetches = 0;
+  uint64_t pages = 0;
   for (auto _ : state) {
     state.PauseTiming();
     BenchDb db(1024);
+    const IoStats before = db.pool()->stats();
     state.ResumeTiming();
     XrTree tree(db.pool());
     XR_CHECK_OK(tree.BulkLoad(elems));
+    state.PauseTiming();
+    const IoStats load = db.pool()->stats() - before;
+    fetches += load.total_page_accesses();
+    pages += load.pages_allocated;
+    state.ResumeTiming();
   }
   state.SetItemsProcessed(state.iterations() * elems.size());
+  // Pool fetches and pages written per load.
+  state.counters["fetches"] = benchmark::Counter(
+      static_cast<double>(fetches), benchmark::Counter::kAvgIterations);
+  state.counters["pages"] = benchmark::Counter(
+      static_cast<double>(pages), benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_XrBulkLoad)->Arg(100000);
 

@@ -1,8 +1,11 @@
 #include "storage/buffer_pool.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <new>
 
 #include "storage/checksum.h"
 
@@ -15,14 +18,28 @@ BufferPool::BufferPool(DiskInterface* disk, size_t pool_size)
         return o;
       }()) {}
 
+BufferPool::FrameMapping::FrameMapping(size_t bytes) : bytes_(bytes) {
+  void* base = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (base == MAP_FAILED) throw std::bad_alloc();
+  base_ = static_cast<char*>(base);
+}
+
+BufferPool::FrameMapping::~FrameMapping() { ::munmap(base_, bytes_); }
+
 BufferPool::BufferPool(DiskInterface* disk, const BufferPoolOptions& options)
-    : disk_(disk), options_(options) {
+    : disk_(disk),
+      options_(options),
+      frame_bytes_(options.pool_size * kPageSize) {
   const size_t n = options.pool_size;
   assert(n > 0);
   frames_.reserve(n);
   free_frames_.reserve(n);
   for (size_t f = 0; f < n; ++f) {
-    frames_.push_back(std::make_unique<Page>());
+    // The frame's bytes are untouched zero pages of the mapping: the
+    // free-list invariant (a free frame is all zero) holds from the start.
+    frames_.push_back(
+        std::unique_ptr<Page>(new Page(frame_bytes_.base() + f * kPageSize)));
     free_frames_.push_back(n - 1 - f);  // pop_back yields frame 0
   }
   async_ = std::make_unique<AsyncDisk>(
@@ -515,8 +532,10 @@ Result<Page*> BufferPool::NewPage() {
           Wal* wal = wal_.load(std::memory_order_acquire);
           if (wal != nullptr) wal->SuppressOverlay(page_id);
         }
+        // Both branches above hand over a reset, all-zero frame (the
+        // reclaimed one was just Reset; AcquireFrame yields a free-list or
+        // freshly evicted frame), so the new page is zeroed already.
         Page* page = frames_[frame].get();
-        page->Reset();
         page->page_id_ = page_id;
         page->pin_count_ = 1;
         page->is_dirty_ = true;  // ensure the zeroed page reaches disk

@@ -320,10 +320,30 @@ class BufferPool {
   std::atomic<Wal*> wal_{nullptr};
   BufferPoolOptions options_;
 
+  /// The frames' page bytes: one anonymous, page-aligned mapping of
+  /// pool_size * kPageSize bytes (DESIGN.md §13). The OS hands it out zeroed
+  /// and faults it in on first touch, so a frame no page has occupied costs
+  /// neither set-up time nor resident memory. Declared before frames_ so it
+  /// is unmapped after them.
+  class FrameMapping {
+   public:
+    explicit FrameMapping(size_t bytes);
+    ~FrameMapping();
+    FrameMapping(const FrameMapping&) = delete;
+    FrameMapping& operator=(const FrameMapping&) = delete;
+    char* base() const { return base_; }
+
+   private:
+    char* base_;
+    size_t bytes_;
+  };
+  FrameMapping frame_bytes_;
+
   // The pool latch and everything it guards.
   mutable std::mutex mu_;
-  /// The frames, fixed at construction (heap-allocated Pages, so a Page
-  /// pointer captured under the latch stays valid after it).
+  /// The frames, fixed at construction: heap-allocated bookkeeping (so a
+  /// Page pointer captured under the latch stays valid after it), each over
+  /// its own kPageSize slice of frame_bytes_.
   std::vector<std::unique_ptr<Page>> frames_;
   std::unordered_map<PageId, FrameId> page_table_;
   /// Second-chance sweep position (CLOCK replacement, DESIGN.md §13).

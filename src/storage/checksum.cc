@@ -1,6 +1,7 @@
 #include "storage/checksum.h"
 
 #include <array>
+#include <bit>
 #include <cstring>
 #include <string>
 
@@ -10,19 +11,30 @@ namespace {
 
 constexpr uint32_t kCrcPoly = 0xEDB88320u;  // reflected IEEE 802.3
 
-constexpr std::array<uint32_t, 256> MakeCrcTable() {
-  std::array<uint32_t, 256> table{};
+// Slicing-by-8 tables: kCrcTables[0] is the classic byte-at-a-time table;
+// kCrcTables[k][b] is the CRC of byte b followed by k zero bytes, so eight
+// lookups advance the CRC over eight input bytes at once. Same polynomial,
+// same reflection, same result as the byte loop — only faster.
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+constexpr CrcTables MakeCrcTables() {
+  CrcTables t{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1) ? (kCrcPoly ^ (c >> 1)) : (c >> 1);
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (size_t k = 1; k < 8; ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
+    }
+  }
+  return t;
 }
 
-constexpr std::array<uint32_t, 256> kCrcTable = MakeCrcTable();
+constexpr CrcTables kCrcTables = MakeCrcTables();
 
 bool AllZero(const char* data, size_t n) {
   for (size_t i = 0; i < n; ++i) {
@@ -34,10 +46,24 @@ bool AllZero(const char* data, size_t n) {
 }  // namespace
 
 uint32_t Crc32(const void* data, size_t n, uint32_t crc) {
+  static_assert(std::endian::native == std::endian::little,
+                "the 8-byte step reads its words little-endian");
   const auto* p = static_cast<const unsigned char*>(data);
+  const auto& t = kCrcTables;
   crc ^= 0xFFFFFFFFu;
-  for (size_t i = 0; i < n; ++i) {
-    crc = kCrcTable[(crc ^ p[i]) & 0xFF] ^ (crc >> 8);
+  for (; n >= 8; p += 8, n -= 8) {
+    // Only the low word mixes with the running CRC; the high word's four
+    // lookups stay off the loop-carried dependency chain.
+    uint32_t lo, hi;
+    std::memcpy(&lo, p, sizeof(lo));
+    std::memcpy(&hi, p + 4, sizeof(hi));
+    lo ^= crc;
+    crc = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
+          t[4][lo >> 24] ^ t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
+          t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    crc = t[0][(crc ^ *p) & 0xFF] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <shared_mutex>
 
 namespace xrtree {
@@ -63,9 +64,14 @@ static_assert(sizeof(PageTrailer) == PageLayout::kTrailerSize);
 /// An in-memory frame holding one disk page plus buffer-pool bookkeeping.
 /// Frames are owned by the BufferPool; client code receives pinned Page
 /// pointers (or PageGuard RAII handles) and must not retain them past unpin.
+///
+/// The page bytes live apart from the bookkeeping: a pool frame points into
+/// the pool's frame mapping (DESIGN.md §13), so building a frame touches
+/// none of its data. A Page built on its own (a scratch page) owns a zeroed
+/// kPageSize buffer instead.
 class Page {
  public:
-  Page() { Reset(); }
+  Page() : owned_(new char[kPageSize]()), data_(owned_.get()) {}
 
   Page(const Page&) = delete;
   Page& operator=(const Page&) = delete;
@@ -106,11 +112,17 @@ class Page {
  private:
   friend class BufferPool;
 
+  /// A pool frame over `frame`: kPageSize bytes of the pool's mapping,
+  /// which the OS supplies zeroed, so nothing is written here.
+  explicit Page(char* frame) : data_(frame) {}
+
   // Every path that returns a frame to a free list (or re-targets it to a
   // new page id) must Reset() it first. Clearing `prefetched_` here is part
   // of the prefetch accounting contract: stale provenance on a recycled
   // frame would mis-credit prefetch_hits to the frame's next occupant. The
-  // buffer pool asserts this invariant when popping free-list frames.
+  // buffer pool asserts this invariant when popping free-list frames. The
+  // memset keeps "a free-list frame is all zero" true for recycled frames;
+  // a never-used frame is zero because its mapping is.
   void Reset() {
     std::memset(data_, 0, kPageSize);
     page_id_ = kInvalidPageId;
@@ -120,7 +132,9 @@ class Page {
     ref_ = false;
   }
 
-  char data_[kPageSize];
+  /// Backing buffer of a standalone page; null for a pool frame.
+  std::unique_ptr<char[]> owned_;
+  char* const data_;
   /// Content latch; mutable so const (reader) views can share-lock.
   mutable std::shared_mutex latch_;
   PageId page_id_ = kInvalidPageId;

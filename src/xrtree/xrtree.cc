@@ -1803,7 +1803,9 @@ Status XrTree::BulkLoadImpl(const std::function<bool(Element*)>& next,
   }
   prev.Release();
 
+  size_t internal_levels = 0;
   while (level.size() > 1) {
+    ++internal_levels;
     std::vector<ChildRef> next_level;
     size_t i = 0;
     while (i < level.size()) {
@@ -1839,9 +1841,13 @@ Status XrTree::BulkLoadImpl(const std::function<bool(Element*)>& next,
   PageId new_root = level[0].page;
 
   // Stab pass: for every element, find the topmost node with a stabbing key
-  // by descending the freshly built backbone, then write each node's chain
-  // once. Descents are cache-friendly (elements arrive in leaf order).
+  // on its root-to-leaf path, then write each node's chain once. Every
+  // element of a leaf shares that path (separators are the children's first
+  // starts), so the path is pinned once per leaf and each element walks the
+  // pinned nodes. Consecutive leaves share a path prefix, which stays
+  // pinned: each internal node is fetched once per run of leaves under it.
   std::unordered_map<PageId, std::vector<StabEntry>> stabs;
+  std::vector<PageGuard> path;  // path[d]: the pinned internal node at depth d
   for (PageId leaf_id : leaf_pages) {
     XR_ASSIGN_OR_RETURN(Page * raw, pool_->FetchPage(leaf_id));
     PageGuard leaf(pool_, raw);
@@ -1859,35 +1865,43 @@ Status XrTree::BulkLoadImpl(const std::function<bool(Element*)>& next,
       slots = XrLeafSlots(raw);
       view = slots;
     }
+    if (hdr->count == 0) continue;
+    PageId cur = new_root;
+    for (size_t d = 0; d < internal_levels; ++d) {
+      if (d == path.size() || path[d].page_id() != cur) {
+        path.resize(d);  // unpin the previous leaf's diverging suffix
+        XR_ASSIGN_OR_RETURN(Page * nraw, pool_->FetchPage(cur));
+        path.emplace_back(pool_, nraw);
+      }
+      const Page* node = path[d].get();
+      cur = XrChildAt(node, XrChildSlot(node, view[0].start));
+    }
     bool dirty = false;
     for (uint32_t i = 0; i < hdr->count; ++i) {
-      PageId cur = new_root;
-      while (cur != leaf_id) {
-        XR_ASSIGN_OR_RETURN(Page * nraw, pool_->FetchPage(cur));
-        PageGuard node(pool_, nraw);
-        if (XrHeader(nraw)->is_leaf) break;
+      for (const PageGuard& node : path) {
         uint32_t stab_slot;
-        if (SmallestStabbingKey(nraw, view[i].start, view[i].end,
-                                &stab_slot)) {
-          Position key = XrInternalSlots(nraw)[stab_slot].key;
-          stabs[cur].push_back(MakeStabEntry(view[i], key));
-          if (comp) {
-            XR_ASSIGN_OR_RETURN(bool found,
-                                XrcLeafSetFlag(raw, view[i].start, true));
-            if (!found) {
-              return Status::Corruption("bulk load: stabbed entry vanished");
-            }
-          } else {
-            SetInStabList(&slots[i], true);
-          }
-          dirty = true;
-          break;
+        if (!SmallestStabbingKey(node.get(), view[i].start, view[i].end,
+                                 &stab_slot)) {
+          continue;
         }
-        cur = XrChildAt(nraw, XrChildSlot(nraw, view[i].start));
+        Position key = XrInternalSlots(node.get())[stab_slot].key;
+        stabs[node.page_id()].push_back(MakeStabEntry(view[i], key));
+        if (comp) {
+          XR_ASSIGN_OR_RETURN(bool found,
+                              XrcLeafSetFlag(raw, view[i].start, true));
+          if (!found) {
+            return Status::Corruption("bulk load: stabbed entry vanished");
+          }
+        } else {
+          SetInStabList(&slots[i], true);
+        }
+        dirty = true;
+        break;
       }
     }
     if (dirty) leaf.MarkDirty();
   }
+  path.clear();
   for (auto& [page_id, entries] : stabs) {
     XR_ASSIGN_OR_RETURN(Page * raw, pool_->FetchPage(page_id));
     PageGuard node(pool_, raw);

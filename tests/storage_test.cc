@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cinttypes>
+#include <cstdio>
 #include <cstring>
 #include <set>
 #include <thread>
@@ -245,6 +247,91 @@ TEST(BufferPoolTest, NewPageIsPinnedAndZeroed) {
   EXPECT_EQ(page->pin_count(), 1);
   for (size_t i = 0; i < kPageSize; ++i) ASSERT_EQ(page->data()[i], 0);
   ASSERT_OK(db.pool()->UnpinPage(page->page_id(), false));
+}
+
+bool AllZero(const Page* page) {
+  for (size_t i = 0; i < kPageSize; ++i) {
+    if (page->data()[i] != 0) return false;
+  }
+  return true;
+}
+
+TEST(BufferPoolTest, RecycledFramesComeBackZeroed) {
+  TempDb db(2);
+  // Dirty both frames with junk, then force them through eviction: each
+  // NewPage below takes a frame whose previous occupant was all 0xAB.
+  std::vector<PageId> junk;
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_OK_AND_ASSIGN(Page * p, db.pool()->NewPage());
+    std::memset(p->data(), 0xAB, kPageDataSize);
+    junk.push_back(p->page_id());
+    ASSERT_OK(db.pool()->UnpinPage(p->page_id(), true));
+  }
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_OK_AND_ASSIGN(Page * p, db.pool()->NewPage());
+    EXPECT_TRUE(AllZero(p)) << "evicted frame, round " << i;
+    std::memset(p->data(), 0xCD, kPageDataSize);
+    ASSERT_OK(db.pool()->UnpinPage(p->page_id(), true));
+  }
+  // A frame returned by FreePage is zero again for the page that reuses it
+  // (and for the recycled id itself).
+  ASSERT_OK_AND_ASSIGN(Page * p, db.pool()->FetchPage(junk[0]));
+  EXPECT_EQ(static_cast<unsigned char>(p->data()[0]), 0xABu);
+  ASSERT_OK(db.pool()->UnpinPage(junk[0], false));
+  ASSERT_OK(db.pool()->FreePage(junk[0]));
+  ASSERT_OK_AND_ASSIGN(Page * again, db.pool()->NewPage());
+  EXPECT_EQ(again->page_id(), junk[0]);
+  EXPECT_TRUE(AllZero(again));
+  ASSERT_OK(db.pool()->UnpinPage(again->page_id(), false));
+}
+
+TEST(BufferPoolTest, StandalonePageIsZeroedAndWritable) {
+  Page page;
+  EXPECT_TRUE(AllZero(&page));
+  EXPECT_EQ(page.page_id(), kInvalidPageId);
+  EXPECT_EQ(page.pin_count(), 0);
+  std::memset(page.data(), 0x5A, kPageSize);
+  EXPECT_EQ(page.data()[kPageSize - 1], 0x5A);
+  Page other;
+  EXPECT_NE(other.data(), page.data());
+  EXPECT_TRUE(AllZero(&other));
+}
+
+/// VmSize of this process in KiB (0 when /proc is unavailable).
+uint64_t VirtualKib() {
+  std::FILE* f = std::fopen("/proc/self/status", "r");
+  if (f == nullptr) return 0;
+  char line[256];
+  uint64_t kib = 0;
+  while (std::fgets(line, sizeof(line), f) != nullptr) {
+    if (std::sscanf(line, "VmSize: %" SCNu64, &kib) == 1) break;
+  }
+  std::fclose(f);
+  return kib;
+}
+
+TEST(BufferPoolTest, LargePoolMapsLazilyAndUnmapsOnTeardown) {
+  constexpr size_t kFrames = 65536;  // 256 MiB of frame bytes
+  constexpr uint64_t kFrameKib = kFrames * kPageSize / 1024;
+  const uint64_t before = VirtualKib();
+  {
+    TempDb db(kFrames);
+    EXPECT_EQ(db.pool()->pool_size(), kFrames);
+    if (before != 0) {
+      EXPECT_GE(VirtualKib(), before + kFrameKib);
+    }
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_OK_AND_ASSIGN(Page * p, db.pool()->NewPage());
+      EXPECT_TRUE(AllZero(p));
+      std::memset(p->data(), 0x11 * (i + 1), kPageDataSize);
+      ASSERT_OK(db.pool()->UnpinPage(p->page_id(), true));
+    }
+    ASSERT_OK(db.pool()->FlushAll());
+  }
+  // The mapping went away with the pool.
+  if (before != 0) {
+    EXPECT_LT(VirtualKib(), before + kFrameKib / 2);
+  }
 }
 
 TEST(BufferPoolTest, FetchHitsCache) {

@@ -7,6 +7,7 @@
 #include <set>
 
 #include "tests/test_util.h"
+#include "workload/datasets.h"
 #include "xml/generator.h"
 #include "xrtree/probe_cursor.h"
 #include "xrtree/stab_list.h"
@@ -603,6 +604,136 @@ TEST(XrTreeTest, BulkLoadEquivalentToInserts) {
     ASSERT_EQ(a, b);
   }
 }
+
+// ---------------------------------------------------------------------------
+// Bulk-load golden images: the file a load writes is pinned byte for byte
+// ---------------------------------------------------------------------------
+
+/// FNV-1a over (page id, image) of every allocated page not on the pool's
+/// free list, read back from the file after a flush. Freed pages are left
+/// out: their stale bytes depend on what the pool happened to evict.
+uint64_t LivePageDigest(TempDb* db) {
+  EXPECT_OK(db->pool()->FlushAll());
+  std::vector<PageId> free = db->pool()->FreeListSnapshot();
+  uint64_t h = 0xcbf29ce484222325ull;
+  auto mix = [&h](const void* data, size_t n) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < n; ++i) {
+      h = (h ^ p[i]) * 0x100000001b3ull;
+    }
+  };
+  std::vector<char> page(kPageSize);
+  for (PageId id = 0; id < db->disk()->num_pages(); ++id) {
+    if (std::binary_search(free.begin(), free.end(), id)) continue;
+    EXPECT_OK(db->disk()->ReadPage(id, page.data()));
+    mix(&id, sizeof(id));
+    mix(page.data(), page.size());
+  }
+  return h;
+}
+
+/// Pages allocated and not on the free list.
+uint64_t LivePages(TempDb* db) {
+  return db->disk()->num_pages() - db->pool()->FreeListSnapshot().size();
+}
+
+struct GoldenParam {
+  const char* name;
+  bool compressed;
+  uint32_t leaf_capacity;
+  uint32_t internal_capacity;
+  size_t pool_pages;
+  // Digests recorded from the byte-at-a-time-CRC, per-element-descent
+  // build; the same for every pool size, because a flushed file does not
+  // depend on the eviction order.
+  uint64_t load_digest;
+  uint64_t compact_digest;
+};
+
+class BulkLoadGoldenTest : public ::testing::TestWithParam<GoldenParam> {};
+
+TEST_P(BulkLoadGoldenTest, FileImagesAndFetchCountsArePinned) {
+  const GoldenParam& param = GetParam();
+  ASSERT_OK_AND_ASSIGN(Dataset ds, MakeDepartmentDataset(12000, 7));
+  ElementList all = ds.ancestors;
+  all.insert(all.end(), ds.descendants.begin(), ds.descendants.end());
+  std::sort(all.begin(), all.end());
+  // Every 40th element is held out of the load and inserted afterwards.
+  ElementList loaded, held_out;
+  for (size_t i = 0; i < all.size(); ++i) {
+    (i % 40 == 17 ? held_out : loaded).push_back(all[i]);
+  }
+  ASSERT_GE(held_out.size(), 200u);
+
+  TempDb db(param.pool_pages);
+  XrTreeOptions options;
+  options.compressed_pages = param.compressed;
+  options.leaf_capacity = param.leaf_capacity;
+  options.internal_capacity = param.internal_capacity;
+  XrTree tree(db.pool(), kInvalidPageId, options);
+
+  const IoStats before_load = db.pool()->stats();
+  ASSERT_OK(tree.BulkLoad(loaded));
+  const IoStats load = db.pool()->stats() - before_load;
+  ASSERT_GT(load.pages_allocated, 0u);
+  EXPECT_LE(load.total_page_accesses(), 2 * load.pages_allocated)
+      << "bulk load fetched " << load.total_page_accesses()
+      << " pages to write " << load.pages_allocated;
+  ASSERT_OK(tree.CheckConsistency());
+  const uint64_t load_digest = LivePageDigest(&db);
+  EXPECT_EQ(load_digest, param.load_digest)
+      << std::hex << "0x" << load_digest;
+
+  Random rng(11);
+  for (size_t i = held_out.size(); i > 1; --i) {
+    std::swap(held_out[i - 1], held_out[rng.Uniform(i)]);
+  }
+  for (const Element& e : held_out) ASSERT_OK(tree.Insert(e));
+  const uint64_t live_before = LivePages(&db);
+  const IoStats before_compact = db.pool()->stats();
+  ASSERT_OK(tree.Compact());
+  const IoStats compact = db.pool()->stats() - before_compact;
+  // Compact reads the old tree once and builds the new one like a load.
+  EXPECT_LE(compact.total_page_accesses(),
+            2 * (live_before + LivePages(&db)))
+      << "compact fetched " << compact.total_page_accesses() << " pages";
+  ASSERT_OK(tree.CheckConsistency());
+  ASSERT_EQ(tree.size(), all.size());
+  const uint64_t compact_digest = LivePageDigest(&db);
+  EXPECT_EQ(compact_digest, param.compact_digest)
+      << std::hex << "0x" << compact_digest;
+}
+
+constexpr uint64_t kFixedLoad = 0x52123cec1a4b7bbeull;
+constexpr uint64_t kFixedCompact = 0x3acdd14139bb3e9cull;
+constexpr uint64_t kFixedDeepLoad = 0x47a4339cfe328e16ull;
+constexpr uint64_t kFixedDeepCompact = 0xaa98c20fba55728bull;
+constexpr uint64_t kCompressedLoad = 0xcd185069004b59eaull;
+constexpr uint64_t kCompressedCompact = 0x908fd0c56a863c9dull;
+constexpr uint64_t kCompressedDeepLoad = 0x57c7815a69f6de51ull;
+constexpr uint64_t kCompressedDeepCompact = 0x518587cc6170d5bdull;
+
+INSTANTIATE_TEST_SUITE_P(
+    FormatsAndPools, BulkLoadGoldenTest,
+    ::testing::Values(
+        GoldenParam{"Fixed4096", false, 0, 0, 4096, kFixedLoad,
+                    kFixedCompact},
+        GoldenParam{"Fixed48", false, 0, 0, 48, kFixedLoad, kFixedCompact},
+        GoldenParam{"FixedDeep4096", false, 16, 8, 4096, kFixedDeepLoad,
+                    kFixedDeepCompact},
+        GoldenParam{"FixedDeep48", false, 16, 8, 48, kFixedDeepLoad,
+                    kFixedDeepCompact},
+        GoldenParam{"Compressed4096", true, 0, 0, 4096, kCompressedLoad,
+                    kCompressedCompact},
+        GoldenParam{"Compressed48", true, 0, 0, 48, kCompressedLoad,
+                    kCompressedCompact},
+        GoldenParam{"CompressedDeep4096", true, 0, 8, 4096,
+                    kCompressedDeepLoad, kCompressedDeepCompact},
+        GoldenParam{"CompressedDeep48", true, 0, 8, 48, kCompressedDeepLoad,
+                    kCompressedDeepCompact}),
+    [](const ::testing::TestParamInfo<GoldenParam>& info) {
+      return std::string(info.param.name);
+    });
 
 // ---------------------------------------------------------------------------
 // Deep nesting: multi-page stab chains and the ps directory
