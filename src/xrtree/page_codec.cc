@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
 
 #include "storage/varint.h"
 
@@ -230,7 +231,9 @@ Status XrcDecodeLeaf(const Page* p, std::vector<Element>* out) {
   const XrcBlockHeader* bh;
   size_t nb;
   XR_RETURN_IF_ERROR(ValidateBlocks(area, kLeafAreaSize, hdr->count, &bh, &nb));
-  out->reserve(out->size() + hdr->count);
+  // Reserve only for an empty vector: a caller appending page after page
+  // (a chain read, a whole-tree scan) keeps the vector's geometric growth.
+  if (out->empty()) out->reserve(hdr->count);
   for (size_t i = 0; i < nb; ++i) {
     XR_RETURN_IF_ERROR(DecodeLeafBlock(area, kLeafAreaSize, bh[i], out));
   }
@@ -259,15 +262,11 @@ Status XrcDecodeLeafFrom(const Page* p, Position lo,
   return Status();
 }
 
-Result<bool> XrcLeafFind(const Page* p, Position key, Element* out) {
+namespace {
+
+Result<bool> CompressedLeafFind(const Page* p, Position key, Element* out) {
   const XrPageHeader* hdr = XrHeader(p);
-  if (hdr->format != kXrPageFormatCompressed) {
-    return Status::Corruption("XrcLeafFind: page is not compressed");
-  }
   if (hdr->count == 0) return false;
-  if (hdr->count > kXrcMaxPageEntries) {
-    return Status::Corruption("compressed leaf: count out of range");
-  }
   const uint8_t* area = LeafArea(p);
   const XrcBlockHeader* bh;
   size_t nb;
@@ -285,15 +284,9 @@ Result<bool> XrcLeafFind(const Page* p, Position key, Element* out) {
   return true;
 }
 
-Result<bool> XrcLeafSetFlag(Page* p, Position key, bool in_stab) {
+Result<bool> CompressedLeafSetFlag(Page* p, Position key, bool in_stab) {
   XrPageHeader* hdr = XrHeader(p);
-  if (hdr->format != kXrPageFormatCompressed) {
-    return Status::Corruption("XrcLeafSetFlag: page is not compressed");
-  }
   if (hdr->count == 0) return false;
-  if (hdr->count > kXrcMaxPageEntries) {
-    return Status::Corruption("compressed leaf: count out of range");
-  }
   uint8_t* area = LeafArea(p);
   const XrcBlockHeader* bh;
   size_t nb;
@@ -329,6 +322,8 @@ Result<bool> XrcLeafSetFlag(Page* p, Position key, bool in_stab) {
   }
   return false;
 }
+
+}  // namespace
 
 size_t XrcEncodeStab(Page* p, const StabEntry* entries, size_t n) {
   StabPageHeader* hdr = StabHeader(p);
@@ -417,7 +412,9 @@ Status XrcDecodeStab(const Page* p, std::vector<StabEntry>* out) {
   const XrcBlockHeader* bh;
   size_t nb;
   XR_RETURN_IF_ERROR(ValidateBlocks(area, kStabAreaSize, hdr->count, &bh, &nb));
-  out->reserve(out->size() + hdr->count);
+  // Reserve only for an empty vector: a caller appending page after page
+  // (a chain read, a whole-tree scan) keeps the vector's geometric growth.
+  if (out->empty()) out->reserve(hdr->count);
   for (size_t i = 0; i < nb; ++i) {
     XR_RETURN_IF_ERROR(DecodeStabBlock(area, kStabAreaSize, bh[i], out));
   }
@@ -473,6 +470,187 @@ Status XrcDecodeStabForKey(const Page* p, Position key,
   }
   *covers_page_end = (last == nb - 1);
   return Status();
+}
+
+namespace {
+
+/// The capacity of a leaf's format, checked against its count: every view,
+/// lookup and flag flip goes through here first.
+Status CheckLeaf(const Page* p) {
+  const XrPageHeader* hdr = XrHeader(p);
+  if (hdr->magic != kXrLeafMagic || hdr->is_leaf != 1) {
+    return Status::Corruption("xrtree: page " + std::to_string(p->page_id()) +
+                              " is not a leaf");
+  }
+  size_t capacity;
+  switch (hdr->format) {
+    case kXrPageFormatFixed:
+      capacity = kXrLeafMaxEntries;
+      break;
+    case kXrPageFormatCompressed:
+      capacity = kXrcMaxPageEntries;
+      break;
+    default:
+      return Status::Corruption("xrtree: leaf " +
+                                std::to_string(p->page_id()) +
+                                " has an unknown format");
+  }
+  if (hdr->count > capacity) {
+    return Status::Corruption("xrtree: leaf " + std::to_string(p->page_id()) +
+                              " claims " + std::to_string(hdr->count) +
+                              " entries, past its format's capacity");
+  }
+  return Status::Ok();
+}
+
+bool StartBefore(const Element& e, Position key) { return e.start < key; }
+
+/// A stab page's magic, and a fixed page's count against its capacity (the
+/// decoders check a compressed page's).
+Status CheckStab(const Page* p) {
+  const StabPageHeader* hdr = StabHeader(p);
+  if (hdr->magic != kXrStabMagic) {
+    return Status::Corruption("xrtree: page " + std::to_string(p->page_id()) +
+                              " is not a stab page");
+  }
+  if (!StabPageIsCompressed(p) && hdr->count > kStabPageMaxEntries) {
+    return Status::Corruption("xrtree: stab page " +
+                              std::to_string(p->page_id()) + " claims " +
+                              std::to_string(hdr->count) +
+                              " entries, past its capacity");
+  }
+  return Status::Ok();
+}
+
+/// The index of a fixed leaf's slot with start == key, or its count.
+uint32_t FixedSlotOf(const Page* p, Position key) {
+  const Element* slots = XrLeafSlots(p);
+  const uint32_t n = XrHeader(p)->count;
+  const auto i = static_cast<uint32_t>(
+      std::lower_bound(slots, slots + n, key, StartBefore) - slots);
+  return i < n && slots[i].start == key ? i : n;
+}
+
+}  // namespace
+
+Status XrCheckPage(const Page* p) {
+  const XrPageHeader* hdr = XrHeader(p);
+  if (hdr->magic == kXrLeafMagic) return CheckLeaf(p);
+  if (hdr->magic != kXrInternalMagic || hdr->is_leaf != 0) {
+    return Status::Corruption("xrtree: page " + std::to_string(p->page_id()) +
+                              " is not a tree node");
+  }
+  if (hdr->count > kXrInternalMaxEntries) {
+    return Status::Corruption("xrtree: internal node " +
+                              std::to_string(p->page_id()) + " claims " +
+                              std::to_string(hdr->count) +
+                              " keys, past its capacity");
+  }
+  return Status::Ok();
+}
+
+Result<XrLeafView> XrLeafRead(const Page* p, std::vector<Element>* scratch,
+                              Position from) {
+  XR_RETURN_IF_ERROR(CheckLeaf(p));
+  if (!XrLeafIsCompressed(p)) {
+    return XrLeafView{XrLeafSlots(p), XrHeader(p)->count, true};
+  }
+  scratch->clear();
+  XR_RETURN_IF_ERROR(from == 0 ? XrcDecodeLeaf(p, scratch)
+                               : XrcDecodeLeafFrom(p, from, scratch));
+  return XrLeafView{scratch->data(), static_cast<uint32_t>(scratch->size()),
+                    false};
+}
+
+Status XrLeafAppend(const Page* p, std::vector<Element>* out,
+                    Position from) {
+  XR_RETURN_IF_ERROR(CheckLeaf(p));
+  if (!XrLeafIsCompressed(p)) {
+    const Element* begin = XrLeafSlots(p);
+    const Element* end = begin + XrHeader(p)->count;
+    if (from != 0) begin = std::lower_bound(begin, end, from, StartBefore);
+    out->insert(out->end(), begin, end);
+    return Status::Ok();
+  }
+  if (from == 0) return XrcDecodeLeaf(p, out);
+  // Decode from the block that could hold `from`, then drop the entries
+  // below it that lead that block.
+  const auto at = static_cast<ptrdiff_t>(out->size());
+  XR_RETURN_IF_ERROR(XrcDecodeLeafFrom(p, from, out));
+  out->erase(out->begin() + at, std::lower_bound(out->begin() + at,
+                                                 out->end(), from,
+                                                 StartBefore));
+  return Status::Ok();
+}
+
+Result<bool> XrLeafFind(const Page* p, Position key, Element* out) {
+  XR_RETURN_IF_ERROR(CheckLeaf(p));
+  if (XrLeafIsCompressed(p)) return CompressedLeafFind(p, key, out);
+  const uint32_t i = FixedSlotOf(p, key);
+  if (i == XrHeader(p)->count) return false;
+  *out = XrLeafSlots(p)[i];
+  return true;
+}
+
+Result<bool> XrLeafSetFlag(Page* p, Position key, bool in_stab) {
+  XR_RETURN_IF_ERROR(CheckLeaf(p));
+  if (XrLeafIsCompressed(p)) return CompressedLeafSetFlag(p, key, in_stab);
+  const uint32_t i = FixedSlotOf(p, key);
+  if (i == XrHeader(p)->count) return false;
+  SetInStabList(&XrLeafSlots(p)[i], in_stab);
+  return true;
+}
+
+uint16_t XrLeafFormatAfterEdit(const Page* before, uint32_t leaf_capacity) {
+  return XrLeafIsCompressed(before) && XrHeader(before)->count > leaf_capacity
+             ? kXrPageFormatCompressed
+             : kXrPageFormatFixed;
+}
+
+Status XrLeafWrite(Page* p, const Element* elems, size_t n, uint16_t format) {
+  if (format == kXrPageFormatCompressed) {
+    if (XrcEncodeLeaf(p, elems, n) != n) {
+      return Status::Corruption("xrtree: " + std::to_string(n) +
+                                " entries do not fit a compressed leaf");
+    }
+    return Status::Ok();
+  }
+  if (n > kXrLeafMaxEntries) {
+    return Status::Corruption("xrtree: " + std::to_string(n) +
+                              " entries do not fit a fixed leaf");
+  }
+  XrPageHeader* hdr = XrHeader(p);
+  Element* slots = XrLeafSlots(p);
+  std::memmove(slots, elems, n * sizeof(Element));
+  // Zero the slack so the fixed image is deterministic for WAL/CRC.
+  std::memset(reinterpret_cast<char*>(slots + n), 0,
+              kLeafAreaSize - n * sizeof(Element));
+  hdr->count = static_cast<uint32_t>(n);
+  hdr->format = kXrPageFormatFixed;
+  return Status::Ok();
+}
+
+Result<XrStabView> XrStabRead(const Page* p, Position key,
+                              std::vector<StabEntry>* scratch) {
+  XR_RETURN_IF_ERROR(CheckStab(p));
+  if (!StabPageIsCompressed(p)) {
+    return XrStabView{StabSlots(p), StabHeader(p)->count, true};
+  }
+  // The run provably ends on this page when the decoded span stopped short
+  // of the page end or a larger key follows within it.
+  scratch->clear();
+  bool covers_page_end;
+  XR_RETURN_IF_ERROR(XrcDecodeStabForKey(p, key, scratch, &covers_page_end));
+  const bool past_run = !scratch->empty() && scratch->back().key > key;
+  return XrStabView{scratch->data(), static_cast<uint32_t>(scratch->size()),
+                    covers_page_end && !past_run};
+}
+
+Status XrStabAppend(const Page* p, std::vector<StabEntry>* out) {
+  XR_RETURN_IF_ERROR(CheckStab(p));
+  if (StabPageIsCompressed(p)) return XrcDecodeStab(p, out);
+  out->insert(out->end(), StabSlots(p), StabSlots(p) + StabHeader(p)->count);
+  return Status::Ok();
 }
 
 }  // namespace xrtree

@@ -12,8 +12,12 @@
 
 namespace xrtree {
 
-/// Compressed on-page format for XR-tree leaf pages and stab-list pages
-/// (DESIGN.md §15).
+/// The page formats of XR-tree leaf and stab-list pages (DESIGN.md §15),
+/// behind one module: the tree reads a leaf or stab page through one view,
+/// writes a leaf through one call, and checks a node's header through one
+/// page check, so no caller outside this module asks which format a page
+/// holds. The fixed format is the slot array of xrtree_page.h; the
+/// compressed format is described below.
 ///
 /// Layout after the page's own header (XrPageHeader / StabPageHeader):
 ///
@@ -33,7 +37,7 @@ namespace xrtree {
 /// header.aux = max end over the block (kept for diagnostics/skipping).
 /// The InStabList flag rides the low bit of the level varint, so flipping
 /// it never changes the encoded size — PlaceEntry and the D-algorithms
-/// rewrite flags in place on compressed pages (XrcLeafSetFlag).
+/// rewrite flags in place on compressed pages (XrLeafSetFlag).
 ///
 /// Stab block payload — entries sorted by (key, s); header.base = first
 /// key, header.aux = first s:
@@ -74,6 +78,85 @@ struct XrcBlockHeader {
 };
 static_assert(sizeof(XrcBlockHeader) == 12);
 
+/// A leaf's entries in start order (XrLeafRead).
+struct XrLeafView {
+  const Element* data = nullptr;
+  uint32_t size = 0;
+  /// True when `data` is the page's own slot array, which a writer holding
+  /// the page's W-latch may edit in place; false when it points into the
+  /// caller's scratch.
+  bool in_place = false;
+
+  const Element* begin() const { return data; }
+  const Element* end() const { return data + size; }
+};
+
+/// The part of a stab page that can hold one key's run (XrStabRead).
+struct XrStabView {
+  const StabEntry* data = nullptr;
+  uint32_t size = 0;
+  /// For a run read of a compressed page: false when the page proves the
+  /// run ends on it. A fixed page leaves it true; its caller's scan of the
+  /// slice decides, as Algorithm 5's chain walk does.
+  bool run_may_continue = true;
+};
+
+/// The one check a descent makes before it trusts a node: a leaf or
+/// internal magic that agrees with is_leaf, and an entry count within the
+/// page's capacity (a leaf's is that of its format).
+Status XrCheckPage(const Page* p);
+
+/// The one read view of a leaf. A fixed leaf's entries are its own slot
+/// array, read in place. A compressed leaf is decoded into *scratch
+/// (replacing its contents) from the block that could hold the first start
+/// >= `from`, so a few entries with a smaller start may lead. Returns
+/// Corruption when the page is not a leaf, its count exceeds its format's
+/// capacity, or its blocks do not decode.
+Result<XrLeafView> XrLeafRead(const Page* p, std::vector<Element>* scratch,
+                              Position from = 0);
+
+/// Appends a copy of each entry of a leaf with start >= `from` to *out, for
+/// callers that keep the entries after the page latch drops. Same checks
+/// as XrLeafRead.
+Status XrLeafAppend(const Page* p, std::vector<Element>* out,
+                    Position from = 0);
+
+/// Point lookup on a leaf of either format; a compressed leaf decodes only
+/// the candidate block. Returns true and fills *out when an element with
+/// start == key exists.
+Result<bool> XrLeafFind(const Page* p, Position key, Element* out);
+
+/// Sets the InStabList flag of the element with start == key in place
+/// (size-stable on a compressed leaf: the flag is the low bit of one varint
+/// byte). Returns true when the element was found.
+Result<bool> XrLeafSetFlag(Page* p, Position key, bool in_stab);
+
+/// The one format rule for a leaf rewritten by an edit (decompress-on-
+/// write): it stays compressed only if, before the edit, it was compressed
+/// and held more than `leaf_capacity` entries. Every other leaf is written
+/// fixed.
+uint16_t XrLeafFormatAfterEdit(const Page* before, uint32_t leaf_capacity);
+
+/// The one leaf write: lays elems[0..n) (sorted by start, strictly
+/// increasing) out on the page in `format` and sets the header's count and
+/// format; other header fields are left alone. A fixed write copies the
+/// slots (`elems` may be the page's own slots) and zeroes the slack. A
+/// compressed write must take all n entries. Either returns Corruption
+/// when the entries do not fit.
+Status XrLeafWrite(Page* p, const Element* elems, size_t n, uint16_t format);
+
+/// The one read view of a stab page for `key`'s run. A fixed page's
+/// entries are its own slot array. A compressed page decodes into *scratch
+/// (replacing its contents) only the blocks that can hold the run, plus one
+/// terminator. Returns Corruption on a foreign magic, a count past the
+/// format's capacity or undecodable blocks.
+Result<XrStabView> XrStabRead(const Page* p, Position key,
+                              std::vector<StabEntry>* scratch);
+
+/// Appends a copy of every entry of a stab page to *out. Same checks as
+/// XrStabRead.
+Status XrStabAppend(const Page* p, std::vector<StabEntry>* out);
+
 inline bool XrLeafIsCompressed(const Page* p) {
   const XrPageHeader* h = p->As<XrPageHeader>();
   return h->magic == kXrLeafMagic && h->format == kXrPageFormatCompressed;
@@ -97,15 +180,6 @@ Status XrcDecodeLeaf(const Page* p, std::vector<Element>* out);
 /// first entry with start >= lo (i.e. the last block with base <= lo, so
 /// a few entries with start < lo may lead the output). Appends to *out.
 Status XrcDecodeLeafFrom(const Page* p, Position lo, std::vector<Element>* out);
-
-/// Point lookup: decodes only the candidate block. Returns true and fills
-/// *out when an element with start == key exists.
-Result<bool> XrcLeafFind(const Page* p, Position key, Element* out);
-
-/// Rewrites the InStabList flag of the element with start == key in place
-/// (size-stable: the flag is the low bit of one varint byte). Returns true
-/// when the element was found.
-Result<bool> XrcLeafSetFlag(Page* p, Position key, bool in_stab);
 
 /// Stab-page counterparts. Entries must be sorted by (key, s).
 size_t XrcEncodeStab(Page* p, const StabEntry* entries, size_t n);

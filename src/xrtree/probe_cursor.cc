@@ -5,7 +5,6 @@
 
 #include "storage/page_latch.h"
 #include "xrtree/ancestor_probe.h"
-#include "xrtree/page_codec.h"
 #include "xrtree/xrtree.h"
 #include "xrtree/xrtree_iterator.h"
 
@@ -25,9 +24,9 @@ Status XrProbeCursor::FindAncestorsAbove(Position sd, Position min_start,
                           sd < levels_[depth - 1].hi)) {
       --depth;
     }
-    served = Refill(sd, seq, depth);
+    XR_ASSIGN_OR_RETURN(served, Refill(sd, seq, depth));
   } else if (!served) {
-    served = Refill(sd, seq, 0);
+    XR_ASSIGN_OR_RETURN(served, Refill(sd, seq, 0));
   }
 
   uint64_t local_scanned = 0;
@@ -124,7 +123,8 @@ Status XrProbeCursor::Advance(Position sd, Position min_start,
   return Status::Ok();
 }
 
-bool XrProbeCursor::Refill(Position sd, uint64_t seq, size_t depth) {
+Result<bool> XrProbeCursor::Refill(Position sd, uint64_t seq,
+                                   size_t depth) {
   ++refills_;
   valid_ = false;
   // A writer that bumped the sequence before `seq` was loaded has
@@ -134,6 +134,11 @@ bool XrProbeCursor::Refill(Position sd, uint64_t seq, size_t depth) {
   }
   auto raced = [&] {
     return tree_->write_seq_.load(std::memory_order_acquire) != seq;
+  };
+  // A failed page check is a race when a writer ran, corruption otherwise.
+  auto race_or = [&](const Status& st) -> Result<bool> {
+    if (raced()) return false;
+    return st;
   };
   BufferPool* pool = tree_->pool_;
   Position lo = 0;
@@ -177,23 +182,16 @@ bool XrProbeCursor::Refill(Position sd, uint64_t seq, size_t depth) {
     if (d >= static_cast<size_t>(kMaxTreeDepth)) return false;
     const Page* raw = cur.get();
     const auto* hdr = XrHeader(raw);
-    if (hdr->magic == kXrLeafMagic) {
+    if (Status st = XrCheckPage(raw); !st.ok()) return race_or(st);
+    if (hdr->is_leaf) {
       leaf_.clear();
-      if (XrLeafIsCompressed(raw)) {
-        if (!XrcDecodeLeaf(raw, &leaf_).ok()) return false;
-      } else {
-        if (hdr->count > kXrLeafMaxEntries) return false;
-        leaf_.assign(XrLeafSlots(raw), XrLeafSlots(raw) + hdr->count);
-      }
+      if (Status st = XrLeafAppend(raw, &leaf_); !st.ok()) return race_or(st);
       depth_ = d;
       leaf_lo_ = lo;
       leaf_hi_ = hi;
       break;
     }
-    if (hdr->magic != kXrInternalMagic || hdr->count == 0 ||
-        hdr->count > kXrInternalMaxEntries) {
-      return false;
-    }
+    if (hdr->count == 0) return false;
     if (levels_.size() <= d) levels_.emplace_back();
     Level& lv = levels_[d];
     lv.lo = lo;
@@ -201,7 +199,7 @@ bool XrProbeCursor::Refill(Position sd, uint64_t seq, size_t depth) {
     lv.leftmost = hdr->leftmost;
     lv.slots.assign(XrInternalSlots(raw), XrInternalSlots(raw) + hdr->count);
     auto stab = tree_->ReadNodeStab(raw);
-    if (!stab.ok()) return false;
+    if (!stab.ok()) return race_or(stab.status());
     lv.stab = std::move(*stab);
     uint32_t slot = XrChildSlot(lv.slots.data(), hdr->count, sd);
     PageId child = slot == 0 ? lv.leftmost : lv.slots[slot - 1].child;

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/result.h"
 #include "common/status.h"
 #include "storage/page.h"
 #include "xml/element.h"
@@ -87,8 +88,10 @@ class XrProbeCursor {
 
   /// Re-copies levels [depth, leaf] toward `sd` and tags the copy with
   /// `seq`. Returns false, leaving the cache invalid, when the copy cannot
-  /// be kept (a writer was active or ran, or a read failed).
-  bool Refill(Position sd, uint64_t seq, size_t depth);
+  /// be kept (a writer was active or ran, or a fetch failed). A page that
+  /// fails its check while no writer has run is corrupt: that error is
+  /// returned rather than left to a fallback that might not read the page.
+  Result<bool> Refill(Position sd, uint64_t seq, size_t depth);
 
   const XrTree* tree_;
   bool valid_ = false;

@@ -12,17 +12,6 @@ namespace xrtree {
 
 namespace {
 
-// Appends a stab page's entries regardless of its on-page format.
-Status AppendStabPage(const Page* raw, std::vector<StabEntry>* out) {
-  const auto* hdr = StabHeader(raw);
-  if (hdr->format == kXrPageFormatCompressed) {
-    return XrcDecodeStab(raw, out);
-  }
-  const StabEntry* slots = StabSlots(raw);
-  out->insert(out->end(), slots, slots + hdr->count);
-  return Status::Ok();
-}
-
 // Frees a stab-chain / ps-directory page, tolerating transient pins. With
 // concurrent readers the page being retired can be momentarily pinned by an
 // in-flight CollectStabbed/ReadPsl; FreePage refuses pinned pages, so
@@ -52,12 +41,8 @@ Result<std::vector<StabEntry>> StabList::ReadAll() const {
   while (cur != kInvalidPageId) {
     XR_ASSIGN_OR_RETURN(Page * raw, pool_->FetchPage(cur));
     PageGuard page(pool_, raw);
-    const auto* hdr = StabHeader(raw);
-    if (hdr->magic != kXrStabMagic) {
-      return Status::Corruption("bad stab page magic");
-    }
-    XR_RETURN_IF_ERROR(AppendStabPage(raw, &out));
-    cur = hdr->next;
+    XR_RETURN_IF_ERROR(XrStabAppend(raw, &out));
+    cur = StabHeader(raw)->next;
   }
   return out;
 }
@@ -225,33 +210,17 @@ Result<std::vector<StabEntry>> StabList::ReadPsl(Position key) const {
   while (cur != kInvalidPageId) {
     XR_ASSIGN_OR_RETURN(Page * raw, pool_->FetchPage(cur));
     PageGuard page(pool_, raw);
-    const auto* hdr = StabHeader(raw);
-    const StabEntry* slots;
-    uint32_t n;
-    bool covers_page_end = true;
-    if (hdr->format == kXrPageFormatCompressed) {
-      // Decode only the blocks that can hold `key`'s run (plus one
-      // terminator block); when the decoded span stops short of the page
-      // end, the page's remaining keys are all > key, so the run ends here.
-      scratch.clear();
-      XR_RETURN_IF_ERROR(XrcDecodeStabForKey(raw, key, &scratch,
-                                             &covers_page_end));
-      slots = scratch.data();
-      n = static_cast<uint32_t>(scratch.size());
-    } else {
-      slots = StabSlots(raw);
-      n = hdr->count;
-    }
-    for (uint32_t i = 0; i < n; ++i) {
-      if (slots[i].key == key) {
+    XR_ASSIGN_OR_RETURN(XrStabView view, XrStabRead(raw, key, &scratch));
+    for (uint32_t i = 0; i < view.size; ++i) {
+      if (view.data[i].key == key) {
         in_run = true;
-        out.push_back(slots[i]);
-      } else if (in_run || slots[i].key > key) {
+        out.push_back(view.data[i]);
+      } else if (in_run || view.data[i].key > key) {
         return out;  // past the run
       }
     }
-    if (!covers_page_end) return out;  // larger keys follow on this page
-    cur = hdr->next;
+    if (!view.run_may_continue) return out;
+    cur = StabHeader(raw)->next;
   }
   return out;
 }
@@ -321,33 +290,13 @@ Status StabList::CollectStabbed(Position key, Position sd, Position min_start,
   while (cur != kInvalidPageId) {
     XR_ASSIGN_OR_RETURN(Page * raw, pool_->FetchPage(cur));
     PageGuard page(pool_, raw);
-    const auto* hdr = StabHeader(raw);
-    const StabEntry* slots;
-    uint32_t n;
-    bool covers_page_end = true;
-    if (hdr->format == kXrPageFormatCompressed) {
-      // Decode the run's candidate blocks into scratch and run the same
-      // binary searches over the decoded slice.
-      scratch.clear();
-      XR_RETURN_IF_ERROR(XrcDecodeStabForKey(raw, key, &scratch,
-                                             &covers_page_end));
-      slots = scratch.data();
-      n = static_cast<uint32_t>(scratch.size());
-    } else {
-      slots = StabSlots(raw);
-      n = hdr->count;
-    }
-    if (!CollectStabbedInSlice(slots, n, key, sd, min_start, out,
-                               entries_scanned)) {
+    XR_ASSIGN_OR_RETURN(XrStabView view, XrStabRead(raw, key, &scratch));
+    if (!CollectStabbedInSlice(view.data, view.size, key, sd, min_start, out,
+                               entries_scanned) ||
+        !view.run_may_continue) {
       return Status::Ok();
     }
-    // Compressed pages: the run provably ends here when the decoded span
-    // stopped short of the page end or larger keys follow within it.
-    if (hdr->format == kXrPageFormatCompressed &&
-        (!covers_page_end || (n > 0 && slots[n - 1].key > key))) {
-      return Status::Ok();
-    }
-    cur = hdr->next;  // run (all stabbed so far) may continue on the next page
+    cur = StabHeader(raw)->next;  // the run, stabbed so far, may go on
   }
   return Status::Ok();
 }

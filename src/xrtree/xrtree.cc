@@ -71,11 +71,6 @@ bool SmallestStabbingKey(const Page* page, Position s, Position e,
 /// stops a corrupt page from looping forever.
 constexpr int kMaxDecompressRounds = 40;
 
-bool ValidXrMagic(const Page* page) {
-  uint32_t magic = XrHeader(page)->magic;
-  return magic == kXrLeafMagic || magic == kXrInternalMagic;
-}
-
 }  // namespace
 
 XrTree::XrTree(BufferPool* pool, PageId root, const XrTreeOptions& options)
@@ -138,9 +133,7 @@ Result<ReadLatchedPage> XrTree::DescendRead(Position key,
     if (root_.load(std::memory_order_acquire) != root_id) continue;
     for (int depth = 0; depth < kMaxTreeDepth; ++depth) {
       Page* raw = cur.get();
-      if (!ValidXrMagic(raw)) {
-        return Status::Corruption("xrtree: descent hit a foreign page");
-      }
+      XR_RETURN_IF_ERROR(XrCheckPage(raw));
       if (XrHeader(raw)->is_leaf) return cur;
       XR_RETURN_IF_ERROR(visit(static_cast<const Page*>(raw)));
       PageId child = XrChildAt(raw, XrChildSlot(raw, key));
@@ -276,9 +269,7 @@ Status XrTree::Insert(const Element& element) {
     if (root_.load(std::memory_order_acquire) != root_id) continue;
     Page* node = *fetched;
     for (int depth = 0;; ++depth) {
-      if (!ValidXrMagic(node)) {
-        return Status::Corruption("xrtree: descent hit a foreign page");
-      }
+      XR_RETURN_IF_ERROR(XrCheckPage(node));
       if (XrHeader(node)->is_leaf) break;
       if (depth == kMaxTreeDepth) {
         return Status::Corruption("xrtree: descent did not reach a leaf");
@@ -315,26 +306,24 @@ Status XrTree::Insert(const Element& element) {
     }
     path.push_back({node->page_id(), 0});
 
-    if (XrLeafIsCompressed(node)) {
-      // Decompress-on-write inside the crab (DESIGN.md §15). A leaf whose
-      // entries fit leaf_capacity converts in place under its own latch
-      // (when full, it failed the crab's safety test, so LeafInsert's split
-      // has its ancestors). An over-full one failed that test too: split it
-      // here under the ancestors the crab kept, then re-descend. The split
-      // rewrites stab lists on the held path and could retag or move the
-      // speculative placement, so undo it first.
-      if (placed && XrHeader(node)->count > leaf_cap_) {
-        XR_RETURN_IF_ERROR(
-            RollbackStabPlacement(ls, placed_page, placed_key, element));
+    // Decompress-on-write inside the crab (DESIGN.md §15). A leaf whose
+    // entries fit leaf_capacity is left in the fixed layout under its own
+    // latch (when full, it failed the crab's safety test, so LeafInsert's
+    // split has its ancestors). Only a compressed leaf holds more, and it
+    // failed that test too: split it here under the ancestors the crab
+    // kept, then re-descend. The split rewrites stab lists on the held path
+    // and could retag or move the speculative placement, so undo it first.
+    if (placed && XrHeader(node)->count > leaf_cap_) {
+      XR_RETURN_IF_ERROR(
+          RollbackStabPlacement(ls, placed_page, placed_key, element));
+    }
+    XR_ASSIGN_OR_RETURN(bool split, DecompressLeafStep(ls, path));
+    if (split) {
+      if (++splits == kMaxDecompressRounds) {
+        return Status::Corruption(
+            "xrtree: decompress-on-write did not converge");
       }
-      XR_ASSIGN_OR_RETURN(bool split, DecompressLeafStep(ls, path));
-      if (split) {
-        if (++splits == kMaxDecompressRounds) {
-          return Status::Corruption(
-              "xrtree: decompress-on-write did not converge");
-        }
-        continue;
-      }
+      continue;
     }
     return LeafInsert(ls, path, element, placed, placed_page, placed_key);
   }
@@ -403,13 +392,28 @@ Status XrTree::LeafInsert(WriteLatchSet& ls, std::vector<PathEntry>& path,
   // I22: split the leaf.
   std::vector<Element> all(slots, slots + hdr->count);
   all.insert(all.begin() + at, stored);
-  uint32_t left_n = static_cast<uint32_t>(all.size() / 2);
+  XR_RETURN_IF_ERROR(SplitLeaf(ls, std::move(path), std::move(all)));
+  size_.fetch_add(1, std::memory_order_acq_rel);
+  return Status::Ok();
+}
+
+Status XrTree::SplitLeaf(WriteLatchSet& ls, std::vector<PathEntry> path,
+                         std::vector<Element> all) {
+  PageId leaf_id = path.back().page;
+  path.pop_back();
+  Page* lraw = ls.Get(leaf_id);
+  if (lraw == nullptr) {
+    return Status::Corruption("xrtree: leaf not held for its split");
+  }
+  auto* hdr = XrHeader(lraw);
+  const uint16_t format = XrLeafFormatAfterEdit(lraw, leaf_cap_);
+  const size_t half = all.size() / 2;
 
   // Split-key choice (§3.2): any value in (last_left.start, first_right.start]
   // separates the leaves; prefer first_right.start - 1, which avoids stabbing
   // the right leaf's first element (the paper's key-79-vs-80 example).
-  Position last_left = all[left_n - 1].start;
-  Position first_right = all[left_n].start;
+  Position last_left = all[half - 1].start;
+  Position first_right = all[half].start;
   Position sep = (!naive_split_key_ && first_right - 1 > last_left)
                      ? first_right - 1
                      : first_right;
@@ -430,17 +434,16 @@ Status XrTree::LeafInsert(WriteLatchSet& ls, std::vector<PathEntry>& path,
   auto* rhdr = XrHeader(rraw);
   rhdr->magic = kXrLeafMagic;
   rhdr->is_leaf = 1;
-  rhdr->count = static_cast<uint32_t>(all.size()) - left_n;
   rhdr->next = hdr->next;
   rhdr->prev = leaf_id;
   rhdr->leftmost = kInvalidPageId;
   rhdr->stab_head = kInvalidPageId;
   rhdr->ps_dir = kInvalidPageId;
-  std::memcpy(XrLeafSlots(rraw), all.data() + left_n,
-              rhdr->count * sizeof(Element));
-
-  hdr->count = left_n;
-  std::memcpy(slots, all.data(), left_n * sizeof(Element));
+  // A compressed half re-encodes into a page that held its superset, so it
+  // always fits (see page_codec.h).
+  XR_RETURN_IF_ERROR(
+      XrLeafWrite(rraw, all.data() + half, all.size() - half, format));
+  XR_RETURN_IF_ERROR(XrLeafWrite(lraw, all.data(), half, format));
   PageId old_next = rhdr->next;
   hdr->next = rraw->page_id();
   ls.MarkDirty(leaf_id);
@@ -452,100 +455,30 @@ Status XrTree::LeafInsert(WriteLatchSet& ls, std::vector<PathEntry>& path,
     XrHeader(nraw)->prev = rraw->page_id();
     ls.MarkDirty(old_next);
   }
-
-  PageId right_id = rraw->page_id();
-  path.pop_back();
-  XR_RETURN_IF_ERROR(
-      InsertIntoParent(ls, path, sep, right_id, std::move(stab_set)));
-  size_.fetch_add(1, std::memory_order_acq_rel);
-  return Status::Ok();
+  return InsertIntoParent(ls, path, sep, rraw->page_id(),
+                          std::move(stab_set));
 }
 
-Status XrTree::DecompressLeafInPlace(WriteLatchSet& ls, PageId leaf_id) {
-  Page* lraw = ls.Get(leaf_id);
-  if (lraw == nullptr) {
-    return Status::Corruption("xrtree: leaf not held for decompression");
-  }
-  auto* hdr = XrHeader(lraw);
-  std::vector<Element> all;
-  XR_RETURN_IF_ERROR(XrcDecodeLeaf(lraw, &all));
-  if (all.size() > leaf_cap_) {
-    return Status::Corruption("xrtree: compressed leaf too full to decompress");
-  }
-  hdr->format = kXrPageFormatFixed;
-  hdr->count = static_cast<uint32_t>(all.size());
-  std::memcpy(XrLeafSlots(lraw), all.data(), all.size() * sizeof(Element));
-  // Zero the slack so the fixed image is deterministic for WAL/CRC.
-  std::memset(reinterpret_cast<char*>(XrLeafSlots(lraw) + all.size()), 0,
-              kPageDataSize - sizeof(XrPageHeader) -
-                  all.size() * sizeof(Element));
-  ls.MarkDirty(leaf_id);
-  return Status::Ok();
+Result<XrLeafView> XrTree::ReadLeafForEdit(WriteLatchSet& ls, Page* leaf,
+                                           std::vector<Element>* scratch) {
+  XR_ASSIGN_OR_RETURN(XrLeafView view, XrLeafRead(leaf, scratch));
+  if (view.in_place || view.size > leaf_cap_) return view;
+  XR_RETURN_IF_ERROR(XrLeafWrite(leaf, view.data, view.size,
+                                 XrLeafFormatAfterEdit(leaf, leaf_cap_)));
+  ls.MarkDirty(leaf->page_id());
+  return XrLeafRead(leaf, scratch);
 }
 
 Result<bool> XrTree::DecompressLeafStep(WriteLatchSet& ls,
-                                        std::vector<PathEntry> path) {
-  PageId leaf_id = path.back().page;
-  path.pop_back();
-  Page* lraw = ls.Get(leaf_id);
+                                        const std::vector<PathEntry>& path) {
+  Page* lraw = ls.Get(path.back().page);
   if (lraw == nullptr) {
     return Status::Corruption("xrtree: leaf not held for decompression");
   }
-  auto* hdr = XrHeader(lraw);
-  if (hdr->count <= leaf_cap_) {
-    XR_RETURN_IF_ERROR(DecompressLeafInPlace(ls, leaf_id));
-    return false;
-  }
-  std::vector<Element> all;
-  XR_RETURN_IF_ERROR(XrcDecodeLeaf(lraw, &all));
-
-  // Binary split: same separator policy and StabSet' computation as the
-  // I22 leaf split, just over decoded entries re-encoded compressed. Both
-  // halves re-encode into a page that held their superset, so they always
-  // fit (see page_codec.h).
-  const size_t half = all.size() / 2;
-  Position last_left = all[half - 1].start;
-  Position first_right = all[half].start;
-  Position sep = (!naive_split_key_ && first_right - 1 > last_left)
-                     ? first_right - 1
-                     : first_right;
-  std::vector<StabEntry> stab_set;
-  for (Element& e : all) {
-    if (!InStabList(e) && e.start <= sep && sep <= e.end) {
-      SetInStabList(&e, true);
-      stab_set.push_back(MakeStabEntry(e, sep));
-    }
-  }
-
-  XR_ASSIGN_OR_RETURN(Page * rraw, pool_->NewPage());
-  ls.AdoptNew(rraw);
-  ls.MarkDirty(rraw->page_id());
-  auto* rhdr = XrHeader(rraw);
-  rhdr->magic = kXrLeafMagic;
-  rhdr->is_leaf = 1;
-  rhdr->count = 0;
-  rhdr->next = hdr->next;
-  rhdr->prev = leaf_id;
-  rhdr->leftmost = kInvalidPageId;
-  rhdr->stab_head = kInvalidPageId;
-  rhdr->ps_dir = kInvalidPageId;
-  if (XrcEncodeLeaf(rraw, all.data() + half, all.size() - half) !=
-      all.size() - half) {
-    return Status::Corruption("xrtree: split right half did not re-encode");
-  }
-  if (XrcEncodeLeaf(lraw, all.data(), half) != half) {
-    return Status::Corruption("xrtree: split left half did not re-encode");
-  }
-  PageId old_next = rhdr->next;
-  hdr->next = rraw->page_id();
-  ls.MarkDirty(leaf_id);
-  if (old_next != kInvalidPageId) {
-    XR_ASSIGN_OR_RETURN(Page * nraw, ls.Acquire(old_next));
-    XrHeader(nraw)->prev = rraw->page_id();
-    ls.MarkDirty(old_next);
-  }
-  XR_RETURN_IF_ERROR(
-      InsertIntoParent(ls, path, sep, rraw->page_id(), std::move(stab_set)));
+  std::vector<Element> scratch;
+  XR_ASSIGN_OR_RETURN(XrLeafView leaf, ReadLeafForEdit(ls, lraw, &scratch));
+  if (leaf.size <= leaf_cap_) return false;
+  XR_RETURN_IF_ERROR(SplitLeaf(ls, path, {leaf.begin(), leaf.end()}));
   return true;
 }
 
@@ -678,25 +611,12 @@ Status XrTree::PlaceEntry(WriteLatchSet& ls, PageId from,
     XR_ASSIGN_OR_RETURN(Page * raw, ls.Acquire(cur));
     if (prev_owned != kInvalidPageId) ls.Release(prev_owned);
     prev_owned = pre_held ? kInvalidPageId : cur;
-    if (!ValidXrMagic(raw)) {
-      return Status::Corruption("xrtree: sweep hit a foreign page");
-    }
+    XR_RETURN_IF_ERROR(XrCheckPage(raw));
     if (XrHeader(raw)->is_leaf) {
       // No internal node below stabs the element: flag it InStabList=no.
-      if (XrLeafIsCompressed(raw)) {
-        // The flag rides bit 0 of the level varint, so this is an in-place
-        // single-byte rewrite — no re-encode.
-        XR_ASSIGN_OR_RETURN(bool found, XrcLeafSetFlag(raw, entry.s, false));
-        if (!found) {
-          return Status::Corruption("PlaceEntry: element missing from leaf");
-        }
-      } else {
-        uint32_t at = XrLeafLowerBound(raw, entry.s);
-        if (at >= XrHeader(raw)->count ||
-            XrLeafSlots(raw)[at].start != entry.s) {
-          return Status::Corruption("PlaceEntry: element missing from leaf");
-        }
-        SetInStabList(&XrLeafSlots(raw)[at], false);
+      XR_ASSIGN_OR_RETURN(bool found, XrLeafSetFlag(raw, entry.s, false));
+      if (!found) {
+        return Status::Corruption("PlaceEntry: element missing from leaf");
       }
       ls.MarkDirty(cur);
       if (prev_owned != kInvalidPageId) ls.Release(prev_owned);
@@ -726,36 +646,20 @@ Status XrTree::CollectStabbedDescent(WriteLatchSet& ls, PageId subtree,
     XR_ASSIGN_OR_RETURN(Page * raw, ls.Acquire(cur));
     if (prev_owned != kInvalidPageId) ls.Release(prev_owned);
     prev_owned = pre_held ? kInvalidPageId : cur;
-    if (!ValidXrMagic(raw)) {
-      return Status::Corruption("xrtree: sweep hit a foreign page");
-    }
+    XR_RETURN_IF_ERROR(XrCheckPage(raw));
     if (XrHeader(raw)->is_leaf) {
       bool dirty = false;
-      if (XrLeafIsCompressed(raw)) {
-        std::vector<Element> all;
-        XR_RETURN_IF_ERROR(XrcDecodeLeaf(raw, &all));
-        for (Element& el : all) {
-          if (el.start > k) break;
-          if (!InStabList(el) && k <= el.end) {
-            XR_ASSIGN_OR_RETURN(bool found,
-                                XrcLeafSetFlag(raw, el.start, true));
-            if (!found) {
-              return Status::Corruption("xrtree: stabbed element vanished");
-            }
-            SetInStabList(&el, true);
-            out->push_back(MakeStabEntry(el, k));
-            dirty = true;
+      std::vector<Element> scratch;
+      XR_ASSIGN_OR_RETURN(XrLeafView leaf, XrLeafRead(raw, &scratch));
+      for (const Element& el : leaf) {
+        if (el.start > k) break;
+        if (!InStabList(el) && k <= el.end) {
+          out->push_back(MakeStabEntry(el, k));
+          XR_ASSIGN_OR_RETURN(bool found, XrLeafSetFlag(raw, el.start, true));
+          if (!found) {
+            return Status::Corruption("xrtree: stabbed element vanished");
           }
-        }
-      } else {
-        Element* slots = XrLeafSlots(raw);
-        uint32_t n = XrHeader(raw)->count;
-        for (uint32_t i = 0; i < n && slots[i].start <= k; ++i) {
-          if (!InStabList(slots[i]) && k <= slots[i].end) {
-            SetInStabList(&slots[i], true);
-            out->push_back(MakeStabEntry(slots[i], k));
-            dirty = true;
-          }
+          dirty = true;
         }
       }
       if (dirty) ls.MarkDirty(cur);
@@ -912,13 +816,14 @@ Status XrTree::Delete(Position key) {
   // root_) stable, so no retry loop is needed — except for the
   // decompress-on-write rounds below, which re-descend after splitting an
   // over-full compressed leaf (the gate is exclusive, so this is private).
-  for (int round = 0; round < kMaxDecompressRounds; ++round) {
+  for (int round = 0;; ++round) {
+    if (round == kMaxDecompressRounds) {
+      return Status::Corruption("xrtree: decompress-on-write did not converge");
+    }
     PageId cur = root_.load(std::memory_order_acquire);
     for (int depth = 0; depth < kMaxTreeDepth; ++depth) {
       XR_ASSIGN_OR_RETURN(Page * raw, ls.Acquire(cur));
-      if (!ValidXrMagic(raw)) {
-        return Status::Corruption("xrtree: descent hit a foreign page");
-      }
+      XR_RETURN_IF_ERROR(XrCheckPage(raw));
       if (XrHeader(raw)->is_leaf) {
         path.push_back({cur, 0});
         lraw = raw;
@@ -931,15 +836,11 @@ Status XrTree::Delete(Position key) {
     if (lraw == nullptr) {
       return Status::Corruption("xrtree: descent did not reach a leaf");
     }
-    if (!XrLeafIsCompressed(lraw)) break;
     XR_ASSIGN_OR_RETURN(bool split, DecompressLeafStep(ls, path));
     if (!split) break;
     ls.ReleaseAll();
     path.clear();
     lraw = nullptr;
-  }
-  if (lraw == nullptr || XrLeafIsCompressed(lraw)) {
-    return Status::Corruption("xrtree: decompress-on-write did not converge");
   }
   PageId leaf_id = path.back().page;
 
@@ -1026,35 +927,21 @@ Status XrTree::HandleLeafUnderflow(WriteLatchSet& ls,
   // Sibling latches are safe under the exclusive writer gate: no other
   // writer runs, and readers never hold a sibling while waiting on a page
   // this operation holds (they acquire strictly top-down).
-  // A compressed sibling whose entries fit the fixed layout is converted
-  // first (under its held W-latch), so the raw-slot moves below stay valid.
-  // One whose count exceeds leaf_cap_ can't be converted — it always takes
-  // the borrow branch (count > leaf_cap_ > min_fill) and is edited through
-  // the codec instead; removing a boundary entry always re-encodes in
-  // place (DESIGN.md §15 size-stability).
+  // Each sibling examined is read for an edit: one whose entries fit
+  // leaf_capacity is decompressed on write, so the merges below move fixed
+  // slots. A larger (compressed) one always lends (count > leaf_capacity >
+  // min_fill) and is rewritten compressed by the format rule; removing a
+  // boundary entry always re-encodes in place (DESIGN.md §15).
+  std::vector<Element> scratch;
   if (child_slot > 0) {
     PageId sib_id = XrChildAt(praw, child_slot - 1);
     XR_ASSIGN_OR_RETURN(Page * sraw, ls.Acquire(sib_id));
-    auto* shdr = XrHeader(sraw);
-    if (XrLeafIsCompressed(sraw) && shdr->count <= leaf_cap_) {
-      XR_RETURN_IF_ERROR(DecompressLeafInPlace(ls, sib_id));
-    }
-    if (shdr->count > min_fill) {
+    XR_ASSIGN_OR_RETURN(XrLeafView sib, ReadLeafForEdit(ls, sraw, &scratch));
+    if (sib.size > min_fill) {
       Element* lslots = XrLeafSlots(lraw);
-      Element moved;
-      if (XrLeafIsCompressed(sraw)) {
-        std::vector<Element> sall;
-        XR_RETURN_IF_ERROR(XrcDecodeLeaf(sraw, &sall));
-        moved = sall.back();
-        sall.pop_back();
-        if (XrcEncodeLeaf(sraw, sall.data(), sall.size()) != sall.size()) {
-          return Status::Corruption("xrtree: borrow re-encode did not fit");
-        }
-      } else {
-        Element* sslots = XrLeafSlots(sraw);
-        moved = sslots[shdr->count - 1];
-        --shdr->count;
-      }
+      const Element moved = sib.data[sib.size - 1];
+      XR_RETURN_IF_ERROR(XrLeafWrite(sraw, sib.data, sib.size - 1,
+                                     XrLeafFormatAfterEdit(sraw, leaf_cap_)));
       std::memmove(lslots + 1, lslots, lhdr->count * sizeof(Element));
       lslots[0] = moved;
       ++lhdr->count;
@@ -1068,31 +955,13 @@ Status XrTree::HandleLeafUnderflow(WriteLatchSet& ls,
   if (child_slot < phdr->count) {
     PageId sib_id = XrChildAt(praw, child_slot + 1);
     XR_ASSIGN_OR_RETURN(Page * sraw, ls.Acquire(sib_id));
-    auto* shdr = XrHeader(sraw);
-    if (XrLeafIsCompressed(sraw) && shdr->count <= leaf_cap_) {
-      XR_RETURN_IF_ERROR(DecompressLeafInPlace(ls, sib_id));
-    }
-    if (shdr->count > min_fill) {
+    XR_ASSIGN_OR_RETURN(XrLeafView sib, ReadLeafForEdit(ls, sraw, &scratch));
+    if (sib.size > min_fill) {
       Element* lslots = XrLeafSlots(lraw);
-      Element moved;
-      Position knew;
-      if (XrLeafIsCompressed(sraw)) {
-        std::vector<Element> sall;
-        XR_RETURN_IF_ERROR(XrcDecodeLeaf(sraw, &sall));
-        moved = sall.front();
-        sall.erase(sall.begin());
-        if (XrcEncodeLeaf(sraw, sall.data(), sall.size()) != sall.size()) {
-          return Status::Corruption("xrtree: borrow re-encode did not fit");
-        }
-        knew = sall.front().start;
-      } else {
-        Element* sslots = XrLeafSlots(sraw);
-        moved = sslots[0];
-        std::memmove(sslots, sslots + 1,
-                     (shdr->count - 1) * sizeof(Element));
-        --shdr->count;
-        knew = sslots[0].start;
-      }
+      const Element moved = sib.data[0];
+      const Position knew = sib.data[1].start;
+      XR_RETURN_IF_ERROR(XrLeafWrite(sraw, sib.data + 1, sib.size - 1,
+                                     XrLeafFormatAfterEdit(sraw, leaf_cap_)));
       lslots[lhdr->count] = moved;
       ++lhdr->count;
       ls.MarkDirty(leaf_entry.page);
@@ -1294,23 +1163,11 @@ Status XrTree::HandleInternalUnderflow(WriteLatchSet& ls,
 Result<Element> XrTree::Search(Position key) const {
   XR_ASSIGN_OR_RETURN(ReadLatchedPage leaf, DescendToLeafRead(key));
   if (!leaf) return Status::NotFound("empty tree");
-  Page* raw = leaf.get();
-  if (XrLeafIsCompressed(raw)) {
-    Element e;
-    XR_ASSIGN_OR_RETURN(bool found, XrcLeafFind(raw, key, &e));
-    if (found) {
-      e.flags = 0;  // InStabList is an index detail, not element data
-      return e;
-    }
-    return Status::NotFound("key " + std::to_string(key));
-  }
-  uint32_t at = XrLeafLowerBound(raw, key);
-  if (at < XrHeader(raw)->count && XrLeafSlots(raw)[at].start == key) {
-    Element e = XrLeafSlots(raw)[at];
-    e.flags = 0;  // InStabList is an index detail, not element data
-    return e;
-  }
-  return Status::NotFound("key " + std::to_string(key));
+  Element e;
+  XR_ASSIGN_OR_RETURN(bool found, XrLeafFind(leaf.get(), key, &e));
+  if (!found) return Status::NotFound("key " + std::to_string(key));
+  e.flags = 0;  // InStabList is an index detail, not element data
+  return e;
 }
 
 Result<ElementList> XrTree::FindDescendants(const Element& ancestor,
@@ -1354,29 +1211,20 @@ Result<ElementList> XrTree::FindAncestorsAbove(Position sd,
     return out;
   }
   // S2. A compressed leaf decodes only the suffix of mini-blocks from the
-  // one holding min_start + 1; the scratch always covers through the page
+  // one holding min_start + 1; the view always covers through the page
   // end, so the terminator below is unchanged.
-  const Page* raw = leaf.get();
   std::vector<Element> scratch;
-  const Element* slots;
-  uint32_t nslots;
-  if (XrLeafIsCompressed(raw)) {
-    XR_RETURN_IF_ERROR(XrcDecodeLeafFrom(
-        raw, min_start == 0 ? 0 : min_start + 1, &scratch));
-    slots = scratch.data();
-    nslots = static_cast<uint32_t>(scratch.size());
-  } else {
-    slots = XrLeafSlots(raw);
-    nslots = XrHeader(raw)->count;
-  }
-  uint32_t i =
-      ScanLeafForAncestors(slots, nslots, sd, min_start, &out, &local_scanned);
+  XR_ASSIGN_OR_RETURN(
+      XrLeafView slots,
+      XrLeafRead(leaf.get(), &scratch, min_start == 0 ? 0 : min_start + 1));
+  uint32_t i = ScanLeafForAncestors(slots.data, slots.size, sd, min_start,
+                                    &out, &local_scanned);
   // The terminating element (first start >= sd) is handed back as the
   // join's next CurA; it is not charged here — the caller's next sweep or
   // cursor move examines it.
-  Position terminator = i < nslots ? slots[i].start : kNilPosition;
+  Position terminator = i < slots.size ? slots.data[i].start : kNilPosition;
   leaf.Release();
-  if (next_start && i >= nslots) {
+  if (next_start && i >= slots.size) {
     // The terminator lives past this leaf. A snapshot cursor's fresh
     // descent replaces the old unlatched chain walk: it is epoch-checked
     // and correct against concurrent leaf frees.
@@ -1419,24 +1267,12 @@ Result<ElementList> XrTree::FindParent(Position sd, uint16_t level,
 Result<XrIterator> XrTree::LowerBound(Position key) const {
   XR_ASSIGN_OR_RETURN(ReadLatchedPage leaf, DescendToLeafRead(key));
   if (!leaf) return XrIterator();
-  Page* raw = leaf.get();
-  const auto* hdr = XrHeader(raw);
   // Snapshot under the latch; sample the chain link and the free epoch in
   // the same critical section so a lateral hop can detect index frees.
-  PageId next = hdr->next;
+  PageId next = XrHeader(leaf.get())->next;
   uint64_t epoch = pool_->free_epoch();
   std::vector<Element> snap;
-  if (XrLeafIsCompressed(raw)) {
-    XR_RETURN_IF_ERROR(XrcDecodeLeafFrom(raw, key, &snap));
-    auto first = std::lower_bound(snap.begin(), snap.end(), key,
-                                  [](const Element& e, Position k) {
-                                    return e.start < k;
-                                  });
-    snap.erase(snap.begin(), first);
-  } else {
-    uint32_t at = XrLeafLowerBound(raw, key);
-    snap.assign(XrLeafSlots(raw) + at, XrLeafSlots(raw) + hdr->count);
-  }
+  XR_RETURN_IF_ERROR(XrLeafAppend(leaf.get(), &snap, key));
   if (snap.empty()) {
     leaf.Release();
     XrIterator it(this, {}, next, epoch, key, false);
@@ -1469,13 +1305,13 @@ Result<std::vector<Position>> XrTree::PartitionKeys(size_t max_keys) const {
       for (PageId id : level) {
         XR_ASSIGN_OR_RETURN(Page * raw, pool_->FetchPage(id));
         ReadLatchedPage page(pool_, raw);
+        XR_RETURN_IF_ERROR(XrCheckPage(raw));
         const auto* hdr = XrHeader(raw);
-        if (hdr->magic != kXrInternalMagic) {
-          if (hdr->magic == kXrLeafMagic && level.size() == 1) {
+        if (hdr->is_leaf) {
+          if (level.size() == 1) {
             return std::vector<Position>{};  // root is a leaf: no separators
           }
-          return Status::Corruption(
-              "xrtree: partition walk hit a foreign page");
+          return Status::Corruption("xrtree: partition walk hit a leaf");
         }
         const XrInternalEntry* slots = XrInternalSlots(raw);
         for (uint32_t i = 0; i < hdr->count; ++i) {
@@ -1607,17 +1443,8 @@ Status XrTree::Compact() {
     while (cur != kInvalidPageId) {
       XR_ASSIGN_OR_RETURN(Page * raw, pool_->FetchPage(cur));
       PageGuard page(pool_, raw);
-      const auto* hdr = XrHeader(raw);
-      if (hdr->magic != kXrLeafMagic) {
-        return Status::Corruption("xrtree: compact hit a foreign page");
-      }
-      if (XrLeafIsCompressed(raw)) {
-        XR_RETURN_IF_ERROR(XrcDecodeLeaf(raw, &elems));
-      } else {
-        const Element* slots = XrLeafSlots(raw);
-        elems.insert(elems.end(), slots, slots + hdr->count);
-      }
-      cur = hdr->next;
+      XR_RETURN_IF_ERROR(XrLeafAppend(raw, &elems));
+      cur = XrHeader(raw)->next;
     }
     for (Element& e : elems) e.flags = 0;
   }
@@ -1632,6 +1459,7 @@ Status XrTree::Compact() {
     old_pages.push_back(id);
     XR_ASSIGN_OR_RETURN(Page * raw, pool_->FetchPage(id));
     PageGuard page(pool_, raw);
+    XR_RETURN_IF_ERROR(XrCheckPage(raw));
     const auto* hdr = XrHeader(raw);
     if (hdr->is_leaf) continue;
     StabList list(pool_, hdr->stab_head, hdr->ps_dir, use_ps_dir_,
@@ -1719,22 +1547,19 @@ Status XrTree::BulkLoadImpl(const std::function<bool(Element*)>& next,
     auto* hdr = XrHeader(raw);
     hdr->magic = kXrLeafMagic;
     hdr->is_leaf = 1;
-    hdr->count = 0;
-    hdr->format = kXrPageFormatFixed;
     hdr->next = kInvalidPageId;
     hdr->prev = prev ? prev.page_id() : kInvalidPageId;
     hdr->leftmost = kInvalidPageId;
     hdr->stab_head = kInvalidPageId;
     hdr->ps_dir = kInvalidPageId;
 
+    chunk.assign(buf.begin(),
+                 buf.begin() + static_cast<ptrdiff_t>(std::min(rem, page_max)));
+    for (Element& e : chunk) SetInStabList(&e, false);
     size_t take;
+    uint16_t format =
+        compressed_ ? kXrPageFormatCompressed : kXrPageFormatFixed;
     if (compressed_) {
-      chunk.clear();
-      size_t want = std::min(rem, page_max);
-      for (size_t j = 0; j < want; ++j) {
-        chunk.push_back(buf[j]);
-        SetInStabList(&chunk.back(), false);
-      }
       // Greedy longest-prefix encode tells us the achievable fan-out;
       // fill_fraction scales it the way it scales fixed slot counts.
       size_t n_full = XrcEncodeLeaf(raw, chunk.data(), chunk.size());
@@ -1744,7 +1569,6 @@ Status XrTree::BulkLoadImpl(const std::function<bool(Element*)>& next,
       take = std::max<size_t>(
           min_fill, static_cast<size_t>(n_full * fill_fraction));
       take = std::min(take, n_full);
-      bool fixed_fallback = false;
       if (exhausted && rem > take && rem - take < min_fill) {
         // The tail would be stranded below min_fill: absorb it, fall back
         // to the greedy prefix when that already leaves enough, leave
@@ -1758,22 +1582,8 @@ Status XrTree::BulkLoadImpl(const std::function<bool(Element*)>& next,
         } else if (rem >= 2 * min_fill) {
           take = rem - min_fill;
         } else {
-          fixed_fallback = true;
-        }
-      }
-      if (fixed_fallback) {
-        take = rem;
-        hdr->format = kXrPageFormatFixed;
-        hdr->count = static_cast<uint32_t>(take);
-        Element* slots = XrLeafSlots(raw);
-        for (size_t j = 0; j < take; ++j) {
-          slots[j] = buf[j];
-          SetInStabList(&slots[j], false);
-        }
-      } else if (take != n_full) {
-        // Prefix re-encode always fits (strict subset of what just fit).
-        if (XrcEncodeLeaf(raw, chunk.data(), take) != take) {
-          return Status::Corruption("bulk load: prefix re-encode overflow");
+          take = rem;
+          format = kXrPageFormatFixed;
         }
       }
     } else {
@@ -1784,13 +1594,8 @@ Status XrTree::BulkLoadImpl(const std::function<bool(Element*)>& next,
       if (exhausted && rem > take && rem - take < min_fill) {
         take = (rem <= leaf_cap_) ? rem : rem - min_fill;
       }
-      hdr->count = static_cast<uint32_t>(take);
-      Element* slots = XrLeafSlots(raw);
-      for (size_t j = 0; j < take; ++j) {
-        slots[j] = buf[j];
-        SetInStabList(&slots[j], false);
-      }
     }
+    XR_RETURN_IF_ERROR(XrLeafWrite(raw, chunk.data(), take, format));
     if (prev) {
       XrHeader(prev.get())->next = raw->page_id();
       prev.MarkDirty();
@@ -1848,24 +1653,12 @@ Status XrTree::BulkLoadImpl(const std::function<bool(Element*)>& next,
   // pinned: each internal node is fetched once per run of leaves under it.
   std::unordered_map<PageId, std::vector<StabEntry>> stabs;
   std::vector<PageGuard> path;  // path[d]: the pinned internal node at depth d
+  std::vector<Element> scratch;
   for (PageId leaf_id : leaf_pages) {
     XR_ASSIGN_OR_RETURN(Page * raw, pool_->FetchPage(leaf_id));
     PageGuard leaf(pool_, raw);
-    auto* hdr = XrHeader(raw);
-    // On a compressed leaf the flag flip is an in-place single-byte varint
-    // rewrite (DESIGN.md §15), so no re-encode is needed here either.
-    bool comp = XrLeafIsCompressed(raw);
-    std::vector<Element> all;
-    Element* slots = nullptr;
-    const Element* view;
-    if (comp) {
-      XR_RETURN_IF_ERROR(XrcDecodeLeaf(raw, &all));
-      view = all.data();
-    } else {
-      slots = XrLeafSlots(raw);
-      view = slots;
-    }
-    if (hdr->count == 0) continue;
+    XR_ASSIGN_OR_RETURN(XrLeafView view, XrLeafRead(raw, &scratch));
+    if (view.size == 0) continue;
     PageId cur = new_root;
     for (size_t d = 0; d < internal_levels; ++d) {
       if (d == path.size() || path[d].page_id() != cur) {
@@ -1874,26 +1667,22 @@ Status XrTree::BulkLoadImpl(const std::function<bool(Element*)>& next,
         path.emplace_back(pool_, nraw);
       }
       const Page* node = path[d].get();
-      cur = XrChildAt(node, XrChildSlot(node, view[0].start));
+      cur = XrChildAt(node, XrChildSlot(node, view.data[0].start));
     }
     bool dirty = false;
-    for (uint32_t i = 0; i < hdr->count; ++i) {
+    // The flag flip is in place on either format (on a compressed leaf, a
+    // size-stable varint byte; DESIGN.md §15), so nothing is re-encoded.
+    for (const Element& e : view) {
       for (const PageGuard& node : path) {
         uint32_t stab_slot;
-        if (!SmallestStabbingKey(node.get(), view[i].start, view[i].end,
-                                 &stab_slot)) {
+        if (!SmallestStabbingKey(node.get(), e.start, e.end, &stab_slot)) {
           continue;
         }
         Position key = XrInternalSlots(node.get())[stab_slot].key;
-        stabs[node.page_id()].push_back(MakeStabEntry(view[i], key));
-        if (comp) {
-          XR_ASSIGN_OR_RETURN(bool found,
-                              XrcLeafSetFlag(raw, view[i].start, true));
-          if (!found) {
-            return Status::Corruption("bulk load: stabbed entry vanished");
-          }
-        } else {
-          SetInStabList(&slots[i], true);
+        stabs[node.page_id()].push_back(MakeStabEntry(e, key));
+        XR_ASSIGN_OR_RETURN(bool found, XrLeafSetFlag(raw, e.start, true));
+        if (!found) {
+          return Status::Corruption("bulk load: stabbed entry vanished");
         }
         dirty = true;
         break;
@@ -1989,29 +1778,21 @@ Status XrTree::CheckNode(PageId id, bool is_root, Position lo, Position hi,
   const auto* hdr = XrHeader(raw);
 
   if (hdr->is_leaf) {
-    if (hdr->magic != kXrLeafMagic) return Status::Corruption("leaf magic");
-    if (!is_root && hdr->count < leaf_cap_ / 2) {
+    // The view checks the magic, and the count against the format's
+    // capacity: up to kXrcMaxPageEntries for a compressed leaf.
+    std::vector<Element> scratch;
+    XR_ASSIGN_OR_RETURN(XrLeafView slots, XrLeafRead(raw, &scratch));
+    if (!is_root && slots.size < leaf_cap_ / 2) {
       return Status::Corruption("leaf underfilled");
     }
-    std::vector<Element> scratch;
-    const Element* slots;
-    if (XrLeafIsCompressed(raw)) {
-      // A compressed leaf holds up to kXrcMaxPageEntries, not leaf_cap_;
-      // the decoder validates the block headers and count.
-      if (hdr->count > kXrcMaxPageEntries) {
-        return Status::Corruption("leaf overfull");
-      }
-      XR_RETURN_IF_ERROR(XrcDecodeLeaf(raw, &scratch));
-      slots = scratch.data();
-    } else {
-      if (hdr->count > leaf_cap_) return Status::Corruption("leaf overfull");
-      slots = XrLeafSlots(raw);
+    if (!XrLeafIsCompressed(raw) && slots.size > leaf_cap_) {
+      return Status::Corruption("leaf overfull");
     }
-    for (uint32_t i = 0; i < hdr->count; ++i) {
-      if (i > 0 && !(slots[i - 1].start < slots[i].start)) {
+    for (uint32_t i = 0; i < slots.size; ++i) {
+      if (i > 0 && !(slots.data[i - 1].start < slots.data[i].start)) {
         return Status::Corruption("leaf keys out of order");
       }
-      if (slots[i].start < lo || slots[i].start >= hi) {
+      if (slots.data[i].start < lo || slots.data[i].start >= hi) {
         return Status::Corruption("leaf key outside bounds");
       }
     }
@@ -2149,14 +1930,7 @@ Status XrTree::CheckConsistency() const {
     PageGuard page(pool_, raw);
     const auto* hdr = XrHeader(raw);
     if (hdr->is_leaf) {
-      if (XrLeafIsCompressed(raw)) {
-        std::vector<Element> all;
-        XR_RETURN_IF_ERROR(XrcDecodeLeaf(raw, &all));
-        elems.insert(elems.end(), all.begin(), all.end());
-      } else {
-        const Element* slots = XrLeafSlots(raw);
-        elems.insert(elems.end(), slots, slots + hdr->count);
-      }
+      XR_RETURN_IF_ERROR(XrLeafAppend(raw, &elems));
       leaf_count += hdr->count;
       continue;
     }

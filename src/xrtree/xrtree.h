@@ -13,6 +13,7 @@
 #include "storage/buffer_pool.h"
 #include "storage/page_latch.h"
 #include "xml/element.h"
+#include "xrtree/page_codec.h"
 #include "xrtree/stab_list.h"
 #include "xrtree/xrtree_page.h"
 
@@ -281,21 +282,32 @@ class XrTree {
 
   Status InitRootLeaf();
 
-  /// One decompress-on-write round on the compressed leaf at path.back()
-  /// (DESIGN.md §15). When its entries fit leaf_capacity it is rewritten to
-  /// the fixed layout in place and the result is false. Otherwise it takes
-  /// one binary split (both halves re-encoded compressed, which always
-  /// fits, see page_codec.h), posts the separator via InsertIntoParent and
-  /// returns true; the caller then releases and re-descends. A split needs
-  /// the leaf's ancestors W-latched up to a node that can take the key:
-  /// Insert's crab keeps them (an over-full leaf is unsafe), Delete holds
-  /// the full path.
+  /// One decompress-on-write round on the leaf at path.back(), of either
+  /// format (DESIGN.md §15). When its entries fit leaf_capacity it is left
+  /// in the fixed layout (ReadLeafForEdit) and the result is false.
+  /// Otherwise (only a compressed leaf holds more) it takes one SplitLeaf
+  /// and returns true; the caller then releases and re-descends. A split
+  /// needs the leaf's ancestors W-latched up to a node that can take the
+  /// key: Insert's crab keeps them (an over-full leaf is unsafe), Delete
+  /// holds the full path.
   Result<bool> DecompressLeafStep(WriteLatchSet& ls,
-                                  std::vector<PathEntry> path);
+                                  const std::vector<PathEntry>& path);
 
-  /// Rewrites a compressed leaf held W-latched in `ls` to the fixed slot
-  /// layout in place (precondition: its entry count fits leaf_capacity).
-  Status DecompressLeafInPlace(WriteLatchSet& ls, PageId leaf_id);
+  /// Reads a leaf held W-latched in `ls` for an edit. A leaf the view had
+  /// to decode whose entries fit leaf_capacity is first rewritten in the
+  /// layout the format rule picks for it, the fixed one, and marked dirty,
+  /// so the view returned is its own slot array; a larger one comes back
+  /// decoded into *scratch.
+  Result<XrLeafView> ReadLeafForEdit(WriteLatchSet& ls, Page* leaf,
+                                     std::vector<Element>* scratch);
+
+  /// The one leaf split (Algorithm 1, I22) for both formats: the leaf at
+  /// path.back() is replaced by `all` (its entries after the edit) cut in
+  /// half, with the §3.2 separator and the StabSet' posted through
+  /// InsertIntoParent. Both halves are written in the format the rule
+  /// (XrLeafFormatAfterEdit) picks for the leaf.
+  Status SplitLeaf(WriteLatchSet& ls, std::vector<PathEntry> path,
+                   std::vector<Element> all);
 
   /// Removes the speculative I1 stab placement for `element` from
   /// `placed_page` (still held in `ls`): a duplicate key undoes it before
@@ -304,9 +316,9 @@ class XrTree {
   Status RollbackStabPlacement(WriteLatchSet& ls, PageId placed_page,
                                Position placed_key, const Element& element);
 
-  /// Shared tail of Insert: places `element` into the (fixed-format) leaf
-  /// at path.back(), handling duplicates (with stab rollback) and the
-  /// leaf split of Algorithm 1 (I2/I22). Caller holds the crabbed path and
+  /// Shared tail of Insert: places `element` into the leaf at path.back(),
+  /// which DecompressLeafStep left in the fixed layout, handling duplicates
+  /// (with stab rollback) and the leaf split of Algorithm 1 (I2/I22). Caller holds the crabbed path and
   /// passes the speculative stab placement made during the descent so the
   /// duplicate path can undo it.
   Status LeafInsert(WriteLatchSet& ls, std::vector<PathEntry>& path,

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "storage/page_latch.h"
-#include "xrtree/page_codec.h"
 #include "xrtree/xrtree.h"
 
 namespace xrtree {
@@ -52,7 +51,9 @@ Status XrIterator::LandOnNextLeaf() {
       // can only happen after an index-page free, which bumps the epoch —
       // so a fresh descent is the right recovery. Any other failure (I/O)
       // is real.
-      if (pool->free_epoch() != epoch_) return Reseek();
+      if (pool->free_epoch() != epoch_) {
+        return Reseek(reseek_key_, reseek_exclusive_);
+      }
       return fetched.status();
     }
     ReadLatchedPage leaf(pool, *fetched);
@@ -60,23 +61,14 @@ Status XrIterator::LandOnNextLeaf() {
       // The link was read in an older epoch; the id may have been recycled
       // into a different (even same-magic) leaf between the read and this
       // latch. Cheaper to re-descend than to prove identity.
-      return Reseek();
+      return Reseek(reseek_key_, reseek_exclusive_);
     }
-    const auto* hdr = XrHeader(leaf.get());
-    if (hdr->magic != kXrLeafMagic) {
-      return Status::Corruption("xrtree: leaf chain points at a foreign page");
-    }
-    if (hdr->count > 0) {
-      if (XrLeafIsCompressed(leaf.get())) {
-        snap_.clear();
-        XR_RETURN_IF_ERROR(XrcDecodeLeaf(leaf.get(), &snap_));
-      } else {
-        snap_.assign(XrLeafSlots(leaf.get()),
-                     XrLeafSlots(leaf.get()) + hdr->count);
-      }
+    snap_.clear();
+    XR_RETURN_IF_ERROR(XrLeafAppend(leaf.get(), &snap_));
+    next_ = XrHeader(leaf.get())->next;
+    epoch_ = pool->free_epoch();  // resampled under this leaf's latch
+    if (!snap_.empty()) {
       pos_ = 0;
-      next_ = hdr->next;
-      epoch_ = pool->free_epoch();  // resampled under this leaf's latch
       reseek_key_ = snap_.back().start;
       reseek_exclusive_ = true;
       ++scanned_;
@@ -84,30 +76,27 @@ Status XrIterator::LandOnNextLeaf() {
       MaybePrefetch();
       return Status::Ok();
     }
-    next_ = hdr->next;
-    epoch_ = pool->free_epoch();
   }
   snap_.clear();
   pos_ = 0;
   return Status::Ok();  // end of tree
 }
 
-Status XrIterator::Reseek() {
+Status XrIterator::Reseek(Position key, bool exclusive) {
   const XrTree* tree = tree_;
-  uint64_t scanned = scanned_;
-  uint32_t prefetch = prefetch_depth_;
-  uint32_t cap = prefetch_cap_;
-  Position key = reseek_key_;
-  bool exclusive = reseek_exclusive_;
+  const uint64_t scanned = scanned_;
+  const uint32_t prefetch = prefetch_depth_;
+  const uint32_t cap = prefetch_cap_;
   XR_ASSIGN_OR_RETURN(XrIterator fresh,
                       exclusive ? tree->UpperBound(key) : tree->LowerBound(key));
   *this = std::move(fresh);
+  // An off-the-end result comes back with a null tree pointer; restore it
+  // so the iterator stays reseekable. The fresh landing charged 1 for its
+  // element, like any other scan step, so just add the prior total back.
   tree_ = tree;
+  scanned_ += scanned;
   prefetch_depth_ = prefetch;
   prefetch_cap_ = cap;
-  // The fresh iterator charged 1 for its landing element; that charge
-  // replaces the lateral hop's, so just add the prior total back.
-  scanned_ += scanned;
   return Status::Ok();
 }
 
@@ -130,19 +119,9 @@ Status XrIterator::SeekPastKey(Position key) {
     ++scanned_;  // the landing element, as a fresh descent charges it
     return Status::Ok();
   }
-  const XrTree* tree = tree_;
-  uint64_t scanned = scanned_;
-  uint32_t prefetch = prefetch_depth_;
-  uint32_t cap = prefetch_cap_;
-  XR_ASSIGN_OR_RETURN(XrIterator fresh, tree->UpperBound(key));
-  *this = std::move(fresh);
   // The landing element is examined and charged like any other scan (see
-  // BTreeIterator::SeekPastKey). An off-the-end result comes back with a
-  // null tree pointer; restore it so the iterator stays reseekable.
-  scanned_ += scanned;
-  tree_ = tree;
-  prefetch_depth_ = prefetch;
-  prefetch_cap_ = cap;
+  // BTreeIterator::SeekPastKey).
+  XR_RETURN_IF_ERROR(Reseek(key, true));
   MaybePrefetch();
   return Status::Ok();
 }

@@ -72,12 +72,15 @@ class XrIterator {
   friend class XrTree;
 
   /// Chases next_ to the first non-empty leaf, snapshotting it. Falls back
-  /// to Reseek() when the free epoch moved under the lateral link.
+  /// to a Reseek past reseek_key_ when the free epoch moved under the
+  /// lateral link.
   Status LandOnNextLeaf();
 
-  /// Fresh descent past the last returned key (exclusive) or the original
-  /// seek key; replaces this iterator's state in place.
-  Status Reseek();
+  /// Fresh descent to the first element with start > `key` (exclusive) or
+  /// >= `key`, replacing this iterator's state in place but keeping its
+  /// tree, its scanned total and its read-ahead state. Issues no
+  /// read-ahead itself.
+  Status Reseek(Position key, bool exclusive);
 
   /// Issues the read-ahead for the leaves following the current snapshot.
   void MaybePrefetch();

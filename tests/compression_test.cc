@@ -167,7 +167,7 @@ void CheckLeafRoundTrip(const std::vector<Element>& in) {
   // Point lookups: every present key found, gaps not found.
   for (size_t i = 0; i < n; i += 7) {
     Element got;
-    ASSERT_OK_AND_ASSIGN(bool found, XrcLeafFind(&page, in[i].start, &got));
+    ASSERT_OK_AND_ASSIGN(bool found, XrLeafFind(&page, in[i].start, &got));
     ASSERT_TRUE(found);
     EXPECT_EQ(got.end, in[i].end);
     EXPECT_EQ(got.id, in[i].id);
@@ -176,7 +176,7 @@ void CheckLeafRoundTrip(const std::vector<Element>& in) {
     if (in[i + 1].start > in[i].start + 1) {
       Element got;
       ASSERT_OK_AND_ASSIGN(bool found,
-                           XrcLeafFind(&page, in[i].start + 1, &got));
+                           XrLeafFind(&page, in[i].start + 1, &got));
       EXPECT_FALSE(found);
     }
   }
@@ -262,7 +262,7 @@ TEST(LeafCodecTest, SetFlagIsSizeStableAndInPlace) {
   // Flip every other flag on, then verify only flags changed.
   for (size_t i = 0; i < n; i += 2) {
     ASSERT_OK_AND_ASSIGN(bool found,
-                         XrcLeafSetFlag(&page, in[i].start, true));
+                         XrLeafSetFlag(&page, in[i].start, true));
     ASSERT_TRUE(found);
   }
   std::vector<Element> out;
@@ -277,19 +277,19 @@ TEST(LeafCodecTest, SetFlagIsSizeStableAndInPlace) {
   std::vector<char> before(page.data(), page.data() + kPageSize);
   for (size_t i = 0; i < n; i += 2) {
     ASSERT_OK_AND_ASSIGN(bool found,
-                         XrcLeafSetFlag(&page, in[i].start, false));
+                         XrLeafSetFlag(&page, in[i].start, false));
     ASSERT_TRUE(found);
   }
   for (size_t i = 0; i < n; i += 2) {
     ASSERT_OK_AND_ASSIGN(bool found,
-                         XrcLeafSetFlag(&page, in[i].start, true));
+                         XrLeafSetFlag(&page, in[i].start, true));
     ASSERT_TRUE(found);
   }
   EXPECT_EQ(std::memcmp(before.data(), page.data(), kPageSize), 0);
   // A missing key reports not-found without touching the page.
   if (n > 1 && in[1].start > in[0].start + 1) {
     ASSERT_OK_AND_ASSIGN(bool found,
-                         XrcLeafSetFlag(&page, in[0].start + 1, true));
+                         XrLeafSetFlag(&page, in[0].start + 1, true));
     EXPECT_FALSE(found);
   }
 }

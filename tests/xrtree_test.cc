@@ -6,6 +6,7 @@
 #include <map>
 #include <set>
 
+#include "join/xr_stack.h"
 #include "tests/test_util.h"
 #include "workload/datasets.h"
 #include "xml/generator.h"
@@ -733,6 +734,398 @@ INSTANTIATE_TEST_SUITE_P(
                     kCompressedDeepCompact}),
     [](const ::testing::TestParamInfo<GoldenParam>& info) {
       return std::string(info.param.name);
+    });
+
+// ---------------------------------------------------------------------------
+// Write-path golden images: Insert and Delete leave the same logical pages
+// ---------------------------------------------------------------------------
+
+/// A leaf's entries (flags included) and a stab page's entries, whatever
+/// the page's format.
+Status AppendLeafEntries(const Page* page, std::vector<Element>* out) {
+  return XrLeafAppend(page, out);
+}
+Status AppendStabEntries(const Page* page, std::vector<StabEntry>* out) {
+  return XrStabAppend(page, out);
+}
+
+/// FNV-1a over the logical image of every live page, read back from the
+/// file after a flush: page id, header fields, decoded leaf entries with
+/// their flags, internal slots, stab entries and ps-directory entries.
+/// Unused slot bytes are left out, so the digest pins what each page
+/// holds, not what a writer left in its slack.
+uint64_t LogicalPageDigest(TempDb* db) {
+  EXPECT_OK(db->pool()->FlushAll());
+  std::vector<PageId> free = db->pool()->FreeListSnapshot();
+  uint64_t h = 0xcbf29ce484222325ull;
+  auto mix = [&h](const void* data, size_t n) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < n; ++i) {
+      h = (h ^ p[i]) * 0x100000001b3ull;
+    }
+  };
+  auto mix_u32 = [&mix](uint32_t v) { mix(&v, sizeof(v)); };
+  Page page;
+  for (PageId id = 0; id < db->disk()->num_pages(); ++id) {
+    if (std::binary_search(free.begin(), free.end(), id)) continue;
+    EXPECT_OK(db->disk()->ReadPage(id, page.data()));
+    mix_u32(id);
+    const uint32_t magic = *page.As<uint32_t>();
+    if (magic == kXrLeafMagic) {
+      mix(XrHeader(&page), sizeof(XrPageHeader));
+      std::vector<Element> entries;
+      EXPECT_OK(AppendLeafEntries(&page, &entries));
+      for (const Element& e : entries) {
+        for (uint32_t v : {e.start, e.end, uint32_t{e.level},
+                           uint32_t{e.flags}, e.id}) {
+          mix_u32(v);
+        }
+      }
+    } else if (magic == kXrInternalMagic) {
+      mix(XrHeader(&page), sizeof(XrPageHeader));
+      mix(XrInternalSlots(&page),
+          XrHeader(&page)->count * sizeof(XrInternalEntry));
+    } else if (magic == kXrStabMagic) {
+      mix(StabHeader(&page), sizeof(StabPageHeader));
+      std::vector<StabEntry> entries;
+      EXPECT_OK(AppendStabEntries(&page, &entries));
+      for (const StabEntry& se : entries) {
+        for (uint32_t v : {se.s, se.e, se.key, se.elem_id,
+                           uint32_t{se.level}}) {
+          mix_u32(v);
+        }
+      }
+    } else if (magic == kXrPsDirMagic) {
+      const auto* dh = page.As<PsDirHeader>();
+      mix(dh, sizeof(PsDirHeader));
+      mix(page.data() + sizeof(PsDirHeader), dh->count * sizeof(PsDirEntry));
+    } else {
+      mix(page.data(), kPageSize);
+    }
+  }
+  return h;
+}
+
+/// One leaf of the tree as the write paths see it.
+struct LeafShape {
+  PageId id;
+  bool compressed;
+  std::vector<Element> entries;
+  PageId parent;  ///< kInvalidPageId for a root leaf
+  uint32_t slot;  ///< child slot within the parent
+};
+
+/// Every leaf in key order, read page by page from the root.
+std::vector<LeafShape> LeafShapes(BufferPool* pool, PageId root) {
+  std::vector<LeafShape> out;
+  std::vector<std::pair<PageId, std::pair<PageId, uint32_t>>> stack{
+      {root, {kInvalidPageId, 0}}};
+  while (!stack.empty()) {
+    auto [id, where] = stack.back();
+    stack.pop_back();
+    auto fetched = pool->FetchPage(id);
+    EXPECT_TRUE(fetched.ok());
+    if (!fetched.ok()) return out;
+    PageGuard guard(pool, *fetched);
+    const Page* page = *fetched;
+    const XrPageHeader* hdr = XrHeader(page);
+    if (hdr->is_leaf) {
+      LeafShape leaf{id, hdr->format == kXrPageFormatCompressed, {},
+                     where.first, where.second};
+      EXPECT_OK(AppendLeafEntries(page, &leaf.entries));
+      out.push_back(std::move(leaf));
+      continue;
+    }
+    // Push right to left so the leftmost child pops first.
+    for (uint32_t slot = hdr->count; slot > 0; --slot) {
+      stack.push_back({XrInternalSlots(page)[slot - 1].child, {id, slot}});
+    }
+    stack.push_back({hdr->leftmost, {id, 0}});
+  }
+  return out;
+}
+
+size_t CountLeaves(const std::vector<LeafShape>& leaves, bool compressed) {
+  return static_cast<size_t>(
+      std::count_if(leaves.begin(), leaves.end(), [&](const LeafShape& l) {
+        return l.compressed == compressed;
+      }));
+}
+
+const LeafShape* FindLeaf(const std::vector<LeafShape>& leaves, PageId id) {
+  for (const LeafShape& l : leaves) {
+    if (l.id == id) return &l;
+  }
+  return nullptr;
+}
+
+struct WritePathParam {
+  const char* name;
+  bool compressed;
+  uint32_t internal_capacity;
+  // Logical digests after the insert phase and after the delete phase,
+  // recorded by running this test on the build before leaf edits went
+  // through one split and one write call.
+  uint64_t insert_digest;
+  uint64_t delete_digest;
+};
+
+class WritePathGoldenTest : public ::testing::TestWithParam<WritePathParam> {
+};
+
+TEST_P(WritePathGoldenTest, InsertAndDeleteLeaveThePinnedPages) {
+  const WritePathParam& param = GetParam();
+  constexpr uint32_t kLeafCap = 16;
+  constexpr uint32_t kMinFill = kLeafCap / 2;
+  ElementList all = RandomNestedElements(2303, 4000, 3);
+  Random rng(7);
+  // The inserts land in the second quarter of the key range, so on
+  // compressed trees they split and decompress the leaves there and leave
+  // the rest as bulk load packed it.
+  ElementList loaded, held_out;
+  for (size_t i = 0; i < all.size(); ++i) {
+    const bool band = i >= all.size() / 4 && i < all.size() / 2;
+    (band && rng.OneIn(3) ? held_out : loaded).push_back(all[i]);
+  }
+  for (size_t i = held_out.size(); i > 1; --i) {
+    std::swap(held_out[i - 1], held_out[rng.Uniform(i)]);
+  }
+
+  TempDb db(4096);
+  XrTreeOptions options;
+  options.compressed_pages = param.compressed;
+  options.leaf_capacity = kLeafCap;
+  options.internal_capacity = param.internal_capacity;
+  XrTree tree(db.pool(), kInvalidPageId, options);
+  ASSERT_OK(tree.BulkLoad(loaded));
+  const std::vector<LeafShape> at_load = LeafShapes(db.pool(), tree.root());
+  ASSERT_EQ(CountLeaves(at_load, !param.compressed), 0u);
+
+  // Insert phase.
+  for (const Element& e : held_out) ASSERT_OK(tree.Insert(e));
+  ASSERT_OK(tree.CheckConsistency());
+  ASSERT_OK_AND_ASSIGN(uint32_t height, tree.Height());
+  EXPECT_GE(height, param.internal_capacity == 0 ? 2u : 4u);
+  const std::vector<LeafShape> at_insert = LeafShapes(db.pool(), tree.root());
+  if (param.compressed) {
+    // Only a compressed split makes a compressed leaf, and only an in-place
+    // decompression (or a split of a leaf it made) makes a fixed one.
+    EXPECT_GT(CountLeaves(at_insert, true), CountLeaves(at_load, true));
+    EXPECT_GT(CountLeaves(at_insert, false), 0u);
+  } else {
+    EXPECT_GT(at_insert.size(), at_load.size());  // fixed splits
+  }
+  const uint64_t insert_digest = LogicalPageDigest(&db);
+  EXPECT_EQ(insert_digest, param.insert_digest)
+      << std::hex << "0x" << insert_digest;
+
+  // Delete phase. On compressed trees it opens with two targeted runs that
+  // empty a leaf holding at most leaf_capacity entries to one below half
+  // full, next to a compressed sibling holding more: that sibling must
+  // then lend through the codec, its last entry from the left and its
+  // first entry from the right. For the right, the leaf's left sibling is
+  // first trimmed to half full, so it has none to spare.
+  ElementList kept = all;
+  auto erase_key = [&](Position key) {
+    ASSERT_OK(tree.Delete(key));
+    kept.erase(std::find_if(kept.begin(), kept.end(),
+                            [&](const Element& e) { return e.start == key; }));
+  };
+  auto trim = [&](const LeafShape& leaf, size_t down_to) {
+    for (size_t n = leaf.entries.size(); n > down_to; --n) {
+      erase_key(leaf.entries[n - 1].start);
+    }
+  };
+  if (param.compressed) {
+    for (bool from_left : {true, false}) {
+      const std::vector<LeafShape> leaves =
+          LeafShapes(db.pool(), tree.root());
+      auto fits = [&](const LeafShape& l) {
+        return l.entries.size() >= kMinFill && l.entries.size() <= kLeafCap;
+      };
+      size_t pick = leaves.size();
+      for (size_t i = 1; i + 1 < leaves.size() && pick == leaves.size();
+           ++i) {
+        const LeafShape& leaf = leaves[i];
+        const LeafShape& lender = from_left ? leaves[i - 1] : leaves[i + 1];
+        if (fits(leaf) && lender.compressed &&
+            lender.entries.size() > kLeafCap &&
+            lender.parent == leaf.parent &&
+            (from_left || leaf.slot == 0 || fits(leaves[i - 1]))) {
+          pick = i;
+        }
+      }
+      ASSERT_LT(pick, leaves.size()) << "no compressed lender, from_left "
+                                     << from_left;
+      const LeafShape& leaf = leaves[pick];
+      const LeafShape& lender =
+          from_left ? leaves[pick - 1] : leaves[pick + 1];
+      if (!from_left && leaf.slot > 0) trim(leaves[pick - 1], kMinFill);
+      trim(leaf, kMinFill - 1);
+      const std::vector<LeafShape> after = LeafShapes(db.pool(), tree.root());
+      const LeafShape* lent = FindLeaf(after, lender.id);
+      ASSERT_NE(lent, nullptr);
+      EXPECT_TRUE(lent->compressed);
+      std::vector<Element> rest = lender.entries;
+      rest.erase(from_left ? rest.end() - 1 : rest.begin());
+      ASSERT_EQ(lent->entries.size(), rest.size());
+      for (size_t i = 0; i < rest.size(); ++i) {
+        EXPECT_EQ(lent->entries[i].start, rest[i].start);
+      }
+    }
+  }
+  Random del_rng(2305);
+  for (size_t i = kept.size(); i > 1; --i) {
+    std::swap(kept[i - 1], kept[del_rng.Uniform(i)]);
+  }
+  const size_t deletes = kept.size() * 2 / 5;
+  for (size_t i = 0; i < deletes; ++i) ASSERT_OK(tree.Delete(kept[i].start));
+  kept.erase(kept.begin(), kept.begin() + static_cast<ptrdiff_t>(deletes));
+  ASSERT_OK(tree.CheckConsistency());
+  ASSERT_EQ(tree.size(), kept.size());
+  const std::vector<LeafShape> at_delete = LeafShapes(db.pool(), tree.root());
+  // Only a merge frees a leaf; on compressed trees deletes split leaves
+  // too, so count the leaves that went away rather than the total.
+  size_t merged = 0;
+  for (const LeafShape& l : at_insert) {
+    if (FindLeaf(at_delete, l.id) == nullptr) ++merged;
+  }
+  EXPECT_GT(merged, 0u);
+  const uint64_t delete_digest = LogicalPageDigest(&db);
+  EXPECT_EQ(delete_digest, param.delete_digest)
+      << std::hex << "0x" << delete_digest;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FormatsAndDepths, WritePathGoldenTest,
+    ::testing::Values(
+        WritePathParam{"Fixed", false, 0, 0x9db869e8afd8c06eull, 0x465ee1f8738dcdc1ull},
+        WritePathParam{"FixedDeep", false, 4, 0x57de2c50b0985e10ull, 0x02ceeefb64529bf5ull},
+        WritePathParam{"Compressed", true, 0, 0xf1cb10fc90bc97b3ull, 0x62a83e5c165f116full},
+        WritePathParam{"CompressedDeep", true, 4, 0xf744b5729e6da43full, 0xc64c5edaf4ea8922ull}),
+    [](const ::testing::TestParamInfo<WritePathParam>& info) {
+      return std::string(info.param.name);
+    });
+
+// ---------------------------------------------------------------------------
+// Corrupt entry counts: reads report Corruption, never a wrong answer
+// ---------------------------------------------------------------------------
+
+enum class Victim { kFixedLeaf, kInternal, kFixedStab };
+
+class PageCountCorruptionTest : public ::testing::TestWithParam<Victim> {};
+
+TEST_P(PageCountCorruptionTest, ReadsOfThePageReportCorruption) {
+  const Victim victim = GetParam();
+  ElementList elems = RandomNestedElements(91, 2000, 3);
+  XrTreeOptions options;
+  options.leaf_capacity = 32;
+  TempDb db(4096);
+  PageId root;
+  PageId page_id;
+  Position key;  // a start the page's leaf holds, or the stab entry's
+  Position sd;   // a point whose ancestor probe reads the page
+  {
+    XrTree tree(db.pool(), kInvalidPageId, options);
+    ASSERT_OK(tree.BulkLoad(elems));
+    root = tree.root();
+    ASSERT_OK_AND_ASSIGN(Page * raw, db.pool()->FetchPage(root));
+    PageGuard root_page(db.pool(), raw);
+    ASSERT_FALSE(XrHeader(raw)->is_leaf);
+    if (victim == Victim::kFixedStab) {
+      page_id = XrHeader(raw)->stab_head;
+      ASSERT_NE(page_id, kInvalidPageId);
+      ASSERT_OK_AND_ASSIGN(Page * stab, db.pool()->FetchPage(page_id));
+      PageGuard stab_page(db.pool(), stab);
+      // The chain's first entry heads its key's PSL, so a probe at sd
+      // visits that key and reads this page.
+      const StabEntry first = StabSlots(stab)[0];
+      key = first.s;
+      sd = first.s + 1;
+      ASSERT_LT(sd, first.e);
+    } else {
+      // Height 2: the root's children are leaves.
+      const PageId leaf_id = XrInternalSlots(raw)[0].child;
+      ASSERT_OK_AND_ASSIGN(Page * leaf, db.pool()->FetchPage(leaf_id));
+      PageGuard leaf_page(db.pool(), leaf);
+      ASSERT_TRUE(XrHeader(leaf)->is_leaf);
+      ASSERT_GE(XrHeader(leaf)->count, 2u);
+      key = XrLeafSlots(leaf)[0].start;
+      sd = key + 1;
+      page_id = victim == Victim::kInternal ? root : leaf_id;
+    }
+  }
+  {
+    // Raise the count past the format's capacity; the flush stamps a valid
+    // checksum over the corrupt header.
+    ASSERT_OK_AND_ASSIGN(Page * raw, db.pool()->FetchPage(page_id));
+    *(victim == Victim::kFixedStab ? &StabHeader(raw)->count
+                                   : &XrHeader(raw)->count) = 100000;
+    ASSERT_OK(db.pool()->UnpinPage(page_id, true));
+    ASSERT_OK(db.pool()->FlushAll());
+  }
+  db.Reopen(4096);
+  XrTree tree(db.pool(), root, options);
+
+  // Search, LowerBound and the leaf scan never read a stab page; they must
+  // still answer correctly when only a stab page is corrupt.
+  const bool descent_reads_it = victim != Victim::kFixedStab;
+  Result<Element> found = tree.Search(key);
+  if (descent_reads_it) {
+    EXPECT_TRUE(found.status().IsCorruption()) << found.status().ToString();
+  } else {
+    ASSERT_OK(found.status());
+    EXPECT_EQ(found->start, key);
+  }
+  ElementList scanned;
+  Status scan = [&]() -> Status {
+    XR_ASSIGN_OR_RETURN(XrIterator it, tree.Begin());
+    while (it.Valid()) {
+      scanned.push_back(it.Get());
+      XR_RETURN_IF_ERROR(it.Next());
+    }
+    return Status::Ok();
+  }();
+  if (descent_reads_it) {
+    EXPECT_TRUE(scan.IsCorruption()) << scan.ToString();
+  } else {
+    ASSERT_OK(scan);
+    ElementList want = elems;
+    StripFlags(&want);
+    EXPECT_EQ(scanned, want);
+  }
+  Result<XrIterator> landed = tree.LowerBound(key);
+  if (descent_reads_it) {
+    EXPECT_TRUE(landed.status().IsCorruption())
+        << landed.status().ToString();
+  } else {
+    ASSERT_OK(landed.status());
+    ASSERT_TRUE(landed->Valid());
+    EXPECT_EQ(landed->Get().start, key);
+  }
+  Result<ElementList> ancestors = tree.FindAncestors(sd);
+  EXPECT_TRUE(ancestors.status().IsCorruption())
+      << ancestors.status().ToString();
+  Result<JoinOutput> joined = XrStackJoin(tree, tree);
+  EXPECT_TRUE(joined.status().IsCorruption()) << joined.status().ToString();
+  Status check = tree.CheckConsistency();
+  EXPECT_TRUE(check.IsCorruption()) << check.ToString();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Pages, PageCountCorruptionTest,
+    ::testing::Values(Victim::kFixedLeaf, Victim::kInternal,
+                      Victim::kFixedStab),
+    [](const ::testing::TestParamInfo<Victim>& info) {
+      switch (info.param) {
+        case Victim::kFixedLeaf:
+          return std::string("FixedLeaf");
+        case Victim::kInternal:
+          return std::string("Internal");
+        case Victim::kFixedStab:
+          return std::string("FixedStab");
+      }
+      return std::string();
     });
 
 // ---------------------------------------------------------------------------
