@@ -114,7 +114,7 @@ struct JoinStats {
   uint64_t probe_refills = 0;
   uint64_t probe_fallbacks = 0;
   /// XR-stack ancestor advances answered by an in-leaf step through the
-  /// probe cursor's leaf copy instead of a probe (XrProbeCursor::Advance).
+  /// probe cursor's leaf copy (the join's run loop) instead of a probe.
   uint64_t probe_steps = 0;
   IoStats io;               ///< filled in by the caller (pool stats delta)
   double elapsed_seconds = 0;  ///< filled in by the caller

@@ -1,6 +1,11 @@
 #include "join/parallel_join.h"
 
 #include <algorithm>
+#include <condition_variable>
+#include <deque>
+#include <functional>
+#include <memory>
+#include <mutex>
 #include <thread>
 #include <utility>
 
@@ -46,6 +51,107 @@ void MergeEmissionOrdered(std::vector<JoinPair>* merged,
   }
 }
 
+/// The range tasks of one ParallelXrStackJoin call. The caller runs task
+/// 0; tasks 1.. are claimed by index, so whoever gets to one first runs
+/// it: a worker, or the caller helping to drain its own join.
+struct RangeTasks {
+  RangeTasks(size_t count, std::function<void(size_t)> run)
+      : count(count), run(std::move(run)) {}
+
+  void Run(size_t i) {
+    run(i);
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      ++finished;
+    }
+    done.notify_all();
+  }
+
+  /// Claims and runs the next unclaimed task; false when none was left.
+  /// Touches `run` (and the caller state it refers to) only after a claim
+  /// succeeds, so a worker holding a ticket for a join that has already
+  /// returned does nothing.
+  bool RunNext() {
+    const size_t i = next.fetch_add(1, std::memory_order_relaxed);
+    if (i >= count) return false;
+    Run(i);
+    return true;
+  }
+
+  void WaitAll() {
+    std::unique_lock<std::mutex> lock(mu);
+    done.wait(lock, [&] { return finished == count; });
+  }
+
+  const size_t count;
+  const std::function<void(size_t)> run;
+  std::atomic<size_t> next{1};
+  std::mutex mu;
+  std::condition_variable done;
+  size_t finished = 0;  ///< guarded by mu
+};
+
+/// The threads that run ParallelXrStackJoin's range tasks (DESIGN.md §9),
+/// shared by every call in the process. Started on first use and grown to
+/// the most tasks any one join has posted; idle workers wait on the queue.
+/// The function-local static is destroyed at process exit, which joins
+/// them.
+class RangeWorkers {
+ public:
+  static RangeWorkers& Instance() {
+    static RangeWorkers workers;
+    return workers;
+  }
+
+  ~RangeWorkers() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      stop_ = true;
+    }
+    ready_.notify_all();
+    for (std::thread& t : threads_) t.join();
+  }
+  RangeWorkers(const RangeWorkers&) = delete;
+  RangeWorkers& operator=(const RangeWorkers&) = delete;
+
+  /// Queues one ticket per task of `tasks` but the caller's own first
+  /// one, starting workers until there are that many.
+  void Post(const std::shared_ptr<RangeTasks>& tasks) {
+    const size_t tickets = tasks->count - 1;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      while (threads_.size() < tickets) {
+        threads_.emplace_back([this] { Work(); });
+      }
+      for (size_t i = 0; i < tickets; ++i) queue_.push_back(tasks);
+    }
+    for (size_t i = 0; i < tickets; ++i) ready_.notify_one();
+  }
+
+ private:
+  RangeWorkers() = default;
+
+  void Work() {
+    for (;;) {
+      std::shared_ptr<RangeTasks> tasks;
+      {
+        std::unique_lock<std::mutex> lock(mu_);
+        ready_.wait(lock, [&] { return stop_ || !queue_.empty(); });
+        if (queue_.empty()) return;
+        tasks = std::move(queue_.front());
+        queue_.pop_front();
+      }
+      tasks->RunNext();
+    }
+  }
+
+  std::mutex mu_;
+  std::condition_variable ready_;
+  std::deque<std::shared_ptr<RangeTasks>> queue_;  ///< one entry per ticket
+  std::vector<std::thread> threads_;
+  bool stop_ = false;
+};
+
 }  // namespace
 
 Result<std::vector<std::pair<Position, Position>>> PlanJoinPartitions(
@@ -59,8 +165,8 @@ Result<std::vector<std::pair<Position, Position>>> PlanJoinPartitions(
       // PartitionKeys can hand back duplicate separators (a heavily skewed
       // key distribution thins to repeated boundaries) and, under
       // concurrent writers, keys that no longer advance past `lo`. Either
-      // way the range [k, k) is degenerate: a worker spawned on it joins
-      // nothing but still pays a thread + two descents. Drop it.
+      // way the range [k, k) is degenerate: a task run on it joins nothing
+      // but still pays a queue hand-off + two descents. Drop it.
       if (k <= lo || k == kNilPosition) continue;
       ranges.emplace_back(lo, k);
       lo = k;
@@ -83,7 +189,7 @@ Result<JoinOutput> ParallelXrStackJoin(const XrTree& ancestors,
     return Status::Aborted(kJoinCancelledMessage);
   }
 
-  // One independent XR-stack worker per range. Workers share the caller's
+  // One independent XR-stack task per range. Tasks share the caller's
   // pool (const queries are reader-concurrent, DESIGN.md §9) and keep all
   // join state in locals. They also share one cancellation flag: the first
   // range to fail sets it, and every sibling aborts at its next loop
@@ -99,16 +205,19 @@ Result<JoinOutput> ParallelXrStackJoin(const XrTree& ancestors,
   std::vector<Result<JoinOutput>> results(
       ranges.size(),
       Result<JoinOutput>(Status::Aborted(kJoinCancelledMessage)));
-  std::vector<std::thread> workers;
-  workers.reserve(ranges.size());
-  for (size_t i = 0; i < ranges.size(); ++i) {
-    workers.emplace_back([&, i] {
-      results[i] = XrStackJoinRange(ancestors, descendants, ranges[i].first,
-                                    ranges[i].second, worker_options);
-      if (!results[i].ok()) cancel.store(true, std::memory_order_relaxed);
-    });
+  // The caller runs range 0 and then claims whatever ranges no worker has
+  // started, so a join finishes even when every worker is busy with other
+  // joins' tasks: concurrent callers cannot deadlock on the shared set.
+  auto tasks = std::make_shared<RangeTasks>(ranges.size(), [&](size_t i) {
+    results[i] = XrStackJoinRange(ancestors, descendants, ranges[i].first,
+                                  ranges[i].second, worker_options);
+    if (!results[i].ok()) cancel.store(true, std::memory_order_relaxed);
+  });
+  RangeWorkers::Instance().Post(tasks);
+  tasks->Run(0);
+  while (tasks->RunNext()) {
   }
-  for (auto& w : workers) w.join();
+  tasks->WaitAll();
 
   // Deterministic first-error selection: the lowest range index whose
   // error is a real failure (not the cancellation sentinel) wins,

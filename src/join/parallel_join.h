@@ -12,8 +12,11 @@ namespace xrtree {
 /// Intra-query parallel XR-stack: splits the ancestor key space into
 /// `options.num_threads` contiguous [lo, hi) ranges along the ancestor
 /// XR-tree's own internal separator keys (XrTree::PartitionKeys) and runs
-/// one independent XrStackJoinRange worker per range over the shared
-/// thread-safe BufferPool.
+/// one independent XrStackJoinRange task per range over the shared
+/// thread-safe BufferPool. The caller runs the first range itself; the
+/// others go to a process-wide set of worker threads, started on first use
+/// and kept for later calls (DESIGN.md §9), and the caller takes back any
+/// range no worker has started yet.
 ///
 /// Correctness argument (see DESIGN.md §10):
 ///  * a pair (a, d) is emitted by exactly one worker — the one whose range

@@ -1,11 +1,9 @@
 #include "xrtree/probe_cursor.h"
 
 #include <algorithm>
-#include <atomic>
 
 #include "storage/page_latch.h"
 #include "xrtree/ancestor_probe.h"
-#include "xrtree/xrtree.h"
 #include "xrtree/xrtree_iterator.h"
 
 namespace xrtree {
@@ -85,41 +83,6 @@ Status XrProbeCursor::FindAncestorsAbove(Position sd, Position min_start,
   }
   if (scanned != nullptr) *scanned += local_scanned;
   if (next_start != nullptr) *next_start = terminator;
-  return Status::Ok();
-}
-
-Status XrProbeCursor::Advance(Position sd, Position min_start,
-                              ElementList* out, uint64_t* scanned,
-                              Position* next_start) {
-  // sd >= scan_point_ >= leaf_lo_, so [scan_point_, sd) lies inside the
-  // leaf's key range, and with it every element starting there.
-  if (!valid_ || min_start == 0 || min_start + 1 != scan_point_ ||
-      sd < scan_point_ || sd >= leaf_hi_ ||
-      tree_->write_seq_.load(std::memory_order_acquire) != tag_) {
-    return FindAncestorsAbove(sd, min_start, out, scanned, next_start);
-  }
-  out->clear();
-  const uint32_t n = static_cast<uint32_t>(leaf_.size());
-  uint32_t i = leaf_finger_;
-  for (; i < n && leaf_[i].start < sd; ++i) {
-    ++*scanned;
-    // Strict containment, as the probe's: the join keeps an element whose
-    // end equals the next descendant's start, so pushing one that merely
-    // touches sd would emit a pair the probe path never does.
-    if (sd < leaf_[i].end) {
-      Element e = leaf_[i];
-      e.flags = 0;
-      out->push_back(e);
-    }
-  }
-  leaf_finger_ = i;
-  scan_point_ = sd;
-  ++steps_;
-  if (i < n) {
-    *next_start = leaf_[i].start;
-  } else {
-    *next_start = tail_known_ ? tail_start_ : leaf_hi_;
-  }
   return Status::Ok();
 }
 

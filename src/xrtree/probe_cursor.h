@@ -1,6 +1,7 @@
 #ifndef XRTREE_XRTREE_PROBE_CURSOR_H_
 #define XRTREE_XRTREE_PROBE_CURSOR_H_
 
+#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -8,11 +9,10 @@
 #include "common/status.h"
 #include "storage/page.h"
 #include "xml/element.h"
+#include "xrtree/xrtree.h"
 #include "xrtree/xrtree_page.h"
 
 namespace xrtree {
-
-class XrTree;
 
 /// Finger cursor for a run of FindAncestors probes (the XR-stack's §5.2
 /// probes, whose points ascend). It keeps *copies* of the last probe's
@@ -35,9 +35,10 @@ class XrTree;
 /// and resumes the leaf scan where the previous probe stopped, so it costs
 /// about its answer, not a node's fanout or a leaf's log.
 ///
-/// Between probes the join can step instead (Advance): while the copy is
-/// current and its leaf covers the next point, the ancestors between the
-/// previous point and the next one are read straight off the leaf copy.
+/// Between probes the join can step instead: while the copy is current
+/// and its leaf covers the next point, it reads the ancestors between the
+/// previous point and the next one straight off the leaf copy (leaf(),
+/// finger(), tail()), and records where it stopped with SetFinger.
 ///
 /// Probe points may jump backwards; the cursor re-descends. One cursor per
 /// thread; the tree must outlive it.
@@ -53,29 +54,39 @@ class XrProbeCursor {
                             uint64_t* scanned = nullptr,
                             Position* next_start = nullptr);
 
-  /// The XR-stack's ancestor advance: FindAncestorsAbove(sd, min_start,
-  /// ...), or an in-leaf step where that is cheaper. It steps when the copy
-  /// is current (the write sequence still equals its tag), its leaf's key
-  /// range covers sd, and min_start + 1 is the point p <= sd of the
-  /// previous served probe or step — the join's ascending floor. Then every
-  /// element with p <= start < sd lies in the leaf copy: the step writes
-  /// into *out (previous contents dropped, flags cleared, start order) the
-  /// ones that strictly contain sd, adds one to *scanned per element
-  /// passed, and sets *next_start to the first start >= sd — or to the
-  /// leaf's upper key bound when the leaf ends first, which no
-  /// ancestor-set start lies below. The answer is the probe's; *scanned
-  /// and *next_start may differ from it as described. A floor of 0 (the
-  /// join's unfloored ablation) always probes. `scanned` and `next_start`
-  /// must be non-null.
-  Status Advance(Position sd, Position min_start, ElementList* out,
-                 uint64_t* scanned, Position* next_start);
+  /// True while the copy is valid and the tree's write sequence still
+  /// equals its tag: no write has run since the copy was taken, so the
+  /// leaf copy below may be stepped through. One acquire load; a stepping
+  /// caller asks before every step.
+  bool current() const {
+    return valid_ && tree_->write_seq_.load(std::memory_order_acquire) == tag_;
+  }
+  /// The leaf copy's elements in start order, and its key range
+  /// [leaf_lo, leaf_hi): every ancestor-set element starting in that range
+  /// is in the copy.
+  const std::vector<Element>& leaf() const { return leaf_; }
+  Position leaf_hi() const { return leaf_hi_; }
+  /// The finger: leaf()[finger()] is the first element with start >=
+  /// point(). point() is the last probe or step point, or kNilPosition
+  /// when the last probe did not leave the finger there (its floor
+  /// reached past its point), in which case nothing may step.
+  uint32_t finger() const { return leaf_finger_; }
+  Position point() const { return scan_point_; }
+  /// A lower bound for the first start >= leaf_hi(): that start itself
+  /// once a probe past the leaf's last element looked it up, leaf_hi()
+  /// otherwise (no ancestor-set start lies in between).
+  Position tail() const { return tail_known_ ? tail_start_ : leaf_hi_; }
+  /// Records a step to `point` (point() <= point < leaf_hi()) that passed
+  /// the elements before leaf()[finger].
+  void SetFinger(uint32_t finger, Position point) {
+    leaf_finger_ = finger;
+    scan_point_ = point;
+  }
 
   /// Path re-copies made (including the first), and probes answered by the
   /// one-shot path because a writer raced the re-copy.
   uint64_t refills() const { return refills_; }
   uint64_t fallbacks() const { return fallbacks_; }
-  /// Advance calls answered by a step.
-  uint64_t steps() const { return steps_; }
 
  private:
   struct Level {
@@ -110,12 +121,11 @@ class XrProbeCursor {
   uint32_t leaf_finger_ = 0;
   /// The point leaf_finger_ stands at (leaf_finger_ is the first index with
   /// start >= scan_point_), or kNilPosition when the last probe did not
-  /// leave it there; Advance steps only from here.
+  /// leave it there; a step starts only from here.
   Position scan_point_ = kNilPosition;
   std::vector<StabEntry> collected_;  ///< per-probe scratch
   uint64_t refills_ = 0;
   uint64_t fallbacks_ = 0;
-  uint64_t steps_ = 0;
 };
 
 }  // namespace xrtree

@@ -162,24 +162,26 @@ Result<std::vector<PageId>> XrTree::LeafRunAfter(Position key, size_t max_run,
   // slots[i-1].key, which is the resume key when that child is the last
   // one recorded.) A child whose separator is at or past `hi` starts
   // outside the caller's range and is never visited — stop the run there
-  // rather than prefetch dead pages.
+  // rather than prefetch dead pages. The separator after the taken slot,
+  // at the deepest level that has one, bounds the leaf from above.
+  Position resume = kNilPosition;
+  Position leaf_hi = kNilPosition;
   auto record_run = [&](const Page* node) {
     const uint32_t count = XrHeader(node)->count;
     const XrInternalEntry* slots = XrInternalSlots(node);
+    const uint32_t slot = XrChildSlot(node, key);
+    if (slot < count) leaf_hi = slots[slot].key;
     run.clear();
-    uint32_t last = 0;
-    for (uint32_t next = XrChildSlot(node, key) + 1;
-         next <= count && run.size() < max_run; ++next) {
+    for (uint32_t next = slot + 1; next <= count && run.size() < max_run;
+         ++next) {
       if (hi != kNilPosition && slots[next - 1].key >= hi) break;
       run.push_back(XrChildAt(node, next));
-      last = next;
-    }
-    if (resume_key != nullptr && !run.empty()) {
-      *resume_key = slots[last - 1].key;
+      resume = slots[next - 1].key;
     }
     return Status::Ok();
   };
   XR_RETURN_IF_ERROR(DescendRead(key, record_run).status());
+  if (resume_key != nullptr) *resume_key = run.empty() ? leaf_hi : resume;
   return run;
 }
 

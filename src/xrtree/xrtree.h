@@ -222,11 +222,13 @@ class XrTree {
   /// alone and asks again from the next parent). Const and
   /// reader-concurrent like the other queries.
   ///
-  /// `resume_key` (optional): set to the parent's separator key at which
-  /// the run's LAST page begins — i.e. once a left-to-right consumer's
-  /// frontier reaches `*resume_key`, it is entering the final prefetched
-  /// leaf and should issue the next run. Left untouched when the run is
-  /// empty, so callers should pre-initialize it (e.g. to kNilPosition).
+  /// `resume_key` (optional): where a left-to-right consumer should ask
+  /// again. For a non-empty run, the parent's separator key at which the
+  /// run's LAST page begins (the frontier is then entering the final
+  /// prefetched leaf). For an empty run, the upper bound of `key`'s leaf
+  /// — the first separator past it, kNilPosition for the rightmost leaf —
+  /// since asking again from inside the same leaf yields the same empty
+  /// run.
   ///
   /// `hi` (optional): clamp — leaves whose key range starts at or past
   /// `hi` are excluded from the run. A consumer that will stop at `hi`

@@ -42,6 +42,16 @@ Status XrIterator::Next() {
   return LandOnNextLeaf();
 }
 
+Status XrIterator::Forward(size_t k) {
+  assert(k <= snap_.size() - pos_);
+  if (k == 0) return Status::Ok();
+  // Next() charges one per element it moves onto; the last of k calls
+  // may land on the next leaf, which charges its own.
+  pos_ += k - 1;
+  scanned_ += k - 1;
+  return Next();
+}
+
 Status XrIterator::LandOnNextLeaf() {
   BufferPool* pool = tree_->pool();
   while (next_ != kInvalidPageId) {

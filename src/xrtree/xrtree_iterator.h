@@ -2,6 +2,7 @@
 #define XRTREE_XRTREE_XRTREE_ITERATOR_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/status.h"
@@ -39,6 +40,19 @@ class XrIterator {
   const Element& Get() const;
 
   Status Next();
+
+  /// The current element and the rest of the snapshot after it: the
+  /// elements Next() returns before it fetches another leaf. Empty when
+  /// !Valid(). Lets a merge walk a leaf as an array, then catch the
+  /// iterator up with Forward.
+  std::span<const Element> Remaining() const {
+    return {snap_.data() + pos_, snap_.size() - pos_};
+  }
+
+  /// k Next() calls at once (k <= Remaining().size()), scanned() included:
+  /// moves to Remaining()[k], or lands on the next leaf when k is the
+  /// whole remainder.
+  Status Forward(size_t k);
 
   /// Re-seeks to the first element with start > `key` — the skip
   /// primitive of Algorithm 6 (line 19). When that element lies in the

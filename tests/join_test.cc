@@ -1,14 +1,18 @@
 #include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/syscall.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <thread>
 
 #include "join/bplus_join.h"
@@ -561,6 +565,145 @@ TEST(ParallelJoinTest, SingleThreadAndShallowTreesFallBackToSerial) {
 }
 
 // ---------------------------------------------------------------------------
+// The worker set: ParallelXrStackJoin runs its ranges on process-wide
+// threads, shared by every caller, instead of starting threads per call.
+// ---------------------------------------------------------------------------
+
+/// Discards every unpinned resident page, resolving prefetched-but-unread
+/// frames into prefetch_wasted (which is otherwise only counted when a
+/// frame is evicted or freed).
+void DiscardAllResident(BufferPool* pool, PageId num_pages) {
+  for (PageId id = 0; id < num_pages; ++id) {
+    pool->DiscardPage(id).ok();  // non-resident ids are fine to skip
+  }
+}
+
+/// Threads of this process (entries in /proc/self/task).
+size_t LiveThreads() {
+  return static_cast<size_t>(std::distance(
+      std::filesystem::directory_iterator("/proc/self/task"),
+      std::filesystem::directory_iterator()));
+}
+
+// Concurrent callers share the workers (a caller runs whatever ranges no
+// worker has started, so none waits on another's join), and every output
+// is the serial one, byte for byte.
+TEST(ParallelJoinWorkerTest, ConcurrentCallersMatchSerial) {
+  ElementList universe = RandomNestedElements(13, 900, 8);
+  ElementList a_list, d_list;
+  SplitByLevel(universe, &a_list, &d_list);
+  TempDb db(512);
+  auto a_tree = SmallFanoutTree(db.pool(), a_list);
+  auto d_tree = SmallFanoutTree(db.pool(), d_list);
+  ASSERT_OK_AND_ASSIGN(JoinOutput serial, XrStackJoin(*a_tree, *d_tree));
+  ASSERT_FALSE(serial.pairs.empty());
+  ASSERT_OK_AND_ASSIGN(auto ranges, PlanJoinPartitions(*a_tree, 4));
+  ASSERT_EQ(ranges.size(), 4u);
+
+  constexpr int kClients = 8;
+  constexpr int kJoinsPerClient = 50;
+  std::atomic<int> mismatches{0};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&] {
+      JoinOptions options;
+      options.num_threads = 4;
+      for (int j = 0; j < kJoinsPerClient; ++j) {
+        auto joined = ParallelXrStackJoin(*a_tree, *d_tree, options);
+        if (!joined.ok()) {
+          failures.fetch_add(1);
+        } else if (joined->pairs.size() != serial.pairs.size() ||
+                   std::memcmp(joined->pairs.data(), serial.pairs.data(),
+                               serial.pairs.size() * sizeof(JoinPair)) !=
+                       0) {
+          mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(db.pool()->pinned_frames(), 0u);
+}
+
+/// DiskInterface decorator that records the kernel thread id of every
+/// reader. Thread ids are not reused until the id space wraps, so a thread
+/// started per join shows up as a new id each time.
+class ReaderRecordingDisk final : public DiskInterface {
+ public:
+  explicit ReaderRecordingDisk(DiskInterface* base) : base_(base) {}
+
+  size_t distinct_readers() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return readers_.size();
+  }
+
+  Status ReadPage(PageId page_id, char* out) override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      readers_.insert(static_cast<long>(::syscall(SYS_gettid)));
+    }
+    return base_->ReadPage(page_id, out);
+  }
+  Status WritePage(PageId page_id, const char* in) override {
+    return base_->WritePage(page_id, in);
+  }
+  PageId AllocatePage() override { return base_->AllocatePage(); }
+  PageId num_pages() const override { return base_->num_pages(); }
+  Status Sync() override { return base_->Sync(); }
+  IoStats stats() const override { return base_->stats(); }
+  void ResetStats() override { base_->ResetStats(); }
+
+ private:
+  DiskInterface* const base_;
+  std::mutex mu_;
+  std::set<long> readers_;
+};
+
+// Joins reuse the workers: once a 4-thread join has run, 500 more start no
+// thread. Every join starts cold, so its ranges read pages on whichever
+// threads run them; all of those are threads that were already live.
+TEST(ParallelJoinWorkerTest, JoinsStartNoThreads) {
+  ElementList universe = RandomNestedElements(17, 200, 4);
+  ElementList a_list, d_list;
+  SplitByLevel(universe, &a_list, &d_list);
+  char tmpl[] = "/tmp/xrtree_join_workers_XXXXXX";
+  int fd = ::mkstemp(tmpl);
+  ASSERT_GE(fd, 0);
+  ::close(fd);
+  std::string path = tmpl;
+  {
+    DiskManager disk;
+    ASSERT_OK(disk.Open(path));
+    ReaderRecordingDisk recording(&disk);
+    BufferPool pool(&recording, /*pool_size=*/512);
+    auto a_tree = SmallFanoutTree(&pool, a_list);
+    auto d_tree = SmallFanoutTree(&pool, d_list);
+    ASSERT_OK(pool.FlushAll());
+    ASSERT_OK_AND_ASSIGN(auto ranges, PlanJoinPartitions(*a_tree, 4));
+    ASSERT_EQ(ranges.size(), 4u);
+    JoinOptions options;
+    options.num_threads = 4;
+    options.materialize = false;
+    ASSERT_OK_AND_ASSIGN(JoinOutput first,
+                         ParallelXrStackJoin(*a_tree, *d_tree, options));
+    const size_t threads = LiveThreads();
+    for (int j = 0; j < 500; ++j) {
+      DiscardAllResident(&pool, disk.num_pages());
+      ASSERT_OK_AND_ASSIGN(JoinOutput again,
+                           ParallelXrStackJoin(*a_tree, *d_tree, options));
+      ASSERT_EQ(again.stats.output_pairs, first.stats.output_pairs);
+    }
+    EXPECT_LE(LiveThreads(), threads);
+    EXPECT_LE(recording.distinct_readers(), threads);
+    ASSERT_OK(disk.Close());
+  }
+  std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
 // Fault tolerance of the parallel join: deterministic first-error,
 // degradation to serial, and DataLoss never being masked.
 // ---------------------------------------------------------------------------
@@ -869,15 +1012,6 @@ TEST(ParallelJoinTest, PartitionPlansNeverContainDegenerateRanges) {
   }
 }
 
-/// Discards every unpinned resident page, resolving prefetched-but-unread
-/// frames into prefetch_wasted (which is otherwise only counted when a
-/// frame is evicted or freed).
-void DiscardAllResident(BufferPool* pool, PageId num_pages) {
-  for (PageId id = 0; id < num_pages; ++id) {
-    pool->DiscardPage(id).ok();  // non-resident ids are fine to skip
-  }
-}
-
 // The ancestor-side read-ahead of a range worker must clamp its run to the
 // worker's [lo, hi): re-arming with the full prefetch_depth at the end of
 // the range used to fetch sibling leaves the worker never probes.
@@ -920,6 +1054,59 @@ TEST(ParallelJoinTest, RangeWorkerPrefetchStaysInsideItsRange) {
   EXPECT_GT(delta.prefetch_issued, 0u);
   EXPECT_EQ(delta.prefetch_wasted, 0u)
       << "read-ahead fetched leaves outside [0, " << hi << ")";
+}
+
+// Read-ahead must cost a bounded share of a join's pool fetches. After an
+// empty run (CurA's leaf is the last child of its parent, or the `hi`
+// clamp cut the run) the ancestor read-ahead used to re-arm one position
+// past CurA, so every later advance inside that leaf paid one more
+// LeafRunAfter root-to-leaf descent: at a range's last leaf, one per
+// descendant.
+TEST(ParallelJoinTest, ReadAheadFetchesStayProportionalToTheJoin) {
+  // Every tenth descendant: the descendant cursor's own read-ahead (one
+  // LeafRunAfter descent per leaf it lands on) stays a small share of the
+  // fetches, so the bound measures the ancestor side.
+  ElementList a_list, d_all, d_list;
+  SplitByLevel(RandomNestedElements(61, 20000, 3), &a_list, &d_all);
+  for (size_t i = 0; i < d_all.size(); i += 10) d_list.push_back(d_all[i]);
+  TempDb db(32);
+  XrTreeOptions topt;
+  topt.compressed_pages = true;
+  topt.internal_capacity = 4;
+  XrTree a_tree(db.pool(), kInvalidPageId, topt);
+  XrTree d_tree(db.pool(), kInvalidPageId, topt);
+  ASSERT_OK(a_tree.BulkLoad(a_list));
+  ASSERT_OK(d_tree.BulkLoad(d_list));
+  ASSERT_OK(db.pool()->FlushAll());
+  ASSERT_OK_AND_ASSIGN(auto ranges, PlanJoinPartitions(a_tree, 4));
+  ASSERT_GT(ranges.size(), 1u);
+
+  // Pool fetches of every range of the 4-way plan, joined one at a time
+  // from a cold pool.
+  auto range_fetches = [&](uint32_t depth, uint64_t* pairs) {
+    JoinOptions options;
+    options.materialize = false;
+    options.prefetch_depth = depth;
+    options.adaptive_prefetch = depth > 0;
+    DiscardAllResident(db.pool(), db.disk()->num_pages());
+    const IoStats before = db.pool()->stats();
+    *pairs = 0;
+    for (const auto& [lo, hi] : ranges) {
+      auto part = XrStackJoinRange(a_tree, d_tree, lo, hi, options);
+      EXPECT_TRUE(part.ok()) << part.status().ToString();
+      if (part.ok()) *pairs += part->stats.output_pairs;
+    }
+    db.pool()->WaitForPrefetchIdle();
+    const IoStats delta = db.pool()->stats() - before;
+    return delta.buffer_hits + delta.buffer_misses;
+  };
+  uint64_t plain_pairs = 0;
+  uint64_t ahead_pairs = 0;
+  const uint64_t plain = range_fetches(0, &plain_pairs);
+  const uint64_t ahead = range_fetches(8, &ahead_pairs);
+  EXPECT_EQ(ahead_pairs, plain_pairs);
+  EXPECT_GT(db.pool()->stats().prefetch_issued, 0u);
+  EXPECT_LE(ahead, 2 * plain) << "without read-ahead: " << plain;
 }
 
 TEST(JoinTest, SelfJoinProducesProperPairsOnly) {
@@ -987,10 +1174,37 @@ struct ScanModeParam {
   /// positions collide (an ancestor may end exactly where a descendant
   /// starts), instead of one document split by level.
   bool colliding;
+  /// Fixed-page leaf capacity (a bulk-loaded compressed leaf fills its
+  /// page whatever the capacity).
+  uint32_t leaf_capacity;
 };
 
 class ScanModeDifferentialTest
     : public ::testing::TestWithParam<ScanModeParam> {};
+
+/// Bounds that fall inside ancestor leaves rather than on their separator
+/// keys: the starts at a third, a half and two thirds of `a_list`, and the
+/// positions just past them (between two elements).
+std::vector<std::pair<Position, Position>> InLeafRanges(
+    const ElementList& a_list) {
+  std::vector<Position> cuts;
+  for (size_t k : {a_list.size() / 3, a_list.size() / 2,
+                   2 * a_list.size() / 3}) {
+    if (k == 0) continue;
+    cuts.push_back(a_list[k].start);
+    cuts.push_back(a_list[k].start + 1);
+  }
+  std::vector<std::pair<Position, Position>> ranges;
+  Position lo = 0;
+  for (Position cut : cuts) {
+    ranges.emplace_back(lo, cut);
+    lo = cut;
+  }
+  ranges.emplace_back(lo, kNilPosition);
+  // Overlapping bounds too: both sides of every cut at once.
+  for (Position cut : cuts) ranges.emplace_back(cut - 1, cut + 2);
+  return ranges;
+}
 
 TEST_P(ScanModeDifferentialTest, StepsMatchProbesAndStackTreeDesc) {
   const ScanModeParam p = GetParam();
@@ -1003,7 +1217,7 @@ TEST_P(ScanModeDifferentialTest, StepsMatchProbesAndStackTreeDesc) {
   }
   TempDb db(2048);
   XrTreeOptions topt;
-  topt.leaf_capacity = 8;
+  topt.leaf_capacity = p.leaf_capacity;
   topt.internal_capacity = 4;
   topt.compressed_pages = p.compressed;
   XrTree d_tree(db.pool(), kInvalidPageId, topt);
@@ -1011,51 +1225,88 @@ TEST_P(ScanModeDifferentialTest, StepsMatchProbesAndStackTreeDesc) {
 
   JoinOptions probe_only;
   probe_only.disable_probe_floor = true;
+  JoinOptions pc;
+  pc.parent_child = true;
+  JoinOptions pc_probe_only = probe_only;
+  pc_probe_only.parent_child = true;
+
+  // XR-stack (run loop and probes), its all-probe ablation and
+  // Stack-Tree-Desc over the same two trees, materialized, under
+  // `options`: the first two byte for byte in the same emission order
+  // (they read the same trees, so even the descendants' flags agree), and
+  // Stack-Tree-Desc after clearing flags (InStabList bookkeeping depends
+  // on the page format). Stack-Tree-Desc also pairs an ancestor with a
+  // descendant starting exactly at its end; XR-stack emits such a
+  // touching pair only when the ancestor is already on the stack. With
+  // colliding positions, so compare the proper containments there.
+  auto expect_oracles_agree = [&](const XrTree& a_tree, const XrTree& d,
+                                  const JoinOptions& options,
+                                  const JoinOptions& ablation,
+                                  JoinOutput* xr_out) {
+    ASSERT_OK_AND_ASSIGN(JoinOutput xr, XrStackJoin(a_tree, d, options));
+    ASSERT_OK_AND_ASSIGN(JoinOutput probed, XrStackJoin(a_tree, d, ablation));
+    ASSERT_OK_AND_ASSIGN(JoinOutput merge,
+                         StackTreeDescJoin(a_tree, d, options));
+    ASSERT_NO_FATAL_FAILURE(ExpectSameBytes(xr.pairs, probed.pairs));
+    EXPECT_EQ(probed.stats.probe_steps, 0u);
+    ASSERT_NO_FATAL_FAILURE(
+        ExpectSameBytes(Comparable(xr.pairs, p.colliding),
+                        Comparable(merge.pairs, p.colliding)));
+    *xr_out = std::move(xr);
+  };
+  // Every range equals its ablation and the full join's pairs whose
+  // ancestor it owns.
+  auto expect_ranges_agree =
+      [&](const XrTree& a_tree, const JoinOutput& full,
+          const std::vector<std::pair<Position, Position>>& ranges,
+          const JoinOptions& options, const JoinOptions& ablation) {
+        for (const auto& [lo, hi] : ranges) {
+          SCOPED_TRACE("range [" + std::to_string(lo) + ", " +
+                       std::to_string(hi) + ")");
+          ASSERT_OK_AND_ASSIGN(
+              JoinOutput part,
+              XrStackJoinRange(a_tree, d_tree, lo, hi, options));
+          ASSERT_OK_AND_ASSIGN(
+              JoinOutput part_probed,
+              XrStackJoinRange(a_tree, d_tree, lo, hi, ablation));
+          ASSERT_NO_FATAL_FAILURE(
+              ExpectSameBytes(part.pairs, part_probed.pairs));
+          std::vector<JoinPair> owned;
+          for (const JoinPair& pr : full.pairs) {
+            if (pr.ancestor.start >= lo && pr.ancestor.start < hi) {
+              owned.push_back(pr);
+            }
+          }
+          ASSERT_NO_FATAL_FAILURE(ExpectSameBytes(part.pairs, owned));
+        }
+      };
+
   for (double kept : {1.0, 0.3, 0.05, 0.01, 0.002}) {
     SCOPED_TRACE("ancestors kept " + std::to_string(kept));
     ElementList a_list = KeepFraction(a_all, kept, p.seed + 7);
     XrTree a_tree(db.pool(), kInvalidPageId, topt);
     ASSERT_OK(a_tree.BulkLoad(a_list));
 
-    ASSERT_OK_AND_ASSIGN(JoinOutput xr, XrStackJoin(a_tree, d_tree));
-    ASSERT_OK_AND_ASSIGN(JoinOutput probed,
-                         XrStackJoin(a_tree, d_tree, probe_only));
-    ASSERT_OK_AND_ASSIGN(JoinOutput merge, StackTreeDescJoin(a_tree, d_tree));
-    // Same emission order, same bytes (the two paths read the same trees,
-    // so even the descendants' flags agree).
-    ASSERT_NO_FATAL_FAILURE(ExpectSameBytes(xr.pairs, probed.pairs));
-    EXPECT_EQ(probed.stats.probe_steps, 0u);
+    JoinOutput xr;
+    ASSERT_NO_FATAL_FAILURE(
+        expect_oracles_agree(a_tree, d_tree, {}, probe_only, &xr));
     if (kept == 1.0) {
       EXPECT_GT(xr.stats.probe_steps, 0u);
     }
-    // Stack-Tree-Desc also pairs an ancestor with a descendant starting
-    // exactly at its end; XR-stack emits such a touching pair only when
-    // the ancestor is already on the stack. With colliding positions, so
-    // compare the proper containments.
+    JoinOutput xr_pc;
     ASSERT_NO_FATAL_FAILURE(
-        ExpectSameBytes(Comparable(xr.pairs, p.colliding),
-                        Comparable(merge.pairs, p.colliding)));
+        expect_oracles_agree(a_tree, d_tree, pc, pc_probe_only, &xr_pc));
 
+    ASSERT_NO_FATAL_FAILURE(expect_ranges_agree(
+        a_tree, xr, InLeafRanges(a_list), {}, probe_only));
+    ASSERT_NO_FATAL_FAILURE(expect_ranges_agree(
+        a_tree, xr_pc, InLeafRanges(a_list), pc, pc_probe_only));
     // Every range of every partition plan at 2-8 threads.
     for (uint32_t threads = 2; threads <= 8; ++threads) {
+      SCOPED_TRACE(std::to_string(threads) + " threads");
       ASSERT_OK_AND_ASSIGN(auto ranges, PlanJoinPartitions(a_tree, threads));
-      for (const auto& [lo, hi] : ranges) {
-        SCOPED_TRACE("range [" + std::to_string(lo) + ", " +
-                     std::to_string(hi) + ") of " + std::to_string(threads));
-        ASSERT_OK_AND_ASSIGN(JoinOutput part,
-                             XrStackJoinRange(a_tree, d_tree, lo, hi));
-        ASSERT_OK_AND_ASSIGN(
-            JoinOutput part_probed,
-            XrStackJoinRange(a_tree, d_tree, lo, hi, probe_only));
-        ASSERT_NO_FATAL_FAILURE(ExpectSameBytes(part.pairs, part_probed.pairs));
-        std::vector<JoinPair> owned;
-        for (const JoinPair& pr : xr.pairs) {
-          if (pr.ancestor.start >= lo && pr.ancestor.start < hi) {
-            owned.push_back(pr);
-          }
-        }
-        ASSERT_NO_FATAL_FAILURE(ExpectSameBytes(part.pairs, owned));
-      }
+      ASSERT_NO_FATAL_FAILURE(
+          expect_ranges_agree(a_tree, xr, ranges, {}, probe_only));
       JoinOptions par;
       par.num_threads = threads;
       ASSERT_OK_AND_ASSIGN(JoinOutput joined,
@@ -1067,25 +1318,30 @@ TEST_P(ScanModeDifferentialTest, StepsMatchProbesAndStackTreeDesc) {
   // Self-join: the probe point can sit exactly on an ancestor's start.
   XrTree self(db.pool(), kInvalidPageId, topt);
   ASSERT_OK(self.BulkLoad(a_all));
-  ASSERT_OK_AND_ASSIGN(JoinOutput xr, XrStackJoin(self, self));
-  ASSERT_OK_AND_ASSIGN(JoinOutput probed, XrStackJoin(self, self, probe_only));
-  ASSERT_OK_AND_ASSIGN(JoinOutput merge, StackTreeDescJoin(self, self));
+  JoinOutput xr;
+  ASSERT_NO_FATAL_FAILURE(
+      expect_oracles_agree(self, self, {}, probe_only, &xr));
   EXPECT_GT(xr.stats.probe_steps, 0u);
-  ASSERT_NO_FATAL_FAILURE(ExpectSameBytes(xr.pairs, probed.pairs));
-  ASSERT_NO_FATAL_FAILURE(ExpectSameBytes(Comparable(xr.pairs, false),
-                                          Comparable(merge.pairs, false)));
   EXPECT_EQ(Canonical(xr.pairs), Canonical(NestedLoopJoin(a_all, a_all).pairs));
+  JoinOutput xr_pc;
+  ASSERT_NO_FATAL_FAILURE(
+      expect_oracles_agree(self, self, pc, pc_probe_only, &xr_pc));
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Shapes, ScanModeDifferentialTest,
-    ::testing::Values(ScanModeParam{71, false, false},
-                      ScanModeParam{72, true, false},
-                      ScanModeParam{73, false, true},
-                      ScanModeParam{74, true, true}),
+    ::testing::Values(ScanModeParam{71, false, false, 8},
+                      ScanModeParam{72, true, false, 8},
+                      ScanModeParam{73, false, true, 8},
+                      ScanModeParam{74, true, true, 8},
+                      ScanModeParam{75, false, false, 4},
+                      ScanModeParam{76, false, true, 4}),
     [](const ::testing::TestParamInfo<ScanModeParam>& info) {
       return std::string(info.param.compressed ? "compressed" : "fixed") +
-             (info.param.colliding ? "_colliding" : "_split");
+             (info.param.colliding ? "_colliding" : "_split") +
+             (info.param.leaf_capacity == 8
+                  ? ""
+                  : "_leaf" + std::to_string(info.param.leaf_capacity));
     });
 
 /// DiskInterface decorator that runs a hook once, on the first read of one
