@@ -51,6 +51,19 @@ PageId ChildAt(const Page* page, uint32_t child_slot) {
                          : InternalSlots(page)[child_slot - 1].child;
 }
 
+/// Stamps a fresh (zeroed) page as an empty node of the given kind: no
+/// entries, leaf links or children. Callers set what differs.
+BTreePageHeader* InitNode(Page* page, bool leaf) {
+  auto* hdr = BTreeHeader(page);
+  hdr->magic = leaf ? kBTreeLeafMagic : kBTreeInternalMagic;
+  hdr->is_leaf = leaf ? 1 : 0;
+  hdr->count = 0;
+  hdr->next = kInvalidPageId;
+  hdr->prev = kInvalidPageId;
+  hdr->leftmost = kInvalidPageId;
+  return hdr;
+}
+
 }  // namespace
 
 BTree::BTree(BufferPool* pool, PageId root, const BTreeOptions& options)
@@ -74,13 +87,7 @@ Status BTree::InitRootLeaf() {
   // still holding it from an old snapshot must block rather than observe a
   // half-formatted node.
   raw->WLatch();
-  auto* hdr = BTreeHeader(raw);
-  hdr->magic = kBTreeLeafMagic;
-  hdr->is_leaf = 1;
-  hdr->count = 0;
-  hdr->next = kInvalidPageId;
-  hdr->prev = kInvalidPageId;
-  hdr->leftmost = kInvalidPageId;
+  InitNode(raw, /*leaf=*/true);
   root_.store(raw->page_id(), std::memory_order_release);
   raw->WUnlatch();
   return Status::Ok();
@@ -216,13 +223,10 @@ Status BTree::Insert(const Element& element) {
   XR_ASSIGN_OR_RETURN(Page * rraw, pool_->NewPage());
   ls.AdoptNew(rraw);  // latched before any formatting
   ls.MarkDirty(rraw->page_id());
-  auto* rhdr = BTreeHeader(rraw);
-  rhdr->magic = kBTreeLeafMagic;
-  rhdr->is_leaf = 1;
+  auto* rhdr = InitNode(rraw, /*leaf=*/true);
   rhdr->count = static_cast<uint32_t>(all.size()) - left_n;
   rhdr->next = hdr->next;
   rhdr->prev = leaf_id;
-  rhdr->leftmost = kInvalidPageId;
   std::memcpy(LeafSlots(rraw), all.data() + left_n,
               rhdr->count * sizeof(Element));
 
@@ -258,12 +262,8 @@ Status BTree::InsertIntoParent(WriteLatchSet& ls,
     XR_ASSIGN_OR_RETURN(Page * raw, pool_->NewPage());
     ls.AdoptNew(raw);
     ls.MarkDirty(raw->page_id());
-    auto* hdr = BTreeHeader(raw);
-    hdr->magic = kBTreeInternalMagic;
-    hdr->is_leaf = 0;
+    auto* hdr = InitNode(raw, /*leaf=*/false);
     hdr->count = 1;
-    hdr->next = kInvalidPageId;
-    hdr->prev = kInvalidPageId;
     hdr->leftmost = old_root;
     InternalSlots(raw)[0] = {sep_key, right_child};
     root_.store(raw->page_id(), std::memory_order_release);
@@ -301,12 +301,8 @@ Status BTree::InsertIntoParent(WriteLatchSet& ls,
   XR_ASSIGN_OR_RETURN(Page * rraw, pool_->NewPage());
   ls.AdoptNew(rraw);
   ls.MarkDirty(rraw->page_id());
-  auto* rhdr = BTreeHeader(rraw);
-  rhdr->magic = kBTreeInternalMagic;
-  rhdr->is_leaf = 0;
+  auto* rhdr = InitNode(rraw, /*leaf=*/false);
   rhdr->count = static_cast<uint32_t>(all.size()) - mid - 1;
-  rhdr->next = kInvalidPageId;
-  rhdr->prev = kInvalidPageId;
   rhdr->leftmost = all[mid].child;
   std::memcpy(InternalSlots(rraw), all.data() + mid + 1,
               rhdr->count * sizeof(BTreeInternalEntry));
@@ -343,255 +339,179 @@ Status BTree::Delete(Position key) {
   bool is_root_leaf = (leaf_id == root_.load(std::memory_order_acquire));
   bool underflow = !is_root_leaf && hdr->count < min_fill;
   if (!underflow) return Status::Ok();
-  return HandleLeafUnderflow(ls, path);
+  return Rebalance(ls, path, path.size() - 1);
 }
 
-Status BTree::HandleLeafUnderflow(WriteLatchSet& ls,
-                                  std::vector<PathEntry>& path) {
-  // path.back() is the leaf, path[size-2] its parent. Both are still
-  // W-latched: the leaf underflowed, so the descent found it unsafe and
-  // kept its parent.
-  assert(path.size() >= 2);
-  PathEntry leaf_entry = path.back();
-  PathEntry parent_entry = path[path.size() - 2];
-  // Path convention: an entry's slot is the child slot taken FROM that
-  // node, so the leaf's position within its parent lives on the parent's
-  // entry.
-  uint32_t child_slot = parent_entry.slot;
+Status BTree::Rebalance(WriteLatchSet& ls, const std::vector<PathEntry>& path,
+                        size_t depth) {
+  for (;; --depth) {
+    // path[depth] is the underflowing node, path[depth-1] its parent. Both
+    // are still W-latched: the node underflowed, so the descent found it
+    // unsafe and kept its parent. An entry's slot is the child slot taken
+    // FROM that node, so the node's position within its parent lives on
+    // the parent's entry.
+    assert(depth >= 1);
+    const PageId node_id = path[depth].page;
+    const PageId parent_id = path[depth - 1].page;
+    const uint32_t child_slot = path[depth - 1].slot;
+    const bool leaf = depth + 1 == path.size();
+    Page* praw = ls.Get(parent_id);
+    Page* nraw = ls.Get(node_id);
+    if (praw == nullptr || nraw == nullptr) {
+      return Status::Corruption("btree: underflow outside the crab scope");
+    }
+    auto* phdr = BTreeHeader(praw);
+    BTreeInternalEntry* pslots = InternalSlots(praw);
+    auto* nhdr = BTreeHeader(nraw);
 
-  Page* praw = ls.Get(parent_entry.page);
-  Page* lraw = ls.Get(leaf_entry.page);
-  if (praw == nullptr || lraw == nullptr) {
-    return Status::Corruption("btree: underflow outside the crab scope");
-  }
-  auto* phdr = BTreeHeader(praw);
-  BTreeInternalEntry* pslots = InternalSlots(praw);
-  auto* lhdr = BTreeHeader(lraw);
-  uint32_t min_fill = leaf_cap_ / 2;
+    // Try to redistribute from the left sibling, then the right sibling.
+    // Sibling latches are taken under the held parent, so no other writer
+    // can reach them except from below — and a writer below a *safe*
+    // sibling never needs the parent (deadlock-freedom argument, DESIGN.md
+    // §14).
+    if (leaf) {
+      const uint32_t min_fill = leaf_cap_ / 2;
+      Element* lslots = LeafSlots(nraw);
+      if (child_slot > 0) {
+        PageId sib_id = ChildAt(praw, child_slot - 1);
+        XR_ASSIGN_OR_RETURN(Page * sraw, ls.Acquire(sib_id));
+        auto* shdr = BTreeHeader(sraw);
+        if (shdr->count > min_fill) {
+          // Move the tail entry of the left sibling to the front of the
+          // leaf.
+          Element* sslots = LeafSlots(sraw);
+          std::memmove(lslots + 1, lslots, nhdr->count * sizeof(Element));
+          lslots[0] = sslots[shdr->count - 1];
+          ++nhdr->count;
+          --shdr->count;
+          pslots[child_slot - 1].key = lslots[0].start;
+          ls.MarkDirty(node_id);
+          ls.MarkDirty(sib_id);
+          ls.MarkDirty(parent_id);
+          return Status::Ok();
+        }
+      }
+      if (child_slot < phdr->count) {
+        PageId sib_id = ChildAt(praw, child_slot + 1);
+        XR_ASSIGN_OR_RETURN(Page * sraw, ls.Acquire(sib_id));
+        auto* shdr = BTreeHeader(sraw);
+        if (shdr->count > min_fill) {
+          // Move the head entry of the right sibling to the tail of the
+          // leaf.
+          Element* sslots = LeafSlots(sraw);
+          lslots[nhdr->count] = sslots[0];
+          ++nhdr->count;
+          std::memmove(sslots, sslots + 1,
+                       (shdr->count - 1) * sizeof(Element));
+          --shdr->count;
+          pslots[child_slot].key = sslots[0].start;
+          ls.MarkDirty(node_id);
+          ls.MarkDirty(sib_id);
+          ls.MarkDirty(parent_id);
+          return Status::Ok();
+        }
+      }
+    } else {
+      const uint32_t imin = internal_cap_ / 2;
+      BTreeInternalEntry* nslots = InternalSlots(nraw);
+      if (child_slot > 0) {
+        PageId sib_id = ChildAt(praw, child_slot - 1);
+        XR_ASSIGN_OR_RETURN(Page * sraw, ls.Acquire(sib_id));
+        auto* shdr = BTreeHeader(sraw);
+        BTreeInternalEntry* sslots = InternalSlots(sraw);
+        if (shdr->count > imin) {
+          // Rotate right through the parent: parent separator comes down in
+          // front of node; sibling's last key goes up.
+          Position sep = pslots[child_slot - 1].key;
+          std::memmove(nslots + 1, nslots,
+                       nhdr->count * sizeof(BTreeInternalEntry));
+          nslots[0] = {sep, nhdr->leftmost};
+          nhdr->leftmost = sslots[shdr->count - 1].child;
+          ++nhdr->count;
+          pslots[child_slot - 1].key = sslots[shdr->count - 1].key;
+          --shdr->count;
+          ls.MarkDirty(node_id);
+          ls.MarkDirty(sib_id);
+          ls.MarkDirty(parent_id);
+          return Status::Ok();
+        }
+      }
+      if (child_slot < phdr->count) {
+        PageId sib_id = ChildAt(praw, child_slot + 1);
+        XR_ASSIGN_OR_RETURN(Page * sraw, ls.Acquire(sib_id));
+        auto* shdr = BTreeHeader(sraw);
+        BTreeInternalEntry* sslots = InternalSlots(sraw);
+        if (shdr->count > imin) {
+          // Rotate left through the parent.
+          Position sep = pslots[child_slot].key;
+          nslots[nhdr->count] = {sep, shdr->leftmost};
+          ++nhdr->count;
+          pslots[child_slot].key = sslots[0].key;
+          shdr->leftmost = sslots[0].child;
+          std::memmove(sslots, sslots + 1,
+                       (shdr->count - 1) * sizeof(BTreeInternalEntry));
+          --shdr->count;
+          ls.MarkDirty(node_id);
+          ls.MarkDirty(sib_id);
+          ls.MarkDirty(parent_id);
+          return Status::Ok();
+        }
+      }
+    }
 
-  // Try to redistribute from the left sibling, then the right sibling.
-  // Sibling latches are taken under the held parent, so no other writer
-  // can reach them except from below — and a writer below a *safe* sibling
-  // never needs the parent (deadlock-freedom argument, DESIGN.md §14).
-  if (child_slot > 0) {
-    PageId sib_id = ChildAt(praw, child_slot - 1);
-    XR_ASSIGN_OR_RETURN(Page * sraw, ls.Acquire(sib_id));
-    auto* shdr = BTreeHeader(sraw);
-    if (shdr->count > min_fill) {
-      // Move the tail entry of the left sibling to the front of the leaf.
-      Element* lslots = LeafSlots(lraw);
-      Element* sslots = LeafSlots(sraw);
-      std::memmove(lslots + 1, lslots, lhdr->count * sizeof(Element));
-      lslots[0] = sslots[shdr->count - 1];
+    // Merge the node with a sibling, the left one when there is one. Of the
+    // pair, the left node survives and the separator between them (the
+    // left node's slot) leaves the parent. Both pages are held already: the
+    // redistribution attempt above latched the sibling.
+    const uint32_t key_slot = child_slot > 0 ? child_slot - 1 : child_slot;
+    const PageId left_id = ChildAt(praw, key_slot);
+    const PageId right_id = ChildAt(praw, key_slot + 1);
+    XR_ASSIGN_OR_RETURN(Page * left, ls.Acquire(left_id));
+    XR_ASSIGN_OR_RETURN(Page * right, ls.Acquire(right_id));
+    auto* lhdr = BTreeHeader(left);
+    auto* rhdr = BTreeHeader(right);
+    if (leaf) {
+      // Append the right leaf's entries and splice it out of the chain.
+      std::memcpy(LeafSlots(left) + lhdr->count, LeafSlots(right),
+                  rhdr->count * sizeof(Element));
+      lhdr->count += rhdr->count;
+      lhdr->next = rhdr->next;
+      if (rhdr->next != kInvalidPageId) {
+        XR_ASSIGN_OR_RETURN(Page * next, ls.Acquire(rhdr->next));
+        BTreeHeader(next)->prev = left_id;
+        ls.MarkDirty(rhdr->next);
+      }
+    } else {
+      // The parent separator comes down between the two key arrays.
+      BTreeInternalEntry* lslots = InternalSlots(left);
+      lslots[lhdr->count] = {pslots[key_slot].key, rhdr->leftmost};
       ++lhdr->count;
-      --shdr->count;
-      pslots[child_slot - 1].key = lslots[0].start;
-      ls.MarkDirty(leaf_entry.page);
-      ls.MarkDirty(sib_id);
-      ls.MarkDirty(parent_entry.page);
+      std::memcpy(lslots + lhdr->count, InternalSlots(right),
+                  rhdr->count * sizeof(BTreeInternalEntry));
+      lhdr->count += rhdr->count;
+    }
+    ls.MarkDirty(left_id);
+    // The dead page is tombstoned under its W-latch (stale readers fail the
+    // magic check) and freed only after every latch drops (readers blocked
+    // on it still hold pins).
+    rhdr->magic = 0;
+    ls.DeferFree(right_id);
+    std::memmove(pslots + key_slot, pslots + key_slot + 1,
+                 (phdr->count - key_slot - 1) * sizeof(BTreeInternalEntry));
+    --phdr->count;
+    ls.MarkDirty(parent_id);
+
+    if (parent_id == root_.load(std::memory_order_acquire)) {
+      if (phdr->count > 0) return Status::Ok();
+      // Root became empty: its single child is the new root. We hold the
+      // old root's W-latch, so readers re-validating root_ retry cleanly.
+      root_.store(phdr->leftmost, std::memory_order_release);
+      phdr->magic = 0;
+      ls.DeferFree(parent_id);
       return Status::Ok();
     }
+    if (phdr->count >= internal_cap_ / 2) return Status::Ok();
   }
-  if (child_slot < phdr->count) {
-    PageId sib_id = ChildAt(praw, child_slot + 1);
-    XR_ASSIGN_OR_RETURN(Page * sraw, ls.Acquire(sib_id));
-    auto* shdr = BTreeHeader(sraw);
-    if (shdr->count > min_fill) {
-      // Move the head entry of the right sibling to the tail of the leaf.
-      Element* lslots = LeafSlots(lraw);
-      Element* sslots = LeafSlots(sraw);
-      lslots[lhdr->count] = sslots[0];
-      ++lhdr->count;
-      std::memmove(sslots, sslots + 1, (shdr->count - 1) * sizeof(Element));
-      --shdr->count;
-      pslots[child_slot].key = sslots[0].start;
-      ls.MarkDirty(leaf_entry.page);
-      ls.MarkDirty(sib_id);
-      ls.MarkDirty(parent_entry.page);
-      return Status::Ok();
-    }
-  }
-
-  // Merge. Prefer merging into the left sibling; otherwise pull the right
-  // sibling into this leaf. Either way one parent entry disappears. The
-  // dead page is tombstoned under its W-latch and freed only after every
-  // latch drops (readers blocked on it still hold pins).
-  uint32_t removed_slot;  // key slot removed from the parent
-  if (child_slot > 0) {
-    PageId sib_id = ChildAt(praw, child_slot - 1);
-    XR_ASSIGN_OR_RETURN(Page * sraw, ls.Acquire(sib_id));
-    auto* shdr = BTreeHeader(sraw);
-    std::memcpy(LeafSlots(sraw) + shdr->count, LeafSlots(lraw),
-                lhdr->count * sizeof(Element));
-    shdr->count += lhdr->count;
-    shdr->next = lhdr->next;
-    if (lhdr->next != kInvalidPageId) {
-      XR_ASSIGN_OR_RETURN(Page * nraw, ls.Acquire(lhdr->next));
-      BTreeHeader(nraw)->prev = sib_id;
-      ls.MarkDirty(lhdr->next);
-    }
-    ls.MarkDirty(sib_id);
-    removed_slot = child_slot - 1;  // separator between sib and leaf
-    lhdr->magic = 0;  // tombstone: stale readers fail the magic check
-    ls.DeferFree(leaf_entry.page);
-  } else {
-    PageId sib_id = ChildAt(praw, child_slot + 1);
-    XR_ASSIGN_OR_RETURN(Page * sraw, ls.Acquire(sib_id));
-    auto* shdr = BTreeHeader(sraw);
-    std::memcpy(LeafSlots(lraw) + lhdr->count, LeafSlots(sraw),
-                shdr->count * sizeof(Element));
-    lhdr->count += shdr->count;
-    lhdr->next = shdr->next;
-    if (shdr->next != kInvalidPageId) {
-      XR_ASSIGN_OR_RETURN(Page * nraw, ls.Acquire(shdr->next));
-      BTreeHeader(nraw)->prev = leaf_entry.page;
-      ls.MarkDirty(shdr->next);
-    }
-    ls.MarkDirty(leaf_entry.page);
-    removed_slot = child_slot;  // separator between leaf and sib
-    shdr->magic = 0;
-    ls.DeferFree(sib_id);
-  }
-
-  // Remove the separator key (and the right-hand child pointer) from the
-  // parent.
-  std::memmove(pslots + removed_slot, pslots + removed_slot + 1,
-               (phdr->count - removed_slot - 1) * sizeof(BTreeInternalEntry));
-  --phdr->count;
-  ls.MarkDirty(parent_entry.page);
-
-  bool parent_is_root =
-      (parent_entry.page == root_.load(std::memory_order_acquire));
-  if (parent_is_root && phdr->count == 0) {
-    // Root became empty: its single child is the new root. We hold the old
-    // root's W-latch, so readers re-validating root_ retry cleanly.
-    root_.store(phdr->leftmost, std::memory_order_release);
-    phdr->magic = 0;
-    ls.DeferFree(parent_entry.page);
-    return Status::Ok();
-  }
-  uint32_t imin = internal_cap_ / 2;
-  bool underflow = !parent_is_root && phdr->count < imin;
-  if (!underflow) return Status::Ok();
-  path.pop_back();  // leaf
-  return HandleInternalUnderflow(ls, path, path.size() - 1);
-}
-
-Status BTree::HandleInternalUnderflow(WriteLatchSet& ls,
-                                      std::vector<PathEntry>& path,
-                                      size_t depth) {
-  // path[depth] is the underflowing internal node; path[depth-1] its parent.
-  assert(depth >= 1);
-  PathEntry node_entry = path[depth];
-  PathEntry parent_entry = path[depth - 1];
-  uint32_t child_slot = parent_entry.slot;
-
-  Page* praw = ls.Get(parent_entry.page);
-  Page* nraw = ls.Get(node_entry.page);
-  if (praw == nullptr || nraw == nullptr) {
-    return Status::Corruption("btree: underflow outside the crab scope");
-  }
-  auto* phdr = BTreeHeader(praw);
-  BTreeInternalEntry* pslots = InternalSlots(praw);
-  auto* nhdr = BTreeHeader(nraw);
-  BTreeInternalEntry* nslots = InternalSlots(nraw);
-  uint32_t imin = internal_cap_ / 2;
-
-  if (child_slot > 0) {
-    PageId sib_id = ChildAt(praw, child_slot - 1);
-    XR_ASSIGN_OR_RETURN(Page * sraw, ls.Acquire(sib_id));
-    auto* shdr = BTreeHeader(sraw);
-    BTreeInternalEntry* sslots = InternalSlots(sraw);
-    if (shdr->count > imin) {
-      // Rotate right through the parent: parent separator comes down in
-      // front of node; sibling's last key goes up.
-      Position sep = pslots[child_slot - 1].key;
-      std::memmove(nslots + 1, nslots,
-                   nhdr->count * sizeof(BTreeInternalEntry));
-      nslots[0] = {sep, nhdr->leftmost};
-      nhdr->leftmost = sslots[shdr->count - 1].child;
-      ++nhdr->count;
-      pslots[child_slot - 1].key = sslots[shdr->count - 1].key;
-      --shdr->count;
-      ls.MarkDirty(node_entry.page);
-      ls.MarkDirty(sib_id);
-      ls.MarkDirty(parent_entry.page);
-      return Status::Ok();
-    }
-  }
-  if (child_slot < phdr->count) {
-    PageId sib_id = ChildAt(praw, child_slot + 1);
-    XR_ASSIGN_OR_RETURN(Page * sraw, ls.Acquire(sib_id));
-    auto* shdr = BTreeHeader(sraw);
-    BTreeInternalEntry* sslots = InternalSlots(sraw);
-    if (shdr->count > imin) {
-      // Rotate left through the parent.
-      Position sep = pslots[child_slot].key;
-      nslots[nhdr->count] = {sep, shdr->leftmost};
-      ++nhdr->count;
-      pslots[child_slot].key = sslots[0].key;
-      shdr->leftmost = sslots[0].child;
-      std::memmove(sslots, sslots + 1,
-                   (shdr->count - 1) * sizeof(BTreeInternalEntry));
-      --shdr->count;
-      ls.MarkDirty(node_entry.page);
-      ls.MarkDirty(sib_id);
-      ls.MarkDirty(parent_entry.page);
-      return Status::Ok();
-    }
-  }
-
-  // Merge: the parent separator comes down between the two nodes.
-  uint32_t removed_slot;
-  if (child_slot > 0) {
-    PageId sib_id = ChildAt(praw, child_slot - 1);
-    XR_ASSIGN_OR_RETURN(Page * sraw, ls.Acquire(sib_id));
-    auto* shdr = BTreeHeader(sraw);
-    BTreeInternalEntry* sslots = InternalSlots(sraw);
-    Position sep = pslots[child_slot - 1].key;
-    sslots[shdr->count] = {sep, nhdr->leftmost};
-    ++shdr->count;
-    std::memcpy(sslots + shdr->count, nslots,
-                nhdr->count * sizeof(BTreeInternalEntry));
-    shdr->count += nhdr->count;
-    ls.MarkDirty(sib_id);
-    removed_slot = child_slot - 1;
-    nhdr->magic = 0;
-    ls.DeferFree(node_entry.page);
-  } else {
-    PageId sib_id = ChildAt(praw, child_slot + 1);
-    XR_ASSIGN_OR_RETURN(Page * sraw, ls.Acquire(sib_id));
-    auto* shdr = BTreeHeader(sraw);
-    BTreeInternalEntry* sslots = InternalSlots(sraw);
-    Position sep = pslots[child_slot].key;
-    nslots[nhdr->count] = {sep, shdr->leftmost};
-    ++nhdr->count;
-    std::memcpy(nslots + nhdr->count, sslots,
-                shdr->count * sizeof(BTreeInternalEntry));
-    nhdr->count += shdr->count;
-    ls.MarkDirty(node_entry.page);
-    removed_slot = child_slot;
-    shdr->magic = 0;
-    ls.DeferFree(sib_id);
-  }
-
-  std::memmove(pslots + removed_slot, pslots + removed_slot + 1,
-               (phdr->count - removed_slot - 1) * sizeof(BTreeInternalEntry));
-  --phdr->count;
-  ls.MarkDirty(parent_entry.page);
-
-  bool parent_is_root =
-      (parent_entry.page == root_.load(std::memory_order_acquire));
-  if (parent_is_root && phdr->count == 0) {
-    root_.store(phdr->leftmost, std::memory_order_release);
-    phdr->magic = 0;
-    ls.DeferFree(parent_entry.page);
-    return Status::Ok();
-  }
-  uint32_t imin2 = internal_cap_ / 2;
-  bool underflow = !parent_is_root && phdr->count < imin2;
-  if (!underflow) return Status::Ok();
-  return HandleInternalUnderflow(ls, path, depth - 1);
 }
 
 Result<Element> BTree::Search(Position key) const {
@@ -706,13 +626,9 @@ Status BTree::BulkLoadImpl(const std::function<bool(Element*)>& next,
     XR_ASSIGN_OR_RETURN(Page * raw, pool_->NewPage());
     PageGuard page(pool_, raw);
     page.MarkDirty();
-    auto* hdr = BTreeHeader(raw);
-    hdr->magic = kBTreeLeafMagic;
-    hdr->is_leaf = 1;
+    auto* hdr = InitNode(raw, /*leaf=*/true);
     hdr->count = static_cast<uint32_t>(n);
-    hdr->next = kInvalidPageId;
     hdr->prev = prev ? prev.page_id() : kInvalidPageId;
-    hdr->leftmost = kInvalidPageId;
     std::copy(buf.begin(), buf.begin() + static_cast<ptrdiff_t>(n),
               LeafSlots(raw));
     if (prev) {
@@ -742,12 +658,8 @@ Status BTree::BulkLoadImpl(const std::function<bool(Element*)>& next,
       XR_ASSIGN_OR_RETURN(Page * raw, pool_->NewPage());
       PageGuard page(pool_, raw);
       page.MarkDirty();
-      auto* hdr = BTreeHeader(raw);
-      hdr->magic = kBTreeInternalMagic;
-      hdr->is_leaf = 0;
+      auto* hdr = InitNode(raw, /*leaf=*/false);
       hdr->count = static_cast<uint32_t>(nchildren - 1);
-      hdr->next = kInvalidPageId;
-      hdr->prev = kInvalidPageId;
       hdr->leftmost = level[i].page;
       BTreeInternalEntry* slots = InternalSlots(raw);
       for (size_t j = 1; j < nchildren; ++j) {

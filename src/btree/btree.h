@@ -161,9 +161,12 @@ class BTree {
 
   Status InsertIntoParent(WriteLatchSet& ls, std::vector<PathEntry>& path,
                           Position sep_key, PageId right_child);
-  Status HandleLeafUnderflow(WriteLatchSet& ls, std::vector<PathEntry>& path);
-  Status HandleInternalUnderflow(WriteLatchSet& ls,
-                                 std::vector<PathEntry>& path, size_t depth);
+  /// Restructures after path[depth] underflowed: borrow from a sibling,
+  /// else merge with one and collapse an emptied root, one level per pass
+  /// while the parent underflows in turn. Every node it touches is held in
+  /// `ls`.
+  Status Rebalance(WriteLatchSet& ls, const std::vector<PathEntry>& path,
+                   size_t depth);
 
   Status CheckNode(PageId id, bool is_root, Position lo, Position hi,
                    int* height) const;

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "storage/io_stats.h"
 #include "xml/element.h"
 
 namespace xrtree {
@@ -95,9 +94,9 @@ struct JoinOptions {
 /// it.
 inline constexpr const char kJoinCancelledMessage[] = "join cancelled";
 
-/// Measurements for one join execution — the quantities behind the paper's
-/// evaluation: "number of elements scanned" (Tables 2-3) and the I/O
-/// activity that dominates elapsed time (Fig. 8).
+/// Measurements for one join execution: the paper's "number of elements
+/// scanned" (Tables 2-3) and the XR-stack probe counters. Page I/O (Fig. 8)
+/// is the pool's IoStats; callers snapshot and subtract it.
 struct JoinStats {
   uint64_t elements_scanned = 0;
   uint64_t output_pairs = 0;
@@ -116,8 +115,6 @@ struct JoinStats {
   /// XR-stack ancestor advances answered by an in-leaf step through the
   /// probe cursor's leaf copy (the join's run loop) instead of a probe.
   uint64_t probe_steps = 0;
-  IoStats io;               ///< filled in by the caller (pool stats delta)
-  double elapsed_seconds = 0;  ///< filled in by the caller
 };
 
 struct JoinOutput {

@@ -65,6 +65,21 @@ bool SmallestStabbingKey(const Page* page, Position s, Position e,
   return false;
 }
 
+/// Stamps a fresh (zeroed) page as an empty node of the given kind: no
+/// entries, leaf links, children or stab chain. Callers set what differs.
+XrPageHeader* InitNode(Page* page, bool leaf) {
+  auto* hdr = XrHeader(page);
+  hdr->magic = leaf ? kXrLeafMagic : kXrInternalMagic;
+  hdr->is_leaf = leaf ? 1 : 0;
+  hdr->count = 0;
+  hdr->next = kInvalidPageId;
+  hdr->prev = kInvalidPageId;
+  hdr->leftmost = kInvalidPageId;
+  hdr->stab_head = kInvalidPageId;
+  hdr->ps_dir = kInvalidPageId;
+  return hdr;
+}
+
 /// Bound on decompress-on-write split rounds per Insert or Delete. Each
 /// round halves the compressed leaf holding the key, and a compressed leaf
 /// holds at most kXrcMaxPageEntries, so a handful suffice; the bound only
@@ -97,15 +112,7 @@ Status XrTree::InitRootLeaf() {
   // still holding it from an old snapshot must block rather than observe a
   // half-formatted node.
   raw->WLatch();
-  auto* hdr = XrHeader(raw);
-  hdr->magic = kXrLeafMagic;
-  hdr->is_leaf = 1;
-  hdr->count = 0;
-  hdr->next = kInvalidPageId;
-  hdr->prev = kInvalidPageId;
-  hdr->leftmost = kInvalidPageId;
-  hdr->stab_head = kInvalidPageId;
-  hdr->ps_dir = kInvalidPageId;
+  InitNode(raw, /*leaf=*/true);
   root_.store(raw->page_id(), std::memory_order_release);
   raw->WUnlatch();
   return Status::Ok();
@@ -433,14 +440,9 @@ Status XrTree::SplitLeaf(WriteLatchSet& ls, std::vector<PathEntry> path,
   XR_ASSIGN_OR_RETURN(Page * rraw, pool_->NewPage());
   ls.AdoptNew(rraw);  // latched before any formatting
   ls.MarkDirty(rraw->page_id());
-  auto* rhdr = XrHeader(rraw);
-  rhdr->magic = kXrLeafMagic;
-  rhdr->is_leaf = 1;
+  auto* rhdr = InitNode(rraw, /*leaf=*/true);
   rhdr->next = hdr->next;
   rhdr->prev = leaf_id;
-  rhdr->leftmost = kInvalidPageId;
-  rhdr->stab_head = kInvalidPageId;
-  rhdr->ps_dir = kInvalidPageId;
   // A compressed half re-encodes into a page that held its superset, so it
   // always fits (see page_codec.h).
   XR_RETURN_IF_ERROR(
@@ -499,15 +501,9 @@ Status XrTree::InsertIntoParent(WriteLatchSet& ls,
     XR_ASSIGN_OR_RETURN(Page * raw, pool_->NewPage());
     ls.AdoptNew(raw);
     ls.MarkDirty(raw->page_id());
-    auto* hdr = XrHeader(raw);
-    hdr->magic = kXrInternalMagic;
-    hdr->is_leaf = 0;
+    auto* hdr = InitNode(raw, /*leaf=*/false);
     hdr->count = 1;
-    hdr->next = kInvalidPageId;
-    hdr->prev = kInvalidPageId;
     hdr->leftmost = old_root;
-    hdr->stab_head = kInvalidPageId;
-    hdr->ps_dir = kInvalidPageId;
     XrInternalSlots(raw)[0] = {sep_key, kNilPosition, kNilPosition,
                                right_child};
     XR_RETURN_IF_ERROR(WriteNodeStab(raw, std::move(stab_set)));
@@ -574,15 +570,9 @@ Status XrTree::InsertIntoParent(WriteLatchSet& ls,
   XR_ASSIGN_OR_RETURN(Page * rraw, pool_->NewPage());
   ls.AdoptNew(rraw);
   ls.MarkDirty(rraw->page_id());
-  auto* rhdr = XrHeader(rraw);
-  rhdr->magic = kXrInternalMagic;
-  rhdr->is_leaf = 0;
+  auto* rhdr = InitNode(rraw, /*leaf=*/false);
   rhdr->count = static_cast<uint32_t>(all.size()) - mid - 1;
-  rhdr->next = kInvalidPageId;
-  rhdr->prev = kInvalidPageId;
   rhdr->leftmost = all[mid].child;
-  rhdr->stab_head = kInvalidPageId;
-  rhdr->ps_dir = kInvalidPageId;
   std::memcpy(XrInternalSlots(rraw), all.data() + mid + 1,
               rhdr->count * sizeof(XrInternalEntry));
 
@@ -902,260 +892,190 @@ Status XrTree::Delete(Position key) {
   uint32_t count = XrHeader(lraw)->count;
   bool is_root_leaf = (leaf_id == root_.load(std::memory_order_acquire));
   if (is_root_leaf || count >= leaf_cap_ / 2) return Status::Ok();
-  return HandleLeafUnderflow(ls, path);
+  return Rebalance(ls, path, path.size() - 1);
 }
 
-Status XrTree::HandleLeafUnderflow(WriteLatchSet& ls,
-                                   std::vector<PathEntry>& path) {
-  assert(path.size() >= 2);
-  PathEntry leaf_entry = path.back();
-  PathEntry parent_entry = path[path.size() - 2];
-  // Path convention: an entry's slot is the child slot taken FROM that
-  // node, so the leaf's position within its parent lives on the parent's
-  // entry.
-  uint32_t child_slot = parent_entry.slot;
+Status XrTree::Rebalance(WriteLatchSet& ls,
+                         const std::vector<PathEntry>& path, size_t depth) {
+  for (;; --depth) {
+    assert(depth >= 1);
+    // Path convention: an entry's slot is the child slot taken FROM that
+    // node, so the node's position within its parent lives on the parent's
+    // entry.
+    const PageId node_id = path[depth].page;
+    const PageId parent_id = path[depth - 1].page;
+    const uint32_t child_slot = path[depth - 1].slot;
+    const bool leaf = depth + 1 == path.size();
+    Page* praw = ls.Get(parent_id);
+    Page* nraw = ls.Get(node_id);
+    if (praw == nullptr || nraw == nullptr) {
+      return Status::Corruption("xrtree: underflow outside the crab scope");
+    }
+    auto* phdr = XrHeader(praw);
+    auto* nhdr = XrHeader(nraw);
 
-  Page* praw = ls.Get(parent_entry.page);
-  Page* lraw = ls.Get(leaf_entry.page);
-  if (praw == nullptr || lraw == nullptr) {
-    return Status::Corruption("xrtree: underflow outside the crab scope");
-  }
-  auto* phdr = XrHeader(praw);
-  auto* lhdr = XrHeader(lraw);
-  uint32_t min_fill = leaf_cap_ / 2;
+    if (leaf) {
+      // D22: redistribution with a sibling. Moving an element changes the
+      // separator key, with full stab-list effects via ReplaceSeparatorKey.
+      // Sibling latches are safe under the exclusive writer gate: no other
+      // writer runs, and readers never hold a sibling while waiting on a
+      // page this operation holds (they acquire strictly top-down).
+      // Each sibling examined is read for an edit: one whose entries fit
+      // leaf_capacity is decompressed on write, so the merge below moves
+      // fixed slots. A larger (compressed) one always lends (count >
+      // leaf_capacity > min_fill) and is rewritten compressed by the format
+      // rule; removing a boundary entry always re-encodes in place
+      // (DESIGN.md §15).
+      const uint32_t min_fill = leaf_cap_ / 2;
+      Element* lslots = XrLeafSlots(nraw);
+      std::vector<Element> scratch;
+      if (child_slot > 0) {
+        PageId sib_id = XrChildAt(praw, child_slot - 1);
+        XR_ASSIGN_OR_RETURN(Page * sraw, ls.Acquire(sib_id));
+        XR_ASSIGN_OR_RETURN(XrLeafView sib,
+                            ReadLeafForEdit(ls, sraw, &scratch));
+        if (sib.size > min_fill) {
+          const Element moved = sib.data[sib.size - 1];
+          XR_RETURN_IF_ERROR(
+              XrLeafWrite(sraw, sib.data, sib.size - 1,
+                          XrLeafFormatAfterEdit(sraw, leaf_cap_)));
+          std::memmove(lslots + 1, lslots, nhdr->count * sizeof(Element));
+          lslots[0] = moved;
+          ++nhdr->count;
+          ls.MarkDirty(node_id);
+          ls.MarkDirty(sib_id);
+          return ReplaceSeparatorKey(ls, parent_id, child_slot - 1,
+                                     moved.start);
+        }
+      }
+      if (child_slot < phdr->count) {
+        PageId sib_id = XrChildAt(praw, child_slot + 1);
+        XR_ASSIGN_OR_RETURN(Page * sraw, ls.Acquire(sib_id));
+        XR_ASSIGN_OR_RETURN(XrLeafView sib,
+                            ReadLeafForEdit(ls, sraw, &scratch));
+        if (sib.size > min_fill) {
+          const Element moved = sib.data[0];
+          const Position knew = sib.data[1].start;
+          XR_RETURN_IF_ERROR(
+              XrLeafWrite(sraw, sib.data + 1, sib.size - 1,
+                          XrLeafFormatAfterEdit(sraw, leaf_cap_)));
+          lslots[nhdr->count] = moved;
+          ++nhdr->count;
+          ls.MarkDirty(node_id);
+          ls.MarkDirty(sib_id);
+          return ReplaceSeparatorKey(ls, parent_id, child_slot, knew);
+        }
+      }
+    } else {
+      // D32: redistribution through the parent. The separator comes down,
+      // the sibling's boundary key goes up; ReplaceSeparatorKey then fixes
+      // every stab consequence (the moved-up key's stabbed elements are
+      // pulled out of the sibling by the descent sweep; the moved-down
+      // key's elements are demoted out of the parent).
+      const uint32_t imin = internal_cap_ / 2;
+      XrInternalEntry* pslots = XrInternalSlots(praw);
+      XrInternalEntry* nslots = XrInternalSlots(nraw);
+      if (child_slot > 0) {
+        PageId sib_id = XrChildAt(praw, child_slot - 1);
+        XR_ASSIGN_OR_RETURN(Page * sraw, ls.Acquire(sib_id));
+        auto* shdr = XrHeader(sraw);
+        XrInternalEntry* sslots = XrInternalSlots(sraw);
+        if (shdr->count > imin) {
+          Position km = pslots[child_slot - 1].key;
+          Position kl = sslots[shdr->count - 1].key;
+          std::memmove(nslots + 1, nslots,
+                       nhdr->count * sizeof(XrInternalEntry));
+          nslots[0] = {km, kNilPosition, kNilPosition, nhdr->leftmost};
+          nhdr->leftmost = sslots[shdr->count - 1].child;
+          ++nhdr->count;
+          --shdr->count;
+          ls.MarkDirty(node_id);
+          ls.MarkDirty(sib_id);
+          return ReplaceSeparatorKey(ls, parent_id, child_slot - 1, kl);
+        }
+      }
+      if (child_slot < phdr->count) {
+        PageId sib_id = XrChildAt(praw, child_slot + 1);
+        XR_ASSIGN_OR_RETURN(Page * sraw, ls.Acquire(sib_id));
+        auto* shdr = XrHeader(sraw);
+        XrInternalEntry* sslots = XrInternalSlots(sraw);
+        if (shdr->count > imin) {
+          Position km = pslots[child_slot].key;
+          Position kf = sslots[0].key;
+          nslots[nhdr->count] = {km, kNilPosition, kNilPosition,
+                                 shdr->leftmost};
+          ++nhdr->count;
+          shdr->leftmost = sslots[0].child;
+          std::memmove(sslots, sslots + 1,
+                       (shdr->count - 1) * sizeof(XrInternalEntry));
+          --shdr->count;
+          ls.MarkDirty(node_id);
+          ls.MarkDirty(sib_id);
+          return ReplaceSeparatorKey(ls, parent_id, child_slot, kf);
+        }
+      }
+    }
 
-  // D22: redistribution with a sibling. Moving an element changes the
-  // separator key, with full stab-list effects via ReplaceSeparatorKey.
-  // Sibling latches are safe under the exclusive writer gate: no other
-  // writer runs, and readers never hold a sibling while waiting on a page
-  // this operation holds (they acquire strictly top-down).
-  // Each sibling examined is read for an edit: one whose entries fit
-  // leaf_capacity is decompressed on write, so the merges below move fixed
-  // slots. A larger (compressed) one always lends (count > leaf_capacity >
-  // min_fill) and is rewritten compressed by the format rule; removing a
-  // boundary entry always re-encodes in place (DESIGN.md §15).
-  std::vector<Element> scratch;
-  if (child_slot > 0) {
-    PageId sib_id = XrChildAt(praw, child_slot - 1);
-    XR_ASSIGN_OR_RETURN(Page * sraw, ls.Acquire(sib_id));
-    XR_ASSIGN_OR_RETURN(XrLeafView sib, ReadLeafForEdit(ls, sraw, &scratch));
-    if (sib.size > min_fill) {
-      Element* lslots = XrLeafSlots(lraw);
-      const Element moved = sib.data[sib.size - 1];
-      XR_RETURN_IF_ERROR(XrLeafWrite(sraw, sib.data, sib.size - 1,
-                                     XrLeafFormatAfterEdit(sraw, leaf_cap_)));
-      std::memmove(lslots + 1, lslots, lhdr->count * sizeof(Element));
-      lslots[0] = moved;
+    // D23/D33: merge the node with a sibling, the left one when there is
+    // one. Of the pair, the left node survives; the separator between them
+    // (the left node's slot) leaves the parent, with its stab effects. Both
+    // pages are held already: the borrow attempt above latched the sibling.
+    const uint32_t key_slot = child_slot > 0 ? child_slot - 1 : child_slot;
+    const PageId left_id = XrChildAt(praw, key_slot);
+    const PageId right_id = XrChildAt(praw, key_slot + 1);
+    XR_ASSIGN_OR_RETURN(Page * left, ls.Acquire(left_id));
+    XR_ASSIGN_OR_RETURN(Page * right, ls.Acquire(right_id));
+    auto* lhdr = XrHeader(left);
+    auto* rhdr = XrHeader(right);
+    if (leaf) {
+      // Append the right leaf's fixed slots and splice it out of the chain.
+      std::memcpy(XrLeafSlots(left) + lhdr->count, XrLeafSlots(right),
+                  rhdr->count * sizeof(Element));
+      lhdr->count += rhdr->count;
+      lhdr->next = rhdr->next;
+      if (rhdr->next != kInvalidPageId) {
+        XR_ASSIGN_OR_RETURN(Page * next, ls.Acquire(rhdr->next));
+        XrHeader(next)->prev = left_id;
+        ls.MarkDirty(rhdr->next);
+      }
+      ls.MarkDirty(left_id);
+    } else {
+      // Pull the separator key down between the two key arrays, then
+      // concatenate the stab lists (keys first: see MergeStabLists).
+      XrInternalEntry* lslots = XrInternalSlots(left);
+      lslots[lhdr->count] = {XrInternalSlots(praw)[key_slot].key,
+                             kNilPosition, kNilPosition, rhdr->leftmost};
       ++lhdr->count;
-      Position knew = lslots[0].start;
-      ls.MarkDirty(leaf_entry.page);
-      ls.MarkDirty(sib_id);
-      return ReplaceSeparatorKey(ls, parent_entry.page, child_slot - 1,
-                                 knew);
+      std::memcpy(lslots + lhdr->count, XrInternalSlots(right),
+                  rhdr->count * sizeof(XrInternalEntry));
+      lhdr->count += rhdr->count;
+      ls.MarkDirty(left_id);
+      XR_RETURN_IF_ERROR(MergeStabLists(left, right));
     }
-  }
-  if (child_slot < phdr->count) {
-    PageId sib_id = XrChildAt(praw, child_slot + 1);
-    XR_ASSIGN_OR_RETURN(Page * sraw, ls.Acquire(sib_id));
-    XR_ASSIGN_OR_RETURN(XrLeafView sib, ReadLeafForEdit(ls, sraw, &scratch));
-    if (sib.size > min_fill) {
-      Element* lslots = XrLeafSlots(lraw);
-      const Element moved = sib.data[0];
-      const Position knew = sib.data[1].start;
-      XR_RETURN_IF_ERROR(XrLeafWrite(sraw, sib.data + 1, sib.size - 1,
-                                     XrLeafFormatAfterEdit(sraw, leaf_cap_)));
-      lslots[lhdr->count] = moved;
-      ++lhdr->count;
-      ls.MarkDirty(leaf_entry.page);
-      ls.MarkDirty(sib_id);
-      return ReplaceSeparatorKey(ls, parent_entry.page, child_slot, knew);
+    // The dead page is tombstoned under its held W-latch (blocked readers
+    // see a dead page) and freed only after every latch drops (DeferFree).
+    rhdr->magic = 0;
+    ls.MarkDirty(right_id);
+    ls.DeferFree(right_id);
+    XR_RETURN_IF_ERROR(RemoveSeparatorKey(ls, parent_id, key_slot));
+
+    if (parent_id == root_.load(std::memory_order_acquire)) {
+      if (phdr->count > 0) return Status::Ok();
+      // D4: shorten the tree. RemoveSeparatorKey demoted every remaining
+      // stab entry below, so the dying root's chain is empty. The store is
+      // safe: we hold the old root's W-latch, so reader descents
+      // re-validate.
+      if (phdr->stab_head != kInvalidPageId) {
+        return Status::Corruption("shrinking root still owns stab entries");
+      }
+      root_.store(phdr->leftmost, std::memory_order_release);
+      phdr->magic = 0;
+      ls.MarkDirty(parent_id);
+      ls.DeferFree(parent_id);
+      return Status::Ok();
     }
+    if (phdr->count >= internal_cap_ / 2) return Status::Ok();
   }
-
-  // D23: merge with a sibling; the separator key disappears from the
-  // parent (with its stab effects). The dead page is tombstoned under its
-  // held W-latch and freed only after every latch drops (DeferFree).
-  uint32_t removed_slot;
-  if (child_slot > 0) {
-    PageId sib_id = XrChildAt(praw, child_slot - 1);
-    XR_ASSIGN_OR_RETURN(Page * sraw, ls.Acquire(sib_id));
-    auto* shdr = XrHeader(sraw);
-    std::memcpy(XrLeafSlots(sraw) + shdr->count, XrLeafSlots(lraw),
-                lhdr->count * sizeof(Element));
-    shdr->count += lhdr->count;
-    shdr->next = lhdr->next;
-    if (lhdr->next != kInvalidPageId) {
-      XR_ASSIGN_OR_RETURN(Page * nraw, ls.Acquire(lhdr->next));
-      XrHeader(nraw)->prev = sib_id;
-      ls.MarkDirty(lhdr->next);
-    }
-    ls.MarkDirty(sib_id);
-    removed_slot = child_slot - 1;
-    lhdr->magic = 0;  // tombstone: blocked readers see a dead page
-    ls.MarkDirty(leaf_entry.page);
-    ls.DeferFree(leaf_entry.page);
-  } else {
-    PageId sib_id = XrChildAt(praw, child_slot + 1);
-    XR_ASSIGN_OR_RETURN(Page * sraw, ls.Acquire(sib_id));
-    auto* shdr = XrHeader(sraw);
-    std::memcpy(XrLeafSlots(lraw) + lhdr->count, XrLeafSlots(sraw),
-                shdr->count * sizeof(Element));
-    lhdr->count += shdr->count;
-    lhdr->next = shdr->next;
-    if (shdr->next != kInvalidPageId) {
-      XR_ASSIGN_OR_RETURN(Page * nraw, ls.Acquire(shdr->next));
-      XrHeader(nraw)->prev = leaf_entry.page;
-      ls.MarkDirty(shdr->next);
-    }
-    ls.MarkDirty(leaf_entry.page);
-    removed_slot = child_slot;
-    shdr->magic = 0;
-    ls.MarkDirty(sib_id);
-    ls.DeferFree(sib_id);
-  }
-
-  XR_RETURN_IF_ERROR(RemoveSeparatorKey(ls, parent_entry.page, removed_slot));
-
-  bool parent_is_root =
-      (parent_entry.page == root_.load(std::memory_order_acquire));
-  if (parent_is_root && phdr->count == 0) {
-    // D4: shorten the tree. RemoveSeparatorKey demoted every remaining
-    // stab entry below, so the dying root's chain is empty. The store is
-    // safe: we hold the old root's W-latch, so reader descents re-validate.
-    if (phdr->stab_head != kInvalidPageId) {
-      return Status::Corruption("shrinking root still owns stab entries");
-    }
-    root_.store(phdr->leftmost, std::memory_order_release);
-    phdr->magic = 0;
-    ls.MarkDirty(parent_entry.page);
-    ls.DeferFree(parent_entry.page);
-    return Status::Ok();
-  }
-  uint32_t imin = internal_cap_ / 2;
-  if (parent_is_root || phdr->count >= imin) return Status::Ok();
-  path.pop_back();
-  return HandleInternalUnderflow(ls, path, path.size() - 1);
-}
-
-Status XrTree::HandleInternalUnderflow(WriteLatchSet& ls,
-                                       std::vector<PathEntry>& path,
-                                       size_t depth) {
-  assert(depth >= 1);
-  PathEntry node_entry = path[depth];
-  PathEntry parent_entry = path[depth - 1];
-  uint32_t child_slot = parent_entry.slot;
-
-  Page* praw = ls.Get(parent_entry.page);
-  Page* nraw = ls.Get(node_entry.page);
-  if (praw == nullptr || nraw == nullptr) {
-    return Status::Corruption("xrtree: underflow outside the crab scope");
-  }
-  auto* phdr = XrHeader(praw);
-  XrInternalEntry* pslots = XrInternalSlots(praw);
-  auto* nhdr = XrHeader(nraw);
-  XrInternalEntry* nslots = XrInternalSlots(nraw);
-  uint32_t imin = internal_cap_ / 2;
-
-  // D32: redistribution through the parent. The separator comes down, the
-  // sibling's boundary key goes up; ReplaceSeparatorKey then fixes every
-  // stab consequence (the moved-up key's stabbed elements are pulled out
-  // of the sibling by the descent sweep; the moved-down key's elements are
-  // demoted out of the parent).
-  if (child_slot > 0) {
-    PageId sib_id = XrChildAt(praw, child_slot - 1);
-    XR_ASSIGN_OR_RETURN(Page * sraw, ls.Acquire(sib_id));
-    auto* shdr = XrHeader(sraw);
-    XrInternalEntry* sslots = XrInternalSlots(sraw);
-    if (shdr->count > imin) {
-      Position km = pslots[child_slot - 1].key;
-      Position kl = sslots[shdr->count - 1].key;
-      std::memmove(nslots + 1, nslots, nhdr->count * sizeof(XrInternalEntry));
-      nslots[0] = {km, kNilPosition, kNilPosition, nhdr->leftmost};
-      nhdr->leftmost = sslots[shdr->count - 1].child;
-      ++nhdr->count;
-      --shdr->count;
-      ls.MarkDirty(node_entry.page);
-      ls.MarkDirty(sib_id);
-      return ReplaceSeparatorKey(ls, parent_entry.page, child_slot - 1, kl);
-    }
-  }
-  if (child_slot < phdr->count) {
-    PageId sib_id = XrChildAt(praw, child_slot + 1);
-    XR_ASSIGN_OR_RETURN(Page * sraw, ls.Acquire(sib_id));
-    auto* shdr = XrHeader(sraw);
-    XrInternalEntry* sslots = XrInternalSlots(sraw);
-    if (shdr->count > imin) {
-      Position km = pslots[child_slot].key;
-      Position kf = sslots[0].key;
-      nslots[nhdr->count] = {km, kNilPosition, kNilPosition, shdr->leftmost};
-      ++nhdr->count;
-      shdr->leftmost = sslots[0].child;
-      std::memmove(sslots, sslots + 1,
-                   (shdr->count - 1) * sizeof(XrInternalEntry));
-      --shdr->count;
-      ls.MarkDirty(node_entry.page);
-      ls.MarkDirty(sib_id);
-      return ReplaceSeparatorKey(ls, parent_entry.page, child_slot, kf);
-    }
-  }
-
-  // D33: merge, pulling the separator key down into the surviving node and
-  // concatenating the stab lists.
-  uint32_t removed_slot;
-  if (child_slot > 0) {
-    PageId sib_id = XrChildAt(praw, child_slot - 1);
-    XR_ASSIGN_OR_RETURN(Page * sraw, ls.Acquire(sib_id));
-    auto* shdr = XrHeader(sraw);
-    XrInternalEntry* sslots = XrInternalSlots(sraw);
-    Position km = pslots[child_slot - 1].key;
-    sslots[shdr->count] = {km, kNilPosition, kNilPosition, nhdr->leftmost};
-    ++shdr->count;
-    std::memcpy(sslots + shdr->count, nslots,
-                nhdr->count * sizeof(XrInternalEntry));
-    shdr->count += nhdr->count;
-    ls.MarkDirty(sib_id);
-    XR_RETURN_IF_ERROR(MergeStabLists(sraw, nraw));
-    ls.MarkDirty(sib_id);
-    ls.MarkDirty(node_entry.page);
-    removed_slot = child_slot - 1;
-    nhdr->magic = 0;
-    ls.DeferFree(node_entry.page);
-  } else {
-    PageId sib_id = XrChildAt(praw, child_slot + 1);
-    XR_ASSIGN_OR_RETURN(Page * sraw, ls.Acquire(sib_id));
-    auto* shdr = XrHeader(sraw);
-    XrInternalEntry* sslots = XrInternalSlots(sraw);
-    Position km = pslots[child_slot].key;
-    nslots[nhdr->count] = {km, kNilPosition, kNilPosition, shdr->leftmost};
-    ++nhdr->count;
-    std::memcpy(nslots + nhdr->count, sslots,
-                shdr->count * sizeof(XrInternalEntry));
-    nhdr->count += shdr->count;
-    XR_RETURN_IF_ERROR(MergeStabLists(nraw, sraw));
-    ls.MarkDirty(node_entry.page);
-    ls.MarkDirty(sib_id);
-    removed_slot = child_slot;
-    shdr->magic = 0;
-    ls.DeferFree(sib_id);
-  }
-
-  XR_RETURN_IF_ERROR(RemoveSeparatorKey(ls, parent_entry.page, removed_slot));
-
-  bool parent_is_root =
-      (parent_entry.page == root_.load(std::memory_order_acquire));
-  if (parent_is_root && phdr->count == 0) {
-    if (phdr->stab_head != kInvalidPageId) {
-      return Status::Corruption("shrinking root still owns stab entries");
-    }
-    root_.store(phdr->leftmost, std::memory_order_release);
-    phdr->magic = 0;
-    ls.MarkDirty(parent_entry.page);
-    ls.DeferFree(parent_entry.page);
-    return Status::Ok();
-  }
-  uint32_t imin2 = internal_cap_ / 2;
-  if (parent_is_root || phdr->count >= imin2) return Status::Ok();
-  return HandleInternalUnderflow(ls, path, depth - 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -1546,14 +1466,8 @@ Status XrTree::BulkLoadImpl(const std::function<bool(Element*)>& next,
     XR_ASSIGN_OR_RETURN(Page * raw, pool_->NewPage());
     PageGuard page(pool_, raw);
     page.MarkDirty();
-    auto* hdr = XrHeader(raw);
-    hdr->magic = kXrLeafMagic;
-    hdr->is_leaf = 1;
-    hdr->next = kInvalidPageId;
-    hdr->prev = prev ? prev.page_id() : kInvalidPageId;
-    hdr->leftmost = kInvalidPageId;
-    hdr->stab_head = kInvalidPageId;
-    hdr->ps_dir = kInvalidPageId;
+    InitNode(raw, /*leaf=*/true)->prev =
+        prev ? prev.page_id() : kInvalidPageId;
 
     chunk.assign(buf.begin(),
                  buf.begin() + static_cast<ptrdiff_t>(std::min(rem, page_max)));
@@ -1626,15 +1540,9 @@ Status XrTree::BulkLoadImpl(const std::function<bool(Element*)>& next,
       XR_ASSIGN_OR_RETURN(Page * raw, pool_->NewPage());
       PageGuard page(pool_, raw);
       page.MarkDirty();
-      auto* hdr = XrHeader(raw);
-      hdr->magic = kXrInternalMagic;
-      hdr->is_leaf = 0;
+      auto* hdr = InitNode(raw, /*leaf=*/false);
       hdr->count = static_cast<uint32_t>(nchildren - 1);
-      hdr->next = kInvalidPageId;
-      hdr->prev = kInvalidPageId;
       hdr->leftmost = level[i].page;
-      hdr->stab_head = kInvalidPageId;
-      hdr->ps_dir = kInvalidPageId;
       XrInternalEntry* slots = XrInternalSlots(raw);
       for (size_t j = 1; j < nchildren; ++j) {
         slots[j - 1] = {level[i + j].first_key, kNilPosition, kNilPosition,

@@ -378,9 +378,12 @@ class XrTree {
   Status InsertIntoParent(WriteLatchSet& ls, std::vector<PathEntry>& path,
                           Position sep_key, PageId right_child,
                           std::vector<StabEntry> stab_set);
-  Status HandleLeafUnderflow(WriteLatchSet& ls, std::vector<PathEntry>& path);
-  Status HandleInternalUnderflow(WriteLatchSet& ls,
-                                 std::vector<PathEntry>& path, size_t depth);
+  /// Algorithm 2's restructuring for the underflowing node path[depth]:
+  /// borrow from a sibling (D22/D32), else merge with one (D23/D33) and
+  /// shrink the root when it empties (D4), one level per pass while the
+  /// parent underflows in turn. Every path node is held in `ls`.
+  Status Rebalance(WriteLatchSet& ls, const std::vector<PathEntry>& path,
+                   size_t depth);
 
   /// Moves every entry of SL(victim) into SL(dest); victim's chain is
   /// cleared. All victim keys exceed all dest keys (left-merge order).

@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 
 #include "btree/btree_iterator.h"
+#include "btree/btree_page.h"
 #include "storage/element_file.h"
 #include "tests/test_util.h"
 
@@ -332,6 +334,130 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<BTreeFuzzParam>& info) {
       return "fanout" + std::to_string(info.param.fanout) + "_seed" +
              std::to_string(info.param.seed);
+    });
+
+// ---------------------------------------------------------------------------
+// Write-path golden images: Insert and Delete leave the pinned pages
+// ---------------------------------------------------------------------------
+
+/// FNV-1a over every live page, read back from the file after a flush: page
+/// id, header fields and the slots in use. Slack bytes are left out, so the
+/// digest pins what each page holds, not what a writer left behind.
+uint64_t BTreePageDigest(TempDb* db) {
+  EXPECT_OK(db->pool()->FlushAll());
+  std::vector<PageId> free = db->pool()->FreeListSnapshot();
+  uint64_t h = 0xcbf29ce484222325ull;
+  auto mix = [&h](uint32_t v) {
+    for (int i = 0; i < 4; ++i) {
+      h = (h ^ ((v >> (8 * i)) & 0xff)) * 0x100000001b3ull;
+    }
+  };
+  Page page;
+  for (PageId id = 0; id < db->disk()->num_pages(); ++id) {
+    if (std::binary_search(free.begin(), free.end(), id)) continue;
+    EXPECT_OK(db->disk()->ReadPage(id, page.data()));
+    mix(id);
+    const BTreePageHeader* hdr = BTreeHeader(&page);
+    for (uint32_t v : {hdr->magic, uint32_t{hdr->is_leaf}, hdr->count,
+                       hdr->next, hdr->prev, hdr->leftmost}) {
+      mix(v);
+    }
+    if (hdr->magic == kBTreeLeafMagic) {
+      const uint32_t n =
+          std::min<uint32_t>(hdr->count, kBTreeLeafMaxEntries);
+      for (uint32_t i = 0; i < n; ++i) {
+        const Element& e = LeafSlots(&page)[i];
+        for (uint32_t v : {e.start, e.end, uint32_t{e.level},
+                           uint32_t{e.flags}, e.id}) {
+          mix(v);
+        }
+      }
+    } else if (hdr->magic == kBTreeInternalMagic) {
+      const uint32_t n =
+          std::min<uint32_t>(hdr->count, kBTreeInternalMaxEntries);
+      for (uint32_t i = 0; i < n; ++i) {
+        mix(InternalSlots(&page)[i].key);
+        mix(InternalSlots(&page)[i].child);
+      }
+    }
+  }
+  return h;
+}
+
+struct BTreeWritePathParam {
+  const char* name;
+  uint32_t leaf_capacity;
+  uint32_t internal_capacity;
+  // Logical digests after the insert phase and after the delete phase,
+  // recorded by running this test on the build whose Delete handled leaf
+  // and internal underflow in two recursive handlers.
+  uint64_t insert_digest;
+  uint64_t delete_digest;
+  // A draining row deletes all but two keys, not nine in ten, so the tree
+  // shrinks to a root leaf and its last root collapse happens above two
+  // leaves.
+  bool drain = false;
+};
+
+class BTreeWritePathGoldenTest
+    : public ::testing::TestWithParam<BTreeWritePathParam> {};
+
+TEST_P(BTreeWritePathGoldenTest, InsertAndDeleteLeaveThePinnedPages) {
+  const BTreeWritePathParam& param = GetParam();
+  ElementList all = RandomNestedElements(2303, 3000, 3);
+  Random rng(7);
+  for (size_t i = all.size(); i > 1; --i) {
+    std::swap(all[i - 1], all[rng.Uniform(i)]);
+  }
+
+  TempDb db(4096);
+  BTreeOptions options;
+  options.leaf_capacity = param.leaf_capacity;
+  options.internal_capacity = param.internal_capacity;
+  BTree tree(db.pool(), kInvalidPageId, options);
+
+  // Insert phase: random order, so leaves and internal nodes split at
+  // every level and the root grows several times.
+  for (const Element& e : all) ASSERT_OK(tree.Insert(e));
+  ASSERT_OK(tree.CheckConsistency());
+  ASSERT_OK_AND_ASSIGN(uint32_t grown, tree.Height());
+  EXPECT_GE(grown, 4u);
+  const uint64_t insert_digest = BTreePageDigest(&db);
+  EXPECT_EQ(insert_digest, param.insert_digest)
+      << std::hex << "0x" << insert_digest;
+
+  // Delete phase: all but one key in ten, in a fresh random order, so the
+  // tree shrinks back through its levels. On the way every node kind
+  // borrows from and merges with a left and a right sibling, and the root
+  // collapses.
+  Random del_rng(2305);
+  for (size_t i = all.size(); i > 1; --i) {
+    std::swap(all[i - 1], all[del_rng.Uniform(i)]);
+  }
+  const size_t deletes = all.size() - (param.drain ? 2 : all.size() / 10);
+  for (size_t i = 0; i < deletes; ++i) ASSERT_OK(tree.Delete(all[i].start));
+  ASSERT_OK(tree.CheckConsistency());
+  ASSERT_EQ(tree.size(), all.size() - deletes);
+  ASSERT_OK_AND_ASSIGN(uint32_t shrunk, tree.Height());
+  EXPECT_EQ(shrunk == 1, param.drain);
+  EXPECT_LT(shrunk, grown);
+  const uint64_t delete_digest = BTreePageDigest(&db);
+  EXPECT_EQ(delete_digest, param.delete_digest)
+      << std::hex << "0x" << delete_digest;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Capacities, BTreeWritePathGoldenTest,
+    ::testing::Values(
+        BTreeWritePathParam{"Leaf4Internal4", 4, 4, 0x29b9dd21e30056bfull,
+                            0xbef6e6381d8746b9ull},
+        BTreeWritePathParam{"Leaf16Internal5", 16, 5, 0x78d0a9e12f777cb1ull,
+                            0x163b2457de75be0bull},
+        BTreeWritePathParam{"Leaf4Internal4Drain", 4, 4,
+                            0x29b9dd21e30056bfull, 0x2ab5df0adeaa308dull,
+                            true}),
+    [](const ::testing::TestParamInfo<BTreeWritePathParam>& info) {
+      return std::string(info.param.name);
     });
 
 }  // namespace
