@@ -60,8 +60,9 @@ Status BTreeIterator::LandOnNextLeaf() {
       // latch. Cheaper to re-descend than to prove identity.
       return Reseek();
     }
+    XR_RETURN_IF_ERROR(BTreeCheckPage(leaf.get()));
     const auto* hdr = BTreeHeader(leaf.get());
-    if (hdr->magic != kBTreeLeafMagic) {
+    if (!hdr->is_leaf) {
       return Status::Corruption("btree: leaf chain points at a foreign page");
     }
     if (hdr->count > 0) {

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <cstring>
 
+#include "common/status.h"
 #include "storage/page.h"
 #include "xml/element.h"
 
@@ -12,16 +13,16 @@ namespace xrtree {
 /// On-page layouts for the disk B+-tree keyed on element start position.
 /// Both node kinds share a 24-byte header; the payload is a fixed-size
 /// entry array, so slots are addressed by plain indexing and shifted with
-/// memmove.
+/// memmove. The member defaults are an empty node's (links unset).
 
 struct BTreePageHeader {
-  uint32_t magic;
-  uint16_t is_leaf;
-  uint16_t reserved;
-  uint32_t count;    ///< number of keys (internal) / elements (leaf)
-  PageId next;       ///< leaf: right sibling; internal: unused
-  PageId prev;       ///< leaf: left sibling; internal: unused
-  PageId leftmost;   ///< internal: child for keys < keys[0]; leaf: unused
+  uint32_t magic = 0;
+  uint16_t is_leaf = 0;
+  uint16_t reserved = 0;
+  uint32_t count = 0;  ///< number of keys (internal) / elements (leaf)
+  PageId next = kInvalidPageId;      ///< leaf: right sibling
+  PageId prev = kInvalidPageId;      ///< leaf: left sibling
+  PageId leftmost = kInvalidPageId;  ///< internal: child for keys < keys[0]
 };
 static_assert(sizeof(BTreePageHeader) == 24);
 
@@ -66,6 +67,33 @@ inline const BTreeInternalEntry* InternalSlots(const Page* p) {
   return reinterpret_cast<const BTreeInternalEntry*>(
       p->data() + sizeof(BTreePageHeader));
 }
+
+/// The one check a B-tree descent or chain walk makes before it trusts a
+/// node: a leaf or internal magic that agrees with is_leaf, and an entry
+/// count within the node's capacity.
+Status BTreeCheckPage(const Page* p);
+
+/// Node-layout traits of the B-tree for BPlusSkeleton.
+struct BTreeLayout {
+  using Header = BTreePageHeader;
+  using InternalEntry = BTreeInternalEntry;
+  static constexpr const char* kName = "btree";
+  static constexpr uint32_t kLeafMagic = kBTreeLeafMagic;
+  static constexpr uint32_t kInternalMagic = kBTreeInternalMagic;
+  static constexpr size_t kLeafMaxEntries = kBTreeLeafMaxEntries;
+  static constexpr size_t kInternalMaxEntries = kBTreeInternalMaxEntries;
+
+  static Header* Hdr(Page* p) { return BTreeHeader(p); }
+  static const Header* Hdr(const Page* p) { return BTreeHeader(p); }
+  static Element* Leaf(Page* p) { return LeafSlots(p); }
+  static const Element* Leaf(const Page* p) { return LeafSlots(p); }
+  static InternalEntry* Slots(Page* p) { return InternalSlots(p); }
+  static const InternalEntry* Slots(const Page* p) { return InternalSlots(p); }
+  static InternalEntry MakeEntry(Position key, PageId child) {
+    return {key, child};
+  }
+  static Status CheckPage(const Page* p) { return BTreeCheckPage(p); }
+};
 
 }  // namespace xrtree
 

@@ -10,29 +10,12 @@
 #include <algorithm>
 #include <cstdint>
 
+#include "btree/bplus_skeleton.h"
 #include "common/status.h"
 #include "xml/element.h"
 #include "xrtree/xrtree_page.h"
 
 namespace xrtree {
-
-/// Child slot for descending toward `key` over a node's `count` key slots:
-/// the first slot with slots[slot].key > key (keys >= k live under k's right
-/// child, matching the stab convention that separator k satisfies left
-/// starts < k <= right starts).
-inline uint32_t XrChildSlot(const XrInternalEntry* slots, uint32_t count,
-                            Position key) {
-  uint32_t lo = 0, hi = count;
-  while (lo < hi) {
-    uint32_t mid = (lo + hi) / 2;
-    if (slots[mid].key <= key) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
-}
 
 /// S11 / Algorithm 5 over one internal node: for c = i+1 down to the first
 /// key above `min_start`, calls `search(key_c)` only when key c's (ps, pe)
@@ -46,8 +29,8 @@ template <typename Search>
 Status ForEachStabbedPsl(const XrInternalEntry* slots, uint32_t count,
                          Position sd, Position min_start, Search&& search) {
   if (count == 0) return Status::Ok();
-  const uint32_t upper = std::min(XrChildSlot(slots, count, sd), count - 1);
-  const uint32_t lowest = XrChildSlot(slots, upper + 1, min_start);
+  const uint32_t upper = std::min(ChildSlotIn(slots, count, sd), count - 1);
+  const uint32_t lowest = ChildSlotIn(slots, upper + 1, min_start);
   for (uint32_t c = upper + 1; c-- > lowest;) {
     if (slots[c].ps != kNilPosition && slots[c].ps < sd &&
         sd < slots[c].pe) {

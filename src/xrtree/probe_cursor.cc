@@ -128,7 +128,7 @@ Result<bool> XrProbeCursor::Refill(Position sd, uint64_t seq,
     // latch catches before anything is read.
     const Level& parent = levels_[depth - 1];
     const uint32_t count = static_cast<uint32_t>(parent.slots.size());
-    uint32_t slot = XrChildSlot(parent.slots.data(), count, sd);
+    uint32_t slot = ChildSlotIn(parent.slots.data(), count, sd);
     PageId child =
         slot == 0 ? parent.leftmost : parent.slots[slot - 1].child;
     lo = slot == 0 ? parent.lo : parent.slots[slot - 1].key;
@@ -164,7 +164,7 @@ Result<bool> XrProbeCursor::Refill(Position sd, uint64_t seq,
     auto stab = tree_->ReadNodeStab(raw);
     if (!stab.ok()) return race_or(stab.status());
     lv.stab = std::move(*stab);
-    uint32_t slot = XrChildSlot(lv.slots.data(), hdr->count, sd);
+    uint32_t slot = ChildSlotIn(lv.slots.data(), hdr->count, sd);
     PageId child = slot == 0 ? lv.leftmost : lv.slots[slot - 1].child;
     if (slot > 0) lo = lv.slots[slot - 1].key;
     if (slot < hdr->count) hi = lv.slots[slot].key;

@@ -1,10 +1,6 @@
 #include "xrtree/xrtree.h"
 
 #include <algorithm>
-#include <cassert>
-#include <cstring>
-#include <deque>
-#include <mutex>
 #include <shared_mutex>
 #include <unordered_map>
 #include <unordered_set>
@@ -17,30 +13,6 @@
 namespace xrtree {
 
 namespace {
-
-/// First leaf slot whose start >= key.
-uint32_t XrLeafLowerBound(const Page* page, Position key) {
-  const Element* slots = XrLeafSlots(page);
-  uint32_t lo = 0, hi = XrHeader(page)->count;
-  while (lo < hi) {
-    uint32_t mid = (lo + hi) / 2;
-    if (slots[mid].start < key) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
-}
-
-uint32_t XrChildSlot(const Page* page, Position key) {
-  return XrChildSlot(XrInternalSlots(page), XrHeader(page)->count, key);
-}
-
-PageId XrChildAt(const Page* page, uint32_t child_slot) {
-  return child_slot == 0 ? XrHeader(page)->leftmost
-                         : XrInternalSlots(page)[child_slot - 1].child;
-}
 
 /// Smallest key of `page` that stabs [s, e] (i.e. the smallest key >= s,
 /// when it is <= e). Returns true and the key slot on success. This is the
@@ -65,21 +37,6 @@ bool SmallestStabbingKey(const Page* page, Position s, Position e,
   return false;
 }
 
-/// Stamps a fresh (zeroed) page as an empty node of the given kind: no
-/// entries, leaf links, children or stab chain. Callers set what differs.
-XrPageHeader* InitNode(Page* page, bool leaf) {
-  auto* hdr = XrHeader(page);
-  hdr->magic = leaf ? kXrLeafMagic : kXrInternalMagic;
-  hdr->is_leaf = leaf ? 1 : 0;
-  hdr->count = 0;
-  hdr->next = kInvalidPageId;
-  hdr->prev = kInvalidPageId;
-  hdr->leftmost = kInvalidPageId;
-  hdr->stab_head = kInvalidPageId;
-  hdr->ps_dir = kInvalidPageId;
-  return hdr;
-}
-
 /// Bound on decompress-on-write split rounds per Insert or Delete. Each
 /// round halves the compressed leaf holding the key, and a compressed leaf
 /// holds at most kXrcMaxPageEntries, so a handful suffice; the bound only
@@ -89,73 +46,10 @@ constexpr int kMaxDecompressRounds = 40;
 }  // namespace
 
 XrTree::XrTree(BufferPool* pool, PageId root, const XrTreeOptions& options)
-    : pool_(pool), root_(root) {
-  leaf_cap_ = options.leaf_capacity == 0
-                  ? static_cast<uint32_t>(kXrLeafMaxEntries)
-                  : std::min<uint32_t>(options.leaf_capacity,
-                                       kXrLeafMaxEntries);
-  internal_cap_ = options.internal_capacity == 0
-                      ? static_cast<uint32_t>(kXrInternalMaxEntries)
-                      : std::min<uint32_t>(options.internal_capacity,
-                                           kXrInternalMaxEntries);
-  naive_split_key_ = options.naive_split_key;
-  use_ps_dir_ = !options.disable_ps_directory;
-  compressed_ = options.compressed_pages;
-  assert(leaf_cap_ >= 2 && internal_cap_ >= 2);
-}
-
-Status XrTree::InitRootLeaf() {
-  XR_ASSIGN_OR_RETURN(Page * raw, pool_->NewPage());
-  PageGuard page(pool_, raw);
-  page.MarkDirty();
-  // W-latch before formatting: the id may be recycled, and a stale reader
-  // still holding it from an old snapshot must block rather than observe a
-  // half-formatted node.
-  raw->WLatch();
-  InitNode(raw, /*leaf=*/true);
-  root_.store(raw->page_id(), std::memory_order_release);
-  raw->WUnlatch();
-  return Status::Ok();
-}
-
-template <typename Visit>
-Result<ReadLatchedPage> XrTree::DescendRead(Position key,
-                                            Visit&& visit) const {
-  for (;;) {
-    PageId root_id = root_.load(std::memory_order_acquire);
-    if (root_id == kInvalidPageId) return ReadLatchedPage();
-    auto fetched = pool_->FetchPage(root_id);
-    if (!fetched.ok()) {
-      // The root can only have moved under us (a grow/shrink recycled the
-      // id); a stale id surfacing any error while the root has moved is a
-      // retry, anything else is real.
-      if (root_.load(std::memory_order_acquire) != root_id) continue;
-      return fetched.status();
-    }
-    ReadLatchedPage cur(pool_, *fetched);
-    // Validate after latching: a root split that completed between the load
-    // and the latch grant W-held this page throughout, so either we blocked
-    // and now see a non-root node (root_ changed — retry) or we raced ahead
-    // of it entirely.
-    if (root_.load(std::memory_order_acquire) != root_id) continue;
-    for (int depth = 0; depth < kMaxTreeDepth; ++depth) {
-      Page* raw = cur.get();
-      XR_RETURN_IF_ERROR(XrCheckPage(raw));
-      if (XrHeader(raw)->is_leaf) return cur;
-      XR_RETURN_IF_ERROR(visit(static_cast<const Page*>(raw)));
-      PageId child = XrChildAt(raw, XrChildSlot(raw, key));
-      // Couple: latch the child while the parent latch pins the link.
-      XR_ASSIGN_OR_RETURN(Page * craw, pool_->FetchPage(child));
-      ReadLatchedPage next(pool_, craw);
-      cur = std::move(next);
-    }
-    return Status::Corruption("xrtree: descent did not reach a leaf");
-  }
-}
-
-Result<ReadLatchedPage> XrTree::DescendToLeafRead(Position key) const {
-  return DescendRead(key, [](const Page*) { return Status::Ok(); });
-}
+    : Skeleton(pool, root, options.leaf_capacity, options.internal_capacity),
+      naive_split_key_(options.naive_split_key),
+      use_ps_dir_(!options.disable_ps_directory),
+      compressed_(options.compressed_pages) {}
 
 Result<std::vector<PageId>> XrTree::LeafRunAfter(Position key, size_t max_run,
                                                  Position* resume_key,
@@ -176,13 +70,13 @@ Result<std::vector<PageId>> XrTree::LeafRunAfter(Position key, size_t max_run,
   auto record_run = [&](const Page* node) {
     const uint32_t count = XrHeader(node)->count;
     const XrInternalEntry* slots = XrInternalSlots(node);
-    const uint32_t slot = XrChildSlot(node, key);
+    const uint32_t slot = ChildSlot(node, key);
     if (slot < count) leaf_hi = slots[slot].key;
     run.clear();
     for (uint32_t next = slot + 1; next <= count && run.size() < max_run;
          ++next) {
       if (hi != kNilPosition && slots[next - 1].key >= hi) break;
-      run.push_back(XrChildAt(node, next));
+      run.push_back(ChildAt(node, next));
       resume = slots[next - 1].key;
     }
     return Status::Ok();
@@ -242,12 +136,7 @@ Status XrTree::Insert(const Element& element) {
   // Inserts share the writer gate with each other (they crab); Delete,
   // BulkLoad, BulkLoadFromFile and Compact take it exclusively.
   std::shared_lock<std::shared_mutex> gate(writer_gate_);
-  if (root_.load(std::memory_order_acquire) == kInvalidPageId) {
-    std::lock_guard<std::mutex> init(root_init_mu_);
-    if (root_.load(std::memory_order_acquire) == kInvalidPageId) {
-      XR_RETURN_IF_ERROR(InitRootLeaf());
-    }
-  }
+  XR_RETURN_IF_ERROR(EnsureRoot());
 
   // I1: crab down; on the way, insert the element into the stab list of the
   // highest (topmost) internal node with a stabbing key. That node stays
@@ -258,71 +147,43 @@ Status XrTree::Insert(const Element& element) {
   // while holding that ancestor's W-latch itself (a full child is unsafe,
   // so its parent was retained by the splitter), and our coupled descent
   // serializes against it — we see the key either above or below, never
-  // neither. Each pass either loses a race with a root split (nothing was
-  // placed yet), splits a compressed leaf and re-descends, or finishes.
+  // neither. Each pass either splits a compressed leaf and re-descends, or
+  // finishes.
   int splits = 0;
   for (;;) {
     WriteLatchSet ls(pool_);
     std::vector<PathEntry> path;
-    bool placed = false;
     PageId placed_page = kInvalidPageId;
     Position placed_key = 0;
-    PageId root_id = root_.load(std::memory_order_acquire);
-    auto fetched = ls.Acquire(root_id);
-    if (!fetched.ok()) {
-      if (root_.load(std::memory_order_acquire) != root_id) continue;
-      return fetched.status();
-    }
-    // A root split won the race: the stale root now covers only a slice of
-    // the key space.
-    if (root_.load(std::memory_order_acquire) != root_id) continue;
-    Page* node = *fetched;
-    for (int depth = 0;; ++depth) {
-      XR_RETURN_IF_ERROR(XrCheckPage(node));
-      if (XrHeader(node)->is_leaf) break;
-      if (depth == kMaxTreeDepth) {
-        return Status::Corruption("xrtree: descent did not reach a leaf");
+    auto place = [&](Page* node, PageId* keep) -> Status {
+      uint32_t stab_slot;
+      if (placed_page != kInvalidPageId ||
+          !SmallestStabbingKey(node, element.start, element.end,
+                               &stab_slot)) {
+        return Status::Ok();
       }
-      if (!placed) {
-        uint32_t stab_slot;
-        if (SmallestStabbingKey(node, element.start, element.end,
-                                &stab_slot)) {
-          Position key = XrInternalSlots(node)[stab_slot].key;
-          XR_RETURN_IF_ERROR(
-              InsertStabIntoNode(node, MakeStabEntry(element, key)));
-          ls.MarkDirty(node->page_id());
-          placed = true;
-          placed_page = node->page_id();
-          placed_key = key;
-        }
-      }
-      uint32_t slot = XrChildSlot(node, element.start);
-      path.push_back({node->page_id(), slot});
-      PageId child_id = XrChildAt(node, slot);
-      XR_ASSIGN_OR_RETURN(Page * child, ls.Acquire(child_id));
-      const auto* chdr = XrHeader(child);
-      uint32_t cap = chdr->is_leaf ? leaf_cap_ : internal_cap_;
-      if (chdr->count < cap) {
-        // Safe child: a split below cannot propagate past it — drop the
-        // ancestors, but never the stab-placement node.
-        if (placed) {
-          ls.ReleaseAllExcept({child_id, placed_page});
-        } else {
-          ls.ReleaseAllExcept({child_id});
-        }
-      }
-      node = child;
-    }
-    path.push_back({node->page_id(), 0});
+      placed_key = XrInternalSlots(node)[stab_slot].key;
+      XR_RETURN_IF_ERROR(
+          InsertStabIntoNode(node, MakeStabEntry(element, placed_key)));
+      ls.MarkDirty(node->page_id());
+      placed_page = *keep = node->page_id();
+      return Status::Ok();
+    };
+    XR_ASSIGN_OR_RETURN(
+        Page * leaf,
+        DescendWrite(element.start, ls, path,
+                     [this](const Header* child) { return HasRoom(child); },
+                     place));
+    const bool placed = placed_page != kInvalidPageId;
 
     // Decompress-on-write inside the crab (DESIGN.md §15). A leaf whose
     // entries fit leaf_capacity is left in the fixed layout under its own
-    // latch (when full, it failed the crab's safety test, so LeafInsert's
-    // split has its ancestors). Only a compressed leaf holds more, and it
+    // latch (when full, it failed the crab's safety test, so the split
+    // below has its ancestors). Only a compressed leaf holds more, and it
     // failed that test too: split it here under the ancestors the crab
     // kept, then re-descend. The split rewrites stab lists on the held path
     // and could retag or move the speculative placement, so undo it first.
-    if (placed && XrHeader(node)->count > leaf_cap_) {
+    if (placed && XrHeader(leaf)->count > leaf_cap_) {
       XR_RETURN_IF_ERROR(
           RollbackStabPlacement(ls, placed_page, placed_key, element));
     }
@@ -334,7 +195,23 @@ Status XrTree::Insert(const Element& element) {
       }
       continue;
     }
-    return LeafInsert(ls, path, element, placed, placed_page, placed_key);
+
+    // I2: insert into the (fixed-format) leaf, splitting it when full.
+    const uint32_t at = LeafLowerBound(leaf, element.start);
+    if (at < XrHeader(leaf)->count &&
+        XrLeafSlots(leaf)[at].start == element.start) {
+      // Roll back before reporting the duplicate (the resident element
+      // keeps its own entry, if any).
+      if (placed) {
+        XR_RETURN_IF_ERROR(
+            RollbackStabPlacement(ls, placed_page, placed_key, element));
+      }
+      return Status::InvalidArgument("duplicate key " +
+                                     std::to_string(element.start));
+    }
+    Element stored = element;
+    SetInStabList(&stored, placed);
+    return PutInLeaf(ls, path, at, stored);
   }
 }
 
@@ -363,70 +240,19 @@ Status XrTree::RollbackStabPlacement(WriteLatchSet& ls, PageId placed_page,
   return Status::Ok();
 }
 
-Status XrTree::LeafInsert(WriteLatchSet& ls, std::vector<PathEntry>& path,
-                          const Element& element, bool placed,
-                          PageId placed_page, Position placed_key) {
-  // I2: insert into the (fixed-format) leaf.
-  PageId leaf_id = path.back().page;
-  Page* lraw = ls.Get(leaf_id);
-  if (lraw == nullptr) {
-    return Status::Corruption("xrtree: leaf not held for insert");
-  }
-  auto* hdr = XrHeader(lraw);
-  Element* slots = XrLeafSlots(lraw);
-  uint32_t at = XrLeafLowerBound(lraw, element.start);
-  if (at < hdr->count && slots[at].start == element.start) {
-    // Roll back before reporting the duplicate (the resident element keeps
-    // its own entry, if any).
-    if (placed) {
-      XR_RETURN_IF_ERROR(
-          RollbackStabPlacement(ls, placed_page, placed_key, element));
-    }
-    return Status::InvalidArgument("duplicate key " +
-                                   std::to_string(element.start));
-  }
-  Element stored = element;
-  SetInStabList(&stored, placed);
-
-  if (hdr->count < leaf_cap_) {
-    std::memmove(slots + at + 1, slots + at,
-                 (hdr->count - at) * sizeof(Element));
-    slots[at] = stored;
-    ++hdr->count;
-    ls.MarkDirty(leaf_id);
-    size_.fetch_add(1, std::memory_order_acq_rel);
-    return Status::Ok();
-  }
-
-  // I22: split the leaf.
-  std::vector<Element> all(slots, slots + hdr->count);
-  all.insert(all.begin() + at, stored);
-  XR_RETURN_IF_ERROR(SplitLeaf(ls, std::move(path), std::move(all)));
-  size_.fetch_add(1, std::memory_order_acq_rel);
-  return Status::Ok();
-}
-
-Status XrTree::SplitLeaf(WriteLatchSet& ls, std::vector<PathEntry> path,
-                         std::vector<Element> all) {
-  PageId leaf_id = path.back().page;
-  path.pop_back();
-  Page* lraw = ls.Get(leaf_id);
-  if (lraw == nullptr) {
-    return Status::Corruption("xrtree: leaf not held for its split");
-  }
-  auto* hdr = XrHeader(lraw);
-  const uint16_t format = XrLeafFormatAfterEdit(lraw, leaf_cap_);
-  const size_t half = all.size() / 2;
-
+Position XrTree::LeafSplitKey(const std::vector<Element>& all,
+                              size_t half) const {
   // Split-key choice (§3.2): any value in (last_left.start, first_right.start]
   // separates the leaves; prefer first_right.start - 1, which avoids stabbing
   // the right leaf's first element (the paper's key-79-vs-80 example).
-  Position last_left = all[half - 1].start;
-  Position first_right = all[half].start;
-  Position sep = (!naive_split_key_ && first_right - 1 > last_left)
-                     ? first_right - 1
-                     : first_right;
+  const Position last_left = all[half - 1].start;
+  const Position first_right = all[half].start;
+  return (!naive_split_key_ && first_right - 1 > last_left) ? first_right - 1
+                                                            : first_right;
+}
 
+std::vector<StabEntry> XrTree::SplitLeafCarry(std::vector<Element>& all,
+                                              Position sep) {
   // Newly stabbed elements (InStabList == no with s <= sep <= e) become the
   // StabSet' proposed to the parent; their flags turn to yes.
   std::vector<StabEntry> stab_set;
@@ -436,39 +262,21 @@ Status XrTree::SplitLeaf(WriteLatchSet& ls, std::vector<PathEntry> path,
       stab_set.push_back(MakeStabEntry(e, sep));
     }
   }
+  return stab_set;
+}
 
-  XR_ASSIGN_OR_RETURN(Page * rraw, pool_->NewPage());
-  ls.AdoptNew(rraw);  // latched before any formatting
-  ls.MarkDirty(rraw->page_id());
-  auto* rhdr = InitNode(rraw, /*leaf=*/true);
-  rhdr->next = hdr->next;
-  rhdr->prev = leaf_id;
-  // A compressed half re-encodes into a page that held its superset, so it
-  // always fits (see page_codec.h).
-  XR_RETURN_IF_ERROR(
-      XrLeafWrite(rraw, all.data() + half, all.size() - half, format));
-  XR_RETURN_IF_ERROR(XrLeafWrite(lraw, all.data(), half, format));
-  PageId old_next = rhdr->next;
-  hdr->next = rraw->page_id();
-  ls.MarkDirty(leaf_id);
-
-  if (old_next != kInvalidPageId) {
-    // Rightward lateral acquisition — consistent with every other lateral
-    // in the protocol, so no writer-writer cycle.
-    XR_ASSIGN_OR_RETURN(Page * nraw, ls.Acquire(old_next));
-    XrHeader(nraw)->prev = rraw->page_id();
-    ls.MarkDirty(old_next);
-  }
-  return InsertIntoParent(ls, path, sep, rraw->page_id(),
-                          std::move(stab_set));
+Status XrTree::WriteLeaf(Page* leaf, const Element* elems, size_t n,
+                         const Page* before) {
+  // A compressed write of a subset re-encodes into a page that held its
+  // superset, so it always fits (see page_codec.h).
+  return XrLeafWrite(leaf, elems, n, XrLeafFormatAfterEdit(before, leaf_cap_));
 }
 
 Result<XrLeafView> XrTree::ReadLeafForEdit(WriteLatchSet& ls, Page* leaf,
                                            std::vector<Element>* scratch) {
   XR_ASSIGN_OR_RETURN(XrLeafView view, XrLeafRead(leaf, scratch));
   if (view.in_place || view.size > leaf_cap_) return view;
-  XR_RETURN_IF_ERROR(XrLeafWrite(leaf, view.data, view.size,
-                                 XrLeafFormatAfterEdit(leaf, leaf_cap_)));
+  XR_RETURN_IF_ERROR(WriteLeaf(leaf, view.data, view.size, leaf));
   ls.MarkDirty(leaf->page_id());
   return XrLeafRead(leaf, scratch);
 }
@@ -486,104 +294,46 @@ Result<bool> XrTree::DecompressLeafStep(WriteLatchSet& ls,
   return true;
 }
 
-Status XrTree::InsertIntoParent(WriteLatchSet& ls,
-                                std::vector<PathEntry>& path,
-                                Position sep_key, PageId right_child,
-                                std::vector<StabEntry> stab_set) {
-  for (StabEntry& se : stab_set) se.key = sep_key;
-
-  if (path.empty()) {
-    // I4: grow the tree with a new root holding the promoted key and its
-    // StabSet'. We hold the old root's W-latch (it was unsafe the whole
-    // way), which is what makes the root_ store safe against the readers'
-    // validate-after-latch retry.
-    PageId old_root = root_.load(std::memory_order_acquire);
-    XR_ASSIGN_OR_RETURN(Page * raw, pool_->NewPage());
-    ls.AdoptNew(raw);
-    ls.MarkDirty(raw->page_id());
-    auto* hdr = InitNode(raw, /*leaf=*/false);
-    hdr->count = 1;
-    hdr->leftmost = old_root;
-    XrInternalSlots(raw)[0] = {sep_key, kNilPosition, kNilPosition,
-                               right_child};
-    XR_RETURN_IF_ERROR(WriteNodeStab(raw, std::move(stab_set)));
-    root_.store(raw->page_id(), std::memory_order_release);
-    return Status::Ok();
-  }
-
-  PathEntry entry = path.back();
-  path.pop_back();
-  Page* raw = ls.Get(entry.page);
-  if (raw == nullptr) {
-    // The crab released this ancestor because a descendant was safe, yet a
-    // split reached it — the safety test was wrong. Structural bug.
-    return Status::Corruption("xrtree: split propagated past the crab scope");
-  }
-  auto* hdr = XrHeader(raw);
-  XrInternalEntry* slots = XrInternalSlots(raw);
-  uint32_t at = entry.slot;
-
-  // Gather the node's stab entries and apply the new-key effects:
-  //  * elements of the successor key's PSL with s <= sep_key are now
-  //    primarily stabbed by sep_key (it is smaller) — retag them;
-  //  * StabSet' arrives tagged with sep_key.
-  XR_ASSIGN_OR_RETURN(std::vector<StabEntry> entries, ReadNodeStab(raw));
-  if (at < hdr->count) {
-    Position successor = slots[at].key;
+Status XrTree::GatherForNewKey(Page* node, uint32_t at, Position sep_key,
+                               std::vector<StabEntry>& carry) {
+  // The node's stab entries with the new key's effects: elements of the
+  // successor key's PSL with s <= sep_key are now primarily stabbed by
+  // sep_key (it is smaller), and StabSet' arrives tagged with sep_key.
+  XR_ASSIGN_OR_RETURN(std::vector<StabEntry> entries, ReadNodeStab(node));
+  if (at < XrHeader(node)->count) {
+    const Position successor = XrInternalSlots(node)[at].key;
     for (StabEntry& se : entries) {
       if (se.key == successor && se.s <= sep_key) se.key = sep_key;
     }
   }
-  entries.insert(entries.end(), stab_set.begin(), stab_set.end());
+  entries.insert(entries.end(), carry.begin(), carry.end());
+  carry = std::move(entries);
+  return Status::Ok();
+}
 
-  if (hdr->count < internal_cap_) {
-    // I31: room available — insert the key entry and commit the stab list.
-    std::memmove(slots + at + 1, slots + at,
-                 (hdr->count - at) * sizeof(XrInternalEntry));
-    slots[at] = {sep_key, kNilPosition, kNilPosition, right_child};
-    ++hdr->count;
-    XR_RETURN_IF_ERROR(WriteNodeStab(raw, std::move(entries)));
-    ls.MarkDirty(entry.page);
-    return Status::Ok();
-  }
+Status XrTree::CommitNode(Page* node, std::vector<StabEntry>& carry) {
+  return WriteNodeStab(node, std::move(carry));
+}
 
-  // I32: split the internal node. The middle key km moves up, together
-  // with StabSet'' — every element of SL(I) ∪ SL(Inew) stabbed by km
-  // (Fig. 5).
-  std::vector<XrInternalEntry> all(slots, slots + hdr->count);
-  all.insert(all.begin() + at,
-             {sep_key, kNilPosition, kNilPosition, right_child});
-  uint32_t mid = static_cast<uint32_t>(all.size() / 2);
-  Position km = all[mid].key;
-
+Status XrTree::SplitCarry(Page* left, Page* right, Position km,
+                          std::vector<StabEntry>& carry) {
+  // I32: every element of SL(I) ∪ SL(Inew) stabbed by km is StabSet''
+  // (Fig. 5) and moves up tagged with km; the rest stay on their side.
   std::vector<StabEntry> left_entries, right_entries, stab_up;
-  for (const StabEntry& se : entries) {
+  for (const StabEntry& se : carry) {
     if (se.s <= km && km <= se.e) {
       stab_up.push_back(se);
+      stab_up.back().key = km;
     } else if (se.key < km) {
       left_entries.push_back(se);
     } else {
       right_entries.push_back(se);
     }
   }
-
-  XR_ASSIGN_OR_RETURN(Page * rraw, pool_->NewPage());
-  ls.AdoptNew(rraw);
-  ls.MarkDirty(rraw->page_id());
-  auto* rhdr = InitNode(rraw, /*leaf=*/false);
-  rhdr->count = static_cast<uint32_t>(all.size()) - mid - 1;
-  rhdr->leftmost = all[mid].child;
-  std::memcpy(XrInternalSlots(rraw), all.data() + mid + 1,
-              rhdr->count * sizeof(XrInternalEntry));
-
-  hdr->count = mid;
-  std::memcpy(slots, all.data(), mid * sizeof(XrInternalEntry));
-  ls.MarkDirty(entry.page);
-
-  XR_RETURN_IF_ERROR(WriteNodeStab(raw, std::move(left_entries)));
-  XR_RETURN_IF_ERROR(WriteNodeStab(rraw, std::move(right_entries)));
-
-  return InsertIntoParent(ls, path, km, rraw->page_id(), std::move(stab_up));
+  XR_RETURN_IF_ERROR(WriteNodeStab(left, std::move(left_entries)));
+  XR_RETURN_IF_ERROR(WriteNodeStab(right, std::move(right_entries)));
+  carry = std::move(stab_up);
+  return Status::Ok();
 }
 
 // ---------------------------------------------------------------------------
@@ -623,7 +373,7 @@ Status XrTree::PlaceEntry(WriteLatchSet& ls, PageId from,
       if (prev_owned != kInvalidPageId) ls.Release(prev_owned);
       return Status::Ok();
     }
-    cur = XrChildAt(raw, XrChildSlot(raw, entry.s));
+    cur = ChildAt(raw, ChildSlot(raw, entry.s));
   }
   return Status::Corruption("xrtree: sweep did not reach a leaf");
 }
@@ -675,25 +425,15 @@ Status XrTree::CollectStabbedDescent(WriteLatchSet& ls, PageId subtree,
       XR_RETURN_IF_ERROR(WriteNodeStab(raw, std::move(kept)));
       ls.MarkDirty(cur);
     }
-    cur = XrChildAt(raw, XrChildSlot(raw, k));
+    cur = ChildAt(raw, ChildSlot(raw, k));
   }
   return Status::Corruption("xrtree: sweep did not reach a leaf");
 }
 
-Status XrTree::ReplaceSeparatorKey(WriteLatchSet& ls, PageId parent,
+Status XrTree::OnSeparatorReplaced(WriteLatchSet& ls, PageId parent,
                                    uint32_t key_slot, Position knew) {
   Page* praw = ls.Get(parent);
-  if (praw == nullptr) {
-    return Status::Corruption("xrtree: separator change outside crab scope");
-  }
-  auto* hdr = XrHeader(praw);
-  XrInternalEntry* slots = XrInternalSlots(praw);
-  assert(key_slot < hdr->count);
-  (void)hdr;
-  slots[key_slot].key = knew;
-  slots[key_slot].ps = kNilPosition;
-  slots[key_slot].pe = kNilPosition;
-  ls.MarkDirty(parent);
+  const XrInternalEntry* slots = XrInternalSlots(praw);
 
   // Recompute every entry's primary key over the new key set; entries no
   // longer stabbed by any key of this node are demoted below.
@@ -714,9 +454,9 @@ Status XrTree::ReplaceSeparatorKey(WriteLatchSet& ls, PageId parent,
   // left of the separator, an element with s == knew sits right of it).
   std::vector<StabEntry> pulled;
   XR_RETURN_IF_ERROR(
-      CollectStabbedDescent(ls, XrChildAt(praw, key_slot), knew, &pulled));
+      CollectStabbedDescent(ls, ChildAt(praw, key_slot), knew, &pulled));
   XR_RETURN_IF_ERROR(
-      CollectStabbedDescent(ls, XrChildAt(praw, key_slot + 1), knew,
+      CollectStabbedDescent(ls, ChildAt(praw, key_slot + 1), knew,
                             &pulled));
   for (StabEntry se : pulled) {
     uint32_t slot;
@@ -727,27 +467,16 @@ Status XrTree::ReplaceSeparatorKey(WriteLatchSet& ls, PageId parent,
   }
 
   XR_RETURN_IF_ERROR(WriteNodeStab(praw, std::move(kept)));
-  ls.MarkDirty(parent);
   for (const StabEntry& se : demote) {
     XR_RETURN_IF_ERROR(PlaceEntry(ls, parent, se));
   }
   return Status::Ok();
 }
 
-Status XrTree::RemoveSeparatorKey(WriteLatchSet& ls, PageId parent,
-                                  uint32_t key_slot) {
+Status XrTree::OnSeparatorRemoved(WriteLatchSet& ls, PageId parent,
+                                  Position removed) {
   Page* praw = ls.Get(parent);
-  if (praw == nullptr) {
-    return Status::Corruption("xrtree: separator change outside crab scope");
-  }
-  auto* hdr = XrHeader(praw);
-  XrInternalEntry* slots = XrInternalSlots(praw);
-  assert(key_slot < hdr->count);
-  Position removed = slots[key_slot].key;
-  std::memmove(slots + key_slot, slots + key_slot + 1,
-               (hdr->count - key_slot - 1) * sizeof(XrInternalEntry));
-  --hdr->count;
-  ls.MarkDirty(parent);
+  const XrInternalEntry* slots = XrInternalSlots(praw);
 
   // D31: entries of PSL(removed) are retagged to another stabbing key of
   // this node, or reinserted into the highest stabbing node below.
@@ -767,14 +496,13 @@ Status XrTree::RemoveSeparatorKey(WriteLatchSet& ls, PageId parent,
     }
   }
   XR_RETURN_IF_ERROR(WriteNodeStab(praw, std::move(kept)));
-  ls.MarkDirty(parent);
   for (const StabEntry& se : demote) {
     XR_RETURN_IF_ERROR(PlaceEntry(ls, parent, se));
   }
   return Status::Ok();
 }
 
-Status XrTree::MergeStabLists(Page* dest, Page* victim) {
+Status XrTree::MergeInternal(Page* dest, Page* victim) {
   XR_ASSIGN_OR_RETURN(std::vector<StabEntry> a, ReadNodeStab(dest));
   XR_ASSIGN_OR_RETURN(std::vector<StabEntry> b, ReadNodeStab(victim));
   a.insert(a.end(), b.begin(), b.end());
@@ -796,61 +524,26 @@ Status XrTree::Delete(Position key) {
   // a concurrent inserter's rightward lateral latches. Readers still run
   // throughout — every page mutation below happens under its W-latch.
   std::unique_lock<std::shared_mutex> gate(writer_gate_);
-  PageId root_id = root_.load(std::memory_order_acquire);
-  if (root_id == kInvalidPageId) return Status::NotFound("empty tree");
-
   WriteLatchSet ls(pool_);
   std::vector<PathEntry> path;
-  Page* lraw = nullptr;
-  // Full-path descent, nothing crab-released: D1 revisits ancestors (the
-  // topmost stab erase) and the underflow sweeps revisit the path's
-  // subtrees, so every node stays held. The gate keeps the structure (and
-  // root_) stable, so no retry loop is needed — except for the
-  // decompress-on-write rounds below, which re-descend after splitting an
-  // over-full compressed leaf (the gate is exclusive, so this is private).
+  // The crab with no safe child: D1 revisits ancestors (the topmost stab
+  // erase) and the underflow sweeps revisit the path's subtrees, so every
+  // node stays held. The gate keeps the structure (and root_) stable; the
+  // decompress-on-write rounds re-descend after splitting an over-full
+  // compressed leaf (the gate is exclusive, so this is private).
   for (int round = 0;; ++round) {
     if (round == kMaxDecompressRounds) {
       return Status::Corruption("xrtree: decompress-on-write did not converge");
     }
-    PageId cur = root_.load(std::memory_order_acquire);
-    for (int depth = 0; depth < kMaxTreeDepth; ++depth) {
-      XR_ASSIGN_OR_RETURN(Page * raw, ls.Acquire(cur));
-      XR_RETURN_IF_ERROR(XrCheckPage(raw));
-      if (XrHeader(raw)->is_leaf) {
-        path.push_back({cur, 0});
-        lraw = raw;
-        break;
-      }
-      uint32_t slot = XrChildSlot(raw, key);
-      path.push_back({cur, slot});
-      cur = XrChildAt(raw, slot);
-    }
-    if (lraw == nullptr) {
-      return Status::Corruption("xrtree: descent did not reach a leaf");
-    }
+    XR_RETURN_IF_ERROR(
+        DescendWrite(key, ls, path, [](const Header*) { return false; },
+                     NoVisit)
+            .status());
     XR_ASSIGN_OR_RETURN(bool split, DecompressLeafStep(ls, path));
     if (!split) break;
     ls.ReleaseAll();
-    path.clear();
-    lraw = nullptr;
   }
-  PageId leaf_id = path.back().page;
-
-  Element victim;
-  {
-    auto* hdr = XrHeader(lraw);
-    Element* slots = XrLeafSlots(lraw);
-    uint32_t at = XrLeafLowerBound(lraw, key);
-    if (at >= hdr->count || slots[at].start != key) {
-      return Status::NotFound("key " + std::to_string(key));
-    }
-    victim = slots[at];
-    std::memmove(slots + at, slots + at + 1,
-                 (hdr->count - at - 1) * sizeof(Element));
-    --hdr->count;
-    ls.MarkDirty(leaf_id);
-  }
-  size_.fetch_sub(1, std::memory_order_acq_rel);
+  XR_ASSIGN_OR_RETURN(const Element victim, TakeFromLeaf(ls, path, key));
 
   // D1: remove the element from the stab list holding it — the topmost
   // node on the path with a stabbing key. All path nodes are still held.
@@ -889,193 +582,16 @@ Status XrTree::Delete(Position key) {
   }
 
   // D2: resolve leaf underflow.
-  uint32_t count = XrHeader(lraw)->count;
-  bool is_root_leaf = (leaf_id == root_.load(std::memory_order_acquire));
-  if (is_root_leaf || count >= leaf_cap_ / 2) return Status::Ok();
-  return Rebalance(ls, path, path.size() - 1);
+  return Rebalance(ls, path);
 }
 
-Status XrTree::Rebalance(WriteLatchSet& ls,
-                         const std::vector<PathEntry>& path, size_t depth) {
-  for (;; --depth) {
-    assert(depth >= 1);
-    // Path convention: an entry's slot is the child slot taken FROM that
-    // node, so the node's position within its parent lives on the parent's
-    // entry.
-    const PageId node_id = path[depth].page;
-    const PageId parent_id = path[depth - 1].page;
-    const uint32_t child_slot = path[depth - 1].slot;
-    const bool leaf = depth + 1 == path.size();
-    Page* praw = ls.Get(parent_id);
-    Page* nraw = ls.Get(node_id);
-    if (praw == nullptr || nraw == nullptr) {
-      return Status::Corruption("xrtree: underflow outside the crab scope");
-    }
-    auto* phdr = XrHeader(praw);
-    auto* nhdr = XrHeader(nraw);
-
-    if (leaf) {
-      // D22: redistribution with a sibling. Moving an element changes the
-      // separator key, with full stab-list effects via ReplaceSeparatorKey.
-      // Sibling latches are safe under the exclusive writer gate: no other
-      // writer runs, and readers never hold a sibling while waiting on a
-      // page this operation holds (they acquire strictly top-down).
-      // Each sibling examined is read for an edit: one whose entries fit
-      // leaf_capacity is decompressed on write, so the merge below moves
-      // fixed slots. A larger (compressed) one always lends (count >
-      // leaf_capacity > min_fill) and is rewritten compressed by the format
-      // rule; removing a boundary entry always re-encodes in place
-      // (DESIGN.md §15).
-      const uint32_t min_fill = leaf_cap_ / 2;
-      Element* lslots = XrLeafSlots(nraw);
-      std::vector<Element> scratch;
-      if (child_slot > 0) {
-        PageId sib_id = XrChildAt(praw, child_slot - 1);
-        XR_ASSIGN_OR_RETURN(Page * sraw, ls.Acquire(sib_id));
-        XR_ASSIGN_OR_RETURN(XrLeafView sib,
-                            ReadLeafForEdit(ls, sraw, &scratch));
-        if (sib.size > min_fill) {
-          const Element moved = sib.data[sib.size - 1];
-          XR_RETURN_IF_ERROR(
-              XrLeafWrite(sraw, sib.data, sib.size - 1,
-                          XrLeafFormatAfterEdit(sraw, leaf_cap_)));
-          std::memmove(lslots + 1, lslots, nhdr->count * sizeof(Element));
-          lslots[0] = moved;
-          ++nhdr->count;
-          ls.MarkDirty(node_id);
-          ls.MarkDirty(sib_id);
-          return ReplaceSeparatorKey(ls, parent_id, child_slot - 1,
-                                     moved.start);
-        }
-      }
-      if (child_slot < phdr->count) {
-        PageId sib_id = XrChildAt(praw, child_slot + 1);
-        XR_ASSIGN_OR_RETURN(Page * sraw, ls.Acquire(sib_id));
-        XR_ASSIGN_OR_RETURN(XrLeafView sib,
-                            ReadLeafForEdit(ls, sraw, &scratch));
-        if (sib.size > min_fill) {
-          const Element moved = sib.data[0];
-          const Position knew = sib.data[1].start;
-          XR_RETURN_IF_ERROR(
-              XrLeafWrite(sraw, sib.data + 1, sib.size - 1,
-                          XrLeafFormatAfterEdit(sraw, leaf_cap_)));
-          lslots[nhdr->count] = moved;
-          ++nhdr->count;
-          ls.MarkDirty(node_id);
-          ls.MarkDirty(sib_id);
-          return ReplaceSeparatorKey(ls, parent_id, child_slot, knew);
-        }
-      }
-    } else {
-      // D32: redistribution through the parent. The separator comes down,
-      // the sibling's boundary key goes up; ReplaceSeparatorKey then fixes
-      // every stab consequence (the moved-up key's stabbed elements are
-      // pulled out of the sibling by the descent sweep; the moved-down
-      // key's elements are demoted out of the parent).
-      const uint32_t imin = internal_cap_ / 2;
-      XrInternalEntry* pslots = XrInternalSlots(praw);
-      XrInternalEntry* nslots = XrInternalSlots(nraw);
-      if (child_slot > 0) {
-        PageId sib_id = XrChildAt(praw, child_slot - 1);
-        XR_ASSIGN_OR_RETURN(Page * sraw, ls.Acquire(sib_id));
-        auto* shdr = XrHeader(sraw);
-        XrInternalEntry* sslots = XrInternalSlots(sraw);
-        if (shdr->count > imin) {
-          Position km = pslots[child_slot - 1].key;
-          Position kl = sslots[shdr->count - 1].key;
-          std::memmove(nslots + 1, nslots,
-                       nhdr->count * sizeof(XrInternalEntry));
-          nslots[0] = {km, kNilPosition, kNilPosition, nhdr->leftmost};
-          nhdr->leftmost = sslots[shdr->count - 1].child;
-          ++nhdr->count;
-          --shdr->count;
-          ls.MarkDirty(node_id);
-          ls.MarkDirty(sib_id);
-          return ReplaceSeparatorKey(ls, parent_id, child_slot - 1, kl);
-        }
-      }
-      if (child_slot < phdr->count) {
-        PageId sib_id = XrChildAt(praw, child_slot + 1);
-        XR_ASSIGN_OR_RETURN(Page * sraw, ls.Acquire(sib_id));
-        auto* shdr = XrHeader(sraw);
-        XrInternalEntry* sslots = XrInternalSlots(sraw);
-        if (shdr->count > imin) {
-          Position km = pslots[child_slot].key;
-          Position kf = sslots[0].key;
-          nslots[nhdr->count] = {km, kNilPosition, kNilPosition,
-                                 shdr->leftmost};
-          ++nhdr->count;
-          shdr->leftmost = sslots[0].child;
-          std::memmove(sslots, sslots + 1,
-                       (shdr->count - 1) * sizeof(XrInternalEntry));
-          --shdr->count;
-          ls.MarkDirty(node_id);
-          ls.MarkDirty(sib_id);
-          return ReplaceSeparatorKey(ls, parent_id, child_slot, kf);
-        }
-      }
-    }
-
-    // D23/D33: merge the node with a sibling, the left one when there is
-    // one. Of the pair, the left node survives; the separator between them
-    // (the left node's slot) leaves the parent, with its stab effects. Both
-    // pages are held already: the borrow attempt above latched the sibling.
-    const uint32_t key_slot = child_slot > 0 ? child_slot - 1 : child_slot;
-    const PageId left_id = XrChildAt(praw, key_slot);
-    const PageId right_id = XrChildAt(praw, key_slot + 1);
-    XR_ASSIGN_OR_RETURN(Page * left, ls.Acquire(left_id));
-    XR_ASSIGN_OR_RETURN(Page * right, ls.Acquire(right_id));
-    auto* lhdr = XrHeader(left);
-    auto* rhdr = XrHeader(right);
-    if (leaf) {
-      // Append the right leaf's fixed slots and splice it out of the chain.
-      std::memcpy(XrLeafSlots(left) + lhdr->count, XrLeafSlots(right),
-                  rhdr->count * sizeof(Element));
-      lhdr->count += rhdr->count;
-      lhdr->next = rhdr->next;
-      if (rhdr->next != kInvalidPageId) {
-        XR_ASSIGN_OR_RETURN(Page * next, ls.Acquire(rhdr->next));
-        XrHeader(next)->prev = left_id;
-        ls.MarkDirty(rhdr->next);
-      }
-      ls.MarkDirty(left_id);
-    } else {
-      // Pull the separator key down between the two key arrays, then
-      // concatenate the stab lists (keys first: see MergeStabLists).
-      XrInternalEntry* lslots = XrInternalSlots(left);
-      lslots[lhdr->count] = {XrInternalSlots(praw)[key_slot].key,
-                             kNilPosition, kNilPosition, rhdr->leftmost};
-      ++lhdr->count;
-      std::memcpy(lslots + lhdr->count, XrInternalSlots(right),
-                  rhdr->count * sizeof(XrInternalEntry));
-      lhdr->count += rhdr->count;
-      ls.MarkDirty(left_id);
-      XR_RETURN_IF_ERROR(MergeStabLists(left, right));
-    }
-    // The dead page is tombstoned under its held W-latch (blocked readers
-    // see a dead page) and freed only after every latch drops (DeferFree).
-    rhdr->magic = 0;
-    ls.MarkDirty(right_id);
-    ls.DeferFree(right_id);
-    XR_RETURN_IF_ERROR(RemoveSeparatorKey(ls, parent_id, key_slot));
-
-    if (parent_id == root_.load(std::memory_order_acquire)) {
-      if (phdr->count > 0) return Status::Ok();
-      // D4: shorten the tree. RemoveSeparatorKey demoted every remaining
-      // stab entry below, so the dying root's chain is empty. The store is
-      // safe: we hold the old root's W-latch, so reader descents
-      // re-validate.
-      if (phdr->stab_head != kInvalidPageId) {
-        return Status::Corruption("shrinking root still owns stab entries");
-      }
-      root_.store(phdr->leftmost, std::memory_order_release);
-      phdr->magic = 0;
-      ls.MarkDirty(parent_id);
-      ls.DeferFree(parent_id);
-      return Status::Ok();
-    }
-    if (phdr->count >= internal_cap_ / 2) return Status::Ok();
+Status XrTree::CheckCollapsingRoot(const Page* root) {
+  // OnSeparatorRemoved demoted every remaining stab entry below, so the
+  // dying root's chain is empty.
+  if (XrHeader(root)->stab_head != kInvalidPageId) {
+    return Status::Corruption("shrinking root still owns stab entries");
   }
+  return Status::Ok();
 }
 
 // ---------------------------------------------------------------------------
@@ -1296,24 +812,7 @@ Status XrTree::BulkLoad(const ElementList& elements, double fill_fraction) {
   // BulkLoad's contract is a quiescent, empty tree; the exclusive gate is a
   // cheap backstop against a stray concurrent writer.
   std::unique_lock<std::shared_mutex> gate(writer_gate_);
-  if (root_.load(std::memory_order_acquire) != kInvalidPageId ||
-      size_.load(std::memory_order_acquire) != 0) {
-    return Status::InvalidArgument("BulkLoad requires an empty tree");
-  }
-  if (fill_fraction <= 0.0 || fill_fraction > 1.0) {
-    return Status::InvalidArgument("fill_fraction out of (0, 1]");
-  }
-  if (!std::is_sorted(elements.begin(), elements.end())) {
-    return Status::InvalidArgument("BulkLoad input must be sorted by start");
-  }
-  size_t i = 0;
-  return BulkLoadImpl(
-      [&](Element* e) {
-        if (i >= elements.size()) return false;
-        *e = elements[i++];
-        return true;
-      },
-      fill_fraction);
+  return Skeleton::BulkLoad(elements, fill_fraction);
 }
 
 Status XrTree::BulkLoadFromFile(const ElementFile& file,
@@ -1321,27 +820,7 @@ Status XrTree::BulkLoadFromFile(const ElementFile& file,
   WriteScope write_scope(this);
   std::shared_lock<std::shared_mutex> commit_barrier(pool_->commit_mutex());
   std::unique_lock<std::shared_mutex> gate(writer_gate_);
-  if (root_.load(std::memory_order_acquire) != kInvalidPageId ||
-      size_.load(std::memory_order_acquire) != 0) {
-    return Status::InvalidArgument("BulkLoad requires an empty tree");
-  }
-  if (fill_fraction <= 0.0 || fill_fraction > 1.0) {
-    return Status::InvalidArgument("fill_fraction out of (0, 1]");
-  }
-  // One sequential pass over the file; the build's lookahead is bounded by
-  // a page's worth of entries, so the corpus is never materialized.
-  ElementFile::Scanner scanner = file.NewScanner();
-  XR_RETURN_IF_ERROR(BulkLoadImpl(
-      [&](Element* e) {
-        if (!scanner.Valid()) return false;
-        *e = scanner.Get();
-        scanner.Next();
-        return true;
-      },
-      fill_fraction));
-  // An I/O or corruption stop looks like EOF to the pull source; surface it
-  // (the partially built tree is garbage at that point).
-  return scanner.status();
+  return Skeleton::BulkLoadFromFile(file, fill_fraction);
 }
 
 Status XrTree::Compact() {
@@ -1397,164 +876,60 @@ Status XrTree::Compact() {
   root_.store(kInvalidPageId, std::memory_order_release);
   size_.store(0, std::memory_order_release);
 
-  size_t i = 0;
-  return BulkLoadImpl(
-      [&](Element* e) {
-        if (i >= elems.size()) return false;
-        *e = elems[i++];
-        return true;
-      },
-      1.0);
+  return BulkLoadImpl(ListSource{&elems}, 1.0);
 }
 
-Status XrTree::BulkLoadImpl(const std::function<bool(Element*)>& next,
-                            double fill_fraction) {
-  // Fill targets are clamped above the half-full invariant so bulk-loaded
-  // trees always pass CheckConsistency.
-  const size_t min_fill = std::max<size_t>(1, leaf_cap_ / 2);
-  const uint32_t leaf_fill =
-      std::max<uint32_t>(static_cast<uint32_t>(min_fill),
-                         static_cast<uint32_t>(leaf_cap_ * fill_fraction));
-  const uint32_t internal_fill = std::max<uint32_t>(
-      std::max<uint32_t>(2, internal_cap_ / 2),
-      static_cast<uint32_t>(internal_cap_ * fill_fraction));
+size_t XrTree::LeafPackMax() const {
+  return compressed_ ? size_t{kXrcMaxPageEntries} : size_t{leaf_cap_};
+}
 
-  // Bounded lookahead over the pull source: the tail rules below only need
-  // to know whether fewer than one page plus min_fill elements remain, so
-  // the buffer never grows past that horizon — this is what keeps
-  // BulkLoadFromFile a streaming build.
-  const size_t page_max =
-      compressed_ ? size_t{kXrcMaxPageEntries} : size_t{leaf_cap_};
-  const size_t horizon = page_max + min_fill;
-  std::deque<Element> buf;
-  bool exhausted = false;
-  bool seen_any = false;
-  Position prev_start = 0;
-  uint64_t total_loaded = 0;
-  auto refill = [&]() -> Status {
-    while (!exhausted && buf.size() < horizon) {
-      Element e;
-      if (!next(&e)) {
-        exhausted = true;
-        break;
-      }
-      if (seen_any && e.start < prev_start) {
-        return Status::InvalidArgument(
-            "BulkLoad input must be sorted by start");
-      }
-      seen_any = true;
-      prev_start = e.start;
-      buf.push_back(e);
+Result<size_t> XrTree::PackLeaf(Page* leaf, const std::deque<Element>& buf,
+                                size_t take, bool exhausted,
+                                double fill_fraction) {
+  // Flags are rebuilt by the stab pass.
+  std::vector<Element> chunk(
+      buf.begin(),
+      buf.begin() + static_cast<ptrdiff_t>(std::min(buf.size(),
+                                                    LeafPackMax())));
+  for (Element& e : chunk) SetInStabList(&e, false);
+  uint16_t format = compressed_ ? kXrPageFormatCompressed : kXrPageFormatFixed;
+  if (compressed_) {
+    // Greedy longest-prefix encode tells us the achievable fan-out;
+    // fill_fraction scales it the way it scales fixed slot counts.
+    const size_t min_fill = std::max<size_t>(1, leaf_cap_ / 2);
+    const size_t rem = buf.size();
+    const size_t n_full = XrcEncodeLeaf(leaf, chunk.data(), chunk.size());
+    if (n_full == 0) {
+      return Status::Corruption("bulk load: leaf encode took no entries");
     }
-    return Status::Ok();
-  };
-  XR_RETURN_IF_ERROR(refill());
-  if (buf.empty()) return InitRootLeaf();
-
-  struct ChildRef {
-    Position first_key;
-    PageId page;
-  };
-  std::vector<ChildRef> level;
-  std::vector<PageId> leaf_pages;
-  std::vector<Element> chunk;
-  PageGuard prev;
-  for (;;) {
-    XR_RETURN_IF_ERROR(refill());
-    if (buf.empty()) break;
-    size_t rem = buf.size();
-    XR_ASSIGN_OR_RETURN(Page * raw, pool_->NewPage());
-    PageGuard page(pool_, raw);
-    page.MarkDirty();
-    InitNode(raw, /*leaf=*/true)->prev =
-        prev ? prev.page_id() : kInvalidPageId;
-
-    chunk.assign(buf.begin(),
-                 buf.begin() + static_cast<ptrdiff_t>(std::min(rem, page_max)));
-    for (Element& e : chunk) SetInStabList(&e, false);
-    size_t take;
-    uint16_t format =
-        compressed_ ? kXrPageFormatCompressed : kXrPageFormatFixed;
-    if (compressed_) {
-      // Greedy longest-prefix encode tells us the achievable fan-out;
-      // fill_fraction scales it the way it scales fixed slot counts.
-      size_t n_full = XrcEncodeLeaf(raw, chunk.data(), chunk.size());
-      if (n_full == 0) {
-        return Status::Corruption("bulk load: leaf encode took no entries");
-      }
-      take = std::max<size_t>(
-          min_fill, static_cast<size_t>(n_full * fill_fraction));
-      take = std::min(take, n_full);
-      if (exhausted && rem > take && rem - take < min_fill) {
-        // The tail would be stranded below min_fill: absorb it, fall back
-        // to the greedy prefix when that already leaves enough, leave
-        // exactly min_fill behind, or — when the remainder is tiny but
-        // incompressible — emit it as a single fixed-format page
-        // (rem < 2*min_fill <= leaf_cap_ + 1, so it always fits).
-        if (n_full >= rem) {
-          take = rem;
-        } else if (rem - n_full >= min_fill) {
-          take = n_full;
-        } else if (rem >= 2 * min_fill) {
-          take = rem - min_fill;
-        } else {
-          take = rem;
-          format = kXrPageFormatFixed;
-        }
-      }
-    } else {
-      // Pack `leaf_fill` entries per page, but never leave the final page
-      // below the half-full invariant: either absorb the tail into this
-      // page (it fits below capacity) or leave exactly the minimum behind.
-      take = std::min<size_t>(leaf_fill, rem);
-      if (exhausted && rem > take && rem - take < min_fill) {
-        take = (rem <= leaf_cap_) ? rem : rem - min_fill;
+    take = std::max<size_t>(min_fill,
+                            static_cast<size_t>(n_full * fill_fraction));
+    take = std::min(take, n_full);
+    if (exhausted && rem > take && rem - take < min_fill) {
+      // The tail would be stranded below min_fill: absorb it, fall back
+      // to the greedy prefix when that already leaves enough, leave
+      // exactly min_fill behind, or — when the remainder is tiny but
+      // incompressible — emit it as a single fixed-format page
+      // (rem < 2*min_fill <= leaf_cap_ + 1, so it always fits).
+      if (n_full >= rem) {
+        take = rem;
+      } else if (rem - n_full >= min_fill) {
+        take = n_full;
+      } else if (rem >= 2 * min_fill) {
+        take = rem - min_fill;
+      } else {
+        take = rem;
+        format = kXrPageFormatFixed;
       }
     }
-    XR_RETURN_IF_ERROR(XrLeafWrite(raw, chunk.data(), take, format));
-    if (prev) {
-      XrHeader(prev.get())->next = raw->page_id();
-      prev.MarkDirty();
-    }
-    level.push_back({buf.front().start, raw->page_id()});
-    leaf_pages.push_back(raw->page_id());
-    buf.erase(buf.begin(), buf.begin() + static_cast<ptrdiff_t>(take));
-    total_loaded += take;
-    prev = std::move(page);
   }
-  prev.Release();
+  XR_RETURN_IF_ERROR(XrLeafWrite(leaf, chunk.data(), take, format));
+  return take;
+}
 
-  size_t internal_levels = 0;
-  while (level.size() > 1) {
-    ++internal_levels;
-    std::vector<ChildRef> next_level;
-    size_t i = 0;
-    while (i < level.size()) {
-      size_t total = level.size() - i;
-      size_t nchildren = std::min<size_t>(internal_fill + 1ull, total);
-      size_t min_children = internal_cap_ / 2 + 1;
-      if (total > nchildren && total - nchildren < min_children) {
-        nchildren = (total <= internal_cap_ + 1ull) ? total
-                                                    : total - min_children;
-      }
-      XR_ASSIGN_OR_RETURN(Page * raw, pool_->NewPage());
-      PageGuard page(pool_, raw);
-      page.MarkDirty();
-      auto* hdr = InitNode(raw, /*leaf=*/false);
-      hdr->count = static_cast<uint32_t>(nchildren - 1);
-      hdr->leftmost = level[i].page;
-      XrInternalEntry* slots = XrInternalSlots(raw);
-      for (size_t j = 1; j < nchildren; ++j) {
-        slots[j - 1] = {level[i + j].first_key, kNilPosition, kNilPosition,
-                        level[i + j].page};
-      }
-      next_level.push_back({level[i].first_key, raw->page_id()});
-      i += nchildren;
-    }
-    level = std::move(next_level);
-  }
-  PageId new_root = level[0].page;
-
+Status XrTree::FinishBulkLoad(PageId new_root,
+                              const std::vector<PageId>& leaf_pages,
+                              size_t internal_levels) {
   // Stab pass: for every element, find the topmost node with a stabbing key
   // on its root-to-leaf path, then write each node's chain once. Every
   // element of a leaf shares that path (separators are the children's first
@@ -1577,7 +952,7 @@ Status XrTree::BulkLoadImpl(const std::function<bool(Element*)>& next,
         path.emplace_back(pool_, nraw);
       }
       const Page* node = path[d].get();
-      cur = XrChildAt(node, XrChildSlot(node, view.data[0].start));
+      cur = ChildAt(node, ChildSlot(node, view.data[0].start));
     }
     bool dirty = false;
     // The flag flip is in place on either format (on a compressed leaf, a
@@ -1607,25 +982,12 @@ Status XrTree::BulkLoadImpl(const std::function<bool(Element*)>& next,
     XR_RETURN_IF_ERROR(WriteNodeStab(raw, std::move(entries)));
     node.MarkDirty();
   }
-  root_.store(new_root, std::memory_order_release);
-  size_.store(total_loaded, std::memory_order_release);
   return Status::Ok();
 }
 
 // ---------------------------------------------------------------------------
 // Introspection and validation
 // ---------------------------------------------------------------------------
-
-Result<uint32_t> XrTree::Height() const {
-  // Every leaf sits at the same depth, so any key's descent measures it.
-  uint32_t height = 0;
-  auto count_level = [&](const Page*) {
-    ++height;
-    return Status::Ok();
-  };
-  XR_ASSIGN_OR_RETURN(ReadLatchedPage leaf, DescendRead(0, count_level));
-  return leaf ? height + 1 : 0;
-}
 
 Result<uint64_t> XrTree::CountEntries() {
   uint64_t n = 0;
@@ -1681,57 +1043,13 @@ Result<StabStats> XrTree::ComputeStabStats() const {
   return stats;
 }
 
-Status XrTree::CheckNode(PageId id, bool is_root, Position lo, Position hi,
-                         int* height) const {
-  XR_ASSIGN_OR_RETURN(Page * raw, pool_->FetchPage(id));
-  PageGuard page(pool_, raw);
+bool XrTree::LeafMayExceedCapacity(const Page* leaf) const {
+  return XrLeafIsCompressed(leaf);  // up to kXrcMaxPageEntries
+}
+
+Status XrTree::CheckInternalNode(const Page* raw) const {
   const auto* hdr = XrHeader(raw);
-
-  if (hdr->is_leaf) {
-    // The view checks the magic, and the count against the format's
-    // capacity: up to kXrcMaxPageEntries for a compressed leaf.
-    std::vector<Element> scratch;
-    XR_ASSIGN_OR_RETURN(XrLeafView slots, XrLeafRead(raw, &scratch));
-    if (!is_root && slots.size < leaf_cap_ / 2) {
-      return Status::Corruption("leaf underfilled");
-    }
-    if (!XrLeafIsCompressed(raw) && slots.size > leaf_cap_) {
-      return Status::Corruption("leaf overfull");
-    }
-    for (uint32_t i = 0; i < slots.size; ++i) {
-      if (i > 0 && !(slots.data[i - 1].start < slots.data[i].start)) {
-        return Status::Corruption("leaf keys out of order");
-      }
-      if (slots.data[i].start < lo || slots.data[i].start >= hi) {
-        return Status::Corruption("leaf key outside bounds");
-      }
-    }
-    *height = 1;
-    return Status::Ok();
-  }
-
-  if (hdr->magic != kXrInternalMagic) {
-    return Status::Corruption("internal magic");
-  }
-  if (!is_root && hdr->count < internal_cap_ / 2) {
-    return Status::Corruption("internal underfilled");
-  }
-  if (is_root && hdr->count < 1) {
-    return Status::Corruption("internal root without keys");
-  }
-  if (hdr->count > internal_cap_) {
-    return Status::Corruption("internal overfull");
-  }
   const XrInternalEntry* slots = XrInternalSlots(raw);
-  for (uint32_t i = 0; i < hdr->count; ++i) {
-    if (i > 0 && !(slots[i - 1].key < slots[i].key)) {
-      return Status::Corruption("internal keys out of order");
-    }
-    if (slots[i].key < lo || slots[i].key >= hi) {
-      return Status::Corruption("internal key outside bounds");
-    }
-  }
-
   // Stab-chain structural checks: global (key, s) order, keys present in
   // the node, PSLs strictly nested with matching (ps, pe) summaries.
   StabList list(pool_, hdr->stab_head, hdr->ps_dir, use_ps_dir_);
@@ -1795,27 +1113,14 @@ Status XrTree::CheckNode(PageId id, bool is_root, Position lo, Position hi,
     }
   }
 
-  int child_height = -1;
-  for (uint32_t i = 0; i <= hdr->count; ++i) {
-    Position clo = (i == 0) ? lo : slots[i - 1].key;
-    Position chi = (i == hdr->count) ? hi : slots[i].key;
-    int h = 0;
-    XR_RETURN_IF_ERROR(CheckNode(XrChildAt(raw, i), false, clo, chi, &h));
-    if (child_height == -1) child_height = h;
-    if (h != child_height) {
-      return Status::Corruption("children at different heights");
-    }
-  }
-  *height = child_height + 1;
   return Status::Ok();
 }
 
 Status XrTree::CheckConsistency() const {
   // Quiescent-only, like the structural pass it extends.
+  XR_RETURN_IF_ERROR(Skeleton::CheckConsistency());
   PageId root_id = root_.load(std::memory_order_acquire);
   if (root_id == kInvalidPageId) return Status::Ok();
-  int height = 0;
-  XR_RETURN_IF_ERROR(CheckNode(root_id, true, 0, kNilPosition, &height));
 
   // Semantic pass: snapshot every internal node (keys + stab entries, with
   // ancestry) and every leaf element, then re-derive where each element
@@ -1827,7 +1132,6 @@ Status XrTree::CheckConsistency() const {
   };
   std::vector<NodeSnap> nodes;
   std::vector<Element> elems;  // with flags
-  uint64_t leaf_count = 0;
 
   struct Walk {
     PageId id;
@@ -1841,7 +1145,6 @@ Status XrTree::CheckConsistency() const {
     const auto* hdr = XrHeader(raw);
     if (hdr->is_leaf) {
       XR_RETURN_IF_ERROR(XrLeafAppend(raw, &elems));
-      leaf_count += hdr->count;
       continue;
     }
     NodeSnap snap;
@@ -1852,9 +1155,6 @@ Status XrTree::CheckConsistency() const {
     nodes.push_back(std::move(snap));
     stack.push_back({hdr->leftmost});
     for (uint32_t i = 0; i < hdr->count; ++i) stack.push_back({slots[i].child});
-  }
-  if (leaf_count != size_.load(std::memory_order_acquire)) {
-    return Status::Corruption("tracked size != leaf element count");
   }
 
   // Expected placement per element: descend an in-memory mirror.
@@ -1879,7 +1179,7 @@ Status XrTree::CheckConsistency() const {
       // to map child slots to page ids.
       XR_ASSIGN_OR_RETURN(Page * raw, pool_->FetchPage(cur));
       PageGuard page(pool_, raw);
-      cur = XrChildAt(raw, XrChildSlot(raw, e.start));
+      cur = ChildAt(raw, ChildSlot(raw, e.start));
     }
     if (found == nullptr) {
       if (InStabList(e)) {

@@ -3,11 +3,11 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
-#include <mutex>
+#include <deque>
 #include <shared_mutex>
 #include <vector>
 
+#include "btree/bplus_skeleton.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "storage/buffer_pool.h"
@@ -19,7 +19,6 @@
 
 namespace xrtree {
 
-class ElementFile;
 class XrIterator;
 
 /// Tuning knobs, mainly for tests (small fanouts force deep trees and
@@ -57,6 +56,31 @@ struct StabStats {
   double avg_stab_pages_per_node = 0.0;
 };
 
+/// Node-layout traits of the XR-tree for BPlusSkeleton.
+struct XrLayout {
+  using Header = XrPageHeader;
+  using InternalEntry = XrInternalEntry;
+  static constexpr const char* kName = "xrtree";
+  static constexpr uint32_t kLeafMagic = kXrLeafMagic;
+  static constexpr uint32_t kInternalMagic = kXrInternalMagic;
+  static constexpr size_t kLeafMaxEntries = kXrLeafMaxEntries;
+  static constexpr size_t kInternalMaxEntries = kXrInternalMaxEntries;
+
+  static Header* Hdr(Page* p) { return XrHeader(p); }
+  static const Header* Hdr(const Page* p) { return XrHeader(p); }
+  static Element* Leaf(Page* p) { return XrLeafSlots(p); }
+  static const Element* Leaf(const Page* p) { return XrLeafSlots(p); }
+  static InternalEntry* Slots(Page* p) { return XrInternalSlots(p); }
+  static const InternalEntry* Slots(const Page* p) {
+    return XrInternalSlots(p);
+  }
+  /// A new key's PSL summary starts nil; WriteNodeStab refreshes it.
+  static InternalEntry MakeEntry(Position key, PageId child) {
+    return {key, kNilPosition, kNilPosition, child};
+  }
+  static Status CheckPage(const Page* p) { return XrCheckPage(p); }
+};
+
 /// XML Region Tree (Definition 4): a disk-based B+-tree over element start
 /// positions whose internal nodes carry stab lists, supporting
 ///
@@ -91,7 +115,10 @@ struct StabStats {
 /// serves probes from the copy while the sequence stands still, so a run
 /// of ascending FindAncestorsAbove probes mostly touches no page
 /// (DESIGN.md §10).
-class XrTree {
+class XrTree
+    : public BPlusSkeleton<XrTree, XrLayout, std::vector<StabEntry>> {
+  using Skeleton = BPlusSkeleton<XrTree, XrLayout, std::vector<StabEntry>>;
+
  public:
   XrTree(BufferPool* pool, PageId root = kInvalidPageId,
          const XrTreeOptions& options = {});
@@ -102,22 +129,12 @@ class XrTree {
   /// constructed, which is sound precisely because no operation may be in
   /// flight on either side.
   XrTree(XrTree&& other) noexcept
-      : pool_(other.pool_),
-        root_(other.root_.load(std::memory_order_acquire)),
-        size_(other.size_.load(std::memory_order_acquire)),
-        leaf_cap_(other.leaf_cap_),
-        internal_cap_(other.internal_cap_),
+      : Skeleton(std::move(other)),
         naive_split_key_(other.naive_split_key_),
         use_ps_dir_(other.use_ps_dir_),
         compressed_(other.compressed_) {}
   XrTree& operator=(XrTree&& other) noexcept {
-    pool_ = other.pool_;
-    root_.store(other.root_.load(std::memory_order_acquire),
-                std::memory_order_release);
-    size_.store(other.size_.load(std::memory_order_acquire),
-                std::memory_order_release);
-    leaf_cap_ = other.leaf_cap_;
-    internal_cap_ = other.internal_cap_;
+    Skeleton::operator=(std::move(other));
     naive_split_key_ = other.naive_split_key_;
     use_ps_dir_ = other.use_ps_dir_;
     compressed_ = other.compressed_;
@@ -126,9 +143,6 @@ class XrTree {
     write_seq_.fetch_add(1, std::memory_order_acq_rel);
     return *this;
   }
-
-  PageId root() const { return root_.load(std::memory_order_acquire); }
-  uint64_t size() const { return size_.load(std::memory_order_acquire); }
 
   /// Algorithm 1. Inserts `element` (keyed on start; starts are unique).
   Status Insert(const Element& element);
@@ -244,16 +258,13 @@ class XrTree {
   /// for tests. Quiescent-only.
   Status CheckConsistency() const;
 
-  Result<uint32_t> Height() const;
   /// Recomputes size by walking leaves — for reopened trees. Writer-only.
   Result<uint64_t> CountEntries();
   Result<StabStats> ComputeStabStats() const;
 
-  BufferPool* pool() const { return pool_; }
-  uint32_t leaf_capacity() const { return leaf_cap_; }
-  uint32_t internal_capacity() const { return internal_cap_; }
 
  private:
+  friend Skeleton;
   friend class XrIterator;
   friend class XrProbeCursor;
 
@@ -277,13 +288,6 @@ class XrTree {
     XrTree* tree_;
   };
 
-  struct PathEntry {
-    PageId page;
-    uint32_t slot;  ///< child slot taken during descent
-  };
-
-  Status InitRootLeaf();
-
   /// One decompress-on-write round on the leaf at path.back(), of either
   /// format (DESIGN.md §15). When its entries fit leaf_capacity it is left
   /// in the fixed layout (ReadLeafForEdit) and the result is false.
@@ -303,46 +307,12 @@ class XrTree {
   Result<XrLeafView> ReadLeafForEdit(WriteLatchSet& ls, Page* leaf,
                                      std::vector<Element>* scratch);
 
-  /// The one leaf split (Algorithm 1, I22) for both formats: the leaf at
-  /// path.back() is replaced by `all` (its entries after the edit) cut in
-  /// half, with the §3.2 separator and the StabSet' posted through
-  /// InsertIntoParent. Both halves are written in the format the rule
-  /// (XrLeafFormatAfterEdit) picks for the leaf.
-  Status SplitLeaf(WriteLatchSet& ls, std::vector<PathEntry> path,
-                   std::vector<Element> all);
-
   /// Removes the speculative I1 stab placement for `element` from
   /// `placed_page` (still held in `ls`): a duplicate key undoes it before
   /// reporting, and a compressed-leaf split undoes it before rewriting the
   /// stab lists on the held path.
   Status RollbackStabPlacement(WriteLatchSet& ls, PageId placed_page,
                                Position placed_key, const Element& element);
-
-  /// Shared tail of Insert: places `element` into the leaf at path.back(),
-  /// which DecompressLeafStep left in the fixed layout, handling duplicates
-  /// (with stab rollback) and the leaf split of Algorithm 1 (I2/I22). Caller holds the crabbed path and
-  /// passes the speculative stab placement made during the descent so the
-  /// duplicate path can undo it.
-  Status LeafInsert(WriteLatchSet& ls, std::vector<PathEntry>& path,
-                    const Element& element, bool placed, PageId placed_page,
-                    Position placed_key);
-
-  /// Bulk-load engine over a pull source (`next` returns false when the
-  /// stream is dry). Buffers only a bounded lookahead window.
-  Status BulkLoadImpl(const std::function<bool(Element*)>& next,
-                      double fill_fraction);
-
-  /// The one reader descent toward `key`: loads the root and retries until
-  /// the root it latched is still root_, checks each page's magic, couples
-  /// R latches down and bounds the depth. Calls `visit(node)` (returning
-  /// Status) under each internal node's R latch and returns the leaf still
-  /// R-latched, or an empty handle for an empty tree. A retry happens only
-  /// before the root is visited, so no node is visited twice.
-  template <typename Visit>
-  Result<ReadLatchedPage> DescendRead(Position key, Visit&& visit) const;
-
-  /// DescendRead with no visitor (see BTree::DescendToLeafRead).
-  Result<ReadLatchedPage> DescendToLeafRead(Position key) const;
 
   /// Rewrites `node`'s stab chain to `entries` (sorted), updating the
   /// header references and every key's (ps, pe) summary. The caller holds
@@ -368,46 +338,65 @@ class XrTree {
   Status CollectStabbedDescent(WriteLatchSet& ls, PageId subtree, Position k,
                                std::vector<StabEntry>* out);
 
-  /// Key-change primitives on internal nodes (held in `ls`), with all
-  /// stab-list effects.
-  Status ReplaceSeparatorKey(WriteLatchSet& ls, PageId parent,
+  // BPlusSkeleton hooks: the XR-tree's stab maintenance and page formats
+  // on the shared B+-tree algorithms (DESIGN.md §5.1 maps each to its
+  // Algorithm 1/2 step).
+
+  /// I22: the §3.2 split key.
+  Position LeafSplitKey(const std::vector<Element>& all, size_t half) const;
+  /// I22: StabSet', the elements the separator newly stabs (flags set).
+  std::vector<StabEntry> SplitLeafCarry(std::vector<Element>& all,
+                                        Position sep);
+  /// Writes a leaf in the format XrLeafFormatAfterEdit picks for `before`.
+  Status WriteLeaf(Page* leaf, const Element* elems, size_t n,
+                   const Page* before);
+  /// I31/I32: retags the successor key's PSL entries that the new key
+  /// stabs and gathers the node's stab entries with the carried StabSet'.
+  Status GatherForNewKey(Page* node, uint32_t at, Position sep_key,
+                         std::vector<StabEntry>& carry);
+  /// I31/I4: writes the gathered entries as the node's stab chain.
+  Status CommitNode(Page* node, std::vector<StabEntry>& carry);
+  /// I32: StabSet'' (entries stabbed by km) travels up; the rest split
+  /// between the two halves by key.
+  Status SplitCarry(Page* left, Page* right, Position km,
+                    std::vector<StabEntry>& carry);
+  /// D22/D32: re-derives the parent's stab list over the new key set,
+  /// demoting entries no key stabs and pulling up those `knew` stabs.
+  Status OnSeparatorReplaced(WriteLatchSet& ls, PageId parent,
                              uint32_t key_slot, Position knew);
-  Status RemoveSeparatorKey(WriteLatchSet& ls, PageId parent,
-                            uint32_t key_slot);
+  /// D31 after D23/D33: PSL(removed) is retagged or demoted.
+  Status OnSeparatorRemoved(WriteLatchSet& ls, PageId parent,
+                            Position removed);
+  /// D33: moves every entry of SL(victim) into SL(dest); victim's chain
+  /// is cleared. All victim keys exceed all dest keys (left-merge order),
+  /// and dest's keys already include them.
+  Status MergeInternal(Page* dest, Page* victim);
+  /// D4: the demotions emptied the dying root's stab chain.
+  Status CheckCollapsingRoot(const Page* root);
+  size_t LeafPackMax() const;
+  /// Bulk-load leaf: fixed, or compressed with its own take rule.
+  Result<size_t> PackLeaf(Page* leaf, const std::deque<Element>& buf,
+                          size_t take, bool exhausted, double fill_fraction);
+  /// The bulk-load stab pass.
+  Status FinishBulkLoad(PageId root, const std::vector<PageId>& leaves,
+                        size_t internal_levels);
+  Result<XrLeafView> LeafEntries(const Page* leaf,
+                                 std::vector<Element>* scratch) const {
+    return XrLeafRead(leaf, scratch);
+  }
+  bool LeafMayExceedCapacity(const Page* leaf) const;
+  /// Stab-chain order, smallest-key tagging, PSL nesting, (ps, pe)
+  /// summaries and ps-directory agreement of one node.
+  Status CheckInternalNode(const Page* node) const;
 
-  Status InsertIntoParent(WriteLatchSet& ls, std::vector<PathEntry>& path,
-                          Position sep_key, PageId right_child,
-                          std::vector<StabEntry> stab_set);
-  /// Algorithm 2's restructuring for the underflowing node path[depth]:
-  /// borrow from a sibling (D22/D32), else merge with one (D23/D33) and
-  /// shrink the root when it empties (D4), one level per pass while the
-  /// parent underflows in turn. Every path node is held in `ls`.
-  Status Rebalance(WriteLatchSet& ls, const std::vector<PathEntry>& path,
-                   size_t depth);
-
-  /// Moves every entry of SL(victim) into SL(dest); victim's chain is
-  /// cleared. All victim keys exceed all dest keys (left-merge order).
-  /// Caller holds both W-latches and marks both dirty.
-  Status MergeStabLists(Page* dest, Page* victim);
-
-  Status CheckNode(PageId id, bool is_root, Position lo, Position hi,
-                   int* height) const;
-
-  BufferPool* pool_;
-  std::atomic<PageId> root_;
-  std::atomic<uint64_t> size_{0};
   /// Mutators started (see WriteScope) and mutators still running.
   std::atomic<uint64_t> write_seq_{0};
   std::atomic<uint32_t> writers_active_{0};
-  /// Serializes lazy root creation (two first-inserters racing).
-  std::mutex root_init_mu_;
   /// Stage-1 writer gate: Insert shared; Delete (its off-path stab sweeps
   /// can deadlock against a concurrent inserter's rightward lateral
   /// latches), BulkLoad, BulkLoadFromFile and Compact exclusive. Readers
   /// never touch it.
   std::shared_mutex writer_gate_;
-  uint32_t leaf_cap_;
-  uint32_t internal_cap_;
   bool naive_split_key_ = false;
   bool use_ps_dir_ = true;
   bool compressed_ = false;

@@ -30,16 +30,17 @@ namespace xrtree {
 inline constexpr uint16_t kXrPageFormatFixed = 0;
 inline constexpr uint16_t kXrPageFormatCompressed = 1;
 
+/// The member defaults are an empty fixed-format node's (links unset).
 struct XrPageHeader {
-  uint32_t magic;
-  uint16_t is_leaf;
-  uint16_t format;     ///< kXrPageFormatFixed / kXrPageFormatCompressed
-  uint32_t count;      ///< keys (internal) / elements (leaf)
-  PageId next;         ///< leaf chain
-  PageId prev;         ///< leaf chain
-  PageId leftmost;     ///< internal: child for keys < keys[0]
-  PageId stab_head;    ///< internal: first stab page or kInvalidPageId
-  PageId ps_dir;       ///< internal: ps-directory page or kInvalidPageId
+  uint32_t magic = 0;
+  uint16_t is_leaf = 0;
+  uint16_t format = kXrPageFormatFixed;
+  uint32_t count = 0;                 ///< keys (internal) / elements (leaf)
+  PageId next = kInvalidPageId;       ///< leaf chain
+  PageId prev = kInvalidPageId;       ///< leaf chain
+  PageId leftmost = kInvalidPageId;   ///< internal: child for keys < keys[0]
+  PageId stab_head = kInvalidPageId;  ///< internal: first stab page
+  PageId ps_dir = kInvalidPageId;     ///< internal: ps-directory page
 };
 static_assert(sizeof(XrPageHeader) == 32);
 
