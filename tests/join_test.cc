@@ -27,6 +27,7 @@
 #include "storage/fault_injection.h"
 #include "tests/test_util.h"
 #include "workload/datasets.h"
+#include "workload/selectivity.h"
 #include "xml/generator.h"
 
 namespace xrtree {
@@ -310,6 +311,54 @@ TEST(JoinTest, BPlusSkipsUnmatchedDescendants) {
   EXPECT_EQ(Canonical(bplus_out.pairs), Canonical(stack_out.pairs));
   EXPECT_LT(bplus_out.stats.elements_scanned,
             stack_out.stats.elements_scanned / 5);
+}
+
+// Anc_Des_B+ skips by probing: every skip is one root-to-leaf descent
+// (Chien et al.), which is the page I/O Fig. 8 charges it. On one fixed
+// corpus and a small cold pool this pins the join's pool fetches, misses
+// and scanned elements, with XR-stack's scanned count on the same sets.
+TEST(AncDesBPlusGoldenTest, ProbeFetchesMissesAndScansArePinned) {
+  ASSERT_OK_AND_ASSIGN(Dataset ds, MakeDepartmentDataset(20000));
+  DerivedWorkload w =
+      MakeAncestorSelectivity(ds.ancestors, ds.descendants, 0.05, 0.99);
+  TempDb db(4096);
+  BTreeOptions b_options;
+  b_options.leaf_capacity = 16;
+  b_options.internal_capacity = 8;
+  XrTreeOptions x_options;
+  x_options.leaf_capacity = 16;
+  x_options.internal_capacity = 8;
+  PageId roots[4];
+  {
+    BTree a(db.pool(), kInvalidPageId, b_options);
+    BTree d(db.pool(), kInvalidPageId, b_options);
+    XrTree xa(db.pool(), kInvalidPageId, x_options);
+    XrTree xd(db.pool(), kInvalidPageId, x_options);
+    ASSERT_OK(a.BulkLoad(w.ancestors));
+    ASSERT_OK(d.BulkLoad(w.descendants));
+    ASSERT_OK(xa.BulkLoad(w.ancestors));
+    ASSERT_OK(xd.BulkLoad(w.descendants));
+    roots[0] = a.root();
+    roots[1] = d.root();
+    roots[2] = xa.root();
+    roots[3] = xd.root();
+  }
+  db.Reopen(16);
+  BTree a(db.pool(), roots[0], b_options);
+  BTree d(db.pool(), roots[1], b_options);
+  XrTree xa(db.pool(), roots[2], x_options);
+  XrTree xd(db.pool(), roots[3], x_options);
+
+  const IoStats before = db.pool()->stats();
+  ASSERT_OK_AND_ASSIGN(JoinOutput bplus, BPlusJoin(a, d));
+  const IoStats delta = db.pool()->stats() - before;
+  ASSERT_OK_AND_ASSIGN(JoinOutput xr, XrStackJoin(xa, xd));
+  EXPECT_EQ(bplus.stats.output_pairs, xr.stats.output_pairs);
+
+  EXPECT_EQ(delta.buffer_hits + delta.buffer_misses, 851u);
+  EXPECT_EQ(delta.buffer_misses, 207u);
+  EXPECT_EQ(bplus.stats.elements_scanned, 994u);
+  EXPECT_EQ(xr.stats.elements_scanned, 917u);
 }
 
 TEST(JoinTest, MultiDocumentCorpusNeverJoinsAcrossDocuments) {
