@@ -11,8 +11,6 @@
 
 namespace xrtree {
 
-class BTreeIterator;
-
 /// Tuning knobs, mainly for tests: shrinking the fanout forces deep trees
 /// and frequent splits/merges on small inputs.
 struct BTreeOptions {
@@ -31,7 +29,8 @@ struct BTreeOptions {
 /// underflow. No parent pointers — mutations carry the descent path. The
 /// descents, splits, rebalancing, bulk load and checker are BPlusSkeleton's
 /// with every hook left at its default; BulkLoad, BulkLoadFromFile,
-/// CheckConsistency, Height and the accessors come from it too.
+/// CheckConsistency, Height, the leaf cursors (LowerBound, UpperBound,
+/// Begin), CountEntries and the accessors come from it too.
 ///
 /// Thread safety (DESIGN.md §14): const lookups (Search, LowerBound,
 /// UpperBound, Begin, Height) descend with R-latch coupling and return
@@ -51,9 +50,6 @@ class BTree : public BPlusSkeleton<BTree, BTreeLayout> {
       : BPlusSkeleton(pool, root, options.leaf_capacity,
                       options.internal_capacity) {}
 
-  /// Recomputes size by walking leaves — for reopened trees.
-  Result<uint64_t> CountEntries();
-
   /// Inserts `element` keyed on element.start. Duplicate keys are an error
   /// (region encoding guarantees unique starts).
   Status Insert(const Element& element);
@@ -63,14 +59,6 @@ class BTree : public BPlusSkeleton<BTree, BTreeLayout> {
 
   /// Exact lookup by start position.
   Result<Element> Search(Position key) const;
-
-  /// Iterator positioned at the first element with start >= key
-  /// (invalid iterator if none). The primitive behind descendant skipping.
-  Result<BTreeIterator> LowerBound(Position key) const;
-  /// First element with start > key.
-  Result<BTreeIterator> UpperBound(Position key) const;
-  /// First element of the tree.
-  Result<BTreeIterator> Begin() const;
 
   /// All elements with start in (low, high) — FindDescendants semantics
   /// when (low, high) is an ancestor's region.

@@ -2,8 +2,6 @@
 
 #include <vector>
 
-#include "btree/btree_iterator.h"
-
 namespace xrtree {
 
 Result<JoinOutput> BPlusJoin(const BTree& ancestors, const BTree& descendants,
@@ -17,8 +15,10 @@ Result<JoinOutput> BPlusJoin(const BTree& ancestors, const BTree& descendants,
     if (options.materialize) out.pairs.push_back({anc, desc});
   };
 
-  XR_ASSIGN_OR_RETURN(BTreeIterator ita, ancestors.Begin());
-  XR_ASSIGN_OR_RETURN(BTreeIterator itd, descendants.Begin());
+  // Every skip below is one root-to-leaf descent (Reseek), the probe the
+  // paper charges Anc_Des_B+, even where the target lies in the snapshot.
+  XR_ASSIGN_OR_RETURN(BTree::Cursor ita, ancestors.Begin());
+  XR_ASSIGN_OR_RETURN(BTree::Cursor itd, descendants.Begin());
 
   while (itd.Valid() && (ita.Valid() || !stack.empty())) {
     const Element& d = itd.Get();
@@ -34,7 +34,7 @@ Result<JoinOutput> BPlusJoin(const BTree& ancestors, const BTree& descendants,
         // `a` closes before d: none of a's own descendants in the ancestor
         // list can contain d (or anything after it) either — skip them all
         // with a range probe to start > a.end.
-        XR_RETURN_IF_ERROR(ita.SeekPastKey(a.end));
+        XR_RETURN_IF_ERROR(ita.Reseek(a.end, /*exclusive=*/true));
       }
     } else {
       if (!stack.empty()) {
@@ -43,7 +43,7 @@ Result<JoinOutput> BPlusJoin(const BTree& ancestors, const BTree& descendants,
       } else if (ita.Valid()) {
         // No open ancestor and the next ancestor starts after d: every
         // descendant before it is unmatched — skip them with a range probe.
-        XR_RETURN_IF_ERROR(itd.SeekPastKey(ita.Get().start));
+        XR_RETURN_IF_ERROR(itd.Reseek(ita.Get().start, /*exclusive=*/true));
       } else {
         break;  // ancestors exhausted, stack empty: no more matches
       }

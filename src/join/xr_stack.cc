@@ -58,10 +58,7 @@ Result<JoinOutput> XrStackJoinRange(const XrTree& ancestors,
       XrIterator itd,
       lo == 0 ? descendants.Begin() : descendants.UpperBound(lo));
   if (options.prefetch_depth > 0) {
-    itd.EnablePrefetch(options.adaptive_prefetch
-                           ? std::min<uint32_t>(options.prefetch_depth, 4)
-                           : options.prefetch_depth,
-                       options.adaptive_prefetch);
+    itd.EnablePrefetch(options.prefetch_depth, options.adaptive_prefetch);
   }
 
   // Ancestor-side read-ahead. The ancestor advances walk the ancestor
@@ -76,19 +73,10 @@ Result<JoinOutput> XrStackJoinRange(const XrTree& ancestors,
   // never waits on these reads; the probes find the pages resident (or in
   // flight). pf_arm_at == 0 arms on the first advance.
   Position pf_arm_at = 0;
-  // Ancestor-side adaptive depth (options.adaptive_prefetch): runs start
-  // shallow and double on every full run up to max(prefetch_depth, 64),
-  // halving when a run comes back short (clamped at `hi`, or the last
-  // child of its parent) — deep horizons for long parent sweeps, no wasted
-  // fetches at range boundaries.
-  uint32_t pf_depth = options.adaptive_prefetch
-                          ? std::min<uint32_t>(options.prefetch_depth, 4)
-                          : options.prefetch_depth;
-  const uint32_t pf_cap =
-      options.adaptive_prefetch
-          ? std::max<uint32_t>(options.prefetch_depth,
-                               XrIterator::kMaxAdaptivePrefetch)
-          : options.prefetch_depth;
+  // Ancestor-side depth: the same ramp as the descendant cursor's, so with
+  // options.adaptive_prefetch long parent sweeps reach deep horizons and
+  // runs cut short at `hi` or a parent's last child pull back.
+  ReadAheadRamp pf_ramp(options.prefetch_depth, options.adaptive_prefetch);
   // Called before every ancestor advance, probe or step, with CurA.
   const bool prefetching = options.prefetch_depth > 0;
   auto read_ahead = [&](Position cur_a) {
@@ -97,13 +85,10 @@ Result<JoinOutput> XrStackJoinRange(const XrTree& ancestors,
     // Clamp the run to this worker's range: leaves whose first key is past
     // `hi` hold no ancestors this range owns, so fetching them is pure
     // waste (it shows up as prefetch_wasted in the pool stats).
-    auto run = ancestors.LeafRunAfter(cur_a, pf_depth, &resume, hi);
+    auto run = ancestors.LeafRunAfter(cur_a, pf_ramp.depth(), &resume, hi);
     const size_t got = run.ok() ? run->size() : 0;
     if (got > 0) ancestors.pool()->PrefetchBatchAsync(*run);
-    if (options.adaptive_prefetch) {
-      pf_depth = got == pf_depth ? std::min(pf_depth * 2, pf_cap)
-                                 : std::max<uint32_t>(2, pf_depth / 2);
-    }
+    pf_ramp.Record(got == pf_ramp.depth());
     // A failed descent retries at the next advance past CurA.
     if (!run.ok()) {
       pf_arm_at = cur_a + 1;

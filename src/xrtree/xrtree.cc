@@ -8,7 +8,6 @@
 #include "storage/element_file.h"
 #include "xrtree/ancestor_probe.h"
 #include "xrtree/page_codec.h"
-#include "xrtree/xrtree_iterator.h"
 
 namespace xrtree {
 
@@ -50,41 +49,6 @@ XrTree::XrTree(BufferPool* pool, PageId root, const XrTreeOptions& options)
       naive_split_key_(options.naive_split_key),
       use_ps_dir_(!options.disable_ps_directory),
       compressed_(options.compressed_pages) {}
-
-Result<std::vector<PageId>> XrTree::LeafRunAfter(Position key, size_t max_run,
-                                                 Position* resume_key,
-                                                 Position hi) const {
-  std::vector<PageId> run;
-  if (max_run == 0) return run;
-  // Record the children after the taken slot at every level; when the
-  // descent bottoms out, the last recording is the leaf's sibling run. (An
-  // internal node with `count` keys has `count + 1` children, at child
-  // slots 0..count. The child at slot i >= 1 begins at the separator
-  // slots[i-1].key, which is the resume key when that child is the last
-  // one recorded.) A child whose separator is at or past `hi` starts
-  // outside the caller's range and is never visited — stop the run there
-  // rather than prefetch dead pages. The separator after the taken slot,
-  // at the deepest level that has one, bounds the leaf from above.
-  Position resume = kNilPosition;
-  Position leaf_hi = kNilPosition;
-  auto record_run = [&](const Page* node) {
-    const uint32_t count = XrHeader(node)->count;
-    const XrInternalEntry* slots = XrInternalSlots(node);
-    const uint32_t slot = ChildSlot(node, key);
-    if (slot < count) leaf_hi = slots[slot].key;
-    run.clear();
-    for (uint32_t next = slot + 1; next <= count && run.size() < max_run;
-         ++next) {
-      if (hi != kNilPosition && slots[next - 1].key >= hi) break;
-      run.push_back(ChildAt(node, next));
-      resume = slots[next - 1].key;
-    }
-    return Status::Ok();
-  };
-  XR_RETURN_IF_ERROR(DescendRead(key, record_run).status());
-  if (resume_key != nullptr) *resume_key = run.empty() ? leaf_hi : resume;
-  return run;
-}
 
 Result<std::vector<StabEntry>> XrTree::ReadNodeStab(const Page* node) const {
   const auto* hdr = XrHeader(node);
@@ -613,7 +577,7 @@ Result<ElementList> XrTree::FindDescendants(const Element& ancestor,
   // Algorithm 3: a range scan over (sa, ea) on the B+-tree backbone; stab
   // lists are never touched.
   ElementList out;
-  XR_ASSIGN_OR_RETURN(XrIterator it, UpperBound(ancestor.start));
+  XR_ASSIGN_OR_RETURN(Cursor it, UpperBound(ancestor.start));
   while (it.Valid() && it.Get().start < ancestor.end) {
     Element e = it.Get();
     e.flags = 0;
@@ -666,7 +630,7 @@ Result<ElementList> XrTree::FindAncestorsAbove(Position sd,
     // The terminator lives past this leaf. A snapshot cursor's fresh
     // descent replaces the old unlatched chain walk: it is epoch-checked
     // and correct against concurrent leaf frees.
-    XR_ASSIGN_OR_RETURN(XrIterator it, LowerBound(sd));
+    XR_ASSIGN_OR_RETURN(Cursor it, LowerBound(sd));
     if (it.Valid()) terminator = it.Get().start;
   }
   for (const StabEntry& se : collected) out.push_back(ToElement(se));
@@ -701,31 +665,6 @@ Result<ElementList> XrTree::FindParent(Position sd, uint16_t level,
   }
   return out;
 }
-
-Result<XrIterator> XrTree::LowerBound(Position key) const {
-  XR_ASSIGN_OR_RETURN(ReadLatchedPage leaf, DescendToLeafRead(key));
-  if (!leaf) return XrIterator();
-  // Snapshot under the latch; sample the chain link and the free epoch in
-  // the same critical section so a lateral hop can detect index frees.
-  PageId next = XrHeader(leaf.get())->next;
-  uint64_t epoch = pool_->free_epoch();
-  std::vector<Element> snap;
-  XR_RETURN_IF_ERROR(XrLeafAppend(leaf.get(), &snap, key));
-  if (snap.empty()) {
-    leaf.Release();
-    XrIterator it(this, {}, next, epoch, key, false);
-    XR_RETURN_IF_ERROR(it.LandOnNextLeaf());
-    return it;
-  }
-  return XrIterator(this, std::move(snap), next, epoch, key, false);
-}
-
-Result<XrIterator> XrTree::UpperBound(Position key) const {
-  if (key == kNilPosition) return XrIterator();
-  return LowerBound(key + 1);
-}
-
-Result<XrIterator> XrTree::Begin() const { return LowerBound(0); }
 
 Result<std::vector<Position>> XrTree::PartitionKeys(size_t max_keys) const {
   std::vector<Position> keys;
@@ -988,23 +927,6 @@ Status XrTree::FinishBulkLoad(PageId new_root,
 // ---------------------------------------------------------------------------
 // Introspection and validation
 // ---------------------------------------------------------------------------
-
-Result<uint64_t> XrTree::CountEntries() {
-  uint64_t n = 0;
-  // Guard against leaf-chain cycles; see BTree::CountEntries. A compressed
-  // leaf holds up to kXrcMaxPageEntries, more than a fixed-format one.
-  const uint64_t bound = uint64_t{pool_->disk()->num_pages()} *
-                         std::max(kXrLeafMaxEntries, kXrcMaxPageEntries);
-  XR_ASSIGN_OR_RETURN(XrIterator it, Begin());
-  while (it.Valid()) {
-    if (++n > bound) {
-      return Status::Corruption("xrtree: leaf chain cycle while counting");
-    }
-    XR_RETURN_IF_ERROR(it.Next());
-  }
-  size_.store(n, std::memory_order_release);
-  return n;
-}
 
 Result<StabStats> XrTree::ComputeStabStats() const {
   // Quiescent-only: the unlatched whole-tree walk races structural changes.

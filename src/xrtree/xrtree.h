@@ -1,6 +1,7 @@
 #ifndef XRTREE_XRTREE_XRTREE_H_
 #define XRTREE_XRTREE_XRTREE_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -18,8 +19,6 @@
 #include "xrtree/xrtree_page.h"
 
 namespace xrtree {
-
-class XrIterator;
 
 /// Tuning knobs, mainly for tests (small fanouts force deep trees and
 /// multi-page stab chains on small inputs).
@@ -65,6 +64,9 @@ struct XrLayout {
   static constexpr uint32_t kInternalMagic = kXrInternalMagic;
   static constexpr size_t kLeafMaxEntries = kXrLeafMaxEntries;
   static constexpr size_t kInternalMaxEntries = kXrInternalMaxEntries;
+  /// A compressed leaf holds more entries than a fixed one.
+  static constexpr size_t kLeafMaxEntriesAnyFormat =
+      std::max(kXrLeafMaxEntries, kXrcMaxPageEntries);
 
   static Header* Hdr(Page* p) { return XrHeader(p); }
   static const Header* Hdr(const Page* p) { return XrHeader(p); }
@@ -79,6 +81,11 @@ struct XrLayout {
     return {key, kNilPosition, kNilPosition, child};
   }
   static Status CheckPage(const Page* p) { return XrCheckPage(p); }
+  /// A leaf of either page format, checked and copied from `from`.
+  static Status CopyLeaf(const Page* p, Position from,
+                         std::vector<Element>* out) {
+    return XrLeafAppend(p, out, from);
+  }
 };
 
 /// XML Region Tree (Definition 4): a disk-based B+-tree over element start
@@ -206,11 +213,6 @@ class XrTree
   Result<ElementList> FindParent(Position sd, uint16_t level,
                                  uint64_t* scanned = nullptr) const;
 
-  /// Leaf-level cursors (the merge-scan backbone of XR-stack).
-  Result<XrIterator> Begin() const;
-  Result<XrIterator> LowerBound(Position key) const;
-  Result<XrIterator> UpperBound(Position key) const;
-
   /// Up to `max_keys` separator keys drawn from the topmost internal levels,
   /// strictly ascending — the partition boundaries of the parallel join.
   /// Every returned key `k` is a real B+-tree separator (left starts < k <=
@@ -225,47 +227,17 @@ class XrTree
   /// keys rather than failing — any separator snapshot is a valid plan.
   Result<std::vector<Position>> PartitionKeys(size_t max_keys) const;
 
-  /// Up to `max_run` leaf page ids that follow the leaf containing `key`
-  /// in leaf-chain order, read off the parent internal node during one
-  /// root-to-leaf descent — no leaf I/O. This is the iterator's precise
-  /// prefetch lookahead: internal entries carry their child page ids, so
-  /// the sibling run is known exactly and can be handed to
-  /// BufferPool::PrefetchBatchAsync as one vectorized submission instead
-  /// of a pointer chase. Returns an empty run when the leaf is the last
-  /// child of its parent (the iterator then prefetches its `next` link
-  /// alone and asks again from the next parent). Const and
-  /// reader-concurrent like the other queries.
-  ///
-  /// `resume_key` (optional): where a left-to-right consumer should ask
-  /// again. For a non-empty run, the parent's separator key at which the
-  /// run's LAST page begins (the frontier is then entering the final
-  /// prefetched leaf). For an empty run, the upper bound of `key`'s leaf
-  /// — the first separator past it, kNilPosition for the rightmost leaf —
-  /// since asking again from inside the same leaf yields the same empty
-  /// run.
-  ///
-  /// `hi` (optional): clamp — leaves whose key range starts at or past
-  /// `hi` are excluded from the run. A consumer that will stop at `hi`
-  /// (e.g. a partition range worker) passes its upper bound so read-ahead
-  /// never fetches pages it provably will not visit.
-  Result<std::vector<PageId>> LeafRunAfter(Position key, size_t max_run,
-                                           Position* resume_key = nullptr,
-                                           Position hi = kNilPosition) const;
-
   /// Deep validation of every structural and stab invariant (B+ shape,
   /// topmost-node rule, smallest-key tagging, PSL nesting, (ps,pe)
   /// summaries, InStabList flags, ps-directory correctness). O(N log N);
   /// for tests. Quiescent-only.
   Status CheckConsistency() const;
 
-  /// Recomputes size by walking leaves — for reopened trees. Writer-only.
-  Result<uint64_t> CountEntries();
   Result<StabStats> ComputeStabStats() const;
 
 
  private:
   friend Skeleton;
-  friend class XrIterator;
   friend class XrProbeCursor;
 
   /// Held by every mutator (Insert, Delete, BulkLoad, BulkLoadFromFile,

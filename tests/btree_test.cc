@@ -6,7 +6,6 @@
 #include <map>
 #include <set>
 
-#include "btree/btree_iterator.h"
 #include "btree/btree_page.h"
 #include "join/bplus_join.h"
 #include "storage/element_file.h"
@@ -26,7 +25,7 @@ TEST(BTreeTest, EmptyTreeBehaviour) {
   BTree tree(db.pool());
   EXPECT_TRUE(tree.Search(5).status().IsNotFound());
   EXPECT_TRUE(tree.Delete(5).IsNotFound());
-  ASSERT_OK_AND_ASSIGN(BTreeIterator it, tree.Begin());
+  ASSERT_OK_AND_ASSIGN(BTree::Cursor it, tree.Begin());
   EXPECT_FALSE(it.Valid());
   EXPECT_OK(tree.CheckConsistency());
 }
@@ -79,7 +78,7 @@ TEST(BTreeTest, IteratorScansInOrder) {
     Position s = static_cast<Position>(rng.UniformRange(1, 1000000));
     if (keys.insert(s).second) ASSERT_OK(tree.Insert(Element(s, s + 1)));
   }
-  ASSERT_OK_AND_ASSIGN(BTreeIterator it, tree.Begin());
+  ASSERT_OK_AND_ASSIGN(BTree::Cursor it, tree.Begin());
   auto expect = keys.begin();
   while (it.Valid()) {
     ASSERT_NE(expect, keys.end());
@@ -96,15 +95,15 @@ TEST(BTreeTest, LowerAndUpperBound) {
   for (Position s : {10u, 20u, 30u, 40u}) {
     ASSERT_OK(tree.Insert(Element(s, s + 1)));
   }
-  ASSERT_OK_AND_ASSIGN(BTreeIterator it, tree.LowerBound(20));
+  ASSERT_OK_AND_ASSIGN(BTree::Cursor it, tree.LowerBound(20));
   EXPECT_EQ(it.Get().start, 20u);
-  ASSERT_OK_AND_ASSIGN(BTreeIterator it2, tree.LowerBound(21));
+  ASSERT_OK_AND_ASSIGN(BTree::Cursor it2, tree.LowerBound(21));
   EXPECT_EQ(it2.Get().start, 30u);
-  ASSERT_OK_AND_ASSIGN(BTreeIterator it3, tree.UpperBound(20));
+  ASSERT_OK_AND_ASSIGN(BTree::Cursor it3, tree.UpperBound(20));
   EXPECT_EQ(it3.Get().start, 30u);
-  ASSERT_OK_AND_ASSIGN(BTreeIterator it4, tree.UpperBound(40));
+  ASSERT_OK_AND_ASSIGN(BTree::Cursor it4, tree.UpperBound(40));
   EXPECT_FALSE(it4.Valid());
-  ASSERT_OK_AND_ASSIGN(BTreeIterator it5, tree.LowerBound(0));
+  ASSERT_OK_AND_ASSIGN(BTree::Cursor it5, tree.LowerBound(0));
   EXPECT_EQ(it5.Get().start, 10u);
 }
 
@@ -115,7 +114,7 @@ TEST(BTreeTest, SeekPastKeySkips) {
   options.internal_capacity = 4;
   BTree tree(db.pool(), kInvalidPageId, options);
   for (Position s = 1; s <= 100; ++s) ASSERT_OK(tree.Insert(Element(s, s)));
-  ASSERT_OK_AND_ASSIGN(BTreeIterator it, tree.Begin());
+  ASSERT_OK_AND_ASSIGN(BTree::Cursor it, tree.Begin());
   EXPECT_EQ(it.Get().start, 1u);
   ASSERT_OK(it.SeekPastKey(50));
   EXPECT_EQ(it.Get().start, 51u);
@@ -170,7 +169,7 @@ TEST(BTreeTest, DeleteDownToEmpty) {
   }
   EXPECT_EQ(tree.size(), 0u);
   ASSERT_OK(tree.CheckConsistency());
-  ASSERT_OK_AND_ASSIGN(BTreeIterator it, tree.Begin());
+  ASSERT_OK_AND_ASSIGN(BTree::Cursor it, tree.Begin());
   EXPECT_FALSE(it.Valid());
 }
 
@@ -220,7 +219,7 @@ TEST(BTreeTest, BulkLoadFromFileMatchesInMemory) {
   ASSERT_OK_AND_ASSIGN(uint64_t streamed_pages, streamed.CountPages());
   ASSERT_OK_AND_ASSIGN(uint64_t mem_pages, mem.CountPages());
   EXPECT_EQ(streamed_pages, mem_pages);
-  ASSERT_OK_AND_ASSIGN(BTreeIterator it, streamed.Begin());
+  ASSERT_OK_AND_ASSIGN(BTree::Cursor it, streamed.Begin());
   for (const Element& want : elems) {
     ASSERT_TRUE(it.Valid());
     EXPECT_EQ(it.Get(), want);
@@ -315,7 +314,7 @@ TEST_P(BTreeFuzzTest, MatchesStdMapUnderRandomOps) {
   }
   ASSERT_OK(tree.CheckConsistency());
   EXPECT_EQ(tree.size(), mirror.size());
-  ASSERT_OK_AND_ASSIGN(BTreeIterator it, tree.Begin());
+  ASSERT_OK_AND_ASSIGN(BTree::Cursor it, tree.Begin());
   auto expect = mirror.begin();
   while (it.Valid()) {
     ASSERT_NE(expect, mirror.end());
@@ -593,7 +592,7 @@ TEST_P(BTreePageCountCorruptionTest, ReadsOfThePageReportCorruption) {
   Result<Element> found = tree.Search(key);
   EXPECT_TRUE(found.status().IsCorruption()) << found.status().ToString();
   Status scan = [&]() -> Status {
-    XR_ASSIGN_OR_RETURN(BTreeIterator it, tree.Begin());
+    XR_ASSIGN_OR_RETURN(BTree::Cursor it, tree.Begin());
     while (it.Valid()) XR_RETURN_IF_ERROR(it.Next());
     return Status::Ok();
   }();
