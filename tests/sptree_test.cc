@@ -168,5 +168,61 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(info.param.n);
     });
 
+// A node count past the page's capacity under a valid checksum (a flipped
+// byte the flush re-stamped) must surface as Corruption from every read,
+// never as a read past the 4 KiB page.
+class SpTreePageCountCorruptionTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(SpTreePageCountCorruptionTest, ReadsOfThePageReportCorruption) {
+  const bool leaf_victim = GetParam();
+  ElementList elems = RandomNestedElements(91, 2000, 3);
+  TempDb db(4096);
+  PageId root;
+  PageId victim;
+  Position key;  // a start the leftmost leaf holds
+  {
+    SpTree tree(db.pool());
+    ASSERT_OK(tree.BulkLoad(elems));
+    root = tree.root();
+    ASSERT_OK_AND_ASSIGN(Page * raw, db.pool()->FetchPage(root));
+    PageGuard root_page(db.pool(), raw);
+    ASSERT_FALSE(BTreeHeader(raw)->is_leaf);
+    // The leftmost leaf: every descent toward its keys and the scan from
+    // Begin() read it.
+    const PageId leaf = BTreeHeader(raw)->leftmost;
+    victim = leaf_victim ? leaf : root;
+    key = elems.front().start;
+  }
+  {
+    ASSERT_OK_AND_ASSIGN(Page * raw, db.pool()->FetchPage(victim));
+    BTreeHeader(raw)->count = 100000;
+    ASSERT_OK(db.pool()->UnpinPage(victim, true));
+    ASSERT_OK(db.pool()->FlushAll());
+  }
+  db.Reopen(4096);
+  SpTree tree(db.pool(), root);
+
+  Result<SpIterator> found = tree.LowerBound(key);
+  EXPECT_TRUE(found.status().IsCorruption()) << found.status().ToString();
+  Status scan = [&]() -> Status {
+    XR_ASSIGN_OR_RETURN(SpIterator it, tree.Begin());
+    while (it.Valid()) XR_RETURN_IF_ERROR(it.Next());
+    return Status::Ok();
+  }();
+  EXPECT_TRUE(scan.IsCorruption()) << scan.ToString();
+  Result<JoinOutput> joined = BPlusSpJoin(tree, tree);
+  EXPECT_TRUE(joined.status().IsCorruption()) << joined.status().ToString();
+  Status check = tree.CheckConsistency();
+  EXPECT_TRUE(check.IsCorruption()) << check.ToString();
+  EXPECT_EQ(db.pool()->pinned_frames(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Pages, SpTreePageCountCorruptionTest,
+                         ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return std::string(info.param ? "Leaf"
+                                                         : "Internal");
+                         });
+
 }  // namespace
 }  // namespace xrtree
