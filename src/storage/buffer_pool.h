@@ -216,8 +216,9 @@ class BufferPool {
   /// never carries a half-applied split.
   std::shared_mutex& commit_mutex() const { return commit_mu_; }
 
-  /// Monotonic counter bumped once per batch of *tree-node* frees (a merge
-  /// or root collapse retiring index pages — WriteLatchSet::ReleaseAll).
+  /// Monotonic counter bumped once per *tree-node* free (a merge or root
+  /// collapse retiring an index page — WriteLatchSet::DeferFree, while the
+  /// dead page is still W-latched).
   /// Snapshot iterators record it while holding a leaf R-latch: if it is
   /// unchanged when they later chase the leaf's `next` link, no index page
   /// has been freed in between, so the id still names the same live leaf

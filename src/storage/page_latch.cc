@@ -78,7 +78,7 @@ void WriteLatchSet::Release(PageId id) {
   }
 }
 
-void WriteLatchSet::ReleaseAllExcept(std::initializer_list<PageId> keep) {
+void WriteLatchSet::ReleaseAllExcept(std::span<const PageId> keep) {
   std::vector<Held> kept;
   kept.reserve(keep.size());
   for (Held& h : held_) {
@@ -98,7 +98,13 @@ void WriteLatchSet::ReleaseAllExcept(std::initializer_list<PageId> keep) {
   held_ = std::move(kept);
 }
 
-void WriteLatchSet::DeferFree(PageId id) { deferred_.push_back(id); }
+void WriteLatchSet::DeferFree(PageId id) {
+  // Publish the death before the latch can drop: a reader that sampled the
+  // epoch earlier must see it change before it can read the tombstone or
+  // NewPage can hand the id out again.
+  pool_->BumpFreeEpoch();
+  deferred_.push_back(id);
+}
 
 Status WriteLatchSet::ReleaseAll() {
   for (Held& h : held_) ReleaseHeld(h);
@@ -106,17 +112,15 @@ Status WriteLatchSet::ReleaseAll() {
   if (deferred_.empty()) return Status::Ok();
   std::vector<PageId> dead;
   dead.swap(deferred_);
-  // Publish "index pages died" before recycling the ids: a snapshot reader
-  // that sampled the epoch earlier must see the change before any of these
-  // ids can be handed out again by NewPage.
-  pool_->BumpFreeEpoch();
   Status first_error = Status::Ok();
   for (PageId id : dead) {
     // A reader that was blocked on the dead page's W-latch still holds a
     // pin for a moment after we release; FreePage refuses pinned pages, so
-    // retry briefly. The page is tombstoned (invalid magic), so such a
-    // reader fails its magic check and re-descends — it never reads it as
-    // a live node. If a pin outlives the retry budget, leak the id: the
+    // retry briefly. Such a reader is a cursor hop, which sees the epoch
+    // DeferFree moved, or a descent at a collapsed root, which sees root_
+    // moved; both re-descend, and the tombstone (invalid magic) keeps any
+    // other read from taking it as a live node. If a pin outlives the
+    // retry budget, leak the id: the
     // tree is correct, the page is merely never recycled.
     constexpr int kRetries = 64;
     Status freed;

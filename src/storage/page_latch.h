@@ -2,6 +2,7 @@
 #define XRTREE_STORAGE_PAGE_LATCH_H_
 
 #include <initializer_list>
+#include <span>
 #include <vector>
 
 #include "common/result.h"
@@ -26,14 +27,18 @@ namespace xrtree {
 ///    change can propagate above a safe node.
 ///  - Never re-acquire a released ancestor within one operation (that would
 ///    be a bottom-up acquisition).
+///  - A delete's rebalance lets its leaves go before it latches siblings of
+///    their parent: a held leaf can be another merge's rightward successor,
+///    and that merge's writer may hold the sibling.
 ///
 /// Freed tree nodes go through DeferFree: the caller tombstones the page
 /// (stamps an invalid magic) while still holding its W-latch, and the
 /// actual BufferPool::FreePage runs after ReleaseAll has dropped every
 /// latch — readers that were blocked on a dead page's latch hold pins, and
-/// FreePage refuses pinned pages. ReleaseAll bumps the pool's free epoch
-/// once per batch of deferred frees so snapshot iterators notice that a
-/// held leaf id may have died (see BufferPool::free_epoch()).
+/// FreePage refuses pinned pages. DeferFree bumps the pool's free epoch
+/// while the dead page is still W-latched, so a snapshot cursor that later
+/// latches it, or finds its id free-listed, sees the epoch moved and
+/// re-descends (see BufferPool::free_epoch()).
 class WriteLatchSet {
  public:
   explicit WriteLatchSet(BufferPool* pool) : pool_(pool) {}
@@ -69,14 +74,18 @@ class WriteLatchSet {
 
   /// Crab-release every held page except the listed ones (the "child is
   /// safe, drop the ancestors" step).
-  void ReleaseAllExcept(std::initializer_list<PageId> keep);
+  void ReleaseAllExcept(std::initializer_list<PageId> keep) {
+    ReleaseAllExcept(std::span<const PageId>(keep.begin(), keep.size()));
+  }
+  void ReleaseAllExcept(std::span<const PageId> keep);
 
-  /// Queues `id` for FreePage after the latches drop. The caller must have
-  /// tombstoned the page (invalid magic) under its held W-latch.
+  /// Bumps the free epoch and queues `id` for FreePage after the latches
+  /// drop. The caller must have tombstoned the page (invalid magic) under
+  /// its held W-latch, and must still hold it.
   void DeferFree(PageId id);
 
-  /// Unlatches and unpins everything, then processes deferred frees (free
-  /// epoch bump + bounded-retry FreePage; a page kept pinned by a slow
+  /// Unlatches and unpins everything, then processes deferred frees
+  /// (bounded-retry FreePage; a page kept pinned by a slow
   /// reader beyond the retry budget is leaked to the pool rather than
   /// blocking the writer — the id is simply never recycled). Idempotent;
   /// also run by the destructor.
