@@ -1,7 +1,8 @@
 // Evaluates path expressions over a generated Department document with the
-// PathExecutor: each '//' or '/' step is one XR-stack structural join over
-// XR-tree indexed element sets — the decomposition strategy of §1/§2.2 and
-// the paper's §7 future-work direction.
+// PathExecutor: each '//' or '/' step is one structural semi-join of the
+// previous step's result with an XR-tree indexed element set — the
+// decomposition strategy of §1/§2.2 and the paper's §7 future-work
+// direction.
 //
 //   $ ./xpath_demo [target_elements]
 

@@ -1,7 +1,7 @@
 // xrquery — a small command-line tool over the whole stack: load an XML
 // file (or generate a dataset), persist indexed element sets in a database
-// file via the catalog, and evaluate path expressions with cascaded
-// XR-stack joins.
+// file via the catalog, and evaluate path expressions as chains of
+// structural semi-joins over the stored XR-trees.
 //
 //   xrquery load  <db> <file.xml>             parse + index every tag
 //   xrquery gen   <db> <department|conference|xmark> <elements>
@@ -12,15 +12,13 @@
 // The database persists across invocations: `load`/`gen` once, `query`
 // many times.
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <map>
 #include <string>
 
 #include "join/element_source.h"
-#include "join/xr_stack.h"
-#include "query/path_query.h"
+#include "query/path_executor.h"
 #include "storage/buffer_pool.h"
 #include "storage/catalog.h"
 #include "storage/disk_manager.h"
@@ -64,61 +62,33 @@ Status IndexDocument(BufferPool* pool, Document doc) {
   return pool->FlushAll();
 }
 
-/// Evaluates a path expression against the persisted element sets.
+/// Evaluates a path expression against the persisted element sets. A tag
+/// the catalog does not hold matches nothing.
 Status RunQuery(BufferPool* pool, const std::string& text) {
   Catalog catalog(pool);
   XR_RETURN_IF_ERROR(catalog.Load());
   XR_ASSIGN_OR_RETURN(PathQuery query, PathQuery::Parse(text));
-
-  // First step: the whole element set of the leading tag.
-  auto open_set = [&](const std::string& tag) {
-    return StoredElementSet::Open(pool, catalog, tag);
+  std::map<std::string, StoredElementSet> sets;
+  auto tree_for = [&](const std::string& tag) -> Result<const XrTree*> {
+    if (!catalog.Get(tag).ok()) return nullptr;
+    auto it = sets.find(tag);
+    if (it == sets.end()) {
+      XR_ASSIGN_OR_RETURN(StoredElementSet set,
+                          StoredElementSet::Open(pool, catalog, tag));
+      it = sets.emplace(tag, std::move(set)).first;
+    }
+    return &it->second.xrtree();
   };
-  XR_ASSIGN_OR_RETURN(StoredElementSet first,
-                      open_set(query.steps()[0].tag));
-  XR_ASSIGN_OR_RETURN(ElementList context, first.file().ReadAll());
-  if (query.steps()[0].axis == Axis::kChild) {
-    ElementList roots;
-    for (const Element& e : context) {
-      if (e.level == 0) roots.push_back(e);
-    }
-    context = std::move(roots);
-  }
-
-  uint64_t scanned = 0;
-  for (size_t i = 1; i < query.steps().size(); ++i) {
-    if (context.empty()) break;
-    XrTree context_index(pool);
-    XR_RETURN_IF_ERROR(context_index.BulkLoad(context));
-    XR_ASSIGN_OR_RETURN(StoredElementSet step_set,
-                        open_set(query.steps()[i].tag));
-    JoinOptions options;
-    options.parent_child = (query.steps()[i].axis == Axis::kChild);
-    XR_ASSIGN_OR_RETURN(
-        JoinOutput join,
-        XrStackJoin(context_index, step_set.xrtree(), options));
-    scanned += join.stats.elements_scanned;
-    ElementList next;
-    Position last = kNilPosition;
-    std::sort(join.pairs.begin(), join.pairs.end(),
-              [](const JoinPair& a, const JoinPair& b) {
-                return a.descendant.start < b.descendant.start;
-              });
-    for (const JoinPair& p : join.pairs) {
-      if (p.descendant.start != last) {
-        next.push_back(p.descendant);
-        last = p.descendant.start;
-      }
-    }
-    context = std::move(next);
-  }
+  PathStats stats;
+  XR_ASSIGN_OR_RETURN(ElementList matches,
+                      EvaluatePath(query, tree_for, &stats));
   std::printf("%s -> %zu matches (%llu elements scanned)\n", text.c_str(),
-              context.size(), (unsigned long long)scanned);
-  for (size_t i = 0; i < context.size() && i < 10; ++i) {
-    std::printf("  %s\n", context[i].ToString().c_str());
+              matches.size(), (unsigned long long)stats.elements_scanned);
+  for (size_t i = 0; i < matches.size() && i < 10; ++i) {
+    std::printf("  %s\n", matches[i].ToString().c_str());
   }
-  if (context.size() > 10) {
-    std::printf("  ... %zu more\n", context.size() - 10);
+  if (matches.size() > 10) {
+    std::printf("  ... %zu more\n", matches.size() - 10);
   }
   return Status::Ok();
 }

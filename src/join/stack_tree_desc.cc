@@ -3,8 +3,6 @@
 #include <utility>
 #include <vector>
 
-#include "xrtree/xrtree_iterator.h"
-
 namespace xrtree {
 
 namespace {
@@ -86,7 +84,7 @@ class VectorStream {
 /// stream and keeps the error for the caller.
 class XrTreeStream {
  public:
-  explicit XrTreeStream(XrIterator it) : it_(std::move(it)) {}
+  explicit XrTreeStream(XrTree::Cursor it) : it_(std::move(it)) {}
   bool Valid() const { return status_.ok() && it_.Valid(); }
   const Element& Get() const { return it_.Get(); }
   void Next() {
@@ -97,7 +95,7 @@ class XrTreeStream {
   const Status& status() const { return status_; }
 
  private:
-  XrIterator it_;
+  XrTree::Cursor it_;
   Status status_;
 };
 
@@ -116,8 +114,8 @@ Result<JoinOutput> StackTreeDescJoin(const ElementFile& ancestors,
 Result<JoinOutput> StackTreeDescJoin(const XrTree& ancestors,
                                      const XrTree& descendants,
                                      const JoinOptions& options) {
-  XR_ASSIGN_OR_RETURN(XrIterator a_it, ancestors.Begin());
-  XR_ASSIGN_OR_RETURN(XrIterator d_it, descendants.Begin());
+  XR_ASSIGN_OR_RETURN(XrTree::Cursor a_it, ancestors.Begin());
+  XR_ASSIGN_OR_RETURN(XrTree::Cursor d_it, descendants.Begin());
   XrTreeStream a(std::move(a_it));
   XrTreeStream d(std::move(d_it));
   JoinOutput out = RunStackTreeDesc(a, d, options);

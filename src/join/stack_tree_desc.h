@@ -17,8 +17,8 @@ Result<JoinOutput> StackTreeDescJoin(const ElementFile& ancestors,
                                      const ElementFile& descendants,
                                      const JoinOptions& options = {});
 
-/// The same merge over two XR-trees' leaf levels (XrIterator chains): the
-/// leaf-scan baseline XR-stack's skipping must beat (bench/skip_scan).
+/// The same merge over two XR-trees' leaf levels (XrTree::Cursor walks):
+/// the leaf-scan baseline XR-stack's skipping must beat (bench/skip_scan).
 Result<JoinOutput> StackTreeDescJoin(const XrTree& ancestors,
                                      const XrTree& descendants,
                                      const JoinOptions& options = {});

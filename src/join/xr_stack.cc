@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "xrtree/probe_cursor.h"
-#include "xrtree/xrtree_iterator.h"
 
 namespace xrtree {
 
@@ -43,7 +42,7 @@ Result<JoinOutput> XrStackJoinRange(const XrTree& ancestors,
   // probe (LowerBound), never a leaf-chain walk from the leftmost page.
   Position cur_a = kNilPosition;
   {
-    XR_ASSIGN_OR_RETURN(XrIterator it0,
+    XR_ASSIGN_OR_RETURN(XrTree::Cursor it0,
                         lo == 0 ? ancestors.Begin() : ancestors.LowerBound(lo));
     if (it0.Valid()) cur_a = it0.Get().start;
     search_scanned += it0.scanned();
@@ -55,7 +54,7 @@ Result<JoinOutput> XrStackJoinRange(const XrTree& ancestors,
   }
   // Descendants of owned ancestors all start past lo; land there directly.
   XR_ASSIGN_OR_RETURN(
-      XrIterator itd,
+      XrTree::Cursor itd,
       lo == 0 ? descendants.Begin() : descendants.UpperBound(lo));
   if (options.prefetch_depth > 0) {
     itd.EnablePrefetch(options.prefetch_depth, options.adaptive_prefetch);

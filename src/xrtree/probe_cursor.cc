@@ -4,7 +4,6 @@
 
 #include "storage/page_latch.h"
 #include "xrtree/ancestor_probe.h"
-#include "xrtree/xrtree_iterator.h"
 
 namespace xrtree {
 
@@ -61,7 +60,7 @@ Status XrProbeCursor::FindAncestorsAbove(Position sd, Position min_start,
         // Same lookup as the one-shot path's tail probe; its answer holds
         // for every later point past the leaf's last element while the
         // copy stays valid, so it is fetched once per leaf.
-        XR_ASSIGN_OR_RETURN(XrIterator it, tree_->LowerBound(sd));
+        XR_ASSIGN_OR_RETURN(XrTree::Cursor it, tree_->LowerBound(sd));
         tail_start_ = it.Valid() ? it.Get().start : kNilPosition;
         tail_known_ = true;
         terminator = tail_start_;

@@ -3,7 +3,8 @@
 
 #include <gtest/gtest.h>
 
-#include <set>
+#include <string>
+#include <vector>
 
 #include "tests/test_util.h"
 #include "xml/dtd.h"
@@ -85,19 +86,24 @@ void StripFlags(ElementList* list) {
   for (Element& e : *list) e.flags = 0;
 }
 
-class PathExecutorTest : public ::testing::TestWithParam<const char*> {};
-
-TEST_P(PathExecutorTest, MatchesOracleOnDepartmentData) {
-  GeneratorOptions options;
-  options.target_elements = 8000;
-  ASSERT_OK_AND_ASSIGN(Document doc,
-                       Generator::Generate(Dtd::Department(), options));
+Corpus GenerateCorpus(const Dtd& dtd, std::vector<uint64_t> seeds) {
   Corpus corpus;
-  corpus.AddDocument(std::move(doc));
+  for (uint64_t seed : seeds) {
+    GeneratorOptions options;
+    options.target_elements = 8000 / seeds.size();
+    options.seed = seed;
+    Result<Document> doc = Generator::Generate(dtd, options);
+    EXPECT_TRUE(doc.ok()) << doc.status().ToString();
+    if (doc.ok()) corpus.AddDocument(std::move(doc).value());
+  }
+  return corpus;
+}
 
+/// Runs `text` through the executor and checks it against the oracle.
+void ExpectMatchesOracle(const Corpus& corpus, const char* text) {
   TempDb db(2048);
   PathExecutor executor(db.pool(), &corpus);
-  ASSERT_OK_AND_ASSIGN(PathQuery query, PathQuery::Parse(GetParam()));
+  ASSERT_OK_AND_ASSIGN(PathQuery query, PathQuery::Parse(text));
   PathStats stats;
   ASSERT_OK_AND_ASSIGN(ElementList got, executor.Execute(query, &stats));
   ElementList want = OracleExecute(corpus, query);
@@ -105,6 +111,21 @@ TEST_P(PathExecutorTest, MatchesOracleOnDepartmentData) {
   StripFlags(&want);
   EXPECT_EQ(got, want);
   EXPECT_EQ(stats.joins, query.steps().size() - 1);
+}
+
+std::string QueryTestName(const ::testing::TestParamInfo<const char*>& info) {
+  std::string name = info.param;
+  for (char& c : name) {
+    if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
+  }
+  return name;
+}
+
+class PathExecutorTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(PathExecutorTest, MatchesOracleOnDepartmentData) {
+  ExpectMatchesOracle(GenerateCorpus(Dtd::Department(), {20030305}),
+                      GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -115,44 +136,38 @@ INSTANTIATE_TEST_SUITE_P(
                       "//department//email", "//name",
                       "//employee//employee/employee",
                       "//name//employee"  /* empty: names have no children */),
-    [](const ::testing::TestParamInfo<const char*>& info) {
-      std::string name = info.param;
-      for (char& c : name) {
-        if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
-      }
-      return name;
-    });
+    QueryTestName);
 
-TEST(PathExecutorTest, ParallelJoinOptionsPreserveResults) {
-  GeneratorOptions options;
-  options.target_elements = 8000;
-  ASSERT_OK_AND_ASSIGN(Document doc,
-                       Generator::Generate(Dtd::Department(), options));
-  Corpus corpus;
-  corpus.AddDocument(std::move(doc));
-  TempDb db(2048);
+class ConferencePathTest : public ::testing::TestWithParam<const char*> {};
 
-  const char* queries[] = {"//employee//name", "//employee/name",
-                           "departments//department/employee"};
-  PathExecutor serial(db.pool(), &corpus);
-  JoinOptions parallel_opts;
-  parallel_opts.num_threads = 3;
-  parallel_opts.prefetch_depth = 2;
-  PathExecutor parallel(db.pool(), &corpus, parallel_opts);
-  for (const char* q : queries) {
-    ASSERT_OK_AND_ASSIGN(ElementList want, serial.Execute(q));
-    ASSERT_OK_AND_ASSIGN(ElementList got, parallel.Execute(q));
-    EXPECT_EQ(got, want) << q;
-  }
-  db.pool()->WaitForPrefetchIdle();
-
-  // The knob is adjustable per executor after construction.
-  parallel.join_options().num_threads = 1;
-  parallel.join_options().prefetch_depth = 0;
-  ASSERT_OK_AND_ASSIGN(ElementList again, parallel.Execute(queries[0]));
-  ASSERT_OK_AND_ASSIGN(ElementList base, serial.Execute(queries[0]));
-  EXPECT_EQ(again, base);
+TEST_P(ConferencePathTest, MatchesOracle) {
+  ExpectMatchesOracle(GenerateCorpus(Dtd::Conference(), {20030305}),
+                      GetParam());
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Queries, ConferencePathTest,
+    ::testing::Values("//conference//author", "//paper/author",
+                      "/conferences//email", "conferences/conference/paper",
+                      "//conference//paper/title",
+                      "//conference/author"  /* empty: a grandchild */),
+    QueryTestName);
+
+/// Two documents in one corpus: no region of one contains the other's.
+class TwoDocumentPathTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(TwoDocumentPathTest, MatchesOracle) {
+  Corpus corpus = GenerateCorpus(Dtd::Department(), {20030305, 7});
+  ASSERT_EQ(corpus.num_documents(), 2u);
+  ExpectMatchesOracle(corpus, GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Queries, TwoDocumentPathTest,
+    ::testing::Values("//employee//name", "//employee/name",
+                      "/departments//email", "/departments/department",
+                      "//department//employee/employee//email"),
+    QueryTestName);
 
 TEST(PathExecutorTest, UnknownTagYieldsEmpty) {
   Corpus corpus;
@@ -177,16 +192,16 @@ TEST(PathExecutorTest, TagIndexIsReusedAcrossQueries) {
   PathExecutor executor(db.pool(), &corpus);
   ASSERT_OK_AND_ASSIGN(ElementList first,
                        executor.Execute("//employee//name"));
-  uint64_t pages_after_first = db.disk()->num_pages();
-  ASSERT_OK_AND_ASSIGN(ElementList second,
-                       executor.Execute("//employee//name"));
-  EXPECT_EQ(first.size(), second.size());
-  // The second run may build a fresh context index, but the `name` tag
-  // index must be reused: allocation growth is bounded by the context
-  // index alone (employee set pages), far below double.
-  uint64_t pages_after_second = db.disk()->num_pages();
-  EXPECT_LT(pages_after_second - pages_after_first,
-            pages_after_first / 2 + 16);
+  // The first query indexed both tags; every later one only reads them.
+  const uint64_t pages = db.disk()->num_pages();
+  const size_t free_pages = db.pool()->FreeListSnapshot().size();
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_OK_AND_ASSIGN(ElementList again,
+                         executor.Execute("//employee//name"));
+    ASSERT_EQ(again, first);
+  }
+  EXPECT_EQ(db.disk()->num_pages(), pages);
+  EXPECT_EQ(db.pool()->FreeListSnapshot().size(), free_pages);
 }
 
 }  // namespace
