@@ -68,16 +68,16 @@ Status RunQuery(BufferPool* pool, const std::string& text) {
   Catalog catalog(pool);
   XR_RETURN_IF_ERROR(catalog.Load());
   XR_ASSIGN_OR_RETURN(PathQuery query, PathQuery::Parse(text));
-  std::map<std::string, StoredElementSet> sets;
+  std::map<std::string, XrTree> trees;
   auto tree_for = [&](const std::string& tag) -> Result<const XrTree*> {
     if (!catalog.Get(tag).ok()) return nullptr;
-    auto it = sets.find(tag);
-    if (it == sets.end()) {
-      XR_ASSIGN_OR_RETURN(StoredElementSet set,
-                          StoredElementSet::Open(pool, catalog, tag));
-      it = sets.emplace(tag, std::move(set)).first;
+    auto it = trees.find(tag);
+    if (it == trees.end()) {
+      XR_ASSIGN_OR_RETURN(XrTree tree,
+                          StoredElementSet::OpenXrTree(pool, catalog, tag));
+      it = trees.emplace(tag, std::move(tree)).first;
     }
-    return &it->second.xrtree();
+    return &it->second;
   };
   PathStats stats;
   XR_ASSIGN_OR_RETURN(ElementList matches,
@@ -142,11 +142,11 @@ int main(int argc, char** argv) {
   if (cmd == "anc" && argc == 5) {
     Catalog catalog(&pool);
     XR_CHECK_OK(catalog.Load());
-    auto set = StoredElementSet::Open(&pool, catalog, argv[3]);
-    XR_CHECK_OK(set.status());
+    auto tree = StoredElementSet::OpenXrTree(&pool, catalog, argv[3]);
+    XR_CHECK_OK(tree.status());
     Position sd = static_cast<Position>(std::strtoul(argv[4], nullptr, 10));
     uint64_t scanned = 0;
-    auto anc = set->xrtree().FindAncestors(sd, &scanned);
+    auto anc = tree->FindAncestors(sd, &scanned);
     XR_CHECK_OK(anc.status());
     std::printf("%zu ancestors of position %u in '%s' (%llu elements "
                 "scanned):\n",

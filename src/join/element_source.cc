@@ -20,6 +20,22 @@ Status StoredElementSet::Register(Catalog* catalog) const {
   return catalog->Put(entry);
 }
 
+namespace {
+
+// Restores a reopened tree's in-memory entry count (one leaf-level walk)
+// and cross-checks it against the catalog.
+template <typename Tree>
+Status RestoreCount(Tree* tree, const CatalogEntry& entry) {
+  XR_ASSIGN_OR_RETURN(uint64_t count, tree->CountEntries());
+  if (count != entry.element_count) {
+    return Status::Corruption("catalog count disagrees with indexes for '" +
+                              entry.name + "'");
+  }
+  return Status::Ok();
+}
+
+}  // namespace
+
 Result<StoredElementSet> StoredElementSet::Open(BufferPool* pool,
                                                 const Catalog& catalog,
                                                 const std::string& name) {
@@ -29,15 +45,18 @@ Result<StoredElementSet> StoredElementSet::Open(BufferPool* pool,
   set.file_.OpenExisting(entry.file_head, entry.element_count);
   set.btree_ = BTree(pool, entry.btree_root);
   set.xrtree_ = XrTree(pool, entry.xrtree_root);
-  // Restore the in-memory entry counts (one leaf-level scan each) and
-  // cross-check them against the catalog.
-  XR_ASSIGN_OR_RETURN(uint64_t bt_count, set.btree_.CountEntries());
-  XR_ASSIGN_OR_RETURN(uint64_t xr_count, set.xrtree_.CountEntries());
-  if (bt_count != entry.element_count || xr_count != entry.element_count) {
-    return Status::Corruption("catalog count disagrees with indexes for '" +
-                              name + "'");
-  }
+  XR_RETURN_IF_ERROR(RestoreCount(&set.btree_, entry));
+  XR_RETURN_IF_ERROR(RestoreCount(&set.xrtree_, entry));
   return set;
+}
+
+Result<XrTree> StoredElementSet::OpenXrTree(BufferPool* pool,
+                                            const Catalog& catalog,
+                                            const std::string& name) {
+  XR_ASSIGN_OR_RETURN(CatalogEntry entry, catalog.Get(name));
+  XrTree tree(pool, entry.xrtree_root);
+  XR_RETURN_IF_ERROR(RestoreCount(&tree, entry));
+  return tree;
 }
 
 }  // namespace xrtree

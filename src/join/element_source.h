@@ -37,6 +37,11 @@ class StoredElementSet {
                                        const Catalog& catalog,
                                        const std::string& name);
 
+  /// Reattaches only the XR-tree of a registered set, for readers that use
+  /// no other representation: one leaf-level walk instead of two.
+  static Result<XrTree> OpenXrTree(BufferPool* pool, const Catalog& catalog,
+                                   const std::string& name);
+
   const std::string& name() const { return name_; }
   uint64_t size() const { return size_; }
 

@@ -69,7 +69,10 @@ struct BufferPoolOptions {
 /// table, the CLOCK hand, the free-frame list and the in-flight table. It is
 /// held only for a hash lookup and a pin on a hit; a miss reads the disk
 /// with no latch held (DESIGN.md §12), so one global CLOCK domain — the
-/// paper's single buffer — costs no I/O concurrency. Counters are relaxed
+/// paper's single buffer — costs no I/O concurrency. Every read, demand
+/// miss or read-ahead, lands in a private buffer and enters the pool
+/// through one install step, which takes its frame only then: no frame
+/// is held by a read in flight. Counters are relaxed
 /// atomics outside any lock. Any number of threads may Fetch/Unpin
 /// concurrently. Structural mutation (NewPage/FreePage id allocation)
 /// serializes only on a small allocator lock. Page *contents* are guarded by per-page latches
@@ -241,20 +244,41 @@ class BufferPool {
   /// entry and park on `cv` instead of issuing a duplicate read
   /// (single-flight). The reader always completes the entry — erase from
   /// the map under the pool latch, then set `done` and notify — whether
-  /// the read succeeded, failed, or turned out stale; woken waiters simply
-  /// re-run their fetch loop (the common outcome is a pool hit).
+  /// the read was installed, failed, turned out stale or found no frame;
+  /// woken waiters simply re-run their fetch loop (the common outcome is a
+  /// pool hit).
   struct InFlight {
     std::mutex mu;
     std::condition_variable cv;
     bool done = false;  // guarded by mu
   };
 
-  // Victim selection: second-chance CLOCK sweep — the hand skips empty,
-  // reserved and pinned slots, clears set reference bits, and picks the
-  // first unpinned resident frame whose bit is already clear (at most two
-  // revolutions). `clean_only` additionally skips dirty frames (the
-  // prefetch path must never write back). Latch held.
-  bool FindVictim(FrameId* out, bool clean_only = false);
+  /// One registered read: its in-flight entry, the private buffer it lands
+  /// in (the demand leader's own page, or a slice of a read-ahead batch),
+  /// which source served it, and its read-and-verify outcome.
+  struct PendingRead {
+    PageId page_id = kInvalidPageId;
+    std::shared_ptr<InFlight> entry;
+    char* buf = nullptr;
+    bool from_log = false;  // the WAL overlay served it, not the data file
+    Status read;
+  };
+
+  /// What InstallRead did with a finished read.
+  enum class Install {
+    kInstalled,        // resident now; pinned once for a demand leader
+    kStale,            // the id became resident or its source flipped
+    kReadFailed,       // the read or its integrity check failed
+    kNoFrame,          // every frame pinned (read-ahead: or dirty)
+    kWriteBackFailed,  // evicting the victim failed; the error is *error
+  };
+
+  // Victim selection: second-chance CLOCK sweep — the hand skips empty and
+  // pinned slots, clears set reference bits, and picks the first unpinned
+  // resident frame whose bit is already clear (at most two revolutions).
+  // `clean_only` additionally skips dirty frames (read-ahead must never
+  // write back). Latch held.
+  bool FindVictim(FrameId* out, bool clean_only);
   // Evicts the current occupant of `frame` (flushing if dirty). Latch held.
   Status EvictFrame(FrameId frame);
   // Stamps the integrity trailer and writes the frame's page out. Latch held.
@@ -262,15 +286,15 @@ class BufferPool {
   // WriteBack of every dirty resident page (FlushAll, Commit). Takes the
   // latch; the caller holds the commit barrier exclusively.
   Status WriteBackAllDirty();
-  // Grabs a free or evictable frame. On success `*out` is a reset
-  // frame. Returns false with *error OK when every frame is pinned
-  // (caller backs off and retries), false with *error set when an eviction
-  // write-back failed. Latch held.
-  bool AcquireFrame(FrameId* out, Status* error);
+  // Grabs a free or evictable frame (a clean one if `clean_only`). On
+  // success `*out` is a reset frame. Returns false with *error OK when no
+  // frame qualifies (caller backs off and retries), false with *error set
+  // when an eviction write-back failed. Latch held.
+  bool AcquireFrame(FrameId* out, Status* error, bool clean_only = false);
 
   // Builds the ResourceExhausted message for a pool whose every frame is
-  // unavailable, with a pinned-frame and reserved-frame census (takes the
-  // pool latch; call without it held).
+  // pinned, with a pinned-frame census (takes the pool latch; call without
+  // it held).
   std::string ExhaustedMessage() const;
 
   // Next delay of a retry schedule that is built on its first use: an
@@ -294,19 +318,21 @@ class BufferPool {
   // in_flight_, under that latch, by the same completion).
   static void CompleteInFlight(const std::shared_ptr<InFlight>& entry);
 
-  // Demand-read completion (DESIGN.md §12): retakes the pool latch, erases
-  // the in-flight entry, revalidates (residency + WAL-overlay parity) and
-  // installs the image pinned once for the leader — or returns the reserved
-  // frame to the free list — then wakes everyone parked on the entry. Runs
-  // on the fetching thread. `read` is the read+verify outcome. Returns true
-  // when revalidation discarded the image as stale.
-  bool CompleteDemandRead(const std::shared_ptr<InFlight>& entry, Page* page,
-                          FrameId frame, PageId page_id, const Status& read,
-                          bool from_log);
+  // The one place a read image enters the pool (DESIGN.md §12). Under the
+  // pool latch it revalidates (residency, WAL-overlay parity), then takes a
+  // frame for a good image through AcquireFrame — dirty victims only for a
+  // demand fetch, so read-ahead never writes back or touches the WAL — and
+  // copies the image in: pinned once for the demand leader with `ref_`
+  // clear, or unpinned with `prefetched_` and `ref_` set. It erases and
+  // completes the in-flight entry on every outcome but one: a demand read
+  // that finds every frame pinned keeps its entry (followers stay parked),
+  // and the leader backs off and calls again. `*page` is set on kInstalled.
+  Install InstallRead(const PendingRead& r, bool demand, Page** page,
+                      Status* error);
 
-  // Like AcquireFrame but refuses dirty victims (prefetch must never write
-  // back, so it never touches the WAL). Latch held.
-  bool AcquireCleanFrame(FrameId* out);
+  // Completes a registered read without installing anything. Takes the
+  // pool latch.
+  void DropRead(const PendingRead& r);
 
   /// Read-ahead completion workers and submission-queue depth (DESIGN.md
   /// §13). A full queue rejects a run and the submitter reads it inline.
@@ -354,11 +380,6 @@ class BufferPool {
   /// Holders keep shared_ptr copies so an entry stays valid for parked
   /// waiters after the reader erases it from the map.
   std::unordered_map<PageId, std::shared_ptr<InFlight>> in_flight_;
-  /// Frames reserved by in-flight demand reads: unpinned, but in neither
-  /// page_table_ nor free_frames_ until the read completes. Counted so
-  /// pool-exhaustion handling can tell "pinned forever until someone
-  /// unpins" apart from "returns when the read lands".
-  size_t reserved_frames_ = 0;
 
   /// Every pool-side counter (relaxed atomics, bumped with or without the
   /// latch); stats() adds the disk's own counters.

@@ -458,6 +458,97 @@ TEST(SingleFlightTest, NewPageReclaimsRacingPrefetchInstall) {
   std::remove(path.c_str());
 }
 
+// A demand read holds no frame while it is in flight, so every frame can be
+// pinned under it. The leader then keeps its image and its in-flight entry
+// across the pin back-off: when a pin drops it installs without reading
+// again, and a parked follower hits the same frame. When no pin drops, the
+// fetch gives up with ResourceExhausted and completes its entry, so the
+// page stays fetchable.
+TEST(SingleFlightTest, DemandReadWaitsForAFrameWithoutRereading) {
+  constexpr int kFrames = 8;
+  for (const bool unpins : {true, false}) {
+    SCOPED_TRACE(unpins ? "a pin drops" : "no pin drops");
+    char tmpl[] = "/tmp/xrtree_gate_XXXXXX";
+    int tfd = ::mkstemp(tmpl);
+    if (tfd >= 0) ::close(tfd);
+    std::string path = tmpl;
+    DiskManager disk;
+    XR_CHECK_OK(disk.Open(path));
+    GateDisk gate(&disk);
+    BufferPoolOptions opts;
+    opts.pool_size = kFrames;
+    // Row one waits for the test's unpin; row two spends its budget fast.
+    opts.pin_retry = RetryPolicy{/*max_retries=*/unpins ? 100000u : 4u,
+                                 /*yield_retries=*/0, /*initial_delay_us=*/1000,
+                                 /*max_delay_us=*/1000, /*deadline_us=*/0};
+    {
+      BufferPool pool(&gate, opts);
+      PageId x = ColdMarkerPage(&pool, 'X');
+
+      gate.GatePage(x);
+      Result<Page*> leader_fetch = Status::Aborted("not run");
+      std::thread leader([&] { leader_fetch = pool.FetchPage(x); });
+      gate.AwaitReader();
+      Result<Page*> follower_fetch = Status::Aborted("not run");
+      std::thread follower;
+      if (unpins) {
+        follower = std::thread([&] { follower_fetch = pool.FetchPage(x); });
+      }
+
+      // The read is parked in the disk and holds no frame: all of them pin.
+      // Threads are running, so a failure here aborts instead of returning.
+      std::vector<Page*> held;
+      for (int i = 0; i < kFrames; ++i) {
+        auto p = pool.NewPage();
+        XR_CHECK_OK(p.status());
+        held.push_back(*p);
+      }
+      EXPECT_EQ(pool.pinned_frames(), static_cast<size_t>(kFrames));
+      const uint64_t waits_before = pool.stats().pool_exhausted_waits;
+      gate.Release();
+
+      if (unpins) {
+        // Unpin once the leader is provably backing off with its image.
+        for (int i = 0; i < 10000 &&
+                        pool.stats().pool_exhausted_waits == waits_before;
+             ++i) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        EXPECT_GT(pool.stats().pool_exhausted_waits, waits_before);
+        ASSERT_OK(pool.UnpinPage(held.back()->page_id(), true));
+        held.pop_back();
+        leader.join();
+        follower.join();
+        ASSERT_OK(leader_fetch.status());
+        ASSERT_OK(follower_fetch.status());
+        EXPECT_EQ((*leader_fetch)->data()[0], 'X');
+        EXPECT_EQ(*follower_fetch, *leader_fetch);
+        EXPECT_EQ(gate.reads_of(x), 1u);
+        ASSERT_OK(pool.UnpinPage(x, false));
+        ASSERT_OK(pool.UnpinPage(x, false));
+      } else {
+        leader.join();
+        ASSERT_FALSE(leader_fetch.ok());
+        EXPECT_TRUE(leader_fetch.status().IsResourceExhausted())
+            << leader_fetch.status();
+        EXPECT_EQ(gate.reads_of(x), 1u);
+        EXPECT_EQ(pool.pinned_frames(), held.size());
+        // No in-flight entry leaked: once a pin drops, x is fetchable.
+        ASSERT_OK(pool.UnpinPage(held.back()->page_id(), true));
+        held.pop_back();
+        ASSERT_OK_AND_ASSIGN(Page * page, pool.FetchPage(x));
+        EXPECT_EQ(page->data()[0], 'X');
+        ASSERT_OK(pool.UnpinPage(x, false));
+      }
+      EXPECT_EQ(pool.pinned_frames(), held.size());
+      for (Page* p : held) ASSERT_OK(pool.UnpinPage(p->page_id(), true));
+      EXPECT_EQ(pool.pinned_frames(), 0u);
+    }
+    disk.Close().ok();
+    std::remove(path.c_str());
+  }
+}
+
 // A pool with a frame for every page never evicts: re-fetching every page
 // is all hits, and each fetch counts exactly one hit or miss.
 TEST(BufferPoolTest, FullPoolKeepsEveryPageResident) {

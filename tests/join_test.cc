@@ -20,7 +20,6 @@
 #include "join/mpmgjn.h"
 #include "join/nested_loop.h"
 #include "join/parallel_join.h"
-#include "join/parent_child.h"
 #include "join/stack_tree_desc.h"
 #include "join/xr_stack.h"
 #include "storage/disk_manager.h"
@@ -138,15 +137,13 @@ TEST_P(JoinEquivalenceTest, ParentChildVariantsAgree) {
   auto want = Canonical(NestedLoopJoin(a_list, d_list, pc).pairs);
 
   ASSERT_OK_AND_ASSIGN(JoinOutput stack_out,
-                       StackTreeDescParentChildJoin(a_set.file(),
-                                                    d_set.file()));
+                       StackTreeDescJoin(a_set.file(), d_set.file(), pc));
   EXPECT_EQ(Canonical(stack_out.pairs), want);
   ASSERT_OK_AND_ASSIGN(JoinOutput bplus_out,
-                       BPlusParentChildJoin(a_set.btree(), d_set.btree()));
+                       BPlusJoin(a_set.btree(), d_set.btree(), pc));
   EXPECT_EQ(Canonical(bplus_out.pairs), want);
   ASSERT_OK_AND_ASSIGN(JoinOutput xr_out,
-                       XrStackParentChildJoin(a_set.xrtree(),
-                                              d_set.xrtree()));
+                       XrStackJoin(a_set.xrtree(), d_set.xrtree(), pc));
   EXPECT_EQ(Canonical(xr_out.pairs), want);
 }
 
