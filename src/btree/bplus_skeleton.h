@@ -81,6 +81,10 @@ class BPlusSkeleton {
 
   /// Current root page (persist this to reopen the tree later).
   PageId root() const { return root_.load(std::memory_order_acquire); }
+  /// Entry count. Tracked for a tree this handle built (from empty or by
+  /// BulkLoad) or counted (CountEntries); a tree reopened by its root alone
+  /// tracks none until CountEntries, and the checker compares only a
+  /// tracked count.
   uint64_t size() const { return size_.load(std::memory_order_acquire); }
   BufferPool* pool() const { return pool_; }
   uint32_t leaf_capacity() const { return leaf_cap_; }
@@ -129,6 +133,7 @@ class BPlusSkeleton {
       XR_RETURN_IF_ERROR(it.Next());
     }
     size_.store(n, std::memory_order_release);
+    size_tracked_.store(true, std::memory_order_release);
     return n;
   }
 
@@ -247,6 +252,7 @@ class BPlusSkeleton {
                 uint32_t internal_capacity)
       : pool_(pool),
         root_(root),
+        size_tracked_(root == kInvalidPageId),
         leaf_cap_(leaf_capacity == 0
                       ? static_cast<uint32_t>(Layout::kLeafMaxEntries)
                       : std::min<uint32_t>(leaf_capacity,
@@ -266,6 +272,7 @@ class BPlusSkeleton {
       : pool_(other.pool_),
         root_(other.root_.load(std::memory_order_acquire)),
         size_(other.size_.load(std::memory_order_acquire)),
+        size_tracked_(other.size_tracked_.load(std::memory_order_acquire)),
         leaf_cap_(other.leaf_cap_),
         internal_cap_(other.internal_cap_) {}
   BPlusSkeleton& operator=(BPlusSkeleton&& other) noexcept {
@@ -274,6 +281,8 @@ class BPlusSkeleton {
                 std::memory_order_release);
     size_.store(other.size_.load(std::memory_order_acquire),
                 std::memory_order_release);
+    size_tracked_.store(other.size_tracked_.load(std::memory_order_acquire),
+                        std::memory_order_release);
     leaf_cap_ = other.leaf_cap_;
     internal_cap_ = other.internal_cap_;
     return *this;
@@ -970,6 +979,7 @@ class BPlusSkeleton {
         self().FinishBulkLoad(new_root, leaves, internal_levels));
     root_.store(new_root, std::memory_order_release);
     size_.store(total_loaded, std::memory_order_release);
+    size_tracked_.store(true, std::memory_order_release);
     return Status::Ok();
   }
 
@@ -1035,8 +1045,8 @@ class BPlusSkeleton {
 
   /// Walks the leaf chain from the leftmost leaf: keys strictly ascend
   /// across page links, each leaf's prev names the leaf before it, and the
-  /// chain holds size() entries. Runs after CheckNode, which bounds every
-  /// descent and every leaf.
+  /// chain holds size() entries when the size is tracked. Runs after
+  /// CheckNode, which bounds every descent and every leaf.
   Status CheckLeafChain(PageId root_id) const {
     PageId cur = root_id;
     for (;;) {
@@ -1067,7 +1077,8 @@ class BPlusSkeleton {
       prev = cur;
       cur = Layout::Hdr(raw)->next;
     }
-    if (count != size_.load(std::memory_order_acquire)) {
+    if (size_tracked_.load(std::memory_order_acquire) &&
+        count != size_.load(std::memory_order_acquire)) {
       return Corrupt("size mismatch: counted " + std::to_string(count) +
                      " tracked " + std::to_string(size()));
     }
@@ -1149,6 +1160,8 @@ class BPlusSkeleton {
   BufferPool* pool_;
   std::atomic<PageId> root_;
   std::atomic<uint64_t> size_{0};
+  /// Whether size_ counts the tree's entries (see size()).
+  std::atomic<bool> size_tracked_;
   std::mutex root_init_mu_;
   uint32_t leaf_cap_;
   uint32_t internal_cap_;

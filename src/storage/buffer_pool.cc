@@ -27,10 +27,71 @@ BufferPool::FrameMapping::FrameMapping(size_t bytes) : bytes_(bytes) {
 
 BufferPool::FrameMapping::~FrameMapping() { ::munmap(base_, bytes_); }
 
+BufferPool::PageTable::PageTable(size_t frames) {
+  size_t capacity = 2;
+  unsigned bits = 1;
+  while (capacity < 2 * frames) {
+    capacity *= 2;
+    ++bits;
+  }
+  slots_.reset(new std::atomic<uint64_t>[capacity]);
+  for (size_t i = 0; i < capacity; ++i) {
+    slots_[i].store(kEmpty, std::memory_order_relaxed);
+  }
+  mask_ = capacity - 1;
+  shift_ = 64 - bits;
+}
+
+BufferPool::FrameId BufferPool::PageTable::Find(PageId id) const {
+  // At most half the slots are ever full, so a probe run ends at an empty
+  // slot; the bound only caps a latch-free probe racing a shift.
+  size_t i = Home(id);
+  for (size_t n = 0; n <= mask_; ++n, i = (i + 1) & mask_) {
+    const uint64_t slot = slots_[i].load(std::memory_order_acquire);
+    if (slot == kEmpty) break;
+    if (static_cast<PageId>(slot >> 32) == id) {
+      return static_cast<FrameId>(static_cast<uint32_t>(slot));
+    }
+  }
+  return kNone;
+}
+
+void BufferPool::PageTable::Insert(PageId id, FrameId frame) {
+  size_t i = Home(id);
+  while (slots_[i].load(std::memory_order_relaxed) != kEmpty) {
+    i = (i + 1) & mask_;
+  }
+  slots_[i].store((uint64_t{id} << 32) | frame, std::memory_order_release);
+}
+
+void BufferPool::PageTable::Erase(PageId id) {
+  size_t hole = Home(id);
+  while (static_cast<PageId>(slots_[hole].load(std::memory_order_relaxed) >>
+                             32) != id) {
+    hole = (hole + 1) & mask_;
+  }
+  // Backward shift: pull each later entry of the probe run whose home does
+  // not lie in (hole, j] into the hole. Each entry is written to its new
+  // slot before its old one is overwritten, so a latch-free probe sees it
+  // once, twice or (having passed the new slot already) not at all — a
+  // miss that its fetch settles under the latch.
+  for (size_t j = (hole + 1) & mask_;; j = (j + 1) & mask_) {
+    const uint64_t slot = slots_[j].load(std::memory_order_relaxed);
+    if (slot == kEmpty) break;
+    const size_t home = Home(static_cast<PageId>(slot >> 32));
+    if (((j - home) & mask_) >= ((j - hole) & mask_)) {
+      slots_[hole].store(slot, std::memory_order_release);
+      hole = j;
+    }
+  }
+  slots_[hole].store(kEmpty, std::memory_order_release);
+}
+
 BufferPool::BufferPool(DiskInterface* disk, const BufferPoolOptions& options)
     : disk_(disk),
       options_(options),
-      frame_bytes_(options.pool_size * kPageSize) {
+      frame_bytes_(options.pool_size * kPageSize),
+      page_table_(options.pool_size) {
   const size_t n = options.pool_size;
   assert(n > 0);
   frames_.reserve(n);
@@ -64,11 +125,21 @@ bool BufferPool::FindVictim(FrameId* out, bool clean_only) {
     const FrameId f = clock_hand_;
     clock_hand_ = (clock_hand_ + 1) % n;
     Page* page = frames_[f].get();
-    if (page->page_id_ == kInvalidPageId) continue;  // free
-    if (page->pin_count_ != 0) continue;
-    if (clean_only && page->is_dirty_) continue;
-    if (page->ref_) {
-      page->ref_ = false;  // second chance
+    const uint64_t w = page->state_.load(std::memory_order_relaxed);
+    const PageId id = static_cast<PageId>(w >> 32);
+    if (id == kInvalidPageId) continue;  // free
+    if (Page::Pins(w) != 0) continue;
+    if (clean_only && page->is_dirty()) continue;
+    if (page->ref_.load(std::memory_order_relaxed)) {
+      page->ref_.store(false, std::memory_order_relaxed);  // second chance
+      continue;
+    }
+    // A latch-free hit may pin the frame after the look above: the claim
+    // fails then, and the sweep moves on. Once claimed, the dirty bit is
+    // final (the last unpin stored it before releasing).
+    if (!page->TryClaim(id)) continue;
+    if (clean_only && page->is_dirty()) {
+      page->Publish(id, 0);
       continue;
     }
     *out = f;
@@ -78,30 +149,40 @@ bool BufferPool::FindVictim(FrameId* out, bool clean_only) {
 }
 
 Status BufferPool::WriteBack(Page* page) {
+  const PageId page_id = page->page_id();
+  // Cleared before the write: a pin holder's dirty unpin that lands during
+  // it marks the page dirty again instead of being lost.
+  page->is_dirty_.store(false, std::memory_order_relaxed);
+  Status written;
   Wal* wal = wal_.load(std::memory_order_acquire);
   if (wal != nullptr) {
     // Log-first ordering: with a WAL attached the data file is only written
     // from committed images (Checkpoint/Recover), never directly. The log
     // append stamps the trailer with the record's LSN.
-    XR_RETURN_IF_ERROR(wal->LogPageImage(page->page_id_, page->data_));
+    written = wal->LogPageImage(page_id, page->data_);
   } else {
-    StampPageTrailer(page->data_, page->page_id_);
-    XR_RETURN_IF_ERROR(disk_->WritePage(page->page_id_, page->data_));
+    StampPageTrailer(page->data_, page_id);
+    written = disk_->WritePage(page_id, page->data_);
   }
-  page->is_dirty_ = false;
-  return Status::Ok();
+  if (!written.ok()) page->is_dirty_.store(true, std::memory_order_relaxed);
+  return written;
 }
 
 Status BufferPool::EvictFrame(FrameId frame) {
   Page* page = frames_[frame].get();
-  if (page->is_dirty_) {
-    XR_RETURN_IF_ERROR(WriteBack(page));
+  const PageId id = page->page_id();
+  if (page->is_dirty()) {
+    Status written = WriteBack(page);
+    if (!written.ok()) {
+      page->Publish(id, 0);  // still resident, unpinned and dirty
+      return written;
+    }
   }
-  if (page->prefetched_) {
+  if (page->prefetched_.load(std::memory_order_relaxed)) {
     // Prefetched but never fetched: the read-ahead was wasted.
     counters_.prefetch_wasted.fetch_add(1, std::memory_order_relaxed);
   }
-  page_table_.erase(page->page_id_);
+  page_table_.Erase(id);
   page->Reset();
   return Status::Ok();
 }
@@ -114,9 +195,10 @@ bool BufferPool::AcquireFrame(FrameId* out, Status* error, bool clean_only) {
     // Every path returning a frame to the free list must Reset() it first;
     // stale prefetch provenance here would mis-credit prefetch_hits on the
     // frame's next occupant.
-    assert(!frames_[*out]->prefetched_ &&
-           frames_[*out]->page_id_ == kInvalidPageId &&
-           frames_[*out]->pin_count_ == 0 && "free-list frame not Reset()");
+    assert(!frames_[*out]->prefetched_.load(std::memory_order_relaxed) &&
+           frames_[*out]->state_.load(std::memory_order_relaxed) ==
+               Page::Word(kInvalidPageId, 0) &&
+           "free-list frame not Reset()");
     return true;
   }
   FrameId victim;
@@ -168,20 +250,22 @@ BufferPool::Install BufferPool::InstallRead(const PendingRead& r,
     Wal* wal = wal_.load(std::memory_order_acquire);
     const bool overlay_now = wal != nullptr && wal->HasImage(r.page_id);
     FrameId frame;
-    if (page_table_.count(r.page_id) != 0 || overlay_now != r.from_log) {
+    if (page_table_.Find(r.page_id) != PageTable::kNone ||
+        overlay_now != r.from_log) {
       outcome = Install::kStale;
     } else if (!r.read.ok()) {
       outcome = Install::kReadFailed;
     } else if (AcquireFrame(&frame, error, /*clean_only=*/!demand)) {
+      // The frame is reset and holds no page id, so no latch-free hit can
+      // pin it until Publish makes the image visible.
       Page* p = frames_[frame].get();
       std::memcpy(p->data_, r.buf, kPageSize);
-      p->page_id_ = r.page_id;
-      p->pin_count_ = demand ? 1 : 0;  // pinned on behalf of the leader
       // A demand install is fetched once, not re-referenced; read-ahead is
       // read *for* a fetch and gets one sweep of grace.
-      p->prefetched_ = !demand;
-      p->ref_ = !demand;
-      page_table_[r.page_id] = frame;
+      p->prefetched_.store(!demand, std::memory_order_relaxed);
+      p->ref_.store(!demand, std::memory_order_relaxed);
+      p->Publish(r.page_id, demand ? 1 : 0);  // pinned for the leader
+      page_table_.Insert(r.page_id, frame);
       *page = p;
       outcome = Install::kInstalled;
     } else if (!error->ok()) {
@@ -234,24 +318,17 @@ Result<Page*> BufferPool::FetchPage(PageId page_id) {
   // runs in a small stack frame.
   std::unique_ptr<char[]> image;
   for (;;) {
+    // The hit path: no latch. It fails over to the latched lookup below when
+    // the page is absent, claimed, or its slot is moving.
+    if (Page* hit = TryPinResident(page_id)) return CountHit(hit, miss_counted);
     std::shared_ptr<InFlight> entry;
     bool leader = false;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      auto it = page_table_.find(page_id);
-      if (it != page_table_.end()) {
-        if (!miss_counted) {
-          counters_.buffer_hits.fetch_add(1, std::memory_order_relaxed);
-        }
-        Page* hit = frames_[it->second].get();
-        if (hit->prefetched_) {
-          // First fetch of a read-ahead page: the prefetch paid off.
-          hit->prefetched_ = false;
-          counters_.prefetch_hits.fetch_add(1, std::memory_order_relaxed);
-        }
-        ++hit->pin_count_;
-        hit->ref_ = true;  // second chance for the CLOCK sweep
-        return hit;
+      // Under the latch the table is exact and no frame is claimed, so this
+      // pins any resident page.
+      if (Page* hit = TryPinResident(page_id)) {
+        return CountHit(hit, miss_counted);
       }
       auto fl = in_flight_.find(page_id);
       if (fl != in_flight_.end()) {
@@ -371,6 +448,32 @@ Result<Page*> BufferPool::FetchPage(PageId page_id) {
   }
 }
 
+Page* BufferPool::TryPinResident(PageId page_id) {
+  const FrameId f = page_table_.Find(page_id);
+  if (f == PageTable::kNone) return nullptr;
+  Page* page = frames_[f].get();
+  return page->TryPin(page_id) ? page : nullptr;
+}
+
+Page* BufferPool::CountHit(Page* page, bool miss_counted) {
+  if (!miss_counted) {
+    counters_.buffer_hits.fetch_add(1, std::memory_order_relaxed);
+  }
+  // The pin keeps every claimer away, so exactly one of this exchange and
+  // an eviction's prefetch_wasted sees the flag.
+  if (page->prefetched_.load(std::memory_order_relaxed) &&
+      page->prefetched_.exchange(false, std::memory_order_relaxed)) {
+    // First fetch of a read-ahead page: the prefetch paid off.
+    counters_.prefetch_hits.fetch_add(1, std::memory_order_relaxed);
+  }
+  // Second chance for the CLOCK sweep; read first so a hot page's hits do
+  // not keep writing its bookkeeping line.
+  if (!page->ref_.load(std::memory_order_relaxed)) {
+    page->ref_.store(true, std::memory_order_relaxed);
+  }
+  return page;
+}
+
 Status BufferPool::RepairCorruptPage(PageId page_id, const Status& cause) {
   std::lock_guard<std::mutex> repair_lock(repair_mu_);
   {
@@ -457,7 +560,7 @@ Result<Page*> BufferPool::NewPage() {
       break;
     }
     std::lock_guard<std::mutex> lock(mu_);
-    if (page_table_.find(page_id) == page_table_.end()) break;
+    if (page_table_.Find(page_id) == PageTable::kNone) break;
     recycled = false;  // stale entry: skip it, try the next candidate
   }
 
@@ -480,15 +583,17 @@ Result<Page*> BufferPool::NewPage() {
       // the racing frame in place instead. A read still in flight needs no
       // handling here: its completion re-validates residency under this
       // same latch and discards the image once we are installed.
-      auto it = page_table_.find(page_id);
-      if (it != page_table_.end()) {
-        Page* resident = frames_[it->second].get();
-        if (resident->pin_count_ == 0) {
-          frame = it->second;
-          if (resident->prefetched_) {
+      const FrameId resident_frame = page_table_.Find(page_id);
+      if (resident_frame != PageTable::kNone) {
+        Page* resident = frames_[resident_frame].get();
+        // The claim fails only on a real pin: a pin can land on a frame
+        // only while it holds the page asked for.
+        if (resident->TryClaim(page_id)) {
+          frame = resident_frame;
+          if (resident->prefetched_.load(std::memory_order_relaxed)) {
             counters_.prefetch_wasted.fetch_add(1, std::memory_order_relaxed);
           }
-          page_table_.erase(it);
+          page_table_.Erase(page_id);
           resident->Reset();
           have = true;
         }
@@ -511,12 +616,12 @@ Result<Page*> BufferPool::NewPage() {
         // reclaimed one was just Reset; AcquireFrame yields a free-list or
         // freshly evicted frame), so the new page is zeroed already.
         Page* page = frames_[frame].get();
-        page->page_id_ = page_id;
-        page->pin_count_ = 1;
-        page->is_dirty_ = true;  // ensure the zeroed page reaches disk
+        // ensure the zeroed page reaches disk
+        page->is_dirty_.store(true, std::memory_order_relaxed);
         // A brand-new page starts with ref_ clear (Reset did that): it has
         // been touched once, exactly like a demand-installed page.
-        page_table_[page_id] = frame;
+        page->Publish(page_id, 1);
+        page_table_.Insert(page_id, frame);
         return page;
       }
     }
@@ -551,13 +656,20 @@ void BufferPool::PrefetchBatchAsync(const std::vector<PageId>& ids) {
   auto st = std::make_shared<BatchState>();
   std::vector<PendingRead>& slots = st->slots;
   slots.reserve(ids.size());
-  // Phase 1 (one short latch acquisition per page): skip pages that are
-  // resident or already being read, register an in-flight entry for the
-  // rest. Registration also dedupes repeated ids within the batch.
+  // Phase 1: skip pages the page table shows resident, with no latch (a
+  // warm join's read-ahead is mostly these); take one short latch per
+  // remaining page to skip pages resident or already being read after
+  // all, and register an in-flight entry for the rest. Registration also
+  // dedupes repeated ids within the batch.
   for (const PageId id : ids) {
     if (id == kInvalidPageId || id >= num_pages) continue;
+    const FrameId seen = page_table_.Find(id);
+    if (seen != PageTable::kNone && frames_[seen]->page_id() == id) continue;
     std::lock_guard<std::mutex> lock(mu_);
-    if (page_table_.count(id) != 0 || in_flight_.count(id) != 0) continue;
+    if (page_table_.Find(id) != PageTable::kNone ||
+        in_flight_.count(id) != 0) {
+      continue;
+    }
     PendingRead slot;
     slot.page_id = id;
     slot.entry = std::make_shared<InFlight>();
@@ -638,27 +750,34 @@ void BufferPool::PrefetchBatchAsync(const std::vector<PageId>& ids) {
 void BufferPool::WaitForPrefetchIdle() { async_->Drain(); }
 
 Status BufferPool::UnpinPage(PageId page_id, bool dirty) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = page_table_.find(page_id);
-  if (it == page_table_.end()) {
-    return Status::InvalidArgument("UnpinPage: page not resident");
+  // A pinned page keeps its frame and its table entry, but a latch-free
+  // probe can miss an entry that an erase is shifting; look again under
+  // the latch before calling the page not resident.
+  FrameId f = page_table_.Find(page_id);
+  if (f == PageTable::kNone || frames_[f]->page_id() != page_id) {
+    std::lock_guard<std::mutex> lock(mu_);
+    f = page_table_.Find(page_id);
+    if (f == PageTable::kNone) {
+      return Status::InvalidArgument("UnpinPage: page not resident");
+    }
   }
-  Page* page = frames_[it->second].get();
-  if (page->pin_count_ <= 0) {
+  return UnpinPage(frames_[f].get(), dirty);
+}
+
+Status BufferPool::UnpinPage(Page* page, bool dirty) {
+  if (!page->Unpin(dirty)) {
     return Status::InvalidArgument("UnpinPage: pin count already zero");
   }
-  --page->pin_count_;
-  if (dirty) page->is_dirty_ = true;
   return Status::Ok();
 }
 
 Status BufferPool::FlushPage(PageId page_id) {
   std::unique_lock<std::shared_mutex> barrier(commit_mu_);
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = page_table_.find(page_id);
-  if (it == page_table_.end()) return Status::Ok();  // not resident: no-op
-  Page* page = frames_[it->second].get();
-  if (page->is_dirty_) {
+  const FrameId f = page_table_.Find(page_id);
+  if (f == PageTable::kNone) return Status::Ok();  // not resident: no-op
+  Page* page = frames_[f].get();
+  if (page->is_dirty()) {
     XR_RETURN_IF_ERROR(WriteBack(page));
   }
   return Status::Ok();
@@ -666,9 +785,9 @@ Status BufferPool::FlushPage(PageId page_id) {
 
 Status BufferPool::WriteBackAllDirty() {
   std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [page_id, frame] : page_table_) {
-    Page* page = frames_[frame].get();
-    if (page->is_dirty_) {
+  for (const auto& frame : frames_) {
+    Page* page = frame.get();
+    if (page->page_id() != kInvalidPageId && page->is_dirty()) {
       XR_RETURN_IF_ERROR(WriteBack(page));
     }
   }
@@ -680,21 +799,27 @@ Status BufferPool::FlushAll() {
   return WriteBackAllDirty();
 }
 
-Status BufferPool::DiscardPage(PageId page_id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = page_table_.find(page_id);
-  if (it == page_table_.end()) return Status::Ok();
-  FrameId frame = it->second;
+bool BufferPool::DropResident(PageId page_id) {
+  const FrameId frame = page_table_.Find(page_id);
+  if (frame == PageTable::kNone) return true;
   Page* page = frames_[frame].get();
-  if (page->pin_count_ > 0) {
-    return Status::InvalidArgument("DiscardPage: page is pinned");
-  }
-  if (page->prefetched_) {
+  // The claim fails only on a real pin: a pin can land on a frame only
+  // while it holds the page asked for.
+  if (!page->TryClaim(page_id)) return false;
+  if (page->prefetched_.load(std::memory_order_relaxed)) {
     counters_.prefetch_wasted.fetch_add(1, std::memory_order_relaxed);
   }
-  page_table_.erase(it);
+  page_table_.Erase(page_id);
   page->Reset();
   free_frames_.push_back(frame);
+  return true;
+}
+
+Status BufferPool::DiscardPage(PageId page_id) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!DropResident(page_id)) {
+    return Status::InvalidArgument("DiscardPage: page is pinned");
+  }
   return Status::Ok();
 }
 
@@ -704,19 +829,8 @@ Status BufferPool::FreePage(PageId page_id) {
   }
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = page_table_.find(page_id);
-    if (it != page_table_.end()) {
-      FrameId frame = it->second;
-      Page* page = frames_[frame].get();
-      if (page->pin_count_ > 0) {
-        return Status::InvalidArgument("FreePage: page is pinned");
-      }
-      if (page->prefetched_) {
-        counters_.prefetch_wasted.fetch_add(1, std::memory_order_relaxed);
-      }
-      page_table_.erase(it);
-      page->Reset();
-      free_frames_.push_back(frame);
+    if (!DropResident(page_id)) {
+      return Status::InvalidArgument("FreePage: page is pinned");
     }
   }
   // The log may hold an image of the page from before the free; once the id
@@ -809,7 +923,7 @@ size_t BufferPool::pinned_frames() const {
   std::lock_guard<std::mutex> lock(mu_);
   size_t n = 0;
   for (const auto& f : frames_) {
-    if (f->pin_count_ > 0) ++n;
+    if (f->pin_count() > 0) ++n;
   }
   return n;
 }

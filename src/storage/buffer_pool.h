@@ -65,15 +65,20 @@ struct BufferPoolOptions {
 /// bounded number of times and then fails with Status::ResourceExhausted
 /// (the index code never pins more than a handful of pages at once).
 ///
-/// Concurrency: one mutex (the pool latch) guards the frames, the page
-/// table, the CLOCK hand, the free-frame list and the in-flight table. It is
-/// held only for a hash lookup and a pin on a hit; a miss reads the disk
-/// with no latch held (DESIGN.md §12), so one global CLOCK domain — the
-/// paper's single buffer — costs no I/O concurrency. Every read, demand
-/// miss or read-ahead, lands in a private buffer and enters the pool
-/// through one install step, which takes its frame only then: no frame
-/// is held by a read in flight. Counters are relaxed
-/// atomics outside any lock. Any number of threads may Fetch/Unpin
+/// Concurrency: one mutex (the pool latch) serializes every change to the
+/// page table, the frames' page ids, the CLOCK hand, the free-frame list
+/// and the in-flight table. A hit and an unpin take no latch (DESIGN.md §9):
+/// the page table is a fixed array of atomic (page id, frame) slots that
+/// any thread probes, and a frame's page id and pin count share one atomic
+/// word, so a hit pins with one CAS that also checks the page id. Latched
+/// code re-targets a frame only after claiming it (CAS of its pin count
+/// from 0); a hit that meets a claim, or finds no slot, falls back to the
+/// latched path. A miss reads the disk with no latch held (DESIGN.md §12),
+/// so one global CLOCK domain — the paper's single buffer — costs no I/O
+/// concurrency. Every read, demand miss or read-ahead, lands in a private
+/// buffer and enters the pool through one install step, which takes its
+/// frame only then: no frame is held by a read in flight. Counters are
+/// relaxed atomics outside any lock. Any number of threads may Fetch/Unpin
 /// concurrently. Structural mutation (NewPage/FreePage id allocation)
 /// serializes only on a small allocator lock. Page *contents* are guarded by per-page latches
 /// (Page::RLatch/WLatch): any number of tree writers may run concurrently
@@ -140,8 +145,12 @@ class BufferPool {
   /// Allocates a fresh page and returns it pinned and zeroed.
   Result<Page*> NewPage();
 
-  /// Drops a pin. `dirty` marks the page as needing write-back.
+  /// Drops a pin. `dirty` marks the page as needing write-back. Finds the
+  /// frame through the page table without the pool latch.
   Status UnpinPage(PageId page_id, bool dirty);
+  /// Drops a pin on a page this pool returned pinned: one atomic step on
+  /// the frame, no lookup and no latch (PageGuard's release).
+  Status UnpinPage(Page* page, bool dirty);
 
   /// Writes the page back if dirty. Page may be pinned or not.
   Status FlushPage(PageId page_id);
@@ -273,19 +282,56 @@ class BufferPool {
     kWriteBackFailed,  // evicting the victim failed; the error is *error
   };
 
+  /// The page table: a fixed, open-addressed array of atomic (page id,
+  /// frame) slots with linear probing, sized to at least twice the frame
+  /// count at construction and never resized. Only latched code inserts or
+  /// erases (erase shifts the rest of a probe run back, so there are no
+  /// tombstones); under the pool latch a Find is exact. Without the latch
+  /// a Find is a hint: it may miss a page whose slot is moving, or name a
+  /// frame that has since been re-targeted, and the caller's CAS pin on
+  /// the frame word settles which.
+  class PageTable {
+   public:
+    static constexpr FrameId kNone = ~FrameId{0};
+    explicit PageTable(size_t frames);
+    FrameId Find(PageId id) const;
+    void Insert(PageId id, FrameId frame);  // latch held; id absent
+    void Erase(PageId id);                  // latch held; id present
+
+   private:
+    static constexpr uint64_t kEmpty = ~uint64_t{0};
+    size_t Home(PageId id) const {
+      return static_cast<size_t>((id * 0x9E3779B97F4A7C15ull) >> shift_);
+    }
+    std::unique_ptr<std::atomic<uint64_t>[]> slots_;
+    size_t mask_;
+    unsigned shift_;
+  };
+
+  // Pins `page_id` through the page table without the latch; null when the
+  // table shows no frame holding it unclaimed (the caller falls back).
+  Page* TryPinResident(PageId page_id);
+  // The bookkeeping of a hit on `page`, which is pinned: one hit (unless
+  // this fetch already counted a miss), prefetch credit, the CLOCK bit.
+  Page* CountHit(Page* page, bool miss_counted);
+
   // Victim selection: second-chance CLOCK sweep — the hand skips empty and
-  // pinned slots, clears set reference bits, and picks the first unpinned
+  // pinned slots, clears set reference bits, and claims the first unpinned
   // resident frame whose bit is already clear (at most two revolutions).
   // `clean_only` additionally skips dirty frames (read-ahead must never
   // write back). Latch held.
   bool FindVictim(FrameId* out, bool clean_only);
-  // Evicts the current occupant of `frame` (flushing if dirty). Latch held.
+  // Evicts the occupant of `frame`, which the caller has claimed (flushing
+  // if dirty; a failed write-back releases the claim). Latch held.
   Status EvictFrame(FrameId frame);
   // Stamps the integrity trailer and writes the frame's page out. Latch held.
   Status WriteBack(Page* page);
   // WriteBack of every dirty resident page (FlushAll, Commit). Takes the
   // latch; the caller holds the commit barrier exclusively.
   Status WriteBackAllDirty();
+  // Claims, resets and frees the frame of `page_id` if it is resident (a
+  // discard or free); false when the page is pinned. Latch held.
+  bool DropResident(PageId page_id);
   // Grabs a free or evictable frame (a clean one if `clean_only`). On
   // success `*out` is a reset frame. Returns false with *error OK when no
   // frame qualifies (caller backs off and retries), false with *error set
@@ -372,7 +418,7 @@ class BufferPool {
   /// Page pointer captured under the latch stays valid after it), each over
   /// its own kPageSize slice of frame_bytes_.
   std::vector<std::unique_ptr<Page>> frames_;
-  std::unordered_map<PageId, FrameId> page_table_;
+  PageTable page_table_;
   /// Second-chance sweep position (CLOCK replacement, DESIGN.md §13).
   FrameId clock_hand_ = 0;
   std::vector<FrameId> free_frames_;
@@ -444,7 +490,7 @@ class PageGuard {
   /// rather than silently swallowed.
   void Release() {
     if (pool_ != nullptr && page_ != nullptr) {
-      Status unpin = pool_->UnpinPage(page_->page_id(), dirty_);
+      Status unpin = pool_->UnpinPage(page_, dirty_);
       if (!unpin.ok()) pool_->NoteFailedUnpin(unpin);
     }
     pool_ = nullptr;

@@ -1,6 +1,7 @@
 #ifndef XRTREE_STORAGE_PAGE_H_
 #define XRTREE_STORAGE_PAGE_H_
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -92,17 +93,24 @@ class Page {
     return reinterpret_cast<const T*>(data_);
   }
 
-  PageId page_id() const { return page_id_; }
-  bool is_dirty() const { return is_dirty_; }
-  int pin_count() const { return pin_count_; }
+  PageId page_id() const {
+    return static_cast<PageId>(state_.load(std::memory_order_acquire) >> 32);
+  }
+  bool is_dirty() const { return is_dirty_.load(std::memory_order_relaxed); }
+  int pin_count() const {
+    const uint32_t pins = Pins(state_.load(std::memory_order_acquire));
+    return pins == kClaimed ? 0 : static_cast<int>(pins);
+  }
 
-  /// Per-page latch (DESIGN.md §14). Guards the page *contents* — the
-  /// buffer-pool bookkeeping fields stay under the pool latch. Latch only
-  /// while holding a pin: the latch lives in the frame, and an unpinned
-  /// frame may be evicted and re-targeted at any time. Readers couple
-  /// R-latches down a descent; writers crab W-latches (WriteLatchSet).
-  /// The latch survives Reset() deliberately — a frame is only ever reset
-  /// under the pool latch with zero pins, so no holder can exist.
+  /// Per-page latch (DESIGN.md §14). Guards the page *contents*. The
+  /// buffer-pool bookkeeping is atomic and follows the pool's claim
+  /// protocol (DESIGN.md §9): any thread pins and unpins without the pool
+  /// latch, and only latched pool code claims a frame to re-target it.
+  /// Latch only while holding a pin: the latch lives in the frame, and an
+  /// unpinned frame may be evicted and re-targeted at any time. Readers
+  /// couple R-latches down a descent; writers crab W-latches
+  /// (WriteLatchSet). The latch survives Reset() deliberately — a frame is
+  /// only ever reset while claimed, so no pin and no latch holder exists.
   void RLatch() const { latch_.lock_shared(); }
   void RUnlatch() const { latch_.unlock_shared(); }
   bool TryRLatch() const { return latch_.try_lock_shared(); }
@@ -116,20 +124,73 @@ class Page {
   /// which the OS supplies zeroed, so nothing is written here.
   explicit Page(char* frame) : data_(frame) {}
 
+  /// The low half of `state_` while latched pool code owns the frame: no
+  /// pin can be taken until the owner publishes a page id and pin count.
+  static constexpr uint32_t kClaimed = 0xFFFFFFFFu;
+  static constexpr uint64_t Word(PageId id, uint32_t pins) {
+    return (uint64_t{id} << 32) | pins;
+  }
+  static constexpr uint32_t Pins(uint64_t word) {
+    return static_cast<uint32_t>(word);
+  }
+
+  /// Pins the frame if it holds `id` and is not claimed. One CAS: the page
+  /// id sits in the word it increments, so a pin can only ever land on the
+  /// page asked for. Acquire pairs with the release that published the
+  /// frame's bytes (an install) or dropped the last pin (a write).
+  bool TryPin(PageId id) {
+    uint64_t w = state_.load(std::memory_order_relaxed);
+    while (static_cast<PageId>(w >> 32) == id && Pins(w) != kClaimed) {
+      if (state_.compare_exchange_weak(w, w + 1, std::memory_order_acquire,
+                                       std::memory_order_relaxed)) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+  /// Drops one pin; false when the frame holds no pin to drop. The dirty
+  /// bit is stored before the releasing decrement, so whoever claims the
+  /// frame next sees it (and the bytes the pin holder wrote).
+  bool Unpin(bool dirty) {
+    uint64_t w = state_.load(std::memory_order_relaxed);
+    do {
+      if (Pins(w) == 0 || Pins(w) == kClaimed) return false;
+      if (dirty) is_dirty_.store(true, std::memory_order_relaxed);
+    } while (!state_.compare_exchange_weak(w, w - 1, std::memory_order_release,
+                                           std::memory_order_relaxed));
+    return true;
+  }
+
+  /// Takes the frame for latched pool code if it holds `id` with no pin.
+  /// Fails while any pin is held.
+  bool TryClaim(PageId id) {
+    uint64_t w = Word(id, 0);
+    return state_.compare_exchange_strong(w, Word(id, kClaimed),
+                                          std::memory_order_acquire,
+                                          std::memory_order_relaxed);
+  }
+
+  /// Ends a claim: the frame holds `id` with `pins` pins. Release publishes
+  /// everything the claimer wrote to the frame.
+  void Publish(PageId id, uint32_t pins) {
+    state_.store(Word(id, pins), std::memory_order_release);
+  }
+
   // Every path that returns a frame to a free list (or re-targets it to a
-  // new page id) must Reset() it first. Clearing `prefetched_` here is part
-  // of the prefetch accounting contract: stale provenance on a recycled
-  // frame would mis-credit prefetch_hits to the frame's next occupant. The
-  // buffer pool asserts this invariant when popping free-list frames. The
-  // memset keeps "a free-list frame is all zero" true for recycled frames;
-  // a never-used frame is zero because its mapping is.
+  // new page id) must Reset() it first, while it holds the claim. Clearing
+  // `prefetched_` here is part of the prefetch accounting contract: stale
+  // provenance on a recycled frame would mis-credit prefetch_hits to the
+  // frame's next occupant. The buffer pool asserts this invariant when
+  // popping free-list frames. The memset keeps "a free-list frame is all
+  // zero" true for recycled frames; a never-used frame is zero because its
+  // mapping is. The final store ends the claim: no page id, no pin.
   void Reset() {
     std::memset(data_, 0, kPageSize);
-    page_id_ = kInvalidPageId;
-    pin_count_ = 0;
-    is_dirty_ = false;
-    prefetched_ = false;
-    ref_ = false;
+    is_dirty_.store(false, std::memory_order_relaxed);
+    prefetched_.store(false, std::memory_order_relaxed);
+    ref_.store(false, std::memory_order_relaxed);
+    Publish(kInvalidPageId, 0);
   }
 
   /// Backing buffer of a standalone page; null for a pool frame.
@@ -137,20 +198,23 @@ class Page {
   char* const data_;
   /// Content latch; mutable so const (reader) views can share-lock.
   mutable std::shared_mutex latch_;
-  PageId page_id_ = kInvalidPageId;
-  int pin_count_ = 0;
-  bool is_dirty_ = false;
+  /// Page id (high half) and pin count or kClaimed (low half), one word so
+  /// a pin and the check of what it pins are one atomic step.
+  std::atomic<uint64_t> state_{Word(kInvalidPageId, 0)};
+  std::atomic<bool> is_dirty_{false};
   /// Installed by PrefetchBatchAsync and not yet touched by any FetchPage. The
   /// BufferPool resolves the flag into exactly one of prefetch_hits (first
-  /// fetch) or prefetch_wasted (evicted/discarded first).
-  bool prefetched_ = false;
+  /// fetch, which exchanges it under its pin) or prefetch_wasted (evicted or
+  /// discarded first, under the claim).
+  std::atomic<bool> prefetched_{false};
   /// Second-chance (CLOCK) reference bit. Set by a pool hit (and by a
   /// prefetch install, granting read-ahead one grace revolution); cleared
   /// when the sweep hand passes. Demand installs leave it clear so a
   /// fetched-once page ranks below a re-referenced one — which keeps the
   /// policy's eviction order LRU-compatible for the classic access traces
-  /// the single-threaded tests pin down. Guarded by the pool latch.
-  bool ref_ = false;
+  /// the single-threaded tests pin down. A hint: relaxed, written by
+  /// latch-free hits and by the latched sweep alike.
+  std::atomic<bool> ref_{false};
 };
 
 }  // namespace xrtree

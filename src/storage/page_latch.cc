@@ -64,7 +64,7 @@ void WriteLatchSet::ReleaseHeld(Held& h) {
   // Unlatch before unpin: the latch lives in the frame, and the pin is
   // what keeps the frame from being evicted or re-targeted under us.
   h.page->WUnlatch();
-  Status unpin = pool_->UnpinPage(h.id, h.dirty);
+  Status unpin = pool_->UnpinPage(h.page, h.dirty);
   if (!unpin.ok()) pool_->NoteFailedUnpin(unpin);
 }
 

@@ -633,6 +633,161 @@ TEST(ConcurrencyTest, ParallelPinUnpinHammer) {
             static_cast<uint64_t>(kThreads) * kOpsPerThread);
 }
 
+// The latch-free hit path (DESIGN.md §9) against every latched re-target
+// of a frame at once, on a 16-frame pool: readers fetch and unpin a hot
+// set without the latch, one thread forces evictions with cold ids, one
+// frees and reallocates ids. Every pin must land on the page asked for,
+// FreePage of an unpinned page must never see a pin, each fetch counts
+// one hit or miss, and a dirty unpin taken without the latch must reach
+// the next eviction's write-back.
+TEST(ConcurrencyTest, LatchFreeHitsRaceEvictionFreeAndReuse) {
+  TempDb db(16);
+  BufferPool* pool = db.pool();
+  // A page is stamped with its id at four offsets; offset kCounter holds a
+  // write counter that only the one writing reader bumps.
+  constexpr size_t kStamps[] = {0, 1024, 2048, kPageDataSize - 8};
+  constexpr size_t kCounter = 512;
+  auto stamp = [&](Page* p, PageId id) {
+    for (size_t off : kStamps) std::memcpy(p->data() + off, &id, sizeof id);
+  };
+  auto stamped = [&](const Page* p, PageId id) {
+    for (size_t off : kStamps) {
+      PageId got;
+      std::memcpy(&got, p->data() + off, sizeof got);
+      if (got != id) return false;
+    }
+    return true;
+  };
+  auto make_pages = [&](size_t n) {
+    std::vector<PageId> ids;
+    for (size_t i = 0; i < n; ++i) {
+      auto page = pool->NewPage();
+      XR_CHECK_OK(page.status());
+      stamp(*page, (*page)->page_id());
+      ids.push_back((*page)->page_id());
+      XR_CHECK_OK(pool->UnpinPage(ids.back(), true));
+    }
+    return ids;
+  };
+  const std::vector<PageId> hot = make_pages(6);
+  const std::vector<PageId> cold = make_pages(40);
+  XR_CHECK_OK(pool->FlushAll());
+
+  constexpr int kReaders = 3;
+  constexpr int kReaderOps = 20000;
+  constexpr int kColdOps = 5000;
+  constexpr int kChurnCycles = 1000;
+  std::atomic<bool> go{false};
+  std::atomic<uint64_t> fetches{0};
+  std::atomic<uint64_t> wrong_page{0};
+  std::atomic<uint64_t> lost_writes{0};
+  std::atomic<uint64_t> errors{0};
+  std::atomic<uint64_t> pinned_frees{0};
+  // Reader 0 also writes: each fetch bumps the hot page's counter and
+  // unpins dirty through its Page* (no latch, no lookup).
+  std::vector<uint32_t> written(hot.size(), 0);
+  IoStats before = pool->stats();
+
+  auto fetch_checked = [&](PageId id) -> Page* {
+    fetches.fetch_add(1, std::memory_order_relaxed);
+    auto r = pool->FetchPage(id);
+    if (!r.ok()) {
+      errors.fetch_add(1);
+      return nullptr;
+    }
+    Page* p = *r;
+    p->RLatch();
+    const bool ok = p->page_id() == id && stamped(p, id);
+    p->RUnlatch();
+    if (!ok) wrong_page.fetch_add(1);
+    return p;
+  };
+
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kReaders; ++t) {
+    threads.emplace_back([&, t] {
+      Random rng(0x5EED + t);
+      while (!go.load()) std::this_thread::yield();
+      for (int i = 0; i < kReaderOps; ++i) {
+        const size_t k = rng.Uniform(hot.size());
+        Page* p = fetch_checked(hot[k]);
+        if (p == nullptr) continue;
+        if (t == 0) {
+          PageGuard guard(pool, p);
+          p->WLatch();
+          uint32_t counter;
+          std::memcpy(&counter, p->data() + kCounter, sizeof counter);
+          if (counter != written[k]) lost_writes.fetch_add(1);
+          written[k] = counter + 1;
+          std::memcpy(p->data() + kCounter, &written[k], sizeof counter);
+          p->WUnlatch();
+          guard.MarkDirty();
+        } else if (i % 2 == 0) {
+          PageGuard guard(pool, p);  // unpin by frame
+        } else if (!pool->UnpinPage(hot[k], false).ok()) {
+          errors.fetch_add(1);  // unpin by id
+        }
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    Random rng(0xC01D);
+    while (!go.load()) std::this_thread::yield();
+    for (int i = 0; i < kColdOps; ++i) {
+      if (Page* p = fetch_checked(cold[rng.Uniform(cold.size())])) {
+        PageGuard guard(pool, p);
+      }
+    }
+  });
+  threads.emplace_back([&] {
+    std::vector<PageId> live;
+    while (!go.load()) std::this_thread::yield();
+    for (int i = 0; i < kChurnCycles; ++i) {
+      auto page = pool->NewPage();
+      if (!page.ok()) {
+        errors.fetch_add(1);
+        continue;
+      }
+      const PageId id = (*page)->page_id();
+      (*page)->WLatch();
+      stamp(*page, id);
+      (*page)->WUnlatch();
+      if (!pool->UnpinPage(*page, true).ok()) errors.fetch_add(1);
+      live.push_back(id);
+      if (live.size() < 3) continue;
+      const PageId oldest = live.front();
+      live.erase(live.begin());
+      if (Page* p = fetch_checked(oldest)) PageGuard guard(pool, p);
+      Status freed = pool->FreePage(oldest);
+      if (!freed.ok()) pinned_frees.fetch_add(1);
+    }
+  });
+  go.store(true);
+  for (auto& t : threads) t.join();
+
+  EXPECT_EQ(wrong_page.load(), 0u);
+  EXPECT_EQ(lost_writes.load(), 0u);
+  EXPECT_EQ(errors.load(), 0u);
+  EXPECT_EQ(pinned_frees.load(), 0u);
+  EXPECT_EQ(pool->pinned_frames(), 0u);
+  IoStats delta = pool->stats() - before;
+  EXPECT_EQ(delta.buffer_hits + delta.buffer_misses, fetches.load());
+  EXPECT_GT(delta.buffer_misses, 0u);  // the cold thread did evict
+
+  // Cycle every cold page through the pool: each hot page is evicted, and
+  // its last counter must be what the eviction wrote to the file.
+  for (PageId id : cold) {
+    if (Page* p = fetch_checked(id)) PageGuard guard(pool, p);
+  }
+  std::vector<char> buf(kPageSize);
+  for (size_t k = 0; k < hot.size(); ++k) {
+    ASSERT_OK(db.disk()->ReadPage(hot[k], buf.data()));
+    uint32_t counter;
+    std::memcpy(&counter, buf.data() + kCounter, sizeof counter);
+    EXPECT_EQ(counter, written[k]) << "page " << hot[k];
+  }
+}
+
 // Threads holding one pin while taking a second can momentarily pin every
 // frame of a small pool. The bounded back-off in FetchPage
 // must absorb the transient instead of surfacing ResourceExhausted.

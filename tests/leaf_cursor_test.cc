@@ -211,6 +211,47 @@ TYPED_TEST(LeafChainLoopTest, LinkToItselfIsCorruption) {
   this->LoopBackTo(5);
 }
 
+// A tree reopened by its root alone tracks no size until CountEntries,
+// so the checker must not compare one; a size it does track still has to
+// match the leaves.
+template <typename Tree>
+class TrackedSizeTest : public ::testing::Test {
+ protected:
+  typename TreeKind<Tree>::Options options_;
+  TempDb db_{256};
+};
+
+TYPED_TEST_SUITE(TrackedSizeTest, Trees);
+
+TYPED_TEST(TrackedSizeTest, TreeReopenedByRootPassesTheChecker) {
+  const ElementList elems = RandomNestedElements(41, 2000, 4);
+  TypeParam built(this->db_.pool(), kInvalidPageId, this->options_);
+  ASSERT_OK(built.BulkLoad(elems));
+  TypeParam reopened(this->db_.pool(), built.root(), this->options_);
+  EXPECT_OK(reopened.CheckConsistency());
+  ASSERT_OK_AND_ASSIGN(uint64_t n, reopened.CountEntries());
+  EXPECT_EQ(n, elems.size());
+  EXPECT_OK(reopened.CheckConsistency());
+}
+
+TYPED_TEST(TrackedSizeTest, TrackedSizeOffByOneIsCorruption) {
+  const ElementList elems = RandomNestedElements(43, 2000, 4);
+  TypeParam built(this->db_.pool(), kInvalidPageId, this->options_);
+  ASSERT_OK(built.BulkLoad(elems, /*fill_fraction=*/0.7));
+  // A second handle on the same pages adds one element behind the first
+  // handle's back; the root page stays the same.
+  Position last_end = 0;
+  for (const Element& e : elems) last_end = std::max(last_end, e.end);
+  TypeParam other(this->db_.pool(), built.root(), this->options_);
+  ASSERT_OK(other.Insert(Element(last_end + 1, last_end + 2, 0, 1u << 30)));
+  ASSERT_EQ(other.root(), built.root());
+  EXPECT_OK(other.CheckConsistency());
+  Status checked = built.CheckConsistency();
+  EXPECT_TRUE(checked.IsCorruption()) << checked.ToString();
+  EXPECT_NE(checked.ToString().find("size mismatch"), std::string::npos)
+      << checked.ToString();
+}
+
 // The adaptive read-ahead ramp both XR-stack sides use. With d = 128 it
 // reaches 128: the cap is max(d, 64), as JoinOptions::adaptive_prefetch
 // documents.
