@@ -55,7 +55,7 @@ struct NoCarry {};
 ///   * the streaming bulk load;
 ///   * the structural checker and the leaf-chain walk;
 ///   * the leaf cursors (LowerBound, UpperBound, Begin: one LeafCursor),
-///     CountEntries and the read-ahead run (LeafRunAfter).
+///     CountEntries and the read-ahead listing (ListLeaves).
 ///
 /// `Layout` is a node-layout traits type: Header, InternalEntry, kName, the
 /// leaf and internal magics and capacities, kLeafMaxEntriesAnyFormat,
@@ -81,11 +81,15 @@ class BPlusSkeleton {
 
   /// Current root page (persist this to reopen the tree later).
   PageId root() const { return root_.load(std::memory_order_acquire); }
-  /// Entry count. Tracked for a tree this handle built (from empty or by
-  /// BulkLoad) or counted (CountEntries); a tree reopened by its root alone
-  /// tracks none until CountEntries, and the checker compares only a
-  /// tracked count.
+  /// Entry count, when size_tracked(): for a tree this handle built (from
+  /// empty or by BulkLoad) or counted (CountEntries), followed by every
+  /// insert and delete made through this handle. A handle reopened by its
+  /// root alone tracks none until CountEntries: its size() stays 0 and the
+  /// checker compares only a tracked count.
   uint64_t size() const { return size_.load(std::memory_order_acquire); }
+  bool size_tracked() const {
+    return size_tracked_.load(std::memory_order_acquire);
+  }
   BufferPool* pool() const { return pool_; }
   uint32_t leaf_capacity() const { return leaf_cap_; }
   uint32_t internal_capacity() const { return internal_cap_; }
@@ -137,60 +141,71 @@ class BPlusSkeleton {
     return n;
   }
 
-  /// Up to `max_run` leaf page ids that follow the leaf containing `key`
-  /// in leaf-chain order, read off the parent internal node during one
-  /// root-to-leaf descent, with no leaf I/O. This is the cursor's precise
-  /// read-ahead: internal entries carry their child page ids, so the
-  /// sibling run is known exactly and goes to
-  /// BufferPool::PrefetchBatchAsync as one vectorized submission instead
-  /// of a pointer chase. Returns an empty run when the leaf is the last
-  /// child of its parent (the cursor then prefetches its `next` link alone
-  /// and asks again from the next parent). Reader-concurrent.
+  /// A leaf id and the lowest key its leaf can hold: its separator, or the
+  /// listing's starting key for the first leaf listed.
+  struct LeafRef {
+    Position lo;
+    PageId id;
+  };
+
+  /// Lists, with no leaf I/O, up to `max` (>= 1) leaves under the
+  /// last-level internal node whose subtree holds `key`: the child that
+  /// holds `key` and the later children whose key ranges start before
+  /// `hi`, appended to *out. Returns the lowest key of the first leaf not
+  /// listed (at or past `hi` when `hi` stopped the listing), or
+  /// kNilPosition past the rightmost leaf, so a caller lists a key range
+  /// at most one parent at a time on a tree of any height. `visit(node)`
+  /// runs under the R latch of each internal node the listing descends
+  /// through, the last-level one included. Reader-concurrent: the ids are
+  /// for read-ahead only, and a concurrent writer can make them stale.
   ///
-  /// `resume_key` (optional): where a left-to-right consumer should ask
-  /// again. For a non-empty run, the parent's separator key at which the
-  /// run's LAST page begins (the frontier is then entering the final
-  /// prefetched leaf). For an empty run, the upper bound of `key`'s leaf
-  /// (the first separator past it, kNilPosition for the rightmost leaf),
-  /// since asking again from inside the same leaf yields the same empty
-  /// run.
-  ///
-  /// `hi` (optional): clamp. Leaves whose key range starts at or past `hi`
-  /// are excluded from the run, so a consumer that stops at `hi` (a
-  /// partition range worker) never reads ahead pages it will not visit.
-  Result<std::vector<PageId>> LeafRunAfter(
-      Position key, size_t max_run, Position* resume_key = nullptr,
-      Position hi = kNilPosition) const {
-    std::vector<PageId> run;
-    if (max_run == 0) return run;
-    // Record the children after the taken slot at every level; when the
-    // descent bottoms out, the last recording is the leaf's sibling run.
-    // (An internal node with `count` keys has `count + 1` children, at
-    // child slots 0..count. The child at slot i >= 1 begins at the
-    // separator slots[i-1].key, which is the resume key when that child is
-    // the last one recorded.) A child whose separator is at or past `hi`
-    // starts outside the caller's range and is never visited: stop the run
-    // there. The separator after the taken slot, at the deepest level that
-    // has one, bounds the leaf from above.
-    Position resume = kNilPosition;
-    Position leaf_hi = kNilPosition;
-    auto record_run = [&](const Page* node) {
-      const uint32_t count = Layout::Hdr(node)->count;
-      const Entry* slots = Layout::Slots(node);
+  /// The last internal level is found from the height hint. A hint that a
+  /// writer through another handle made stale lists internal ids, or stops
+  /// on a leaf it reads (and corrects the hint); a handle reopened by its
+  /// root measures the height once, with one leaf read.
+  template <typename Visit>
+  Result<Position> ListLeaves(Position key, Position hi, size_t max,
+                              std::vector<LeafRef>* out, Visit&& visit) const {
+    uint32_t height = height_.load(std::memory_order_relaxed);
+    if (height == 0) {
+      XR_ASSIGN_OR_RETURN(height, Height());
+      if (height == 0) return kNilPosition;  // empty tree
+      height_.store(height, std::memory_order_relaxed);
+    }
+    // The separator after the taken slot, at the deepest level that has
+    // one, bounds the listed node from above.
+    Position upper = kNilPosition;
+    uint32_t internal = 0;
+    auto above = [&](const Page* node) {
+      ++internal;
       const uint32_t slot = ChildSlot(node, key);
-      if (slot < count) leaf_hi = slots[slot].key;
-      run.clear();
-      for (uint32_t next = slot + 1; next <= count && run.size() < max_run;
-           ++next) {
-        if (hi != kNilPosition && slots[next - 1].key >= hi) break;
-        run.push_back(ChildAt(node, next));
-        resume = slots[next - 1].key;
+      if (slot < Layout::Hdr(node)->count) {
+        upper = Layout::Slots(node)[slot].key;
       }
-      return Status::Ok();
+      return visit(node);
     };
-    XR_RETURN_IF_ERROR(DescendRead(key, record_run).status());
-    if (resume_key != nullptr) *resume_key = run.empty() ? leaf_hi : resume;
-    return run;
+    // The last internal level sits at depth height - 2 (the root is 0).
+    XR_ASSIGN_OR_RETURN(
+        ReadLatchedPage node,
+        DescendRead(key, above, static_cast<int>(height) - 2));
+    if (!node) return kNilPosition;  // empty tree
+    const Page* raw = node.get();
+    if (Layout::Hdr(raw)->is_leaf) {
+      // The tree shrank under the hint (or is one leaf): this is the leaf.
+      height_.store(internal + 1, std::memory_order_relaxed);
+      out->push_back({key, raw->page_id()});
+      return upper;
+    }
+    XR_RETURN_IF_ERROR(visit(raw));
+    const uint32_t count = Layout::Hdr(raw)->count;
+    const Entry* slots = Layout::Slots(raw);
+    uint32_t slot = ChildSlot(raw, key);
+    out->push_back({key, ChildAt(raw, slot)});
+    for (size_t listed = 1; slot < count; ++slot, ++listed) {
+      if (listed == max || slots[slot].key >= hi) return slots[slot].key;
+      out->push_back({slots[slot].key, slots[slot].child});
+    }
+    return upper;
   }
 
   /// Bulk-loads a start-sorted element list into an empty tree, packing
@@ -273,6 +288,7 @@ class BPlusSkeleton {
         root_(other.root_.load(std::memory_order_acquire)),
         size_(other.size_.load(std::memory_order_acquire)),
         size_tracked_(other.size_tracked_.load(std::memory_order_acquire)),
+        height_(other.height_.load(std::memory_order_relaxed)),
         leaf_cap_(other.leaf_cap_),
         internal_cap_(other.internal_cap_) {}
   BPlusSkeleton& operator=(BPlusSkeleton&& other) noexcept {
@@ -283,6 +299,8 @@ class BPlusSkeleton {
                 std::memory_order_release);
     size_tracked_.store(other.size_tracked_.load(std::memory_order_acquire),
                         std::memory_order_release);
+    height_.store(other.height_.load(std::memory_order_relaxed),
+                  std::memory_order_relaxed);
     leaf_cap_ = other.leaf_cap_;
     internal_cap_ = other.internal_cap_;
     return *this;
@@ -344,10 +362,13 @@ class BPlusSkeleton {
   /// the root it latched is still root_, checks each page, couples R
   /// latches down and bounds the depth. Calls `visit(node)` (returning
   /// Status) under each internal node's R latch and returns the leaf still
-  /// R-latched, or an empty handle for an empty tree. A retry happens only
-  /// before the root is visited, so no node is visited twice.
+  /// R-latched, or an empty handle for an empty tree. A descent given a
+  /// `stop_depth` (the root is depth 0) returns the internal node it meets
+  /// there instead, latched and not visited. A retry happens only before
+  /// the root is visited, so no node is visited twice.
   template <typename Visit>
-  Result<ReadLatchedPage> DescendRead(Position key, Visit&& visit) const {
+  Result<ReadLatchedPage> DescendRead(Position key, Visit&& visit,
+                                      int stop_depth = kMaxTreeDepth) const {
     for (;;) {
       PageId root_id = root_.load(std::memory_order_acquire);
       if (root_id == kInvalidPageId) return ReadLatchedPage();
@@ -368,7 +389,7 @@ class BPlusSkeleton {
       for (int depth = 0; depth < kMaxTreeDepth; ++depth) {
         Page* raw = cur.get();
         XR_RETURN_IF_ERROR(Layout::CheckPage(raw));
-        if (Layout::Hdr(raw)->is_leaf) return cur;
+        if (Layout::Hdr(raw)->is_leaf || depth == stop_depth) return cur;
         XR_RETURN_IF_ERROR(visit(static_cast<const Page*>(raw)));
         PageId child = ChildAt(raw, ChildSlot(raw, key));
         // Couple: latch the child while the parent latch pins the link.
@@ -465,6 +486,7 @@ class BPlusSkeleton {
     // a half-formatted node.
     raw->WLatch();
     InitNode(raw, /*leaf=*/true);
+    height_.store(1, std::memory_order_relaxed);
     root_.store(raw->page_id(), std::memory_order_release);
     raw->WUnlatch();
     return Status::Ok();
@@ -491,7 +513,7 @@ class BPlusSkeleton {
       all.insert(all.begin() + at, element);
       XR_RETURN_IF_ERROR(SplitLeaf(ls, std::move(path), std::move(all)));
     }
-    size_.fetch_add(1, std::memory_order_acq_rel);
+    if (size_tracked()) size_.fetch_add(1, std::memory_order_acq_rel);
     return Status::Ok();
   }
 
@@ -553,6 +575,9 @@ class BPlusSkeleton {
         hdr->leftmost = old_root;
         Layout::Slots(raw)[0] = Layout::MakeEntry(sep_key, right_child);
         XR_RETURN_IF_ERROR(self().CommitNode(raw, carry));
+        if (const uint32_t h = height_.load(std::memory_order_relaxed)) {
+          height_.store(h + 1, std::memory_order_relaxed);
+        }
         root_.store(raw->page_id(), std::memory_order_release);
         return Status::Ok();
       }
@@ -630,7 +655,7 @@ class BPlusSkeleton {
                  (hdr->count - at - 1) * sizeof(Element));
     --hdr->count;
     ls.MarkDirty(leaf_id);
-    size_.fetch_sub(1, std::memory_order_acq_rel);
+    if (size_tracked()) size_.fetch_sub(1, std::memory_order_acq_rel);
     return victim;
   }
 
@@ -805,6 +830,9 @@ class BPlusSkeleton {
         // D4: the root emptied; its single child is the new root. We hold
         // the old root's W-latch, so readers re-validating root_ retry.
         XR_RETURN_IF_ERROR(self().CheckCollapsingRoot(praw));
+        if (const uint32_t h = height_.load(std::memory_order_relaxed)) {
+          height_.store(h - 1, std::memory_order_relaxed);
+        }
         root_.store(phdr->leftmost, std::memory_order_release);
         phdr->magic = 0;
         ls.DeferFree(parent_id);
@@ -977,6 +1005,8 @@ class BPlusSkeleton {
     const PageId new_root = level[0].page;
     XR_RETURN_IF_ERROR(
         self().FinishBulkLoad(new_root, leaves, internal_levels));
+    height_.store(static_cast<uint32_t>(internal_levels) + 1,
+                  std::memory_order_relaxed);
     root_.store(new_root, std::memory_order_release);
     size_.store(total_loaded, std::memory_order_release);
     size_tracked_.store(true, std::memory_order_release);
@@ -1162,6 +1192,11 @@ class BPlusSkeleton {
   std::atomic<uint64_t> size_{0};
   /// Whether size_ counts the tree's entries (see size()).
   std::atomic<bool> size_tracked_;
+  /// Height as this handle last set it: BulkLoad, the first root leaf, a
+  /// root split or collapse; 0 until known for a tree reopened by its root.
+  /// A hint for ListLeaves only, so relaxed: writers through another handle
+  /// do not update it.
+  mutable std::atomic<uint32_t> height_{0};
   std::mutex root_init_mu_;
   uint32_t leaf_cap_;
   uint32_t internal_cap_;

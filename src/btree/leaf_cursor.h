@@ -15,36 +15,6 @@
 
 namespace xrtree {
 
-/// The adaptive read-ahead ramp (JoinOptions::adaptive_prefetch), shared by
-/// the leaf cursor and XR-stack's ancestor side. With `adaptive` off the
-/// depth stays `depth`. With it on, a run starts at min(depth, 4) pages,
-/// doubles after each full run up to max(depth, kMaxDepth) and halves after
-/// a short one, never below 2: long scans reach a deep horizon while short
-/// stabs pay no wasted reads.
-class ReadAheadRamp {
- public:
-  static constexpr uint32_t kMaxDepth = 64;
-
-  ReadAheadRamp() = default;
-  ReadAheadRamp(uint32_t depth, bool adaptive)
-      : depth_(adaptive ? std::min<uint32_t>(depth, 4) : depth),
-        cap_(adaptive ? std::max(depth, kMaxDepth) : 0) {}
-
-  /// Pages the next run asks for; 0 = read-ahead off.
-  uint32_t depth() const { return depth_; }
-
-  /// Records how the last run came back: `full` when it held depth() pages.
-  void Record(bool full) {
-    if (cap_ == 0) return;
-    depth_ = full ? std::min(depth_ * 2, cap_)
-                  : std::max<uint32_t>(2, depth_ / 2);
-  }
-
- private:
-  uint32_t depth_ = 0;
-  uint32_t cap_ = 0;  ///< ramp ceiling; 0 = fixed depth
-};
-
 /// Forward cursor over the leaf level of a BPlusSkeleton tree (BTree,
 /// XrTree): the merge-scan backbone of the joins. It holds a *snapshot* of
 /// the current leaf's elements, copied under a short R-latch by the tree's
@@ -59,8 +29,8 @@ class ReadAheadRamp {
 /// is the classic pinned-cursor behaviour.
 ///
 /// scanned() counts the elements the cursor lands on, the paper's "number
-/// of elements scanned" (§6.1). Leaf read-ahead (EnablePrefetch) survives
-/// seeks. A move that returns an error leaves the cursor invalid.
+/// of elements scanned" (§6.1). A move that returns an error leaves the
+/// cursor invalid.
 template <typename Tree>
 class LeafCursor {
  public:
@@ -87,7 +57,7 @@ class LeafCursor {
       ++scanned_;
       return Status::Ok();
     }
-    return LandOnNextLeaf(/*read_ahead=*/true);
+    return LandOnNextLeaf();
   }
 
   /// The current element and the rest of the snapshot after it: the
@@ -132,16 +102,13 @@ class LeafCursor {
       ++scanned_;  // the landing element, as a descent charges it
       return Status::Ok();
     }
-    XR_RETURN_IF_ERROR(Reseek(key, /*exclusive=*/true));
-    MaybePrefetch();
-    return Status::Ok();
+    return Reseek(key, /*exclusive=*/true);
   }
 
   /// One root-to-leaf descent to the first element with start > `key`
   /// (`exclusive`) or >= `key`, whatever the snapshot holds: Anc_Des_B+'s
   /// skip, which the paper charges one probe. Keeps the scanned() total
-  /// and the read-ahead state, charges the landing element and issues no
-  /// read-ahead itself.
+  /// and charges the landing element.
   Status Reseek(Position key, bool exclusive) {
     using Layout = typename Tree::NodeLayout;
     if (tree_ == nullptr) {
@@ -177,25 +144,13 @@ class LeafCursor {
       // The key is past this leaf's last entry: land on the next
       // non-empty leaf through the epoch-checked hop.
       leaf.Release();
-      return LandOnNextLeaf(/*read_ahead=*/false);
+      return LandOnNextLeaf();
     }
     Landed();
     return Status::Ok();
   }
 
-  /// Turns on leaf read-ahead: every time the cursor lands on a new leaf,
-  /// the next ReadAheadRamp(depth, adaptive).depth() sibling leaves
-  /// (BPlusSkeleton::LeafRunAfter) are submitted with
-  /// BufferPool::PrefetchBatchAsync, or at the last child of a parent just
-  /// the chain successor, so the cursor finds them resident or in flight
-  /// instead of paying one blocking miss per page. depth 0 = off.
-  void EnablePrefetch(uint32_t depth, bool adaptive = false) {
-    ramp_ = ReadAheadRamp(depth, adaptive);
-    MaybePrefetch();
-  }
-
   uint64_t scanned() const { return scanned_; }
-  uint32_t prefetch_depth() const { return ramp_.depth(); }
 
  private:
   /// The cursor sits on the first element of a fresh snapshot.
@@ -218,8 +173,8 @@ class LeafCursor {
 
   /// Chases next_ to the first non-empty leaf and snapshots it. Falls back
   /// to a Reseek past reseek_key_ when the free epoch moved under the
-  /// lateral link. `read_ahead` issues the read-ahead for a landing.
-  Status LandOnNextLeaf(bool read_ahead) {
+  /// lateral link.
+  Status LandOnNextLeaf() {
     using Layout = typename Tree::NodeLayout;
     BufferPool* pool = tree_->pool();
     // A stale page that still passes its checksum can link the chain back
@@ -274,36 +229,12 @@ class LeafCursor {
       if (!snap_.empty()) {
         leaf.Release();
         Landed();
-        if (read_ahead) MaybePrefetch();
         return Status::Ok();
       }
     }
     snap_.clear();
     pos_ = 0;
     return Status::Ok();  // end of tree
-  }
-
-  /// Issues the read-ahead for the leaves following the current snapshot.
-  void MaybePrefetch() {
-    if (ramp_.depth() == 0 || !Valid() || next_ == kInvalidPageId) return;
-    // One descent through the (hot, resident) upper levels reads the
-    // sibling leaf ids off the parent internal node, so the whole run goes
-    // to the pool as one vectorized batch instead of a page-at-a-time
-    // pointer chase. The descent key is this snapshot's largest start,
-    // which lands the probe back on the snapshot's leaf.
-    auto run = tree_->LeafRunAfter(snap_.back().start, ramp_.depth());
-    if (run.ok() && !run->empty() && run->front() == next_) {
-      const bool full = run->size() == ramp_.depth();
-      tree_->pool()->PrefetchBatchAsync(*run);
-      ramp_.Record(full);
-      return;
-    }
-    // The run does not start at our chain successor: this leaf is the last
-    // child of its parent (or a concurrent split moved the chain). Read
-    // ahead the one id we know; landing there asks LeafRunAfter again,
-    // inside the next parent.
-    ramp_.Record(false);
-    tree_->pool()->PrefetchBatchAsync({next_});
   }
 
   const Tree* tree_ = nullptr;
@@ -314,7 +245,6 @@ class LeafCursor {
   Position reseek_key_ = 0;        ///< recovery point for a fresh descent
   bool reseek_exclusive_ = false;  ///< true once an element was returned
   uint64_t scanned_ = 0;
-  ReadAheadRamp ramp_;
 };
 
 }  // namespace xrtree

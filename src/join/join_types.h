@@ -50,18 +50,17 @@ struct JoinOptions {
   /// thread-safe.
   uint32_t num_threads = 1;
 
-  /// Leaf read-ahead depth for the descendant range scan (XR-stack and its
-  /// parallel variant): each time the descendant cursor lands on a new
-  /// leaf, the next `prefetch_depth` sibling leaves are submitted for
-  /// read-ahead without waiting (BufferPool::PrefetchBatchAsync). 0 = off.
+  /// Leaf read-ahead cap for XR-stack and its parallel variant (DESIGN.md
+  /// §10): each range worker plans its leaves off the internal levels and
+  /// keeps a window of them resident or in flight on each side
+  /// (BufferPool::PrefetchBatchAsync), as wide as its share of the pool
+  /// (two cursors per range of `num_threads`) and at most `prefetch_depth`
+  /// leaves. 0 = off.
   uint32_t prefetch_depth = 0;
 
-  /// Scale read-ahead depth from observed run lengths instead of issuing a
-  /// fixed `prefetch_depth` every time: runs start shallow (4), double on
-  /// every fully-consumed run up to max(prefetch_depth, 64), and halve when
-  /// a run comes back short (range boundary, last child of a parent). Long
-  /// sequential scans reach the deep horizon while short stabs stay
-  /// shallow, keeping prefetch_wasted ~0. Requires prefetch_depth > 0.
+  /// Not read by any join: the read-ahead window is sized from the pool.
+  /// Kept only because perfbench/xrbench.cc still sets it (ROADMAP
+  /// "Benchmark housekeeping").
   bool adaptive_prefetch = false;
 
   /// Cooperative cancellation: when non-null and set, XrStackJoinRange

@@ -199,6 +199,8 @@ Result<JoinOutput> ParallelXrStackJoin(const XrTree& ancestors,
   // aborts the join promptly.
   std::atomic<bool> cancel{false};
   JoinOptions worker_options = options;
+  // Each range sizes its read-ahead by its share of the pool.
+  worker_options.num_threads = static_cast<uint32_t>(ranges.size());
   worker_options.external_cancel =
       options.cancel != nullptr ? options.cancel : options.external_cancel;
   worker_options.cancel = &cancel;

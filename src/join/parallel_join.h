@@ -32,8 +32,9 @@ namespace xrtree {
 ///
 /// Falls back to the serial XrStackJoin when num_threads <= 1, when the
 /// ancestor tree is too shallow to offer separator keys, or when it offers
-/// none. `options.prefetch_depth` applies to every worker's descendant
-/// cursor. Read-path only, like every const query.
+/// none. With `options.prefetch_depth` set, every worker reads ahead
+/// within its range on both trees, sized by its share of the pool.
+/// Read-path only, like every const query.
 ///
 /// Failure handling: one failed range is non-fatal to the siblings'
 /// promptness — the first failure sets a shared cancellation flag and

@@ -1,12 +1,100 @@
 #include "join/xr_stack.h"
 
 #include <algorithm>
+#include <bit>
+#include <deque>
 #include <span>
 #include <vector>
 
 #include "xrtree/probe_cursor.h"
 
 namespace xrtree {
+
+namespace {
+
+/// Leaves each side of a range worker keeps resident or in flight ahead of
+/// the leaf it is on (DESIGN.md §10). The pool's frames are shared among
+/// the cursors that read through it, two per range; a share holds the
+/// window and the current leaf. The window is a power of two, so that a
+/// refill of half of it is a whole run, and at most `depth`.
+uint32_t ReadAheadWidth(size_t pool_frames, uint32_t ranges, uint32_t depth) {
+  const size_t share = pool_frames / (2 * size_t{std::max(ranges, 1u)});
+  if (share < 2) return 0;
+  return static_cast<uint32_t>(
+      std::min<size_t>(depth, std::bit_floor(share - 1)));
+}
+
+/// One side's read-ahead plan in a range worker: the ids of the side's
+/// leaves below a key bound, listed off the last internal level one parent
+/// at a time (BPlusSkeleton::ListLeaves), and a window of the `width`
+/// leaves ahead of the one the side is on, kept resident or in flight. The
+/// plan holds ids only: a stale id under a concurrent writer costs at most
+/// a wasted read, never a wrong answer. A listing that fails ends the plan,
+/// and the join's own reads surface what is wrong.
+class LeafWindow {
+ public:
+  /// `stabs`: also submit the stab chain heads of the internal nodes the
+  /// listings pass through, which the ancestor side's probes read.
+  LeafWindow(const XrTree* tree, Position hi, uint32_t width, bool stabs)
+      : tree_(tree), hi_(hi), width_(width), stabs_(stabs) {}
+
+  /// Moves the window to the leaf holding `key` (keys ascend) and, when at
+  /// least half of it is free, submits the ids that fill it: one run of
+  /// neighbouring leaves, after the leaf holding `key` itself on the first
+  /// call or after a skip. A key at or past the bound is left to demand
+  /// reads.
+  void TopUp(Position key) {
+    if (key >= hi_) return;
+    if (key >= next_) {
+      // Past every listed leaf (the first call, or a skip): list afresh.
+      plan_.clear();
+      issued_ = 0;
+      next_ = key;
+    }
+    while (plan_.size() > 1 && plan_[1].lo <= key) {
+      plan_.pop_front();
+      if (issued_ > 0) --issued_;
+    }
+    // plan_[0] is the current leaf; issued_ - 1 leaves ahead are submitted.
+    const uint32_t ahead = issued_ > 0 ? issued_ - 1 : 0;
+    if (issued_ > 0 && width_ - ahead < std::max(width_ / 2, 1u)) return;
+    batch_.clear();
+    while (plan_.size() <= width_ && next_ < hi_) {
+      listed_.clear();
+      auto next = tree_->ListLeaves(
+          next_, hi_, width_ + 1 - plan_.size(), &listed_,
+          [&](const Page* node) {
+            const PageId stab_head = XrHeader(node)->stab_head;
+            if (stabs_ && stab_head != kInvalidPageId) {
+              batch_.push_back(stab_head);
+            }
+            return Status::Ok();
+          });
+      next_ = next.ok() ? *next : kNilPosition;
+      plan_.insert(plan_.end(), listed_.begin(), listed_.end());
+    }
+    const uint32_t end =
+        std::min(width_ + 1, static_cast<uint32_t>(plan_.size()));
+    for (; issued_ < end; ++issued_) batch_.push_back(plan_[issued_].id);
+    if (!batch_.empty()) tree_->pool()->PrefetchBatchAsync(batch_);
+  }
+
+  /// Raises the key bound: the leaves below `hi` join the plan.
+  void Extend(Position hi) { hi_ = std::max(hi_, hi); }
+
+ private:
+  const XrTree* tree_;
+  Position hi_;
+  uint32_t width_;
+  bool stabs_;
+  std::deque<XrTree::LeafRef> plan_;  ///< from the side's current leaf on
+  uint32_t issued_ = 0;  ///< plan_'s first issued_ ids have been submitted
+  Position next_ = 0;    ///< lowest key of the first leaf not listed
+  std::vector<XrTree::LeafRef> listed_;  ///< one listing's scratch
+  std::vector<PageId> batch_;            ///< one refill's ids
+};
+
+}  // namespace
 
 Result<JoinOutput> XrStackJoinRange(const XrTree& ancestors,
                                     const XrTree& descendants, Position lo,
@@ -40,6 +128,28 @@ Result<JoinOutput> XrStackJoinRange(const XrTree& ancestors,
   // a byproduct, so the ancestor side is never walked by an iterator. A
   // range worker lands on its first owned ancestor with one root-to-leaf
   // probe (LowerBound), never a leaf-chain walk from the leftmost page.
+  //
+  // Read-ahead (options.prefetch_depth > 0, DESIGN.md §10): each side keeps
+  // a window of leaves over this range resident or in flight, planned off
+  // the internal levels. The first top-ups, before any descent, submit the
+  // first window of both trees and the stab chains on the ancestor
+  // listing's path together, so the range starts on one device wait.
+  // Descendants past `hi`, which only a spanning ancestor drains, join the
+  // plan once the drain starts (the epilogue, below). Detached submission
+  // means the join never waits on these reads; its fetches find the pages
+  // resident or in flight.
+  const uint32_t width =
+      options.prefetch_depth == 0
+          ? 0
+          : ReadAheadWidth(ancestors.pool()->pool_size(), options.num_threads,
+                           options.prefetch_depth);
+  LeafWindow a_window(&ancestors, hi, width, /*stabs=*/true);
+  LeafWindow d_window(&descendants, hi, width, /*stabs=*/false);
+  if (width > 0) {
+    a_window.TopUp(lo);
+    d_window.TopUp(lo);
+  }
+
   Position cur_a = kNilPosition;
   {
     XR_ASSIGN_OR_RETURN(XrTree::Cursor it0,
@@ -56,45 +166,6 @@ Result<JoinOutput> XrStackJoinRange(const XrTree& ancestors,
   XR_ASSIGN_OR_RETURN(
       XrTree::Cursor itd,
       lo == 0 ? descendants.Begin() : descendants.UpperBound(lo));
-  if (options.prefetch_depth > 0) {
-    itd.EnablePrefetch(options.prefetch_depth, options.adaptive_prefetch);
-  }
-
-  // Ancestor-side read-ahead. The ancestor advances walk the ancestor
-  // leaves strictly left to right, so whenever CurA crosses into the last
-  // leaf covered by the previous read-ahead run, one root-to-leaf descent
-  // (LeafRunAfter) yields the next run of sibling leaf ids as a single
-  // vectorized submission, plus the separator key at which that run's
-  // last leaf begins — the next re-arm point. An empty run (CurA's leaf is
-  // the last child of its parent, or the `hi` clamp cut it) re-arms at the
-  // upper bound of CurA's leaf, where the next run can start; at or past
-  // `hi` it never re-arms. Detached async submission means the join thread
-  // never waits on these reads; the probes find the pages resident (or in
-  // flight). pf_arm_at == 0 arms on the first advance.
-  Position pf_arm_at = 0;
-  // Ancestor-side depth: the same ramp as the descendant cursor's, so with
-  // options.adaptive_prefetch long parent sweeps reach deep horizons and
-  // runs cut short at `hi` or a parent's last child pull back.
-  ReadAheadRamp pf_ramp(options.prefetch_depth, options.adaptive_prefetch);
-  // Called before every ancestor advance, probe or step, with CurA.
-  const bool prefetching = options.prefetch_depth > 0;
-  auto read_ahead = [&](Position cur_a) {
-    if (cur_a < pf_arm_at) return;
-    Position resume = kNilPosition;
-    // Clamp the run to this worker's range: leaves whose first key is past
-    // `hi` hold no ancestors this range owns, so fetching them is pure
-    // waste (it shows up as prefetch_wasted in the pool stats).
-    auto run = ancestors.LeafRunAfter(cur_a, pf_ramp.depth(), &resume, hi);
-    const size_t got = run.ok() ? run->size() : 0;
-    if (got > 0) ancestors.pool()->PrefetchBatchAsync(*run);
-    pf_ramp.Record(got == pf_ramp.depth());
-    // A failed descent retries at the next advance past CurA.
-    if (!run.ok()) {
-      pf_arm_at = cur_a + 1;
-    } else {
-      pf_arm_at = resume < hi ? resume : kNilPosition;
-    }
-  };
 
   // Floor for FindAncestors probes (§5.2 variation): every ancestor of the
   // current descendant with start below max(stack top, previous probe
@@ -171,7 +242,6 @@ Result<JoinOutput> XrStackJoinRange(const XrTree& ancestors,
         if (!steppable || sd < point || sd >= leaf_hi || !probe.current()) {
           break;
         }
-        if (prefetching) read_ahead(a);
         const uint32_t from = i;
         for (; i < n && leaf[i].start < sd; ++i) {
           // Strict containment, as the probe's: the join keeps an element
@@ -224,6 +294,13 @@ Result<JoinOutput> XrStackJoinRange(const XrTree& ancestors,
   // Main loop (Algorithm 6 lines 4-22).
   while (cur_a != kNilPosition && itd.Valid()) {
     if (cancelled()) return Status::Aborted(kJoinCancelledMessage);
+    if (width > 0) {
+      // A probe at CurD reads CurD's ancestor leaf; otherwise the next
+      // ancestor read is CurA's.
+      const Position d_key = itd.Get().start;
+      a_window.TopUp(std::max(cur_a, d_key));
+      d_window.TopUp(d_key);
+    }
     if (size_t taken = run_loop(); taken > 0) {
       XR_RETURN_IF_ERROR(itd.Forward(taken));
       continue;
@@ -244,7 +321,6 @@ Result<JoinOutput> XrStackJoinRange(const XrTree& ancestors,
           options.disable_probe_floor
               ? 0
               : std::max(stack_floor, last_probe > 0 ? last_probe - 1 : 0);
-      if (prefetching) read_ahead(cur_a);
       Position next_a = kNilPosition;
       XR_RETURN_IF_ERROR(probe.FindAncestorsAbove(d.start, min_start, &ad,
                                                   &search_scanned, &next_a));
@@ -267,10 +343,15 @@ Result<JoinOutput> XrStackJoinRange(const XrTree& ancestors,
   // Epilogue: the ancestor list may be exhausted while the stack still
   // holds regions covering later descendants (in a range worker this is
   // also where a boundary-spanning ancestor drains the descendants beyond
-  // `hi` up to its end).
+  // `hi` up to its end). The drain visits every descendant up to the
+  // outermost open region's end, so the read-ahead plan extends there.
+  if (!stack.empty() && stack.front().end != kNilPosition) {
+    d_window.Extend(stack.front().end + 1);
+  }
   while (itd.Valid() && !stack.empty()) {
     if (cancelled()) return Status::Aborted(kJoinCancelledMessage);
     const Element d = itd.Get();
+    if (width > 0) d_window.TopUp(d.start);
     while (!stack.empty() && stack.back().end < d.start) stack.pop_back();
     emit_stack(d);
     XR_RETURN_IF_ERROR(itd.Next());

@@ -463,8 +463,12 @@ Page* BufferPool::CountHit(Page* page, bool miss_counted) {
   // an eviction's prefetch_wasted sees the flag.
   if (page->prefetched_.load(std::memory_order_relaxed) &&
       page->prefetched_.exchange(false, std::memory_order_relaxed)) {
-    // First fetch of a read-ahead page: the prefetch paid off.
+    // First fetch of a read-ahead page: the prefetch paid off. A scan has
+    // consumed it, so it gives up the grace its install granted and becomes
+    // the sweep's next victim; a page fetched again earns the bit back.
     counters_.prefetch_hits.fetch_add(1, std::memory_order_relaxed);
+    page->ref_.store(false, std::memory_order_relaxed);
+    return page;
   }
   // Second chance for the CLOCK sweep; read first so a hot page's hits do
   // not keep writing its bookkeeping line.
@@ -656,15 +660,22 @@ void BufferPool::PrefetchBatchAsync(const std::vector<PageId>& ids) {
   auto st = std::make_shared<BatchState>();
   std::vector<PendingRead>& slots = st->slots;
   slots.reserve(ids.size());
-  // Phase 1: skip pages the page table shows resident, with no latch (a
-  // warm join's read-ahead is mostly these); take one short latch per
+  // Phase 1: skip pages the page table shows resident, setting their
+  // reference bits, with no latch (a warm join's read-ahead is mostly
+  // these); take one short latch per
   // remaining page to skip pages resident or already being read after
   // all, and register an in-flight entry for the rest. Registration also
   // dedupes repeated ids within the batch.
   for (const PageId id : ids) {
     if (id == kInvalidPageId || id >= num_pages) continue;
     const FrameId seen = page_table_.Find(id);
-    if (seen != PageTable::kNone && frames_[seen]->page_id() == id) continue;
+    if (seen != PageTable::kNone && frames_[seen]->page_id() == id) {
+      // A resident page that a read-ahead names is about to be read: it
+      // gets its second chance back (a hint; a frame re-targeted since the
+      // look above merely keeps its new page a sweep longer).
+      frames_[seen]->ref_.store(true, std::memory_order_relaxed);
+      continue;
+    }
     std::lock_guard<std::mutex> lock(mu_);
     if (page_table_.Find(id) != PageTable::kNone ||
         in_flight_.count(id) != 0) {

@@ -312,7 +312,8 @@ class BufferPool {
   // table shows no frame holding it unclaimed (the caller falls back).
   Page* TryPinResident(PageId page_id);
   // The bookkeeping of a hit on `page`, which is pinned: one hit (unless
-  // this fetch already counted a miss), prefetch credit, the CLOCK bit.
+  // this fetch already counted a miss), prefetch credit, the CLOCK bit —
+  // set, or cleared by the first fetch of a read-ahead page (DESIGN.md §13).
   Page* CountHit(Page* page, bool miss_counted);
 
   // Victim selection: second-chance CLOCK sweep — the hand skips empty and

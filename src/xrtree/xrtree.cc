@@ -678,7 +678,6 @@ Result<std::vector<Position>> XrTree::PartitionKeys(size_t max_keys) const {
     for (int depth = 0; depth < kMaxTreeDepth; ++depth) {
       found.clear();
       std::vector<PageId> children;
-      bool children_internal = false;
       for (PageId id : level) {
         XR_ASSIGN_OR_RETURN(Page * raw, pool_->FetchPage(id));
         ReadLatchedPage page(pool_, raw);
@@ -698,17 +697,14 @@ Result<std::vector<Position>> XrTree::PartitionKeys(size_t max_keys) const {
         for (uint32_t i = 0; i < hdr->count; ++i) {
           children.push_back(slots[i].child);
         }
-        if (!children_internal && !children.empty()) {
-          XR_ASSIGN_OR_RETURN(Page * craw,
-                              pool_->FetchPage(children.front()));
-          ReadLatchedPage child(pool_, craw);
-          children_internal = XrHeader(craw)->magic == kXrInternalMagic;
-        }
       }
       // Within one level keys ascend left-to-right (they separate disjoint
       // ascending leaf ranges); stop at the first level that satisfies the
-      // request, or at the last internal level.
-      if (found.size() >= max_keys || !children_internal) break;
+      // request, fetching nothing below it, or at the last internal level.
+      if (found.size() >= max_keys) break;
+      XR_ASSIGN_OR_RETURN(Page * craw, pool_->FetchPage(children.front()));
+      ReadLatchedPage child(pool_, craw);
+      if (XrHeader(craw)->magic != kXrInternalMagic) break;
       level = std::move(children);
     }
     return found;

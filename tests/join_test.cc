@@ -1058,25 +1058,22 @@ TEST(ParallelJoinTest, PartitionPlansNeverContainDegenerateRanges) {
   }
 }
 
-// The ancestor-side read-ahead of a range worker must clamp its run to the
-// worker's [lo, hi): re-arming with the full prefetch_depth at the end of
-// the range used to fetch sibling leaves the worker never probes.
+// A range worker's read-ahead stays inside its range on both trees:
+// ancestors in [lo, hi) and descendants in (lo, hi). Descendants do lie
+// past `hi`, but no ancestor of the range spans the boundary to drain
+// them, so a prefetched leaf can only end up wasted if the plan ran past
+// `hi` on either side.
 TEST(ParallelJoinTest, RangeWorkerPrefetchStaysInsideItsRange) {
   // Adjacent (non-nested) ancestors with one descendant inside each:
-  // every in-range ancestor leaf gets probed, so a prefetched ancestor
-  // leaf can only end up wasted if the read-ahead ran past `hi`.
-  ElementList a_list, d_all;
+  // every in-range leaf of either tree gets read.
+  ElementList a_list, d_list;
   Position p = 10;
   for (int i = 0; i < 400; ++i) {
     a_list.push_back(Element(p, p + 6, 1));
-    d_all.push_back(Element(p + 2, p + 3, 2));
+    d_list.push_back(Element(p + 2, p + 3, 2));
     p += 10;
   }
   const Position hi = a_list[200].start;
-  ElementList d_list;  // descendants confined to [0, hi)
-  for (const Element& e : d_all) {
-    if (e.start < hi) d_list.push_back(e);
-  }
 
   TempDb db(512);
   auto a_tree = SmallFanoutTree(db.pool(), a_list);
@@ -1091,13 +1088,14 @@ TEST(ParallelJoinTest, RangeWorkerPrefetchStaysInsideItsRange) {
   options.prefetch_depth = 8;
   ASSERT_OK_AND_ASSIGN(JoinOutput part,
                        XrStackJoinRange(*a_tree, *d_tree, 0, hi, options));
-  EXPECT_EQ(part.stats.output_pairs, d_list.size());
+  EXPECT_EQ(part.stats.output_pairs, 200u);
   db.pool()->WaitForPrefetchIdle();
   // Resolve still-resident prefetched frames: every one the worker never
   // touched now counts as wasted.
   DiscardAllResident(db.pool(), num_pages);
   IoStats delta = db.pool()->stats() - before;
-  EXPECT_GT(delta.prefetch_issued, 0u);
+  // 50 leaves per tree lie in the range; the read-ahead covers both trees.
+  EXPECT_GT(delta.prefetch_issued, 60u);
   EXPECT_EQ(delta.prefetch_wasted, 0u)
       << "read-ahead fetched leaves outside [0, " << hi << ")";
 }
@@ -1473,13 +1471,17 @@ TEST(ScanModeTest, WriteBetweenDescendantsForcesProbe) {
     // The descendant leaf after the one holding descendant 13 (it starts
     // at descendant 18, inside ancestor leaf 16..31) is the only page the
     // next join misses on; the writer runs while that read is pending.
-    ASSERT_OK_AND_ASSIGN(std::vector<PageId> run,
-                         d_tree.LeafRunAfter(d_list[13].start, 1));
-    ASSERT_EQ(run.size(), 1u);
-    ASSERT_OK(pool.DiscardPage(run[0]));
+    std::vector<XrTree::LeafRef> listed;
+    ASSERT_OK(d_tree
+                  .ListLeaves(d_list[13].start, kNilPosition, 2, &listed,
+                              [](const Page*) { return Status::Ok(); })
+                  .status());
+    ASSERT_GE(listed.size(), 2u);
+    const PageId next_leaf = listed[1].id;
+    ASSERT_OK(pool.DiscardPage(next_leaf));
     Status write;
     bool wrote = false;
-    hooked.Arm(run[0], [&] {
+    hooked.Arm(next_leaf, [&] {
       std::thread writer([&] { write = a_tree.Insert(extra); });
       writer.join();
       wrote = true;
@@ -1504,6 +1506,87 @@ TEST(ScanModeTest, WriteBetweenDescendantsForcesProbe) {
     ASSERT_OK(disk.Close());
   }
   std::remove(path.c_str());
+}
+
+// PartitionKeys stops at the first level that yields the separators it
+// was asked for: with the root resident and nothing else, planning a
+// 4-range join whose root holds enough separators reads no page.
+TEST(ParallelJoinTest, PartitionKeysFetchNothingBelowASufficientRoot) {
+  ElementList a_list, d_list;
+  SplitByLevel(RandomNestedElements(83, 8000, 3), &a_list, &d_list);
+  TempDb db(512);
+  XrTree tree(db.pool());
+  ASSERT_OK(tree.BulkLoad(a_list));
+  ASSERT_EQ(tree.Height().value(), 2u);
+  ASSERT_OK(db.pool()->FlushAll());
+  DiscardAllResident(db.pool(), db.disk()->num_pages());
+  {
+    ASSERT_OK_AND_ASSIGN(Page * root, db.pool()->FetchPage(tree.root()));
+    ASSERT_OK(db.pool()->UnpinPage(root, false));
+  }
+  const IoStats before = db.pool()->stats();
+  ASSERT_OK_AND_ASSIGN(auto ranges, PlanJoinPartitions(tree, 4));
+  EXPECT_EQ(ranges.size(), 4u);
+  EXPECT_EQ((db.pool()->stats() - before).buffer_misses, 0u);
+}
+
+// A compressed 4-range join on a pool smaller than its working set equals
+// Stack-Tree-Desc, and every range's read-ahead window fits its share of
+// the 48 frames, so nothing it reads ahead is evicted unread. The waste
+// check runs the four ranges one after another: concurrent ranges are
+// preempted at will, and a stalled range's window can lose its CLOCK
+// grace to the others' installs.
+TEST(ParallelJoinTest, CompressedJoinOnASmallPoolWastesNoReadAhead) {
+  ASSERT_OK_AND_ASSIGN(Dataset ds, MakeDepartmentDataset(100000, 17));
+  TempDb db(4096);
+  XrTreeOptions topt;
+  topt.compressed_pages = true;
+  XrTree a_tree(db.pool(), kInvalidPageId, topt);
+  XrTree d_tree(db.pool(), kInvalidPageId, topt);
+  ASSERT_OK(a_tree.BulkLoad(ds.ancestors));
+  ASSERT_OK(d_tree.BulkLoad(ds.descendants));
+  ASSERT_OK_AND_ASSIGN(StabStats a_stats, a_tree.ComputeStabStats());
+  ASSERT_OK_AND_ASSIGN(StabStats d_stats, d_tree.ComputeStabStats());
+  ASSERT_GT(a_stats.leaf_pages + d_stats.leaf_pages, 48u);
+  const PageId a_root = a_tree.root();
+  const PageId d_root = d_tree.root();
+  db.Reopen(48);
+  XrTree a_cold(db.pool(), a_root);
+  XrTree d_cold(db.pool(), d_root);
+
+  const auto want = Comparable(
+      StackTreeDescJoinVectors(ds.ancestors, ds.descendants).pairs, false);
+  JoinOptions options;
+  options.num_threads = 4;
+  options.prefetch_depth = 8;
+  ASSERT_OK_AND_ASSIGN(JoinOutput got,
+                       ParallelXrStackJoin(a_cold, d_cold, options));
+  EXPECT_EQ(Comparable(got.pairs, false), want);
+
+  ASSERT_OK_AND_ASSIGN(auto ranges, PlanJoinPartitions(a_cold, 4));
+  ASSERT_EQ(ranges.size(), 4u);
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE(round);
+    db.pool()->WaitForPrefetchIdle();
+    const IoStats before = db.pool()->stats();
+    std::vector<JoinPair> pairs;
+    for (const auto& [lo, hi] : ranges) {
+      ASSERT_OK_AND_ASSIGN(JoinOutput part,
+                           XrStackJoinRange(a_cold, d_cold, lo, hi, options));
+      pairs.insert(pairs.end(), part.pairs.begin(), part.pairs.end());
+    }
+    db.pool()->WaitForPrefetchIdle();
+    std::sort(pairs.begin(), pairs.end(), [](const JoinPair& x,
+                                             const JoinPair& y) {
+      return x.descendant.start != y.descendant.start
+                 ? x.descendant.start < y.descendant.start
+                 : x.ancestor.start < y.ancestor.start;
+    });
+    EXPECT_EQ(Comparable(pairs, false), want);
+    const IoStats delta = db.pool()->stats() - before;
+    EXPECT_GT(delta.prefetch_issued, 0u);
+    EXPECT_EQ(delta.prefetch_wasted, 0u);
+  }
 }
 
 }  // namespace

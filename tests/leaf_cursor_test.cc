@@ -252,63 +252,37 @@ TYPED_TEST(TrackedSizeTest, TrackedSizeOffByOneIsCorruption) {
       << checked.ToString();
 }
 
-// The adaptive read-ahead ramp both XR-stack sides use. With d = 128 it
-// reaches 128: the cap is max(d, 64), as JoinOptions::adaptive_prefetch
-// documents.
-TEST(ReadAheadRampTest, AdaptiveDepthReachesALargeStartingDepth) {
-  ReadAheadRamp ramp(128, /*adaptive=*/true);
-  std::vector<uint32_t> depths{ramp.depth()};
-  for (int i = 0; i < 6; ++i) {
-    ramp.Record(/*full=*/true);
-    depths.push_back(ramp.depth());
-  }
-  EXPECT_EQ(depths, (std::vector<uint32_t>{4, 8, 16, 32, 64, 128, 128}));
-  for (int i = 0; i < 8; ++i) ramp.Record(/*full=*/false);
-  EXPECT_EQ(ramp.depth(), 2u);  // never below 2
-}
+// size() answers only for a tracked tree: a handle reopened by its root
+// says so through size_tracked() and leaves size() at 0 through its own
+// writes; CountEntries makes it exact, and it then follows every insert
+// and delete made through that handle.
+TYPED_TEST(TrackedSizeTest, SizeIsTrackedOnlyOnceCounted) {
+  const ElementList elems = RandomNestedElements(47, 2000, 4);
+  TypeParam built(this->db_.pool(), kInvalidPageId, this->options_);
+  EXPECT_TRUE(built.size_tracked());
+  ASSERT_OK(built.BulkLoad(elems, /*fill_fraction=*/0.7));
+  EXPECT_TRUE(built.size_tracked());
+  EXPECT_EQ(built.size(), elems.size());
 
-TEST(ReadAheadRampTest, FixedDepthNeverMoves) {
-  ReadAheadRamp ramp(8, /*adaptive=*/false);
-  ramp.Record(true);
-  ramp.Record(false);
-  EXPECT_EQ(ramp.depth(), 8u);
-  EXPECT_EQ(ReadAheadRamp().depth(), 0u);
-}
+  Position last_end = 0;
+  for (const Element& e : elems) last_end = std::max(last_end, e.end);
+  const Element extra(last_end + 1, last_end + 2, 0, 1u << 30);
+  TypeParam reopened(this->db_.pool(), built.root(), this->options_);
+  EXPECT_FALSE(reopened.size_tracked());
+  ASSERT_OK(reopened.Insert(extra));
+  ASSERT_OK(reopened.Delete(extra.start));
+  EXPECT_EQ(reopened.size(), 0u);
+  EXPECT_FALSE(reopened.size_tracked());
 
-// For d <= 64 the ramp issues the depths the two sides computed before it
-// was shared: start min(d, 4), double after a full run up to 64, halve
-// after a short one down to 2.
-TEST(ReadAheadRampTest, SmallStartingDepthsKeepTheirSequence) {
-  Random rng(7);
-  for (uint32_t d = 1; d <= 64; ++d) {
-    ReadAheadRamp ramp(d, /*adaptive=*/true);
-    uint32_t want = std::min<uint32_t>(d, 4);
-    for (int step = 0; step < 40; ++step) {
-      ASSERT_EQ(ramp.depth(), want) << "d=" << d << " step=" << step;
-      const bool full = rng.Uniform(3) != 0;
-      ramp.Record(full);
-      want = full ? std::min<uint32_t>(want * 2, 64)
-                  : std::max<uint32_t>(2, want / 2);
-    }
-  }
-}
-
-// A cursor's read-ahead ramps to its starting depth when it is past 64:
-// sequential landings inside one wide parent return full runs.
-TEST(ReadAheadRampTest, CursorRampsPastSixtyFour) {
-  TempDb db(4096);
-  XrTreeOptions options;
-  options.leaf_capacity = 4;
-  XrTree tree(db.pool(), kInvalidPageId, options);
-  ASSERT_OK(tree.BulkLoad(RandomNestedElements(31, 2400, 3)));
-  ASSERT_OK_AND_ASSIGN(XrIterator it, tree.Begin());
-  it.EnablePrefetch(128, /*adaptive=*/true);
-  uint32_t deepest = it.prefetch_depth();
-  for (int i = 0; i < 60 && it.Valid(); ++i) {
-    ASSERT_OK(it.Next());
-    deepest = std::max(deepest, it.prefetch_depth());
-  }
-  EXPECT_EQ(deepest, 128u);
+  ASSERT_OK_AND_ASSIGN(uint64_t n, reopened.CountEntries());
+  EXPECT_EQ(n, elems.size());
+  EXPECT_TRUE(reopened.size_tracked());
+  EXPECT_EQ(reopened.size(), elems.size());
+  ASSERT_OK(reopened.Insert(extra));
+  EXPECT_EQ(reopened.size(), elems.size() + 1);
+  ASSERT_OK(reopened.Delete(extra.start));
+  EXPECT_EQ(reopened.size(), elems.size());
+  EXPECT_OK(reopened.CheckConsistency());
 }
 
 }  // namespace

@@ -555,10 +555,76 @@ TEST(BufferPoolTest, EvictedPrefetchesCountAsWastedNotHits) {
   ExpectPrefetchInvariant(s, 0);
 }
 
-TEST(BufferPoolTest, PrefetchingScanHitsEveryLeafAfterTheFirst) {
+/// `n` written pages in a fresh (cold) pool of `frames` frames.
+std::vector<PageId> ColdPages(TempDb* db, int n, size_t frames) {
+  std::vector<PageId> ids;
+  for (int i = 0; i < n; ++i) {
+    auto p = db->pool()->NewPage();
+    if (!p.ok()) return {};
+    ids.push_back((*p)->page_id());
+    if (!db->pool()->UnpinPage(ids.back(), true).ok()) return {};
+  }
+  db->Reopen(frames);
+  return ids;
+}
+
+// CLOCK (DESIGN.md §13): the first fetch of a read-ahead page clears its
+// reference bit, so a leaf a scan has consumed is the next victim and an
+// unconsumed read-ahead page keeps its sweep of grace. Both fill orders
+// run, so the victim cannot be the frame the hand happens to start on.
+TEST(BufferPoolTest, ConsumedReadAheadPageIsTheNextVictim) {
+  for (int consumed = 0; consumed < 2; ++consumed) {
+    SCOPED_TRACE(consumed);
+    TempDb db(2);
+    const std::vector<PageId> ids = ColdPages(&db, 3, 2);
+    ASSERT_EQ(ids.size(), 3u);
+    db.pool()->PrefetchBatchAsync({ids[0], ids[1]});
+    db.pool()->WaitForPrefetchIdle();
+    ASSERT_EQ(db.pool()->stats().prefetch_issued, 2u);
+    ASSERT_OK_AND_ASSIGN(Page * p, db.pool()->FetchPage(ids[consumed]));
+    ASSERT_OK(db.pool()->UnpinPage(p, false));
+
+    // A demand miss on the full pool evicts the consumed page.
+    ASSERT_OK_AND_ASSIGN(p, db.pool()->FetchPage(ids[2]));
+    ASSERT_OK(db.pool()->UnpinPage(p, false));
+    EXPECT_EQ(db.pool()->stats().prefetch_wasted, 0u);
+    const IoStats before = db.pool()->stats();
+    ASSERT_OK_AND_ASSIGN(p, db.pool()->FetchPage(ids[1 - consumed]));
+    ASSERT_OK(db.pool()->UnpinPage(p, false));
+    const IoStats delta = db.pool()->stats() - before;
+    EXPECT_EQ(delta.buffer_misses, 0u);
+    EXPECT_EQ(delta.prefetch_hits, 1u);
+  }
+}
+
+// A read-ahead that names a resident page gives it its second chance back:
+// the page is about to be read, so the sweep passes it over once.
+TEST(BufferPoolTest, ReadAheadOfAResidentPageRenewsItsSecondChance) {
+  for (int named = 0; named < 2; ++named) {
+    SCOPED_TRACE(named);
+    TempDb db(2);
+    const std::vector<PageId> ids = ColdPages(&db, 3, 2);
+    ASSERT_EQ(ids.size(), 3u);
+    for (int i = 0; i < 2; ++i) {  // demand installs leave the bits clear
+      ASSERT_OK_AND_ASSIGN(Page * p, db.pool()->FetchPage(ids[i]));
+      ASSERT_OK(db.pool()->UnpinPage(p, false));
+    }
+    db.pool()->PrefetchBatchAsync({ids[named]});
+    EXPECT_EQ(db.pool()->stats().prefetch_issued, 0u);  // resident: no read
+
+    // A demand miss on the full pool evicts the page nobody named.
+    ASSERT_OK_AND_ASSIGN(Page * p, db.pool()->FetchPage(ids[2]));
+    ASSERT_OK(db.pool()->UnpinPage(p, false));
+    const IoStats before = db.pool()->stats();
+    ASSERT_OK_AND_ASSIGN(p, db.pool()->FetchPage(ids[named]));
+    ASSERT_OK(db.pool()->UnpinPage(p, false));
+    EXPECT_EQ((db.pool()->stats() - before).buffer_misses, 0u);
+  }
+}
+
+TEST(BufferPoolTest, ListedLeavesPrefetchedScanHitsEveryLeaf) {
   // Fanout-4 internal nodes put a parent boundary every few leaves, so the
-  // scan takes both read-ahead paths many times: a LeafRunAfter sibling run
-  // inside a parent, and the lone chain successor at a parent's last child.
+  // listing resumes at many parents' upper bounds.
   ElementList elems;
   for (Position p = 1; p < 2 * 600; p += 2) {
     elems.push_back(Element(p, p + 1, 1, p));
@@ -579,9 +645,30 @@ TEST(BufferPoolTest, PrefetchingScanHitsEveryLeafAfterTheFirst) {
   }
   db.Reopen(4096);  // cold, and large enough to hold the whole tree
 
+  // A handle reopened by its root measures its height once (one leaf
+  // read); every listing after that reads internal pages only.
   XrTree tree(db.pool(), root);
+  ASSERT_OK_AND_ASSIGN(uint32_t height, tree.Height());
+  const IoStats before_listing = db.pool()->stats();
+  std::vector<XrTree::LeafRef> listed;
+  Position next = 0;
+  do {
+    ASSERT_OK_AND_ASSIGN(
+        next, tree.ListLeaves(next, kNilPosition, leaves, &listed,
+                              [](const Page*) { return Status::Ok(); }));
+  } while (next != kNilPosition);
+  ASSERT_EQ(listed.size(), leaves);
+  const IoStats listing = db.pool()->stats() - before_listing;
+  EXPECT_LE(listing.buffer_misses, leaves / 2) << "height " << height;
+  for (size_t i = 1; i < listed.size(); ++i) {
+    EXPECT_LT(listed[i - 1].lo, listed[i].lo);
+  }
+
+  std::vector<PageId> ids;
+  for (const auto& leaf : listed) ids.push_back(leaf.id);
+  ASSERT_OK_AND_ASSIGN(XrIterator warm, tree.Begin());  // the leftmost leaf
+  db.pool()->PrefetchBatchAsync(ids);
   ASSERT_OK_AND_ASSIGN(XrIterator it, tree.Begin());
-  it.EnablePrefetch(2);
   uint64_t seen = 0;
   while (it.Valid()) {
     ++seen;
@@ -590,9 +677,9 @@ TEST(BufferPoolTest, PrefetchingScanHitsEveryLeafAfterTheFirst) {
   EXPECT_EQ(seen, elems.size());
   db.pool()->WaitForPrefetchIdle();
 
-  // Each read-ahead is registered before PrefetchBatchAsync returns, so the
-  // landing fetch always finds its leaf resident or in flight: only the
-  // first leaf is a demand miss, and nothing is read that the scan skips.
+  // Each read-ahead is registered before PrefetchBatchAsync returns, so
+  // every landing finds its leaf resident or in flight: the resident
+  // leftmost leaf is skipped, the rest are prefetch hits, none wasted.
   IoStats s = db.pool()->stats();
   EXPECT_EQ(s.prefetch_issued, leaves - 1);
   EXPECT_EQ(s.prefetch_hits, leaves - 1);

@@ -324,10 +324,9 @@ TEST(XrTreeTest, SeekPastKeyInsideSnapshotMatchesFreshDescent) {
   ASSERT_GE(last - first, 5u);
 
   // An iterator parked on elems[first + 2] (pos_ 2 of the second leaf's
-  // snapshot), with fixed-depth read-ahead on.
+  // snapshot).
   auto parked = [&](XrIterator* it) {
     ASSERT_OK_AND_ASSIGN(*it, tree.LowerBound(elems[first].start));
-    it->EnablePrefetch(3);
     ASSERT_OK(it->Next());
     ASSERT_OK(it->Next());
     ASSERT_EQ(it->Get().start, elems[first + 2].start);
@@ -363,7 +362,6 @@ TEST(XrTreeTest, SeekPastKeyInsideSnapshotMatchesFreshDescent) {
       EXPECT_EQ(it.Get().start, fresh.Get().start);
     }
     EXPECT_EQ(it.scanned() - scanned_before, fresh.scanned());
-    EXPECT_EQ(it.prefetch_depth(), 3u);
     // The cursor keeps walking from its landing like a fresh one.
     if (it.Valid()) {
       ASSERT_OK(it.Next());
