@@ -43,10 +43,12 @@ inline uint32_t ChildSlotIn(const Entry* slots, uint32_t count, Position key) {
 /// internal nodes hold nothing but keys.
 struct NoCarry {};
 
-/// The B+-tree both disk indexes run on (DESIGN.md §5.1): the XR-tree is
+/// The B+-tree the disk indexes run on (DESIGN.md §5.1): the XR-tree is
 /// "essentially a B+-tree" whose internal nodes also carry stab lists
-/// (Definition 4), and the B-tree is the backbone of the Anc_Des_B+
-/// baseline. This template owns the algorithms the two share, written once:
+/// (Definition 4), the B-tree is the backbone of the Anc_Des_B+ baseline,
+/// and the build-once B+sp tree (SpTree) is a B-tree whose leaf entries
+/// carry sibling pointers. This template owns the algorithms they share,
+/// written once:
 ///
 ///   * the reader descent (root retry, R-latch coupling, depth bound);
 ///   * the writer crab (W-latch crabbing with a per-call safety test);
@@ -60,8 +62,9 @@ struct NoCarry {};
 /// `Layout` is a node-layout traits type: Header, InternalEntry, kName, the
 /// leaf and internal magics and capacities, kLeafMaxEntriesAnyFormat,
 /// Hdr/Leaf/Slots accessors, MakeEntry(key, child), CheckPage (magic plus
-/// count bound) and CopyLeaf (checks a leaf and appends a copy of its
-/// entries from a key; the cursor calls it under the leaf's R latch). `Tree`
+/// count bound), SnapEntry (what a cursor snapshot holds per entry) and
+/// CopyLeaf (checks a leaf and appends a copy of its entries from a key;
+/// the cursor calls it under the leaf's R latch). `Tree`
 /// derives from this class (CRTP) and may redeclare any hook below to add
 /// its per-index behaviour; a hook it leaves alone keeps the plain B+-tree
 /// default. Hooks bind at compile time: no virtual call and no

@@ -85,6 +85,8 @@ struct BTreeLayout {
   static constexpr size_t kLeafMaxEntries = kBTreeLeafMaxEntries;
   static constexpr size_t kInternalMaxEntries = kBTreeInternalMaxEntries;
   static constexpr size_t kLeafMaxEntriesAnyFormat = kBTreeLeafMaxEntries;
+  /// What a leaf cursor's snapshot holds per entry.
+  using SnapEntry = Element;
 
   static Header* Hdr(Page* p) { return BTreeHeader(p); }
   static const Header* Hdr(const Page* p) { return BTreeHeader(p); }

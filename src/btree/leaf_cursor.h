@@ -15,11 +15,21 @@
 
 namespace xrtree {
 
+/// The element a cursor snapshot entry holds: the entry itself, or the
+/// `element` member of a layout's wider entry (SpTree's carries its
+/// sibling link).
+inline const Element& SnapElement(const Element& e) { return e; }
+template <typename Entry>
+const Element& SnapElement(const Entry& e) {
+  return e.element;
+}
+
 /// Forward cursor over the leaf level of a BPlusSkeleton tree (BTree,
-/// XrTree): the merge-scan backbone of the joins. It holds a *snapshot* of
-/// the current leaf's elements, copied under a short R-latch by the tree's
-/// Layout::CopyLeaf, and no latch or pin between calls, so any number of
-/// cursors run against concurrent writers without blocking them.
+/// XrTree, SpTree): the merge-scan backbone of the joins. It holds a
+/// *snapshot* of the current leaf's entries (Layout::SnapEntry), copied
+/// under a short R-latch by the tree's Layout::CopyLeaf, and no latch or
+/// pin between calls, so any number of cursors run against concurrent
+/// writers without blocking them.
 ///
 /// Lateral moves chase the leaf chain; each hop R-latches the next leaf and
 /// re-validates the pool's free epoch, sampled when the link was read. If a
@@ -33,6 +43,9 @@ namespace xrtree {
 /// cursor invalid.
 template <typename Tree>
 class LeafCursor {
+  using Layout = typename Tree::NodeLayout;
+  using SnapEntry = typename Layout::SnapEntry;
+
  public:
   /// Invalid (end) cursor bound to no tree.
   LeafCursor() = default;
@@ -45,7 +58,7 @@ class LeafCursor {
   bool Valid() const { return pos_ < snap_.size(); }
   const Element& Get() const {
     assert(Valid());
-    return snap_[pos_];
+    return SnapElement(snap_[pos_]);
   }
 
   /// Advances to the next element in key order; the cursor becomes invalid
@@ -60,11 +73,11 @@ class LeafCursor {
     return LandOnNextLeaf();
   }
 
-  /// The current element and the rest of the snapshot after it: the
+  /// The current entry and the rest of the snapshot after it: the
   /// elements Next() returns before it fetches another leaf. Empty when
   /// !Valid(). Lets a merge walk a leaf as an array, then catch the cursor
   /// up with Forward.
-  std::span<const Element> Remaining() const {
+  std::span<const SnapEntry> Remaining() const {
     return {snap_.data() + pos_, snap_.size() - pos_};
   }
 
@@ -87,16 +100,16 @@ class LeafCursor {
   /// snapshot and fetches nothing; otherwise it descends (Reseek). Either
   /// way the landing element is charged to scanned() once.
   Status SeekPastKey(Position key) {
-    if (!snap_.empty() && snap_.front().start <= key &&
-        key < snap_.back().start) {
+    if (!snap_.empty() && SnapElement(snap_.front()).start <= key &&
+        key < SnapElement(snap_.back()).start) {
       // Finger seek: the first start > key lies in this snapshot, and no
       // earlier leaf holds one. Search from the cursor when the key is
       // ahead of it (the join's case), else from the snapshot's start.
-      const size_t from = Valid() && snap_[pos_].start <= key ? pos_ : 0;
+      const size_t from = Valid() && Get().start <= key ? pos_ : 0;
       pos_ = static_cast<size_t>(
           std::upper_bound(snap_.begin() + from, snap_.end(), key,
-                           [](Position k, const Element& e) {
-                             return k < e.start;
+                           [](Position k, const SnapEntry& e) {
+                             return k < SnapElement(e).start;
                            }) -
           snap_.begin());
       ++scanned_;  // the landing element, as a descent charges it
@@ -110,7 +123,6 @@ class LeafCursor {
   /// skip, which the paper charges one probe. Keeps the scanned() total
   /// and charges the landing element.
   Status Reseek(Position key, bool exclusive) {
-    using Layout = typename Tree::NodeLayout;
     if (tree_ == nullptr) {
       return Status::InvalidArgument("seek on a default cursor");
     }
@@ -150,6 +162,31 @@ class LeafCursor {
     return Status::Ok();
   }
 
+  /// B+sp's ancestor skip, for a layout whose snapshot entries carry a
+  /// sibling link (SpTree): moves to the first element that starts past
+  /// the current one's end by that link alone. The jump is a hop to the
+  /// linked leaf that copies it from end + 1, so it fetches that one page
+  /// and never moves backward; landing anywhere but the linked slot is
+  /// Corruption. Charges the landing element. A nil link ends the cursor.
+  Status FollowSibling() {
+    if (!Valid()) {
+      return Status::InvalidArgument("FollowSibling on invalid iterator");
+    }
+    const SnapEntry from = snap_[pos_];
+    snap_.clear();
+    pos_ = 0;
+    next_ = from.sib_page;
+    reseek_key_ = from.element.end;
+    reseek_exclusive_ = true;
+    XR_RETURN_IF_ERROR(LandOnNextLeaf());
+    if (Valid() &&
+        (snap_[0].page != from.sib_page || snap_[0].slot != from.sib_slot)) {
+      return Fail(Status::Corruption(std::string(Layout::kName) +
+                                     ": sibling pointer off target"));
+    }
+    return Status::Ok();
+  }
+
   uint64_t scanned() const { return scanned_; }
 
  private:
@@ -158,7 +195,7 @@ class LeafCursor {
     pos_ = 0;
     // Recovery resumes strictly past the last element this snapshot can
     // return.
-    reseek_key_ = snap_.back().start;
+    reseek_key_ = SnapElement(snap_.back()).start;
     reseek_exclusive_ = true;
     ++scanned_;  // landing on an element examines it
   }
@@ -175,7 +212,6 @@ class LeafCursor {
   /// to a Reseek past reseek_key_ when the free epoch moved under the
   /// lateral link.
   Status LandOnNextLeaf() {
-    using Layout = typename Tree::NodeLayout;
     BufferPool* pool = tree_->pool();
     // A stale page that still passes its checksum can link the chain back
     // onto a leaf already passed, and every leaf on that loop copies empty
@@ -238,7 +274,7 @@ class LeafCursor {
   }
 
   const Tree* tree_ = nullptr;
-  std::vector<Element> snap_;
+  std::vector<SnapEntry> snap_;
   size_t pos_ = 0;
   PageId next_ = kInvalidPageId;   ///< chain link read under the leaf latch
   uint64_t epoch_ = 0;             ///< free epoch when next_ was read

@@ -11,7 +11,7 @@ namespace xrtree {
 /// by the leaf-resident sibling pointer (one page dereference) instead of
 /// a fresh root-to-leaf probe. Descendant skipping is unchanged. The paper
 /// reports it behaves like plain B+ (§6.1) — bench/related_work_joins
-/// verifies.
+/// verifies. It shares BPlusJoin's merge loop (bplus_join.cc).
 Result<JoinOutput> BPlusSpJoin(const SpTree& ancestors,
                                const SpTree& descendants,
                                const JoinOptions& options = {});

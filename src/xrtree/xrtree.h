@@ -67,6 +67,7 @@ struct XrLayout {
   /// A compressed leaf holds more entries than a fixed one.
   static constexpr size_t kLeafMaxEntriesAnyFormat =
       std::max(kXrLeafMaxEntries, kXrcMaxPageEntries);
+  using SnapEntry = Element;
 
   static Header* Hdr(Page* p) { return XrHeader(p); }
   static const Header* Hdr(const Page* p) { return XrHeader(p); }

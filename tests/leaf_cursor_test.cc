@@ -10,9 +10,11 @@
 
 #include <algorithm>
 #include <set>
+#include <type_traits>
 #include <vector>
 
 #include "btree/btree.h"
+#include "btree/sptree.h"
 #include "tests/test_util.h"
 #include "xrtree/xrtree.h"
 #include "xrtree/xrtree_iterator.h"
@@ -213,21 +215,22 @@ TYPED_TEST(LeafChainLoopTest, LinkToItselfIsCorruption) {
 
 // A tree reopened by its root alone tracks no size until CountEntries,
 // so the checker must not compare one; a size it does track still has to
-// match the leaves.
+// match the leaves. The build-once SpTree takes no Insert or Delete.
 template <typename Tree>
 class TrackedSizeTest : public ::testing::Test {
  protected:
-  typename TreeKind<Tree>::Options options_;
+  static constexpr bool kWritable = !std::is_same_v<Tree, SpTree>;
   TempDb db_{256};
 };
 
-TYPED_TEST_SUITE(TrackedSizeTest, Trees);
+using AllTrees = ::testing::Types<BTree, XrTree, SpTree>;
+TYPED_TEST_SUITE(TrackedSizeTest, AllTrees);
 
 TYPED_TEST(TrackedSizeTest, TreeReopenedByRootPassesTheChecker) {
   const ElementList elems = RandomNestedElements(41, 2000, 4);
-  TypeParam built(this->db_.pool(), kInvalidPageId, this->options_);
+  TypeParam built(this->db_.pool());
   ASSERT_OK(built.BulkLoad(elems));
-  TypeParam reopened(this->db_.pool(), built.root(), this->options_);
+  TypeParam reopened(this->db_.pool(), built.root());
   EXPECT_OK(reopened.CheckConsistency());
   ASSERT_OK_AND_ASSIGN(uint64_t n, reopened.CountEntries());
   EXPECT_EQ(n, elems.size());
@@ -236,16 +239,26 @@ TYPED_TEST(TrackedSizeTest, TreeReopenedByRootPassesTheChecker) {
 
 TYPED_TEST(TrackedSizeTest, TrackedSizeOffByOneIsCorruption) {
   const ElementList elems = RandomNestedElements(43, 2000, 4);
-  TypeParam built(this->db_.pool(), kInvalidPageId, this->options_);
+  TypeParam built(this->db_.pool());
   ASSERT_OK(built.BulkLoad(elems, /*fill_fraction=*/0.7));
-  // A second handle on the same pages adds one element behind the first
-  // handle's back; the root page stays the same.
-  Position last_end = 0;
-  for (const Element& e : elems) last_end = std::max(last_end, e.end);
-  TypeParam other(this->db_.pool(), built.root(), this->options_);
-  ASSERT_OK(other.Insert(Element(last_end + 1, last_end + 2, 0, 1u << 30)));
-  ASSERT_EQ(other.root(), built.root());
-  EXPECT_OK(other.CheckConsistency());
+  if constexpr (TestFixture::kWritable) {
+    // A second handle on the same pages adds one element behind the first
+    // handle's back; the root page stays the same.
+    Position last_end = 0;
+    for (const Element& e : elems) last_end = std::max(last_end, e.end);
+    TypeParam other(this->db_.pool(), built.root());
+    ASSERT_OK(other.Insert(Element(last_end + 1, last_end + 2, 0, 1u << 30)));
+    ASSERT_EQ(other.root(), built.root());
+    EXPECT_OK(other.CheckConsistency());
+  } else {
+    // No handle writes a build-once tree: the first leaf loses its last
+    // entry behind the handle's back (it stays above half full at 0.7).
+    ASSERT_OK_AND_ASSIGN(auto it, built.Begin());
+    const PageId first = it.Remaining().front().page;
+    ASSERT_OK_AND_ASSIGN(Page * raw, this->db_.pool()->FetchPage(first));
+    --SpLayout::Hdr(raw)->count;
+    ASSERT_OK(this->db_.pool()->UnpinPage(first, true));
+  }
   Status checked = built.CheckConsistency();
   EXPECT_TRUE(checked.IsCorruption()) << checked.ToString();
   EXPECT_NE(checked.ToString().find("size mismatch"), std::string::npos)
@@ -258,7 +271,7 @@ TYPED_TEST(TrackedSizeTest, TrackedSizeOffByOneIsCorruption) {
 // and delete made through that handle.
 TYPED_TEST(TrackedSizeTest, SizeIsTrackedOnlyOnceCounted) {
   const ElementList elems = RandomNestedElements(47, 2000, 4);
-  TypeParam built(this->db_.pool(), kInvalidPageId, this->options_);
+  TypeParam built(this->db_.pool());
   EXPECT_TRUE(built.size_tracked());
   ASSERT_OK(built.BulkLoad(elems, /*fill_fraction=*/0.7));
   EXPECT_TRUE(built.size_tracked());
@@ -267,10 +280,12 @@ TYPED_TEST(TrackedSizeTest, SizeIsTrackedOnlyOnceCounted) {
   Position last_end = 0;
   for (const Element& e : elems) last_end = std::max(last_end, e.end);
   const Element extra(last_end + 1, last_end + 2, 0, 1u << 30);
-  TypeParam reopened(this->db_.pool(), built.root(), this->options_);
+  TypeParam reopened(this->db_.pool(), built.root());
   EXPECT_FALSE(reopened.size_tracked());
-  ASSERT_OK(reopened.Insert(extra));
-  ASSERT_OK(reopened.Delete(extra.start));
+  if constexpr (TestFixture::kWritable) {
+    ASSERT_OK(reopened.Insert(extra));
+    ASSERT_OK(reopened.Delete(extra.start));
+  }
   EXPECT_EQ(reopened.size(), 0u);
   EXPECT_FALSE(reopened.size_tracked());
 
@@ -278,10 +293,12 @@ TYPED_TEST(TrackedSizeTest, SizeIsTrackedOnlyOnceCounted) {
   EXPECT_EQ(n, elems.size());
   EXPECT_TRUE(reopened.size_tracked());
   EXPECT_EQ(reopened.size(), elems.size());
-  ASSERT_OK(reopened.Insert(extra));
-  EXPECT_EQ(reopened.size(), elems.size() + 1);
-  ASSERT_OK(reopened.Delete(extra.start));
-  EXPECT_EQ(reopened.size(), elems.size());
+  if constexpr (TestFixture::kWritable) {
+    ASSERT_OK(reopened.Insert(extra));
+    EXPECT_EQ(reopened.size(), elems.size() + 1);
+    ASSERT_OK(reopened.Delete(extra.start));
+    EXPECT_EQ(reopened.size(), elems.size());
+  }
   EXPECT_OK(reopened.CheckConsistency());
 }
 

@@ -224,5 +224,51 @@ INSTANTIATE_TEST_SUITE_P(Pages, SpTreePageCountCorruptionTest,
                                                          : "Internal");
                          });
 
+// A sibling pointer that names its own entry, under a valid checksum,
+// would send the join's ancestor skip back onto the element it skips
+// from. The jump lands from a.end + 1 and must land on the linked slot,
+// so the join reports Corruption instead of looping; the checker does too.
+TEST(SpTreeTest, SelfSiblingPointersAreCorruption) {
+  ElementList universe = RandomNestedElements(3, 2000, 8);
+  ElementList a_list, d_list;
+  for (const Element& e : universe) {
+    (e.level % 2 == 0 ? a_list : d_list).push_back(e);
+  }
+  TempDb db(1024);
+  PageId a_root, d_root;
+  {
+    SpTree a_tree(db.pool());
+    SpTree d_tree(db.pool());
+    ASSERT_OK(a_tree.BulkLoad(a_list));
+    ASSERT_OK(d_tree.BulkLoad(d_list));
+    a_root = a_tree.root();
+    d_root = d_tree.root();
+    // Every entry whose sibling shares its leaf links to itself instead.
+    std::vector<SpSnapEntry> stamped;
+    ASSERT_OK_AND_ASSIGN(SpIterator it, a_tree.Begin());
+    while (it.Valid()) {
+      const SpSnapEntry& e = it.Remaining().front();
+      if (e.sib_page == e.page) stamped.push_back(e);
+      ASSERT_OK(it.Next());
+    }
+    ASSERT_FALSE(stamped.empty());
+    for (const SpSnapEntry& e : stamped) {
+      ASSERT_OK_AND_ASSIGN(Page * raw, db.pool()->FetchPage(e.page));
+      SpLayout::Leaf(raw)[e.slot].sib_slot = e.slot;
+      ASSERT_OK(db.pool()->UnpinPage(e.page, true));
+    }
+    ASSERT_OK(db.pool()->FlushAll());
+  }
+  db.Reopen(1024);
+  SpTree a_tree(db.pool(), a_root);
+  SpTree d_tree(db.pool(), d_root);
+  Result<JoinOutput> joined = BPlusSpJoin(a_tree, d_tree);
+  EXPECT_TRUE(joined.status().IsCorruption()) << joined.status().ToString();
+  Status check = a_tree.CheckConsistency();
+  EXPECT_TRUE(check.IsCorruption()) << check.ToString();
+  EXPECT_OK(d_tree.CheckConsistency());
+  EXPECT_EQ(db.pool()->pinned_frames(), 0u);
+}
+
 }  // namespace
 }  // namespace xrtree
